@@ -284,6 +284,7 @@ def cmd_curves(rc: RunConfig, args) -> int:
     with warnings.catch_warnings(record=True) as grabbed:
         warnings.simplefilter("always")
         rows = []
+        reference = None
         for value in sweep_values:
             if sweep_dim == "M":
                 policy = replace(rc.policy, preventive_threshold=value)
@@ -296,6 +297,8 @@ def cmd_curves(rc: RunConfig, args) -> int:
                 rc.model, policy, rc.life, rc.sim,
                 threads=rc.workers, seed_sequence=seed_seq,
             )
+            if policy == rc.policy:
+                reference = tables
             rate = renewal.expected_cost(tables, rc.costs, None, tf) / tf
             sd = renewal.std_dev(tables, rc.costs, None, tf)
             row = [value, rate, sd]
@@ -320,9 +323,13 @@ def cmd_curves(rc: RunConfig, args) -> int:
                 fh.write(",".join(f"{x:.6f}" for x in row) + "\n")
         files.append(sweep_path)
 
-        tables = estimate_tables(
-            rc.model, rc.policy, rc.life, rc.sim, threads=rc.workers
-        )
+        # The curves of a policy the sweep contains come from its swept
+        # tables, so the run reports one estimate per policy.
+        tables = reference
+        if tables is None:
+            tables = estimate_tables(
+                rc.model, rc.policy, rc.life, rc.sim, threads=rc.workers
+            )
         curve = renewal.cost_curve(tables, rc.costs)
         cost_path = rc.out_dir / "cost_curve.csv"
         renewal.write_cost_curve_csv(curve, cost_path)

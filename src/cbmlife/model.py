@@ -40,6 +40,14 @@ _MAX_ITER = 10_000
 _EPS = 1e-15
 
 
+def _require_finite(obj, *names: str) -> None:
+    """Reject NaN and infinite fields with the ValueError of bad parameters."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{type(obj).__name__}.{name} must be finite, not {value}")
+
+
 @dataclass(frozen=True)
 class GammaDegradation:
     """Stationary gamma degradation process.
@@ -53,6 +61,7 @@ class GammaDegradation:
     beta: float
 
     def __post_init__(self) -> None:
+        _require_finite(self, "alpha", "beta")
         if not (self.alpha > 0.0 and self.beta > 0.0):
             raise ValueError("gamma process requires alpha > 0 and beta > 0")
 
@@ -69,14 +78,17 @@ class ShockIntensity:
 
     Shocks arrive at rate ``lambda1`` while degradation is at or below the
     shock threshold and at rate ``lambda2`` once it is above.  Rates are
-    constant in time; time-varying regimes can be modelled by subclassing and
-    overriding :meth:`rate` and :meth:`integrated`.
+    constant in time.  The closed forms of this module read the intensity
+    through :meth:`rate` and :meth:`integrated`, so a subclass overriding
+    them changes only those; the simulator draws shock times from
+    ``lambda1`` and ``lambda2`` and rejects such a subclass.
     """
 
     lambda1: float
     lambda2: float
 
     def __post_init__(self) -> None:
+        _require_finite(self, "lambda1", "lambda2")
         if self.lambda1 < 0.0 or self.lambda2 < 0.0:
             raise ValueError("shock intensities must be nonnegative")
         if self.lambda1 > self.lambda2:
@@ -109,6 +121,7 @@ class SystemModel:
     shock_threshold: float
 
     def __post_init__(self) -> None:
+        _require_finite(self, "breakdown_threshold", "shock_threshold")
         if self.breakdown_threshold <= 0.0 or self.shock_threshold <= 0.0:
             raise ValueError("thresholds must be positive")
         # shock_threshold >= breakdown_threshold is accepted: the elevated
@@ -123,6 +136,7 @@ class MaintenancePolicy:
     preventive_threshold: float
 
     def __post_init__(self) -> None:
+        _require_finite(self, "inspection_period", "preventive_threshold")
         if self.inspection_period <= 0.0:
             raise ValueError("inspection period must be positive")
         if self.preventive_threshold <= 0.0:
@@ -139,7 +153,9 @@ class CostStructure:
     downtime_rate: float
 
     def __post_init__(self) -> None:
-        for name in ("corrective", "preventive", "inspection", "downtime_rate"):
+        names = ("corrective", "preventive", "inspection", "downtime_rate")
+        _require_finite(self, *names)
+        for name in names:
             if getattr(self, name) < 0.0:
                 raise ValueError(f"cost '{name}' must be nonnegative")
         if not (self.corrective > self.preventive > self.inspection):
@@ -169,6 +185,7 @@ class LifeCycle:
     horizon: float
 
     def __post_init__(self) -> None:
+        _require_finite(self, "horizon")
         if self.horizon <= 0.0:
             raise ValueError("life-cycle horizon must be positive")
 

@@ -3,9 +3,10 @@
 One table perturbs the gamma-process pair (alpha, beta), the other the shock
 intensity pair (lambda1, lambda2), each entry by a percentage from the
 variation vector.  All cells of a table share the same master seed (common
-random numbers), so the zero-variation cell is exactly the baseline and cell
-differences reflect parameters rather than Monte Carlo noise.  Every cell
-re-optimizes over the swept policy dimension before comparing.
+random numbers), so cell differences reflect parameters rather than Monte
+Carlo noise; the zero-variation cell is the baseline itself and is not
+simulated again.  Every cell re-optimizes over the swept policy dimension
+before comparing.
 """
 
 from __future__ import annotations
@@ -127,22 +128,23 @@ def _sensitivity_table(
 ) -> VariationTable:
     variations = scheme.variations
     baseline = _min_transient_cost(model, costs, life, fixed, sweep_values, cfg)
-    jobs = []
-    for vi in variations:
-        for vj in variations:
-            jobs.append(
-                (model, costs, life, fixed, sweep_values, cfg, scheme.target, vi, vj)
-            )
+    m = len(variations)
+    perturbed = [
+        (i, j) for i in range(m) for j in range(m) if variations[i] or variations[j]
+    ]
+    jobs = [
+        (model, costs, life, fixed, sweep_values, cfg, scheme.target,
+         variations[i], variations[j])
+        for i, j in perturbed
+    ]
     if processes > 1:
         with ProcessPoolExecutor(max_workers=processes) as pool:
             outcomes = list(pool.map(_cell_job, jobs))
     else:
         outcomes = [_cell_job(j) for j in jobs]
-    m = len(variations)
-    min_costs = np.zeros((m, m))
+    min_costs = np.full((m, m), baseline)
     messages: list[str] = []
-    for idx, (value, cell_messages) in enumerate(outcomes):
-        i, j = divmod(idx, m)
+    for (i, j), (value, cell_messages) in zip(perturbed, outcomes):
         min_costs[i, j] = value
         messages.extend(cell_messages)
     for message in dict.fromkeys(messages):

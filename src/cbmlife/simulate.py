@@ -1,11 +1,25 @@
 """Monte Carlo simulation of maintained trajectories.
 
-Degradation paths advance on a uniform grid of step delta.  Threshold
-crossings are recorded at the first grid time whose state is at or above the
-threshold, shock times are drawn exactly from the two-regime hazard
-conditional on the simulated crossing of the shock threshold, and inspection
-outcomes (preventive, corrective, censored) follow from the first-cycle
-definition of the replacement policy.
+Threshold crossings are recorded at the first point of a uniform grid of step
+delta whose state is at or above the threshold, the same first-grid-point law
+as a path advanced step by step on that grid, but without drawing the whole
+path.  Each path is drawn only at a skeleton of grid points, the inspection
+epochs and the last grid point, by one gamma increment per skeleton interval.
+The first grid point at or above each of the three thresholds (M, M_s, L) is
+then found by bisecting the skeleton interval that brackets it with the gamma
+bridge: given X(a) and X(b), the midpoint m satisfies
+
+    X(m) = X(a) + (X(b) - X(a)) * Beta(alpha*delta*(m - a), alpha*delta*(b - m)).
+
+The thresholds are bisected together in ascending order, and a midpoint drawn
+for one threshold is reused by the next when both brackets are the same
+interval, so the three crossings belong to one path and keep their joint law.
+Time and memory grow with the number of inspections, not with 1/delta; only
+the log2(T/delta) bisection levels do.  Crossings stay on the delta-grid, so
+they keep its +delta/2 bias.  Shock times are drawn exactly from the
+two-regime hazard conditional on the simulated crossing of the shock
+threshold, and inspection outcomes (preventive, corrective, censored) follow
+from the first-cycle definition of the replacement policy.
 
 The central product is :class:`EstimateTables`: per-inspection replacement
 probabilities, joint downtime moments, and the non-renewal (alive, residual
@@ -27,7 +41,13 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CacheInvalidError, ConfigurationError, GridCoverageError
-from .model import CostStructure, LifeCycle, MaintenancePolicy, SystemModel
+from .model import (
+    CostStructure,
+    LifeCycle,
+    MaintenancePolicy,
+    ShockIntensity,
+    SystemModel,
+)
 
 __all__ = [
     "SimulationConfig",
@@ -45,7 +65,6 @@ __all__ = [
 ]
 
 _EPS = 1e-9
-_MAX_CHUNK_ELEMENTS = 20_000_000
 _MAGIC = "CBMLIFE-TABLES"
 _FORMAT_VERSION = 1
 
@@ -69,8 +88,8 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.n_samples < 1:
             raise ConfigurationError("n_samples must be at least 1")
-        if self.path_step is not None and self.path_step <= 0.0:
-            raise ConfigurationError("path_step must be positive")
+        if self.path_step is not None and not 0.0 < self.path_step < math.inf:
+            raise ConfigurationError("path_step must be positive and finite")
         if self.worker_streams < 1:
             raise ConfigurationError("worker_streams must be at least 1")
 
@@ -137,6 +156,69 @@ def eval_times(policy: MaintenancePolicy, life: LifeCycle) -> np.ndarray:
     return np.array(sorted(points), dtype=np.int64) / 1e9
 
 
+def _check_simulable(model: SystemModel, policy: MaintenancePolicy) -> None:
+    """Reject what the sampler cannot simulate before any path is drawn."""
+    if policy.preventive_threshold > model.breakdown_threshold:
+        raise ConfigurationError("preventive threshold must not exceed L")
+    shocks = type(model.shocks)
+    if (shocks.rate is not ShockIntensity.rate
+            or shocks.integrated is not ShockIntensity.integrated):
+        raise ConfigurationError(
+            f"{shocks.__name__} overrides rate or integrated; the sampler draws "
+            "shock times from lambda1 and lambda2 only"
+        )
+
+
+def _skeleton(horizon: float, T: float, delta: float) -> np.ndarray:
+    """Grid indices at which paths are drawn: 0, the inspection epochs, K."""
+    K = int(math.ceil(horizon / delta - _EPS))
+    kmax = int(math.floor(horizon / T + _EPS))
+    epochs = {int(math.floor(k * T / delta + _EPS)) for k in range(1, kmax + 1)}
+    return np.array(sorted({0, K, *(min(j, K) for j in epochs)}), dtype=np.int64)
+
+
+def _first_crossings(X, grid, levels, shape_step, rng):
+    """First grid index at which each path reaches each level, 0 if none.
+
+    ``X`` holds the paths at the skeleton indices ``grid`` (column 0 is the
+    origin, X = 0) and ``levels`` is ascending.  Each level's bracketing
+    skeleton interval is bisected with gamma-bridge midpoints; a level whose
+    bracket is the previous level's takes that level's midpoint, so a point is
+    never drawn twice.  Only the previous level needs checking: brackets are
+    ordered like their levels, so two equal brackets enclose every level
+    between them.  Returns an (len(levels), n) index array.
+    """
+    n = X.shape[0]
+    z = np.asarray(levels, dtype=float)[:, None]
+    pos = (X[None, :, :] < z[:, :, None]).sum(axis=2)
+    hit = pos < X.shape[1]
+    pos = np.minimum(pos, X.shape[1] - 1)
+    rows = np.arange(n)
+    b, xb = grid[pos], X[rows, pos]
+    a, xa = np.where(hit, grid[pos - 1], b), X[rows, pos - 1]
+    while True:
+        active = b - a > 1
+        if not active.any():
+            break
+        m = (a + b) >> 1
+        shared = np.zeros_like(active)
+        shared[1:] = active[1:] & (a[1:] == a[:-1]) & (b[1:] == b[:-1])
+        draw = np.flatnonzero(active & ~shared)
+        lo, mid, hi = a.ravel()[draw], m.ravel()[draw], b.ravel()[draw]
+        xm = np.zeros(a.shape)
+        x_lo = xa.ravel()[draw]
+        xm.flat[draw] = x_lo + (xb.ravel()[draw] - x_lo) * rng.beta(
+            shape_step * (mid - lo), shape_step * (hi - mid)
+        )
+        for i in range(1, len(z)):
+            xm[i] = np.where(shared[i], xm[i - 1], xm[i])
+        left = active & (xm >= z)
+        right = active & ~left
+        b, xb = np.where(left, m, b), np.where(left, xm, xb)
+        a, xa = np.where(right, m, a), np.where(right, xm, xa)
+    return np.where(hit, b, 0)
+
+
 def _simulate_kernel(model, policy, horizon, delta, n, rng):
     """Vectorized first-cycle simulation of n samples.
 
@@ -149,21 +231,19 @@ def _simulate_kernel(model, policy, horizon, delta, n, rng):
     lam1 = model.shocks.lambda1
     lam2 = model.shocks.lambda2
     T = policy.inspection_period
-    M = policy.preventive_threshold
-    K = int(math.ceil(horizon / delta - _EPS))
 
-    X = rng.gamma(alpha * delta, 1.0 / beta, (n, K)).cumsum(axis=1)
-
-    def first_cross(z):
-        hit = X >= z
-        idx = np.argmax(hit, axis=1)
-        out = (idx + 1) * delta
-        out[~hit[np.arange(n), idx]] = np.inf
-        return out
-
-    sigma_M = first_cross(M)
-    sigma_Ms = first_cross(model.shock_threshold)
-    sigma_L = first_cross(model.breakdown_threshold)
+    grid = _skeleton(horizon, T, delta)
+    shape_step = alpha * delta
+    X = np.zeros((n, len(grid)))
+    X[:, 1:] = rng.gamma(shape_step * np.diff(grid), 1.0 / beta, (n, len(grid) - 1))
+    np.cumsum(X, axis=1, out=X)
+    levels = np.array(
+        [policy.preventive_threshold, model.shock_threshold, model.breakdown_threshold]
+    )
+    order = np.argsort(levels, kind="stable")
+    index = np.empty((len(levels), n), dtype=np.int64)
+    index[order] = _first_crossings(X, grid, levels[order], shape_step, rng)
+    sigma_M, sigma_Ms, sigma_L = np.where(index > 0, index * delta, np.inf)
     del X
 
     # Exact inverse-transform draw of the shock time given the (grid) time v
@@ -179,7 +259,8 @@ def _simulate_kernel(model, policy, horizon, delta, n, rng):
 
     D = np.minimum(sigma_L, Y)
     kmax = int(math.floor(horizon / T + _EPS))
-    k_c = np.ceil(D / T - 1e-12)
+    # A failure in (0, T] is found at the first inspection, however early.
+    k_c = np.maximum(np.ceil(D / T - 1e-12), 1.0)
     k_p = np.ceil(sigma_M / T - 1e-12)
     k_c[~np.isfinite(k_c)] = kmax + 1_000_000
     k_p[~np.isfinite(k_p)] = kmax + 1_000_000
@@ -190,52 +271,42 @@ def _simulate_kernel(model, policy, horizon, delta, n, rng):
     return k_rep, corrective, censored, D, sigma_M, sigma_Ms, sigma_L, Y
 
 
-def _chunk_sizes(n: int, horizon: float, delta: float) -> list[int]:
-    K = max(1, int(math.ceil(horizon / delta - _EPS)))
-    chunk = max(1, _MAX_CHUNK_ELEMENTS // K)
-    sizes = [chunk] * (n // chunk)
-    if n % chunk:
-        sizes.append(n % chunk)
-    return sizes
-
-
 def _block_accumulate(model, policy, life, delta, n_block, seed_seq, times):
     """Simulate one block and reduce it to table sums (not means)."""
     rng = np.random.default_rng(seed_seq)
     T = policy.inspection_period
-    tf = life.horizon
-    kmax = int(math.floor(tf / T + _EPS))
-    n_times = len(times)
+    kmax = int(math.floor(life.horizon / T + _EPS))
+    k_rep, corrective, censored, D, *_ = _simulate_kernel(
+        model, policy, life.horizon, delta, n_block, rng
+    )
+    # Per inspection k: replacements by kind and the downtime kT - D of
+    # corrective ones (k_rep <= kmax exactly when the cycle is not censored).
+    k = k_rep[~censored]
+    corr = corrective[~censored]
+    w = np.where(corr, k * T - D[~censored], 0.0)
+    size = kmax + 1
     sums = {
-        "p_p": np.zeros(kmax + 1),
-        "p_c": np.zeros(kmax + 1),
-        "jw": np.zeros(kmax + 1),
-        "jw2": np.zeros(kmax + 1),
-        "alive": np.zeros(n_times),
-        "resid": np.zeros(n_times),
-        "resid2": np.zeros(n_times),
-        "censored": 0.0,
+        "p_p": np.bincount(k[~corr], minlength=size).astype(float),
+        "p_c": np.bincount(k[corr], minlength=size).astype(float),
+        "jw": np.bincount(k, weights=w, minlength=size),
+        "jw2": np.bincount(k, weights=w * w, minlength=size),
+        "alive": np.zeros(len(times)),
+        "resid": np.zeros(len(times)),
+        "resid2": np.zeros(len(times)),
+        "censored": float(censored.sum()),
     }
-    for m in _chunk_sizes(n_block, tf, delta):
-        k_rep, corrective, censored, D, *_ = _simulate_kernel(
-            model, policy, tf, delta, m, rng
-        )
-        sums["censored"] += float(censored.sum())
-        for k in range(1, kmax + 1):
-            at_k = (k_rep == k) & ~censored
-            corr_k = at_k & corrective
-            sums["p_c"][k] += float(corr_k.sum())
-            sums["p_p"][k] += float((at_k & ~corrective).sum())
-            w = np.where(corr_k, k * T - D, 0.0)
-            sums["jw"][k] += float(w.sum())
-            sums["jw2"][k] += float((w * w).sum())
-        for i, t in enumerate(times):
-            kf = min(int(math.floor(t / T + _EPS)), kmax)
-            no_rep = k_rep > kf
-            sums["alive"][i] += float((no_rep & (D > t)).sum())
-            w = np.where(no_rep, np.maximum(0.0, t - np.maximum(D, kf * T)), 0.0)
-            sums["resid"][i] += float(w.sum())
-            sums["resid2"][i] += float((w * w).sum())
+    # Per lattice time t, over the cycles not replaced by its last inspection
+    # kf: alive at t, and the downtime accrued since max(D, kf T).  The times
+    # sharing one kf are reduced together.
+    kf_of = np.minimum(np.floor(times / T + _EPS).astype(np.int64), kmax)
+    for kf in range(kmax + 1):
+        cols = np.flatnonzero(kf_of == kf)
+        t = times[cols]
+        D_open = D[k_rep > kf]
+        sums["alive"][cols] = (D_open[:, None] > t).sum(axis=0)
+        down = np.maximum(0.0, t - np.maximum(D_open, kf * T)[:, None])
+        sums["resid"][cols] = down.sum(axis=0)
+        sums["resid2"][cols] = (down * down).sum(axis=0)
     return sums
 
 
@@ -426,8 +497,7 @@ def estimate_tables(
     The output is a pure function of (model, policy, life, cfg); the thread
     count only affects wall-clock time.
     """
-    if policy.preventive_threshold > model.breakdown_threshold:
-        raise ConfigurationError("preventive threshold must not exceed L")
+    _check_simulable(model, policy)
     delta = cfg.step_for(policy)
     times = eval_times(policy, life)
     if cfg.eval_grid is not None:
@@ -500,8 +570,7 @@ def simulate_cycle(
     rng_stream,
 ) -> ReplacementSample:
     """Simulate one first renewal cycle and classify its outcome."""
-    if policy.preventive_threshold > model.breakdown_threshold:
-        raise ConfigurationError("preventive threshold must not exceed L")
+    _check_simulable(model, policy)
     delta = cfg.step_for(policy)
     k_rep, corrective, censored, D, sM, sMs, sL, Y = _simulate_kernel(
         model, policy, life.horizon, delta, 1, rng_stream
@@ -597,53 +666,46 @@ def _chain_block(model, policy, costs, life, delta, n_block, seed_seq):
     rng = np.random.default_rng(seed_seq)
     T = policy.inspection_period
     tf = life.horizon
+    clock = np.zeros(n_block)
+    active = np.ones(n_block, dtype=bool)
     counts = np.zeros(n_block)
     total = np.zeros(n_block)
-    offset = 0
-    for m in _chunk_sizes(n_block, tf, delta):
-        clock = np.zeros(m)
-        active = np.ones(m, dtype=bool)
-        c_counts = np.zeros(m)
-        c_cost = np.zeros(m)
-        while active.any():
-            na = int(active.sum())
-            k_rep, corrective, censored, D, *_ = _simulate_kernel(
-                model, policy, tf, delta, na, rng
-            )
-            remaining = tf - clock[active]
-            k_limit = np.floor(remaining / T + _EPS).astype(np.int64)
-            replaced = (k_rep <= k_limit) & ~censored
-            rep_time = k_rep * T
-            downtime = np.where(
-                corrective & replaced, np.maximum(0.0, rep_time - D), 0.0
-            )
-            cycle_cost = np.where(
-                replaced,
-                np.where(corrective, costs.corrective, costs.preventive)
-                + costs.inspection * (k_rep - 1)
-                + costs.downtime_rate * downtime,
-                0.0,
-            )
-            terminal_down = np.where(
-                ~replaced & (D < remaining),
-                np.maximum(0.0, remaining - np.maximum(D, k_limit * T)),
-                0.0,
-            )
-            cycle_cost += np.where(
-                ~replaced,
-                costs.inspection * k_limit + costs.downtime_rate * terminal_down,
-                0.0,
-            )
-            idx = np.where(active)[0]
-            c_cost[idx] += cycle_cost
-            c_counts[idx] += replaced
-            clock[idx[replaced]] += rep_time[replaced]
-            active[idx[~replaced]] = False
-            still = idx[replaced]
-            active[still] = clock[still] < tf - _EPS
-        counts[offset : offset + m] = c_counts
-        total[offset : offset + m] = c_cost
-        offset += m
+    while active.any():
+        na = int(active.sum())
+        k_rep, corrective, censored, D, *_ = _simulate_kernel(
+            model, policy, tf, delta, na, rng
+        )
+        remaining = tf - clock[active]
+        k_limit = np.floor(remaining / T + _EPS).astype(np.int64)
+        replaced = (k_rep <= k_limit) & ~censored
+        rep_time = k_rep * T
+        downtime = np.where(
+            corrective & replaced, np.maximum(0.0, rep_time - D), 0.0
+        )
+        cycle_cost = np.where(
+            replaced,
+            np.where(corrective, costs.corrective, costs.preventive)
+            + costs.inspection * (k_rep - 1)
+            + costs.downtime_rate * downtime,
+            0.0,
+        )
+        terminal_down = np.where(
+            ~replaced & (D < remaining),
+            np.maximum(0.0, remaining - np.maximum(D, k_limit * T)),
+            0.0,
+        )
+        cycle_cost += np.where(
+            ~replaced,
+            costs.inspection * k_limit + costs.downtime_rate * terminal_down,
+            0.0,
+        )
+        idx = np.where(active)[0]
+        total[idx] += cycle_cost
+        counts[idx] += replaced
+        clock[idx[replaced]] += rep_time[replaced]
+        active[idx[~replaced]] = False
+        still = idx[replaced]
+        active[still] = clock[still] < tf - _EPS
     return counts, total
 
 
@@ -661,8 +723,7 @@ def chain_statistics(
     Returns the per-realization count of completed renewal cycles and the
     per-realization total cost over the life cycle.
     """
-    if policy.preventive_threshold > model.breakdown_threshold:
-        raise ConfigurationError("preventive threshold must not exceed L")
+    _check_simulable(model, policy)
     delta = cfg.step_for(policy)
     if seed_sequence is None:
         seed_sequence = np.random.SeedSequence(cfg.master_seed)
@@ -694,19 +755,15 @@ def sample_failure_times(
     master_seed: int = 20_260_824,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unmaintained failure draws: (sigma_L, Y), np.inf beyond the horizon."""
-    if delta <= 0.0 or horizon <= 0.0:
-        raise ConfigurationError("delta and horizon must be positive")
-    rng = np.random.default_rng(np.random.SeedSequence(master_seed))
+    if not (0.0 < delta < math.inf and 0.0 < horizon < math.inf):
+        raise ConfigurationError("delta and horizon must be positive and finite")
     policy = MaintenancePolicy(
         inspection_period=horizon, preventive_threshold=model.breakdown_threshold
     )
-    sig_parts = []
-    shock_parts = []
-    for m in _chunk_sizes(n, horizon, delta):
-        *_, sL, Y = _simulate_kernel(model, policy, horizon, delta, m, rng)
-        sig_parts.append(sL)
-        shock_parts.append(Y)
-    return np.concatenate(sig_parts), np.concatenate(shock_parts)
+    _check_simulable(model, policy)
+    rng = np.random.default_rng(np.random.SeedSequence(master_seed))
+    *_, sigma_L, Y = _simulate_kernel(model, policy, horizon, delta, n, rng)
+    return sigma_L, Y
 
 
 # -- persistence -----------------------------------------------------------

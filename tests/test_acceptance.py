@@ -128,6 +128,7 @@ def optimum_checks(result, oracle_min, model, costs, life):
     ]
 
 
+@pytest.mark.slow
 def test_criterion_2_asymptotic_optimum(ref_model, ref_costs, ref_life, grids_full):
     asym, _ = grids_full
     smoke = optimize_asymptotic(
@@ -157,6 +158,7 @@ def test_criterion_2_asymptotic_optimum(ref_model, ref_costs, ref_life, grids_fu
     report(2, "asymptotic optimum", checks)
 
 
+@pytest.mark.slow
 def test_criterion_3_transient_optimum(ref_model, ref_costs, ref_life, grids_full):
     _, trans = grids_full
     T_row, M_ref, row_ref = TRANSIENT_T10_MIN

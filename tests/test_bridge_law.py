@@ -1,0 +1,134 @@
+"""The gamma-bridge kernel against the dense reference sampler.
+
+Both samplers record a crossing at the first delta-grid point at or above
+the threshold, so they have one law; the bridge draws far fewer variates.
+The two-sample checks compare independent runs of the two at 4 standard
+errors of the difference; the joint checks hold path by path.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from dense_sampler import dense_kernel, loop_accumulate
+
+from cbmlife.model import (
+    GammaDegradation,
+    LifeCycle,
+    MaintenancePolicy,
+    ShockIntensity,
+    SystemModel,
+)
+from cbmlife.simulate import _block_accumulate, _simulate_kernel, eval_times
+
+SEED = 4321
+N = 50_000
+HORIZON = 50.0
+Z = 4.0
+
+
+def make_model(L=30.0, Ms=20.0):
+    return SystemModel(
+        degradation=GammaDegradation(alpha=0.1, beta=0.1),
+        shocks=ShockIntensity(lambda1=0.01, lambda2=0.1),
+        breakdown_threshold=L,
+        shock_threshold=Ms,
+    )
+
+
+def proportion_z(a, b):
+    """Two-sample z of the proportions of True in equal-size samples a and b."""
+    p1, p2 = a.mean(axis=-1), b.mean(axis=-1)
+    pooled = (p1 + p2) / 2.0
+    se = np.sqrt(np.maximum(pooled * (1.0 - pooled), 1e-12) * 2.0 / a.shape[-1])
+    return (p1 - p2) / se
+
+
+def mean_z(a, b):
+    se = math.sqrt((a.var() + b.var()) / len(a))
+    return 0.0 if se == 0.0 else (a.mean() - b.mean()) / se
+
+
+@pytest.mark.parametrize(
+    "T, M, delta",
+    [
+        pytest.param(10.0, 14.0, 0.1, id="reference"),
+        pytest.param(50.0, 25.0, 0.5, id="one-inspection"),
+        pytest.param(10.0, 30.0, 0.1, id="M-equals-L"),
+        pytest.param(10.0, 14.0, 0.3, id="T-over-delta-not-integer"),
+    ],
+)
+def test_law_matches_dense_sampler(T, M, delta):
+    model = make_model()
+    policy = MaintenancePolicy(inspection_period=T, preventive_threshold=M)
+    bridge = _simulate_kernel(
+        model, policy, HORIZON, delta, N, np.random.default_rng(SEED)
+    )
+    dense = dense_kernel(
+        model, policy, HORIZON, delta, N, np.random.default_rng(SEED + 1)
+    )
+    kmax = int(HORIZON // T)
+    epochs = T * np.arange(1, kmax + 1)
+
+    def events(k_rep, corrective, censored, D, sM, sMs, sL, Y):
+        return np.vstack([
+            k_rep[None, :] == np.arange(1, kmax + 2)[:, None],
+            corrective,
+            censored,
+            sMs[None, :] <= epochs[:, None],
+            sL[None, :] <= epochs[:, None],
+        ])
+
+    z = list(proportion_z(events(*bridge), events(*dense)))
+    for i in (5, 6):  # sigma_Ms, sigma_L
+        z.append(mean_z(np.minimum(bridge[i], HORIZON), np.minimum(dense[i], HORIZON)))
+    worst = max(abs(v) for v in z)
+    assert worst <= Z, f"largest two-sample |z| is {worst:.2f}"
+
+
+@pytest.mark.parametrize("M, delta", [(14.0, 0.1), (25.0, 0.3), (30.0, 0.5)])
+def test_crossings_are_grid_points_of_one_path(M, delta):
+    model = make_model()
+    policy = MaintenancePolicy(inspection_period=10.0, preventive_threshold=M)
+    *_, sM, sMs, sL, _ = _simulate_kernel(
+        model, policy, HORIZON, delta, 20_000, np.random.default_rng(SEED)
+    )
+    for sigma in (sM, sMs, sL):
+        hit = sigma[np.isfinite(sigma)]
+        assert hit.size
+        assert np.array_equal(hit, np.round(hit / delta) * delta)
+    crossings = {M: sM, 20.0: sMs, 30.0: sL}
+    ordered = [crossings[z] for z in sorted(crossings)]
+    for earlier, later in zip(ordered, ordered[1:]):
+        assert np.all(earlier <= later)
+    if M == 30.0:
+        assert np.array_equal(sM, sL)
+
+
+def test_identical_thresholds_give_identical_crossings():
+    model = make_model(L=25.0, Ms=25.0)
+    policy = MaintenancePolicy(inspection_period=10.0, preventive_threshold=25.0)
+    *_, sM, sMs, sL, _ = _simulate_kernel(
+        model, policy, HORIZON, 0.1, 20_000, np.random.default_rng(SEED)
+    )
+    assert np.isfinite(sM).any()
+    assert np.array_equal(sM, sMs) and np.array_equal(sMs, sL)
+
+
+@pytest.mark.parametrize("T, horizon, delta", [(10.0, 50.0, 0.1), (5.0, 200.0, 0.5)])
+def test_one_pass_reduction_matches_loops(T, horizon, delta):
+    model = make_model()
+    policy = MaintenancePolicy(inspection_period=T, preventive_threshold=14.0)
+    life = LifeCycle(horizon=horizon)
+    times = eval_times(policy, life)
+    n = 20_000
+    seq = np.random.SeedSequence(SEED)
+    sums = _block_accumulate(model, policy, life, delta, n, seq, times)
+    outputs = _simulate_kernel(model, policy, horizon, delta, n, np.random.default_rng(seq))
+    ref = loop_accumulate(*outputs[:4], T, int(horizon // T), times)
+    # Counts are exact; sums of n nonnegative terms differ only by summation
+    # order, at most n float64 roundings.
+    assert sums.keys() == ref.keys()
+    for key in ref:
+        np.testing.assert_allclose(sums[key], ref[key], rtol=n * np.finfo(float).eps,
+                                   atol=0.0, err_msg=key)

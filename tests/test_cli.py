@@ -44,6 +44,17 @@ class TestConfig:
     def test_missing_file(self):
         assert main(["optimize", "--config", "/nonexistent.cfg"]) == 1
 
+    @pytest.mark.parametrize("old, new", [
+        ("horizon = 50", "horizon = inf"),
+        ("alpha = 0.1", "alpha = nan"),
+    ])
+    def test_non_finite_parameter(self, tmp_path, old, new):
+        bad = tmp_path / "bad.cfg"
+        text = CONFIG.read_text()
+        assert old in text
+        bad.write_text(text.replace(old, new))
+        assert main(["curves", "--config", str(bad), "--quiet"]) == 1
+
     def test_schema_mismatch(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text(CONFIG.read_text().replace("schema = 1", "schema = 2"))
@@ -114,6 +125,19 @@ class TestCurvesCommand:
         report = json.loads((out / "curves_report.json").read_text())
         assert 0.0 <= report["availability_min"] <= 1.0
         assert 0.0 <= report["reliability_at_horizon"] <= 1.0
+
+    def test_reference_policy_reuses_swept_tables(self, small_config, tmp_path):
+        out = tmp_path / "reuse"
+        argv = [
+            "curves", "--config", str(small_config), "--grid-M", "12:16:3",
+            "--out-dir", str(out), "--quiet",
+        ]
+        assert main(argv) == 0
+        report = json.loads((out / "curves_report.json").read_text())
+        rows = (out / "cost_rate_vs_M.csv").read_text().strip().splitlines()[1:]
+        swept = {float(r.split(",")[0]): float(r.split(",")[1]) for r in rows}
+        assert report["policy"]["M"] == 14.0
+        assert report["cost_rate_at_horizon"] == pytest.approx(swept[14.0], abs=5e-7)
 
     def test_interval_s_zero_matches_availability(self, small_config, tmp_path):
         out = tmp_path / "s0"

@@ -9,8 +9,10 @@ from scipy import integrate, special, stats
 from cbmlife.model import (
     CostStructure,
     GammaDegradation,
+    LifeCycle,
     MaintenancePolicy,
     ShockIntensity,
+    SystemModel,
     conditional_shock_survival,
     first_passage_cdf,
     regularized_lower_gamma,
@@ -208,6 +210,27 @@ class TestTypes:
             MaintenancePolicy(inspection_period=0.0, preventive_threshold=5.0)
         with pytest.raises(ValueError):
             CostStructure(corrective=-1.0, preventive=0.0, inspection=0.0, downtime_rate=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda x: GammaDegradation(alpha=x, beta=0.1),
+            lambda x: GammaDegradation(alpha=0.1, beta=x),
+            lambda x: ShockIntensity(lambda1=0.01, lambda2=x),
+            lambda x: SystemModel(DEG, SHOCKS, x, 20.0),
+            lambda x: SystemModel(DEG, SHOCKS, 30.0, x),
+            lambda x: MaintenancePolicy(inspection_period=x, preventive_threshold=5.0),
+            lambda x: MaintenancePolicy(inspection_period=10.0, preventive_threshold=x),
+            lambda x: CostStructure(300.0, 150.0, 45.0, x),
+            lambda x: LifeCycle(horizon=x),
+        ],
+        ids=["alpha", "beta", "lambda2", "L", "Ms", "T", "M", "downtime_rate",
+             "horizon"],
+    )
+    def test_non_finite_rejected(self, build, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            build(bad)
 
     def test_rate_ordering_warns(self):
         with pytest.warns(UserWarning):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cbmlife import sensitivity
 from cbmlife.model import MaintenancePolicy, ShockIntensity
 from cbmlife.sensitivity import (
     PerturbationScheme,
@@ -123,6 +124,25 @@ class TestShockTable:
             shock_sensitivity(
                 thin, ref_costs, ref_life, ("T", 10.0), (14.0,), scheme, cfg
             )
+
+
+def test_baseline_cell_is_not_recomputed(ref_model, ref_costs, ref_life, monkeypatch):
+    simulated = []
+    real = sensitivity.estimate_tables
+
+    def counting(model, *args, **kwargs):
+        simulated.append(model)
+        return real(model, *args, **kwargs)
+
+    monkeypatch.setattr(sensitivity, "estimate_tables", counting)
+    scheme = PerturbationScheme(variations=(-5.0, 0.0, 5.0))
+    cfg = SimulationConfig(n_samples=200, master_seed=SEED, worker_streams=2)
+    table = gamma_sensitivity(
+        ref_model, ref_costs, ref_life, ("T", 10.0), (14.0,), scheme, cfg
+    )
+    assert len(simulated) == 9  # the baseline and the eight perturbed cells
+    assert table.min_costs[1, 1] == table.baseline_min
+    assert table.variation[1, 1] == 0.0
 
 
 class TestValidationAndExport:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -74,8 +75,9 @@ class TestSimulateCycle:
         assert {"corrective", "preventive"} <= seen
 
     def test_bad_step_rejected(self, ref_model, ref_policy, ref_life):
-        with pytest.raises(ConfigurationError):
-            SimulationConfig(n_samples=1, path_step=-0.5)
+        for step in (-0.5, math.nan, math.inf):
+            with pytest.raises(ConfigurationError):
+                SimulationConfig(n_samples=1, path_step=step)
         cfg = SimulationConfig(n_samples=1, path_step=5.0)  # > T/10 for T=10
         with pytest.raises(ConfigurationError):
             simulate_cycle(ref_model, ref_policy, ref_life, cfg, np.random.default_rng(0))
@@ -146,6 +148,19 @@ class TestEstimateTables:
         t3 = estimate_tables(ref_model, ref_policy, ref_life, cfg, threads=4)
         assert t1.equals(t2)
         assert t1.equals(t3)
+
+    @pytest.mark.parametrize("hook", ["rate", "integrated"])
+    def test_shock_hook_override_rejected(self, hook, ref_model, ref_policy, ref_costs,
+                                          ref_life):
+        hooked = type("HookedShocks", (ShockIntensity,), {
+            hook: lambda self, regime, t: 0.0,
+        })
+        model = replace(ref_model, shocks=hooked(lambda1=0.01, lambda2=0.1))
+        cfg = SimulationConfig(n_samples=10)
+        with pytest.raises(ConfigurationError, match="overrides rate or integrated"):
+            estimate_tables(model, ref_policy, ref_life, cfg)
+        with pytest.raises(ConfigurationError, match="overrides rate or integrated"):
+            chain_statistics(model, ref_policy, ref_costs, ref_life, cfg)
 
     def test_threshold_above_L_rejected(self, ref_model, ref_life):
         policy = MaintenancePolicy(inspection_period=10.0, preventive_threshold=31.0)
