@@ -4,12 +4,16 @@ All five measures (expected transient cost, its second moment and standard
 deviation, availability, reliability, interval reliability) satisfy renewal
 equations of the form
 
-    V(t) = sum_k V(t - kT) * P(kT) + (non-renewal term at t)
+    V(t) = g(t) + sum_{k=1}^{kf(t)} p_k V(t - kT),   kf(t) = min(floor(t/T), kmax)
 
-on the evaluation lattice carried by :class:`~cbmlife.simulate.EstimateTables`.
-Each recursion is implemented twice, as a staged bottom-up sweep and as a
-memoized top-down recursion, so the two can be cross-checked to machine
-precision.  The staged form is the one used by the public operations.
+on the evaluation lattice carried by :class:`~cbmlife.simulate.EstimateTables`,
+with a measure-specific non-renewal term g and renewal mass p_k.  The lattice
+is closed under t -> t - T, so it splits into chains r, r + T, r + 2T, ...
+(:attr:`~cbmlife.simulate.EstimateTables.chains`).  Laid out as a matrix with
+one row per chain and one column per level, every recursion is one forward
+substitution over the columns, for all chains at once: memory O(N) in the
+lattice size N, one vectorized step per level.  Each measure builds its g
+with numpy and calls that one solver.
 """
 
 from __future__ import annotations
@@ -40,8 +44,6 @@ __all__ = [
     "write_cost_curve_csv",
     "write_performance_curve_csv",
 ]
-
-_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -91,122 +93,76 @@ def _check_policy(tables: EstimateTables, policy: MaintenancePolicy | None) -> N
         raise GridCoverageError("policy does not match the supplied tables")
 
 
-def _kf(t: float, T: float, kmax: int) -> int:
-    return min(int(math.floor(t / T + _EPS)), kmax)
+def _chain_matrix(tables: EstimateTables, values: np.ndarray) -> np.ndarray:
+    """Lattice values laid out with one row per chain and one column per level."""
+    row, level = tables.chains
+    out = np.zeros((row.max() + 1, level.max() + 1))
+    out[row, level] = values
+    return out
 
 
-def _lookup(values: dict, t: float) -> float:
-    key = int(round(t * 1e9))
-    try:
-        return values[key]
-    except KeyError:
-        raise GridCoverageError(f"recursion lookup off the grid at t={t}") from None
+def _chain_sum(
+    tables: EstimateTables, g: np.ndarray, p: np.ndarray, v: np.ndarray | None = None
+) -> np.ndarray:
+    """g(t) + sum_{k=1}^{len(p)} p[k-1] u(t - kT) at every lattice time t.
+
+    u is v when given; otherwise u is the result itself, which solves the
+    renewal equation by forward substitution over the levels.
+    """
+    out = _chain_matrix(tables, g)
+    src = out if v is None else _chain_matrix(tables, v)
+    lags = np.zeros(out.shape[1])
+    lags[: min(len(p), len(lags))] = p[: len(lags)]
+    for j in range(1, out.shape[1]):
+        out[:, j] += src[:, j - 1 :: -1] @ lags[:j]
+    row, level = tables.chains
+    return out[row, level]
 
 
-# -- expected cost -----------------------------------------------------------
+# -- transient cost ----------------------------------------------------------
 
-def _cost_nonrenewal(tables, costs, idx, kf):
-    """G(t) of the cost recursion: replacement, inspection, downtime terms."""
-    Cc, Cp, CI, Cd = (
-        costs.corrective,
-        costs.preventive,
-        costs.inspection,
-        costs.downtime_rate,
-    )
-    g = 0.0
-    mass = 0.0
-    for k in range(1, kf + 1):
-        pp = tables.p_preventive[k]
-        pc = tables.p_corrective[k]
-        g += (Cp + CI * (k - 1)) * pp
-        g += (Cc + CI * (k - 1)) * pc
-        g += Cd * tables.joint_downtime[k]
-        mass += pp + pc
-    g += kf * CI * (1.0 - mass)
-    g += Cd * tables.residual_downtime[idx]
-    return g
+def _cost_moments(
+    tables: EstimateTables, costs: CostStructure, second: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """E[C(t)] and, when second is set, E[C(t)^2] at every lattice time.
 
+    A cycle replaced at kT costs c_x(k) = C_x + C_I (k - 1) plus its downtime;
+    w_k and a_k are the first and second moments of that cost on the event
+    of a replacement at kT, and a cycle still open at t has paid kf(t) C_I.
+    """
+    kmax = tables.kmax
+    kf = np.minimum(tables.chains[1], kmax)
+    k = np.arange(1, kmax + 1)
+    pp, pc = tables.p_preventive[1:], tables.p_corrective[1:]
+    jw = tables.joint_downtime[1 : kmax + 1]
+    CI, Cd = costs.inspection, costs.downtime_rate
+    cp = costs.preventive + CI * (k - 1)
+    cc = costs.corrective + CI * (k - 1)
+    p = pp + pc
+    w = cp * pp + cc * pc + Cd * jw
 
-def _solve_cost_staged(tables: EstimateTables, costs: CostStructure) -> dict:
-    T = tables.T
-    values: dict[int, float] = {}
-    Cd = costs.downtime_rate
-    for idx, t in enumerate(tables.times):
-        kf = _kf(t, T, tables.kmax)
-        if kf == 0:
-            values[int(round(t * 1e9))] = Cd * tables.residual_downtime[idx]
-            continue
-        acc = 0.0
-        for k in range(1, kf + 1):
-            p = tables.p_preventive[k] + tables.p_corrective[k]
-            acc += _lookup(values, t - k * T) * p
-        acc += _cost_nonrenewal(tables, costs, idx, kf)
-        values[int(round(t * 1e9))] = acc
-    return values
+    def upto_kf(x):
+        return np.concatenate(([0.0], np.cumsum(x)))[kf]
+
+    open_mass = 1.0 - upto_kf(p)
+    resid = tables.residual_downtime
+    mean = _chain_sum(tables, upto_kf(w) + kf * CI * open_mass + Cd * resid, p)
+    if not second:
+        return mean, None
+    jw2 = tables.joint_downtime_sq[1 : kmax + 1]
+    a = cp * cp * pp + cc * cc * pc + 2.0 * cc * Cd * jw + Cd * Cd * jw2
+    # Squaring (c_x(k) + D) + C(t - kT) leaves the cross term 2 w_k E[C(t - kT)].
+    cross = _chain_sum(tables, np.zeros_like(mean), w, mean)
+    g = upto_kf(a) + 2.0 * cross + (kf * CI) ** 2 * open_mass
+    g += 2.0 * kf * CI * Cd * resid + Cd * Cd * tables.residual_downtime_sq
+    return mean, _chain_sum(tables, g, p)
 
 
-def _solve_cost_memo(tables: EstimateTables, costs: CostStructure) -> dict:
-    T = tables.T
-    Cd = costs.downtime_rate
-    memo: dict[int, float] = {}
-
-    def solve(t: float) -> float:
-        key = int(round(t * 1e9))
-        if key in memo:
-            return memo[key]
-        idx = tables.index_of(t)
-        kf = _kf(t, T, tables.kmax)
-        if kf == 0:
-            val = Cd * tables.residual_downtime[idx]
-        else:
-            val = sum(
-                solve(t - k * T)
-                * (tables.p_preventive[k] + tables.p_corrective[k])
-                for k in range(1, kf + 1)
-            )
-            val += _cost_nonrenewal(tables, costs, idx, kf)
-        memo[key] = val
-        return val
-
-    for t in tables.times:
-        solve(float(t))
-    return memo
-
-
-def _solve_cost_sq_staged(tables, costs, ec: dict) -> dict:
-    T = tables.T
-    Cc, Cp, CI, Cd = (
-        costs.corrective,
-        costs.preventive,
-        costs.inspection,
-        costs.downtime_rate,
-    )
-    values: dict[int, float] = {}
-    for idx, t in enumerate(tables.times):
-        kf = _kf(t, T, tables.kmax)
-        if kf == 0:
-            values[int(round(t * 1e9))] = Cd * Cd * tables.residual_downtime_sq[idx]
-            continue
-        acc = 0.0
-        h = 0.0
-        mass = 0.0
-        for k in range(1, kf + 1):
-            pp = tables.p_preventive[k]
-            pc = tables.p_corrective[k]
-            mass += pp + pc
-            acc += _lookup(values, t - k * T) * (pp + pc)
-            ec_k = _lookup(ec, t - k * T)
-            cp_k = Cp + CI * (k - 1)
-            cc_k = Cc + CI * (k - 1)
-            h += cp_k * cp_k * pp + 2.0 * cp_k * ec_k * pp
-            h += cc_k * cc_k * pc + 2.0 * cc_k * ec_k * pc
-            h += 2.0 * (cc_k + ec_k) * Cd * tables.joint_downtime[k]
-            h += Cd * Cd * tables.joint_downtime_sq[k]
-        h += (kf * CI) ** 2 * (1.0 - mass)
-        h += 2.0 * kf * CI * Cd * tables.residual_downtime[idx]
-        h += Cd * Cd * tables.residual_downtime_sq[idx]
-        values[int(round(t * 1e9))] = acc + h
-    return values
+def _std(mean, mean_sq):
+    var = mean_sq - mean * mean
+    if np.any(var < -1e-6 * mean * mean):
+        raise InconsistencyError("negative variance beyond the noise clamp")
+    return np.sqrt(np.maximum(var, 0.0))
 
 
 def expected_cost(
@@ -217,8 +173,8 @@ def expected_cost(
 ) -> float:
     """E[C(t)] via the cost renewal recursion."""
     _check_policy(tables, policy)
-    tables.index_of(t)
-    return _lookup(_solve_cost_staged(tables, costs), t)
+    i = tables.index_of(t)
+    return float(_cost_moments(tables, costs, second=False)[0][i])
 
 
 def expected_cost_sq(
@@ -229,9 +185,8 @@ def expected_cost_sq(
 ) -> float:
     """E[C(t)^2] via the second-moment recursion with its cross terms."""
     _check_policy(tables, policy)
-    tables.index_of(t)
-    ec = _solve_cost_staged(tables, costs)
-    return _lookup(_solve_cost_sq_staged(tables, costs, ec), t)
+    i = tables.index_of(t)
+    return float(_cost_moments(tables, costs)[1][i])
 
 
 def std_dev(
@@ -242,29 +197,17 @@ def std_dev(
 ) -> float:
     """Standard deviation of the transient cost at t."""
     _check_policy(tables, policy)
-    ec = expected_cost(tables, costs, None, t)
-    sq = expected_cost_sq(tables, costs, None, t)
-    var = sq - ec * ec
-    if var < -1e-6 * ec * ec:
-        raise InconsistencyError(
-            f"negative variance {var} at t={t} beyond the noise clamp"
-        )
-    return math.sqrt(max(var, 0.0))
+    i = tables.index_of(t)
+    mean, mean_sq = _cost_moments(tables, costs)
+    return float(_std(mean[i], mean_sq[i]))
 
 
 def cost_curve(tables: EstimateTables, costs: CostStructure) -> CostCurve:
     """Full transient cost curve on the evaluation grid."""
-    ec = _solve_cost_staged(tables, costs)
-    sq = _solve_cost_sq_staged(tables, costs, ec)
-    times = tables.times
-    mean = np.array([_lookup(ec, t) for t in times])
-    mean_sq = np.array([_lookup(sq, t) for t in times])
-    var = mean_sq - mean * mean
-    bad = var < -1e-6 * mean * mean
-    if bad.any():
-        raise InconsistencyError("negative variance beyond the noise clamp")
-    std = np.sqrt(np.maximum(var, 0.0))
-    curve = CostCurve(times=times, mean=mean, mean_sq=mean_sq, std=std)
+    mean, mean_sq = _cost_moments(tables, costs)
+    curve = CostCurve(
+        times=tables.times, mean=mean, mean_sq=mean_sq, std=_std(mean, mean_sq)
+    )
     curve.validate()
     return curve
 
@@ -302,120 +245,84 @@ def asymptotic_cost_rate(
 
 # -- performance measures ----------------------------------------------------
 
-def _solve_survival_staged(tables: EstimateTables, preventive_only: bool) -> dict:
-    T = tables.T
-    values: dict[int, float] = {}
-    for idx, t in enumerate(tables.times):
-        kf = _kf(t, T, tables.kmax)
-        acc = float(tables.alive_no_replacement[idx])
-        for k in range(1, kf + 1):
-            p = tables.p_preventive[k]
-            if not preventive_only:
-                p += tables.p_corrective[k]
-            acc += _lookup(values, t - k * T) * p
-        values[int(round(t * 1e9))] = acc
-    return values
-
-
-def _solve_survival_memo(tables: EstimateTables, preventive_only: bool) -> dict:
-    T = tables.T
-    memo: dict[int, float] = {}
-
-    def solve(t: float) -> float:
-        key = int(round(t * 1e9))
-        if key in memo:
-            return memo[key]
-        idx = tables.index_of(t)
-        kf = _kf(t, T, tables.kmax)
-        val = float(tables.alive_no_replacement[idx])
-        for k in range(1, kf + 1):
-            p = tables.p_preventive[k]
-            if not preventive_only:
-                p += tables.p_corrective[k]
-            val += solve(t - k * T) * p
-        memo[key] = val
-        return val
-
-    for t in tables.times:
-        solve(float(t))
-    return memo
+def _survival(tables: EstimateTables, preventive_only: bool) -> np.ndarray:
+    """Availability, or reliability when only preventive replacements renew."""
+    p = tables.p_preventive[1:]
+    if not preventive_only:
+        p = p + tables.p_corrective[1:]
+    return _chain_sum(tables, tables.alive_no_replacement, p)
 
 
 def availability(tables: EstimateTables, t: float) -> float:
     """P[system working at t]."""
-    tables.index_of(t)
-    return _lookup(_solve_survival_staged(tables, preventive_only=False), t)
+    i = tables.index_of(t)
+    return float(_survival(tables, preventive_only=False)[i])
 
 
 def reliability(tables: EstimateTables, t: float) -> float:
     """P[no failure in (0, t]]; only preventive replacements renew it."""
-    tables.index_of(t)
-    return _lookup(_solve_survival_staged(tables, preventive_only=True), t)
+    i = tables.index_of(t)
+    return float(_survival(tables, preventive_only=True)[i])
 
 
-def _solve_interval(tables: EstimateTables, s: float) -> dict:
-    """IR(t, t+s) for all grid t with t+s on the grid, fixed s."""
-    T = tables.T
-    rel = _solve_survival_staged(tables, preventive_only=True)
-    memo: dict[int, float] = {}
+def _check_length(s: float) -> None:
+    if not (math.isfinite(s) and s >= 0.0):
+        raise GridCoverageError(f"interval length s={s} must be finite and nonnegative")
 
-    def solve(t: float) -> float:
-        key = int(round(t * 1e9))
-        if key in memo:
-            return memo[key]
-        end = t + s
-        idx_end = tables.index_of(end)
-        kf_t = _kf(t, T, tables.kmax)
-        kf_end = _kf(end, T, tables.kmax)
-        val = float(tables.alive_no_replacement[idx_end])
-        for k in range(kf_t + 1, kf_end + 1):
-            val += _lookup(rel, end - k * T) * tables.p_preventive[k]
-        for k in range(1, kf_t + 1):
-            val += solve(t - k * T) * (
-                tables.p_preventive[k] + tables.p_corrective[k]
-            )
-        memo[key] = val
-        return val
 
-    for t in tables.times:
-        if t + s <= tables.horizon + _EPS:
-            try:
-                tables.index_of(t + s)
-            except GridCoverageError:
-                continue
-            solve(float(t))
-    return memo
+def _interval(tables: EstimateTables, s: float) -> np.ndarray:
+    """IR(t, t+s) at every lattice t; NaN where t+s is off the lattice.
+
+    The non-renewal term is P[no replacement by t+s] plus, for each
+    inspection k with kf(t) < k <= kf(t+s), a preventive renewal at kT
+    followed by survival to t+s: p_p(k) R(t+s-kT).
+    """
+    end = tables.indices_of(tables.times + s)
+    on_grid = end >= 0
+    if (np.diff(_chain_matrix(tables, on_grid)) > 0).any():
+        raise GridCoverageError(f"t + s is on the lattice but t - T + s is not (s={s})")
+    row, level = tables.chains
+    idx = np.flatnonzero(on_grid)
+    end = end[idx]
+    rel = _chain_matrix(tables, _survival(tables, preventive_only=True))
+    kf_t = np.minimum(level[idx], tables.kmax)
+    kf_end = np.minimum(level[end], tables.kmax)
+    g = np.zeros(len(level))
+    g[idx] = tables.alive_no_replacement[end]
+    for d in range(1, int((kf_end - kf_t).max(initial=0)) + 1):
+        on = kf_t + d <= kf_end
+        k, e = kf_t[on] + d, end[on]
+        g[idx[on]] += rel[row[e], level[e] - k] * tables.p_preventive[k]
+    values = _chain_sum(tables, g, tables.p_preventive[1:] + tables.p_corrective[1:])
+    values[~on_grid] = np.nan
+    return values
 
 
 def interval_reliability(tables: EstimateTables, t: float, s: float) -> float:
     """P[system works throughout (t, t+s]]."""
-    if t < 0.0 or s < 0.0:
-        raise GridCoverageError("t and s must be nonnegative")
-    if t + s > tables.horizon + _EPS:
-        raise GridCoverageError("t + s exceeds the life-cycle horizon")
-    tables.index_of(t)
-    tables.index_of(t + s)
-    return _lookup(_solve_interval(tables, s), t)
+    _check_length(s)
+    value = _interval(tables, s)[tables.index_of(t)]
+    if math.isnan(value):
+        raise GridCoverageError(f"t + s = {t + s} is not on the evaluation grid")
+    return float(value)
 
 
 def performance_curve(
     tables: EstimateTables, kind: str, s: float = 0.0
 ) -> PerformanceCurve:
     """Availability, reliability, or interval-reliability curve."""
+    _check_length(s)
+    times = tables.times
     if kind == "availability":
-        solved = _solve_survival_staged(tables, preventive_only=False)
-        times = tables.times
+        values = _survival(tables, preventive_only=False)
     elif kind == "reliability":
-        solved = _solve_survival_staged(tables, preventive_only=True)
-        times = tables.times
+        values = _survival(tables, preventive_only=True)
     elif kind == "interval_reliability":
-        solved = _solve_interval(tables, s)
-        times = np.array(
-            [t for t in tables.times if int(round(t * 1e9)) in solved]
-        )
+        values = _interval(tables, s)
+        keep = ~np.isnan(values)
+        times, values = times[keep], values[keep]
     else:
         raise ValueError(f"unknown performance measure '{kind}'")
-    values = np.array([_lookup(solved, t) for t in times])
     curve = PerformanceCurve(times=times, values=values, kind=kind)
     curve.validate()
     return curve

@@ -35,7 +35,7 @@ import hashlib
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -81,7 +81,6 @@ class SimulationConfig:
 
     n_samples: int = 50_000
     path_step: float | None = None
-    eval_grid: tuple[float, ...] | None = None
     master_seed: int = 20_260_824
     worker_streams: int = 4
 
@@ -338,10 +337,6 @@ class EstimateTables:
     bresid: np.ndarray
     bresid2: np.ndarray
     bcensored: np.ndarray
-    _index: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self) -> None:
-        self._index = {_key(t): i for i, t in enumerate(self.times)}
 
     # -- pooled estimates -------------------------------------------------
     def _pool(self, blocks: np.ndarray) -> np.ndarray:
@@ -384,13 +379,55 @@ class EstimateTables:
     def kmax(self) -> int:
         return self.bp_p.shape[1] - 1
 
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        return np.round(self.times * 1e9).astype(np.int64)
+
+    def indices_of(self, ts: np.ndarray) -> np.ndarray:
+        """Lattice index of each finite time in ts, -1 where it is off the lattice.
+
+        A time matches a lattice key within one unit: a lattice time is
+        rounded to its key, so t + s or t - T may round one key away.
+        """
+        keys = np.round(np.asarray(ts, dtype=float) * 1e9).astype(np.int64)
+        hi = np.clip(np.searchsorted(self._keys, keys), 1, len(self._keys) - 1)
+        near = np.where(keys - self._keys[hi - 1] < self._keys[hi] - keys, hi - 1, hi)
+        return np.where(np.abs(self._keys[near] - keys) <= 1, near, -1)
+
     def index_of(self, t: float) -> int:
-        try:
-            return self._index[_key(t)]
-        except KeyError:
+        if not math.isfinite(t):
+            raise GridCoverageError(f"time {t} is not finite")
+        i = int(self.indices_of(t))
+        if i < 0:
             raise GridCoverageError(
                 f"time {t} is not on the evaluation grid (T={self.T})"
-            ) from None
+            )
+        return i
+
+    @cached_property
+    def chains(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row and level of each lattice time in its chain t, t - T, t - 2T, ...
+
+        The level is floor(t/T + eps).  A row holds the times whose residues
+        t - level*T agree to within 2e-9, the rounding of two lattice keys
+        of 1e-9 each.  Every recursion steps down a row one level at a time,
+        so each row must hold exactly the levels 0..top: GridCoverageError
+        otherwise.
+        """
+        level = np.floor(self.times / self.T + _EPS).astype(np.int64)
+        residue = self.times - level * self.T
+        order = np.argsort(residue, kind="stable")
+        row = np.empty_like(level)
+        row[order] = np.cumsum(np.diff(residue[order], prepend=residue[order[0]]) > 2e-9)
+        slots = np.full((row.max() + 1, level.max() + 1), -1)
+        slots[row, level] = np.arange(len(level))
+        if (slots[row, level] != np.arange(len(level))).any() or (
+            (slots[:, :-1] < 0) & (slots[:, 1:] >= 0)
+        ).any():
+            raise GridCoverageError(
+                f"the evaluation lattice is not closed under t -> t - T (T={self.T})"
+            )
+        return row, level
 
     def base_cost(self, t: float, costs: CostStructure) -> float:
         """Recursion base case E[C(t)] for t < T: downtime cost only."""
@@ -500,11 +537,6 @@ def estimate_tables(
     _check_simulable(model, policy)
     delta = cfg.step_for(policy)
     times = eval_times(policy, life)
-    if cfg.eval_grid is not None:
-        keys = {_key(t) for t in times}
-        missing = [t for t in cfg.eval_grid if _key(t) not in keys]
-        if missing:
-            raise GridCoverageError(f"eval_grid points off the lattice: {missing}")
     if seed_sequence is None:
         seed_sequence = np.random.SeedSequence(cfg.master_seed)
     children = seed_sequence.spawn(cfg.worker_streams)

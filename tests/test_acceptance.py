@@ -28,6 +28,12 @@ from oracle import (
     Oracle,
     cell_cost_rates,
 )
+from renewal_oracle import (
+    _solve_cost_memo,
+    _solve_cost_sq_memo,
+    _solve_survival_memo,
+    on_lattice,
+)
 
 from cbmlife.model import MaintenancePolicy, first_passage_cdf
 from cbmlife.optimize import (
@@ -37,10 +43,6 @@ from cbmlife.optimize import (
     renewal_counts,
 )
 from cbmlife.renewal import (
-    _solve_cost_memo,
-    _solve_cost_staged,
-    _solve_survival_memo,
-    _solve_survival_staged,
     availability,
     cost_curve,
     expected_cost,
@@ -309,17 +311,22 @@ def test_criterion_8_sensitivity_structure(ref_model, ref_costs, ref_life):
 def test_criterion_9_property_suite(ref_model, ref_policy, ref_costs, ref_life, tables_full):
     checks = []
 
-    staged = _solve_cost_staged(tables_full, ref_costs)
-    memo = _solve_cost_memo(tables_full, ref_costs)
-    scale = max(abs(x) for x in staged.values())
-    cost_gap = max(abs(staged[k] - memo[k]) for k in staged) / scale
+    times = tables_full.times
+    curve = cost_curve(tables_full, ref_costs)
+    cost_gap = 0.0
+    for staged, memo in (
+        (curve.mean, _solve_cost_memo(tables_full, ref_costs)),
+        (curve.mean_sq, _solve_cost_sq_memo(tables_full, ref_costs)),
+    ):
+        ref = on_lattice(memo, times)
+        cost_gap = max(cost_gap, np.abs(staged - ref).max() / np.abs(ref).max())
     surv_gap = 0.0
-    for preventive_only in (False, True):
-        a = _solve_survival_staged(tables_full, preventive_only)
-        b = _solve_survival_memo(tables_full, preventive_only)
-        surv_gap = max(surv_gap, max(abs(a[k] - b[k]) for k in a))
+    for kind, preventive_only in (("availability", False), ("reliability", True)):
+        a = performance_curve(tables_full, kind).values
+        b = on_lattice(_solve_survival_memo(tables_full, preventive_only), times)
+        surv_gap = max(surv_gap, np.abs(a - b).max())
     checks.append(
-        (f"staged vs memoized gap {max(cost_gap, surv_gap):.2e} <= 1e-12",
+        (f"solver vs memoized oracle gap {max(cost_gap, surv_gap):.2e} <= 1e-12",
          max(cost_gap, surv_gap) <= 1e-12)
     )
 

@@ -157,6 +157,15 @@ class TestCurvesCommand:
         )
         assert ir == {t: v for t, v in avail.items() if t in ir}
 
+    def test_non_finite_interval_length(self, small_config, tmp_path):
+        out = tmp_path / "nan"
+        argv = [
+            "curves", "--config", str(small_config), "--grid-M", "14:14",
+            "--ir-s", "nan", "--out-dir", str(out), "--quiet",
+        ]
+        assert main(argv) == 1
+        assert not (out / "interval_reliability.csv").exists()
+
 
 class TestSensitivityCommand:
     def test_zero_cell_in_csv(self, small_config, tmp_path):

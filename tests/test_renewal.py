@@ -2,6 +2,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from renewal_oracle import (
+    _solve_cost_memo,
+    _solve_cost_sq_memo,
+    _solve_interval_memo,
+    _solve_survival_memo,
+    on_lattice,
+)
 
 from cbmlife.errors import GridCoverageError, InconsistencyError, TruncationWarning
 from cbmlife.model import (
@@ -13,10 +22,6 @@ from cbmlife.model import (
     SystemModel,
 )
 from cbmlife.renewal import (
-    _solve_cost_memo,
-    _solve_cost_staged,
-    _solve_survival_memo,
-    _solve_survival_staged,
     asymptotic_cost_rate,
     availability,
     cost_curve,
@@ -29,7 +34,7 @@ from cbmlife.renewal import (
     write_cost_curve_csv,
     write_performance_curve_csv,
 )
-from cbmlife.simulate import SimulationConfig, estimate_tables
+from cbmlife.simulate import EstimateTables, SimulationConfig, estimate_tables, eval_times
 
 SEED = 777
 
@@ -47,10 +52,13 @@ class TestExpectedCost:
             )
 
     def test_staged_equals_memoized(self, tables_small, ref_costs):
-        staged = _solve_cost_staged(tables_small, ref_costs)
-        memo = _solve_cost_memo(tables_small, ref_costs)
-        worst = max(abs(staged[k] - memo[k]) for k in staged)
-        assert worst <= 1e-12 * max(abs(v) for v in staged.values())
+        curve = cost_curve(tables_small, ref_costs)
+        for staged, memo in (
+            (curve.mean, _solve_cost_memo(tables_small, ref_costs)),
+            (curve.mean_sq, _solve_cost_sq_memo(tables_small, ref_costs)),
+        ):
+            ref = on_lattice(memo, tables_small.times)
+            assert np.abs(staged - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_cost_scaling_homogeneity(self, tables_small, ref_costs):
         doubled = ref_costs.scaled(2.0)
@@ -129,10 +137,15 @@ class TestPerformanceMeasures:
         assert reliability(tables_small, 0.0) == 1.0
 
     def test_staged_equals_memoized(self, tables_small):
-        for preventive_only in (False, True):
-            staged = _solve_survival_staged(tables_small, preventive_only)
+        for kind, preventive_only in (("availability", False), ("reliability", True)):
+            staged = performance_curve(tables_small, kind).values
             memo = _solve_survival_memo(tables_small, preventive_only)
-            assert max(abs(staged[k] - memo[k]) for k in staged) <= 1e-12
+            assert np.abs(staged - on_lattice(memo, tables_small.times)).max() <= 1e-12
+        for s in (0.0, 5.0, 13.0, 50.0):
+            curve = performance_curve(tables_small, "interval_reliability", s=s)
+            memo = _solve_interval_memo(tables_small, s)
+            assert len(curve.times) == len(memo) > 0
+            assert np.abs(curve.values - on_lattice(memo, curve.times)).max() <= 1e-12
 
     def test_reliability_below_availability(self, tables_small):
         avail = performance_curve(tables_small, "availability")
@@ -195,6 +208,122 @@ class TestPerformanceMeasures:
     def test_out_of_horizon_rejected(self, tables_small):
         with pytest.raises(GridCoverageError):
             interval_reliability(tables_small, 48.0, 5.0)
+
+    def test_period_without_exact_lattice_keys(self, ref_model, ref_costs, ref_life):
+        # T = 10/3 is not a whole number of lattice keys (nanoseconds), so
+        # t - T rounds to a key one off the lattice time it stands for.
+        T = 10.0 / 3.0
+        policy = MaintenancePolicy(inspection_period=T, preventive_threshold=14.0)
+        tables = estimate_tables(
+            ref_model, policy, ref_life, SimulationConfig(n_samples=500, master_seed=SEED)
+        )
+        cost_curve(tables, ref_costs).validate()
+        avail = performance_curve(tables, "availability").values
+        rel = performance_curve(tables, "reliability").values
+        first = tables.times < T - 1e-9
+        assert np.array_equal(avail[first], tables.alive_no_replacement[first])
+        assert np.all(rel <= avail + 1e-12)
+        at_zero = performance_curve(tables, "interval_reliability", s=0.0)
+        assert np.abs(at_zero.values - avail).max() <= 1e-12
+        for t in (T, 2 * T, 50.0):
+            assert abs(interval_reliability(tables, 0.0, t) - reliability(tables, t)) <= 1e-12
+
+
+class TestQueryChecks:
+    @pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
+    def test_non_finite_time(self, tables_small, ref_costs, t):
+        with pytest.raises(GridCoverageError):
+            tables_small.index_of(t)
+        with pytest.raises(GridCoverageError):
+            availability(tables_small, t)
+        with pytest.raises(GridCoverageError):
+            expected_cost(tables_small, ref_costs, None, t)
+        with pytest.raises(GridCoverageError):
+            interval_reliability(tables_small, t, 0.0)
+
+    @pytest.mark.parametrize("s", [np.nan, np.inf, -3.0])
+    def test_bad_interval_length(self, tables_small, s):
+        with pytest.raises(GridCoverageError, match="interval length"):
+            performance_curve(tables_small, "interval_reliability", s=s)
+        with pytest.raises(GridCoverageError, match="interval length"):
+            interval_reliability(tables_small, 10.0, s)
+
+
+@st.composite
+def random_tables(draw):
+    """EstimateTables of random but consistent entries on an eval_times lattice.
+
+    t_f/T is an integer or not, and the tables may hold fewer inspection
+    epochs than the horizon has (kmax below floor(t_f/T)).
+    """
+    T = draw(st.sampled_from([0.5, 1.0, 2.5, 5.0, 7.0, 10.0]))
+    periods = draw(st.integers(1, 12))
+    tf = round(T * (periods + draw(st.sampled_from([0.0, 0.3, 0.55, 0.9]))), 9)
+    full = int(np.floor(tf / T + 1e-9))
+    kmax = draw(st.one_of(st.just(full), st.integers(0, full)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    times = eval_times(
+        MaintenancePolicy(inspection_period=T, preventive_threshold=14.0),
+        LifeCycle(horizon=tf),
+    )
+    mass = rng.dirichlet(np.ones(2 * kmax + 1)) * rng.uniform(0.2, 1.0)
+    pp = np.concatenate(([0.0], mass[:kmax]))
+    pc = np.concatenate(([0.0], mass[kmax : 2 * kmax]))
+    jw = np.concatenate(([0.0], rng.uniform(0.0, T, full)))
+    # Alive at t only if not replaced by the last inspection kf(t).
+    kf = np.minimum(np.floor(times / T + 1e-9).astype(int), kmax)
+    alive = (1.0 - np.cumsum(pp + pc)[kf]) * rng.uniform(0.0, 1.0, len(times))
+    alive[0] = 1.0
+    jw2 = jw * rng.uniform(0.0, 2.0 * T, full + 1)
+    resid = rng.uniform(0.0, T, len(times))
+    resid2 = resid * rng.uniform(0.0, 2.0 * T, len(times))
+    # One block of n = 1 whose sums are the pooled estimates themselves.
+    return EstimateTables(
+        T=T, M=14.0, horizon=tf, delta=T / 100.0, n=1, master_seed=0,
+        worker_streams=1, digest="random", times=times,
+        block_sizes=np.array([1]), bp_p=pp[None], bp_c=pc[None], bjw=jw[None],
+        bjw2=jw2[None], balive=alive[None], bresid=resid[None],
+        bresid2=resid2[None], bcensored=np.array([1.0 - pp.sum() - pc.sum()]),
+    )
+
+
+class TestRandomLattices:
+    @given(tables=random_tables(), pick=st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_measures_equal_oracle(self, tables, pick, ref_costs):
+        tables.validate()
+        times = tables.times
+        mean = np.array([expected_cost(tables, ref_costs, None, t) for t in times])
+        mean_sq = np.array([expected_cost_sq(tables, ref_costs, None, t) for t in times])
+        for solved, memo in (
+            (mean, _solve_cost_memo(tables, ref_costs)),
+            (mean_sq, _solve_cost_sq_memo(tables, ref_costs)),
+        ):
+            ref = on_lattice(memo, times)
+            assert np.abs(solved - ref).max() <= 1e-12 * np.abs(ref).max()
+
+        avail = performance_curve(tables, "availability").values
+        rel = performance_curve(tables, "reliability").values
+        for solved, preventive_only in ((avail, False), (rel, True)):
+            memo = _solve_survival_memo(tables, preventive_only)
+            assert np.abs(solved - on_lattice(memo, times)).max() <= 1e-12
+        assert np.all(rel <= avail + 1e-12)
+        for s in (0.0, tables.T / 2, tables.T, float(times[pick % len(times)])):
+            curve = performance_curve(tables, "interval_reliability", s=s)
+            memo = _solve_interval_memo(tables, s)
+            assert len(curve.times) == len(memo)
+            assert np.abs(curve.values - on_lattice(memo, curve.times)).max(initial=0.0) <= 1e-12
+            assert np.all((curve.values >= -1e-12) & (curve.values <= 1.0 + 1e-12))
+        assert np.all((avail >= -1e-12) & (avail <= 1.0 + 1e-12) & (rel >= -1e-12))
+
+        i = pick % (len(times) - 1)
+        off = 0.5 * (times[i] + times[i + 1])
+        with pytest.raises(GridCoverageError):
+            availability(tables, off)
+        with pytest.raises(GridCoverageError):
+            expected_cost(tables, ref_costs, None, off)
+        with pytest.raises(GridCoverageError):
+            interval_reliability(tables, off, 0.0)
 
 
 class TestExports:
