@@ -20,8 +20,21 @@ from .model import (
     SystemModel,
 )
 from .optimize import OptimizationResult, PolicyGrid
+from .renewal import (
+    availability,
+    expected_cost,
+    interval_reliability,
+    reliability,
+    std_dev,
+)
 from .sensitivity import PerturbationScheme, VariationTable
-from .simulate import EstimateTables, ReplacementSample, SimulationConfig
+from .simulate import (
+    EstimateTables,
+    ReplacementSample,
+    SimulationConfig,
+    estimate_row,
+    estimate_tables,
+)
 
 __version__ = "0.1.0"
 
@@ -40,4 +53,11 @@ __all__ = [
     "SystemModel",
     "VariationTable",
     "__version__",
+    "availability",
+    "estimate_row",
+    "estimate_tables",
+    "expected_cost",
+    "interval_reliability",
+    "reliability",
+    "std_dev",
 ]

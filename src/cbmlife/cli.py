@@ -14,6 +14,7 @@ import argparse
 import configparser
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -34,7 +35,7 @@ from .model import (
     ShockIntensity,
     SystemModel,
 )
-from .simulate import SimulationConfig, chain_statistics, estimate_tables
+from .simulate import SimulationConfig, chain_statistics, estimate_row, estimate_tables
 
 __all__ = ["RunConfig", "parse_config", "dump_config", "main"]
 
@@ -273,6 +274,8 @@ def cmd_optimize(rc: RunConfig, args) -> int:
 
 def cmd_curves(rc: RunConfig, args) -> int:
     started = time.perf_counter()
+    if not (math.isfinite(args.ir_s) and args.ir_s >= 0.0):
+        raise ConfigurationError(f"--ir-s {args.ir_s} must be finite and nonnegative")
     rc.out_dir.mkdir(parents=True, exist_ok=True)
     caught: list[str] = []
     files: list[Path] = []
@@ -281,22 +284,30 @@ def cmd_curves(rc: RunConfig, args) -> int:
     sweep_dim = args.sweep
     sweep_values = rc.grid.M_values if sweep_dim == "M" else rc.grid.T_values
     sweep_path = rc.out_dir / f"cost_rate_vs_{sweep_dim}.csv"
+
+    def seed(value, *extra):
+        return np.random.SeedSequence(
+            entropy=rc.sim.master_seed, spawn_key=(int(round(value * 1e6)), *extra)
+        )
+
     with warnings.catch_warnings(record=True) as grabbed:
         warnings.simplefilter("always")
+        if sweep_dim == "M":
+            policies = [replace(rc.policy, preventive_threshold=v) for v in sweep_values]
+            swept = estimate_row(
+                rc.model, rc.policy.inspection_period, sweep_values, rc.life, rc.sim,
+                [seed(v) for v in sweep_values], threads=rc.workers,
+            )
+        else:
+            policies = [replace(rc.policy, inspection_period=v) for v in sweep_values]
+            swept = (
+                estimate_tables(rc.model, policy, rc.life, rc.sim,
+                                threads=rc.workers, seed_sequence=seed(v))
+                for policy, v in zip(policies, sweep_values)
+            )
         rows = []
         reference = None
-        for value in sweep_values:
-            if sweep_dim == "M":
-                policy = replace(rc.policy, preventive_threshold=value)
-            else:
-                policy = replace(rc.policy, inspection_period=value)
-            seed_seq = np.random.SeedSequence(
-                entropy=rc.sim.master_seed, spawn_key=(int(round(value * 1e6)),)
-            )
-            tables = estimate_tables(
-                rc.model, policy, rc.life, rc.sim,
-                threads=rc.workers, seed_sequence=seed_seq,
-            )
+        for value, policy, tables in zip(sweep_values, policies, swept):
             if policy == rc.policy:
                 reference = tables
             rate = renewal.expected_cost(tables, rc.costs, None, tf) / tf
@@ -305,11 +316,7 @@ def cmd_curves(rc: RunConfig, args) -> int:
             if args.strict_mc:
                 _, totals = chain_statistics(
                     rc.model, policy, rc.costs, rc.life, rc.sim,
-                    threads=rc.workers,
-                    seed_sequence=np.random.SeedSequence(
-                        entropy=rc.sim.master_seed,
-                        spawn_key=(int(round(value * 1e6)), 1),
-                    ),
+                    threads=rc.workers, seed_sequence=seed(value, 1),
                 )
                 row.append(float(totals.mean()) / tf)
             rows.append(row)

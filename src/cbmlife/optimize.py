@@ -2,7 +2,9 @@
 
 Each grid cell gets an independent, value-keyed random substream, so the
 objective matrix is reproducible and invariant to the enumeration order of
-the grid.  Per-cell standard errors come from batch means over the worker
+the grid.  The cells of one inspection period are simulated together by one
+:func:`~cbmlife.simulate.estimate_row` call, each still from its own
+substream.  Per-cell standard errors come from batch means over the worker
 blocks of the cell's estimate tables.
 """
 
@@ -19,7 +21,7 @@ import numpy as np
 
 from .model import CostStructure, LifeCycle, MaintenancePolicy, SystemModel
 from .renewal import asymptotic_cost_rate, expected_cost
-from .simulate import SimulationConfig, chain_statistics, estimate_tables
+from .simulate import SimulationConfig, chain_statistics, estimate_row
 
 __all__ = [
     "PolicyGrid",
@@ -91,37 +93,41 @@ def _cell_seed(master_seed: int, T: float, M: float) -> np.random.SeedSequence:
     )
 
 
-def _evaluate_cell(args) -> tuple[float, float, list[str]]:
-    model, costs, life, cfg, T, M, objective = args
-    policy = MaintenancePolicy(inspection_period=T, preventive_threshold=M)
-    messages: list[str] = []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        tables = estimate_tables(
-            model, policy, life, cfg, seed_sequence=_cell_seed(cfg.master_seed, T, M)
-        )
+def _evaluate_cell(tables, costs, life, objective) -> tuple[float, float]:
+    """The objective of one table set and its batch-means standard error."""
+
+    def value_of(t):
         if objective == "asymptotic":
-            value = asymptotic_cost_rate(tables, costs)
-        else:
-            value = expected_cost(tables, costs, None, life.horizon) / life.horizon
-        block_values = []
-        for b in range(cfg.worker_streams):
-            if tables.block_sizes[b] == 0:
-                continue
-            view = tables.block_view(b)
-            if objective == "asymptotic":
-                block_values.append(asymptotic_cost_rate(view, costs))
-            else:
-                block_values.append(
-                    expected_cost(view, costs, None, life.horizon) / life.horizon
-                )
-    for w in caught:
-        messages.append(f"(T={T:g}, M={M:g}) {w.message}")
+            return asymptotic_cost_rate(t, costs)
+        return expected_cost(t, costs, None, life.horizon) / life.horizon
+
+    value = value_of(tables)
+    block_values = [
+        value_of(tables.block_view(b))
+        for b in range(tables.worker_streams)
+        if tables.block_sizes[b] > 0
+    ]
     if len(block_values) > 1:
         stderr = float(np.std(block_values, ddof=1) / math.sqrt(len(block_values)))
     else:
         stderr = float("nan")
-    return float(value), stderr, messages
+    return float(value), stderr
+
+
+def _evaluate_row(args) -> list[tuple[float, float, list[str]]]:
+    """Every cell of one T row, from one simulation of the row."""
+    model, costs, life, cfg, T, Ms, objective = args
+    row = estimate_row(
+        model, T, Ms, life, cfg, [_cell_seed(cfg.master_seed, T, M) for M in Ms]
+    )
+    outcomes = []
+    for M, tables in zip(Ms, row):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            value, stderr = _evaluate_cell(tables, costs, life, objective)
+        messages = [f"(T={T:g}, M={M:g}) {w.message}" for w in caught]
+        outcomes.append((value, stderr, messages))
+    return outcomes
 
 
 def _run_grid(model, costs, life, grid, cfg, objective, processes):
@@ -129,15 +135,14 @@ def _run_grid(model, costs, life, grid, cfg, objective, processes):
         raise ValueError("grid contains preventive thresholds above L")
     start = time.perf_counter()
     jobs = [
-        (model, costs, life, cfg, T, M, objective)
-        for T in grid.T_values
-        for M in grid.M_values
+        (model, costs, life, cfg, T, grid.M_values, objective) for T in grid.T_values
     ]
     if processes > 1:
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            outcomes = list(pool.map(_evaluate_cell, jobs, chunksize=4))
+            rows = list(pool.map(_evaluate_row, jobs))
     else:
-        outcomes = [_evaluate_cell(j) for j in jobs]
+        rows = [_evaluate_row(j) for j in jobs]
+    outcomes = [cell for row in rows for cell in row]
     nT, nM = len(grid.T_values), len(grid.M_values)
     values = np.zeros((nT, nM))
     stderr = np.zeros((nT, nM))

@@ -235,7 +235,7 @@ def asymptotic_cost_rate(
             + costs.preventive * pp
             + costs.inspection * (ks - 1) * (pp + pc)
         )
-        + costs.downtime_rate * tables.joint_downtime[1:].sum()
+        + costs.downtime_rate * tables.joint_downtime[1 : tables.kmax + 1].sum()
     )
     denominator = float(np.sum(ks * tables.T * (pp + pc)))
     if denominator == 0.0:

@@ -6,7 +6,8 @@ variation vector.  All cells of a table share the same master seed (common
 random numbers), so cell differences reflect parameters rather than Monte
 Carlo noise; the zero-variation cell is the baseline itself and is not
 simulated again.  Every cell re-optimizes over the swept policy dimension
-before comparing.
+before comparing; with T fixed, the whole sweep of one model is one
+:func:`~cbmlife.simulate.estimate_row` call.
 """
 
 from __future__ import annotations
@@ -21,12 +22,11 @@ from .model import (
     CostStructure,
     GammaDegradation,
     LifeCycle,
-    MaintenancePolicy,
     ShockIntensity,
     SystemModel,
 )
 from .renewal import expected_cost
-from .simulate import SimulationConfig, estimate_tables
+from .simulate import SimulationConfig, estimate_row
 
 __all__ = [
     "PerturbationScheme",
@@ -68,32 +68,35 @@ class VariationTable:
             raise ValueError("costs and variations must be nonnegative")
 
 
-def _policy_for(fixed: tuple[str, float], value: float) -> MaintenancePolicy:
+def _rows(fixed: tuple[str, float], sweep_values) -> list[tuple[float, tuple, tuple]]:
+    """(T, thresholds, swept values) of each estimate_row call of the sweep.
+
+    A fixed T is one row holding every swept M; a fixed M is one row per
+    swept T.  A table set's seed is keyed by its swept value.
+    """
     name, fixed_value = fixed
+    sweep = tuple(sweep_values)
     if name == "T":
-        return MaintenancePolicy(
-            inspection_period=fixed_value, preventive_threshold=value
-        )
+        return [(fixed_value, sweep, sweep)]
     if name == "M":
-        return MaintenancePolicy(
-            inspection_period=value, preventive_threshold=fixed_value
-        )
+        return [(T, (fixed_value,), (T,)) for T in sweep]
     raise ValueError("fixed dimension must be 'T' or 'M'")
 
 
 def _min_transient_cost(model, costs, life, fixed, sweep_values, cfg) -> float:
     """Minimal E[C(t_f)] over the swept policy dimension, value-keyed seeds."""
     best = np.inf
-    for value in sweep_values:
-        policy = _policy_for(fixed, value)
-        if policy.preventive_threshold > model.breakdown_threshold:
+    for T, Ms, swept in _rows(fixed, sweep_values):
+        if any(M > model.breakdown_threshold for M in Ms):
             raise ValueError("swept preventive threshold exceeds L")
-        seed_seq = np.random.SeedSequence(
-            entropy=cfg.master_seed, spawn_key=(int(round(value * 1e6)),)
-        )
-        tables = estimate_tables(model, policy, life, cfg, seed_sequence=seed_seq)
-        cost = expected_cost(tables, costs, None, life.horizon)
-        best = min(best, cost)
+        seeds = [
+            np.random.SeedSequence(
+                entropy=cfg.master_seed, spawn_key=(int(round(value * 1e6)),)
+            )
+            for value in swept
+        ]
+        for tables in estimate_row(model, T, Ms, life, cfg, seeds):
+            best = min(best, expected_cost(tables, costs, None, life.horizon))
     return best
 
 

@@ -27,6 +27,16 @@ downtime) functions on the evaluation lattice.  Every recursion in
 :mod:`cbmlife.renewal` consumes these tables.  Sampling is partitioned into
 ``worker_streams`` blocks with independent substreams so results are
 reproducible bit for bit regardless of the executing thread count.
+
+:func:`estimate_row` serves every threshold M of one inspection period.  It
+simulates the blocks of all its table sets together, in passes of at most
+``_PASS_PATHS`` paths (a larger block runs alone), which removes the fixed
+cost of a sampler call per block.  Within a pass each block keeps its own
+generator and draws what it would draw alone, in the same order, and each
+table sum is one ``np.bincount`` over (block, bin), which adds a block's
+paths in path order.  Every table set therefore equals bit for bit the
+:func:`estimate_tables` result of its policy and seed sequence, whatever
+else the pass holds.
 """
 
 from __future__ import annotations
@@ -34,6 +44,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -55,6 +66,7 @@ __all__ = [
     "EstimateTables",
     "simulate_cycle",
     "estimate_tables",
+    "estimate_row",
     "chain_cycles",
     "chain_statistics",
     "sample_failure_times",
@@ -65,6 +77,15 @@ __all__ = [
 ]
 
 _EPS = 1e-9
+# Paths simulated together in one sampler pass.  A pass holds about 400
+# bytes a path (bisection state, bridge draws and reduction temporaries) plus
+# 8 bytes a skeleton point while the paths are drawn, so the cap bounds its
+# memory; a larger block runs alone in its own pass.
+_PASS_PATHS = 2048
+# Skeleton points (paths times skeleton indices) drawn at once: a long
+# horizon has many inspection epochs, and its skeleton would otherwise
+# outweigh the rest of a pass.
+_SKELETON_POINTS = 16_384
 _MAGIC = "CBMLIFE-TABLES"
 _FORMAT_VERSION = 1
 
@@ -176,79 +197,137 @@ def _skeleton(horizon: float, T: float, delta: float) -> np.ndarray:
     return np.array(sorted({0, K, *(min(j, K) for j in epochs)}), dtype=np.int64)
 
 
-def _first_crossings(X, grid, levels, shape_step, rng):
-    """First grid index at which each path reaches each level, 0 if none.
+def _first_crossings(grid, levels, shape_step, scale, rngs, sizes):
+    """Draw the streams' paths and find where each path first reaches each level.
 
-    ``X`` holds the paths at the skeleton indices ``grid`` (column 0 is the
-    origin, X = 0) and ``levels`` is ascending.  Each level's bracketing
-    skeleton interval is bisected with gamma-bridge midpoints; a level whose
-    bracket is the previous level's takes that level's midpoint, so a point is
-    never drawn twice.  Only the previous level needs checking: brackets are
-    ordered like their levels, so two equal brackets enclose every level
-    between them.  Returns an (len(levels), n) index array.
+    Stream s has ``sizes[s]`` paths, drawn from ``rngs[s]`` at the skeleton
+    grid indices ``grid`` by one gamma increment per interval; its paths
+    follow those of stream s - 1.  ``levels`` is (3, n) with each path's
+    levels ascending.  Each level's bracketing skeleton interval is bisected
+    with gamma-bridge midpoints; a level whose bracket is the previous
+    level's takes that level's midpoint, so a point is never drawn twice.
+    Only the previous level needs checking: brackets are ordered like their
+    levels, so two equal brackets enclose every level between them.  Returns
+    the (3, n) first grid indices, 0 where a path stays below a level.
     """
-    n = X.shape[0]
-    z = np.asarray(levels, dtype=float)[:, None]
-    pos = (X[None, :, :] < z[:, :, None]).sum(axis=2)
-    hit = pos < X.shape[1]
-    pos = np.minimum(pos, X.shape[1] - 1)
-    rows = np.arange(n)
-    b, xb = grid[pos], X[rows, pos]
-    a, xa = np.where(hit, grid[pos - 1], b), X[rows, pos - 1]
+    # The skeleton is drawn and reduced to the brackets of the levels a group
+    # of whole streams at a time, each group at most _SKELETON_POINTS points.
+    a, b = np.empty(levels.shape, dtype=np.int64), np.empty(levels.shape, dtype=np.int64)
+    xa, xb = np.empty(levels.shape), np.empty(levels.shape)
+    hit = np.empty(levels.shape, dtype=bool)
+    shapes = shape_step * np.diff(grid)
+    starts = np.cumsum(sizes) - sizes
+    for group in _passes(sizes, _SKELETON_POINTS // len(grid)):
+        paths = slice(starts[group[0]], starts[group[-1]] + sizes[group[-1]])
+        X = np.zeros((paths.stop - paths.start, len(grid)))
+        np.concatenate(
+            [rngs[s].gamma(shapes, scale, (sizes[s], len(grid) - 1)) for s in group],
+            out=X[:, 1:],
+        )
+        np.cumsum(X, axis=1, out=X)
+        pos = (X[None, :, :] < levels[:, paths, None]).sum(axis=2)
+        hit[:, paths] = pos < len(grid)
+        np.minimum(pos, len(grid) - 1, out=pos)
+        rows = np.arange(len(X))
+        b[:, paths], xb[:, paths] = grid[pos], X[rows, pos]
+        a[:, paths], xa[:, paths] = grid[pos - 1], X[rows, pos - 1]
+    np.copyto(a, b, where=~hit)
+    stream = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
+    # Flat views of the (level, path) state, level-major.
+    fa, fb, fxa, fxb = (v.ravel() for v in (a, b, xa, xb))
+    owner = np.tile(stream, len(levels))
+    m, xm = np.empty_like(a), np.zeros_like(xa)
+    fm, fxm = m.ravel(), xm.ravel()
+    shared = np.zeros(a.shape, dtype=bool)
     while True:
         active = b - a > 1
         if not active.any():
             break
-        m = (a + b) >> 1
-        shared = np.zeros_like(active)
-        shared[1:] = active[1:] & (a[1:] == a[:-1]) & (b[1:] == b[:-1])
+        np.add(a, b, out=m)
+        m >>= 1
+        np.logical_and(active[1:], a[1:] == a[:-1], out=shared[1:])
+        shared[1:] &= b[1:] == b[:-1]
         draw = np.flatnonzero(active & ~shared)
-        lo, mid, hi = a.ravel()[draw], m.ravel()[draw], b.ravel()[draw]
-        xm = np.zeros(a.shape)
-        x_lo = xa.ravel()[draw]
-        xm.flat[draw] = x_lo + (xb.ravel()[draw] - x_lo) * rng.beta(
-            shape_step * (mid - lo), shape_step * (hi - mid)
-        )
-        for i in range(1, len(z)):
-            xm[i] = np.where(shared[i], xm[i - 1], xm[i])
-        left = active & (xm >= z)
-        right = active & ~left
-        b, xb = np.where(left, m, b), np.where(left, xm, xb)
-        a, xa = np.where(right, m, a), np.where(right, xm, xa)
+        who = owner[draw]
+        if len(rngs) > 1:
+            draw = draw[np.argsort(who, kind="stable")]
+        fxm[draw] = _bridge(draw, who, rngs, shape_step, fa, fm, fb, fxa, fxb)
+        for i in range(1, len(levels)):
+            copy = np.flatnonzero(shared[i])
+            xm[i, copy] = xm[i - 1, copy]
+        left = active & (xm >= levels)
+        active &= ~left
+        for end, x_end, side in ((fb, fxb, left), (fa, fxa, active)):
+            moved = np.flatnonzero(side)
+            end[moved] = fm[moved]
+            x_end[moved] = fxm[moved]
     return np.where(hit, b, 0)
 
 
-def _simulate_kernel(model, policy, horizon, delta, n, rng):
-    """Vectorized first-cycle simulation of n samples.
+def _bridge(draw, who, rngs, shape_step, a, m, b, xa, xb):
+    """Gamma-bridge values at the midpoints m[draw] of the brackets [a, b].
 
-    Returns per-sample arrays: replacement inspection index (k_rep),
-    corrective flag, censored flag, failure time D, crossing times of M,
-    M_s, L, and the shock time Y (np.inf when beyond the horizon).
+    ``draw`` is grouped by the stream ``who`` of each point, and stream s
+    draws its points' beta variates from ``rngs[s]`` in one call, in the
+    order of ``draw``.
+    """
+    mid = m[draw]
+    p = shape_step * (mid - a[draw])
+    q = shape_step * (b[draw] - mid)
+    del mid
+    ends = np.cumsum(np.bincount(who, minlength=len(rngs))).tolist()
+    for s, (i, j) in enumerate(zip([0, *ends], ends)):
+        if j > i:
+            p[i:j] = rngs[s].beta(p[i:j], q[i:j])
+    x_lo = np.take(xa, draw)
+    x = np.take(xb, draw, out=q)
+    x -= x_lo
+    x *= p
+    x += x_lo
+    return x
+
+
+def _simulate_kernel(model, T, horizon, delta, Ms, sizes, rngs):
+    """Vectorized first-cycle simulation of several streams in one pass.
+
+    Stream s has ``sizes[s]`` paths, preventive threshold ``Ms[s]`` and
+    generator ``rngs[s]``; its paths follow those of stream s - 1.  Each
+    stream draws exactly what it would draw alone, in the same order: its
+    skeleton increments, its bridge midpoints round by round, then its
+    exponentials.  Returns per-path arrays: replacement inspection index
+    (k_rep), corrective flag, censored flag, failure time D, crossing times
+    of M, M_s, L, and the shock time Y (np.inf when beyond the horizon).
     """
     alpha = model.degradation.alpha
     beta = model.degradation.beta
     lam1 = model.shocks.lambda1
     lam2 = model.shocks.lambda2
-    T = policy.inspection_period
 
-    grid = _skeleton(horizon, T, delta)
-    shape_step = alpha * delta
-    X = np.zeros((n, len(grid)))
-    X[:, 1:] = rng.gamma(shape_step * np.diff(grid), 1.0 / beta, (n, len(grid) - 1))
-    np.cumsum(X, axis=1, out=X)
-    levels = np.array(
-        [policy.preventive_threshold, model.shock_threshold, model.breakdown_threshold]
+    # Each stream's thresholds in ascending order, and the rank of each
+    # threshold (M, M_s, L) in that order.
+    thresholds = np.column_stack([
+        np.asarray(Ms, dtype=float),
+        np.full(len(sizes), model.shock_threshold),
+        np.full(len(sizes), model.breakdown_threshold),
+    ])
+    order = np.argsort(thresholds, axis=1, kind="stable")
+    rank = np.argsort(order, axis=1)
+    index = np.take_along_axis(
+        _first_crossings(
+            _skeleton(horizon, T, delta),
+            np.repeat(np.take_along_axis(thresholds, order, axis=1).T, sizes, axis=1),
+            alpha * delta, 1.0 / beta, rngs, sizes,
+        ),
+        np.repeat(rank.T, sizes, axis=1),
+        axis=0,
     )
-    order = np.argsort(levels, kind="stable")
-    index = np.empty((len(levels), n), dtype=np.int64)
-    index[order] = _first_crossings(X, grid, levels[order], shape_step, rng)
     sigma_M, sigma_Ms, sigma_L = np.where(index > 0, index * delta, np.inf)
-    del X
+    del index
 
     # Exact inverse-transform draw of the shock time given the (grid) time v
     # at which the path enters the high-intensity regime: the cumulative
     # hazard is lam1*t on [0, v] and lam1*v + lam2*(t - v) beyond.
-    E = rng.exponential(1.0, n)
+    E = np.concatenate([rng.exponential(1.0, size) for rng, size in zip(rngs, sizes)])
     v = np.minimum(sigma_Ms, horizon)
     with np.errstate(divide="ignore", invalid="ignore"):
         below = np.where(lam1 > 0.0, E / max(lam1, 1e-300), np.inf)
@@ -270,29 +349,41 @@ def _simulate_kernel(model, policy, horizon, delta, n, rng):
     return k_rep, corrective, censored, D, sigma_M, sigma_Ms, sigma_L, Y
 
 
-def _block_accumulate(model, policy, life, delta, n_block, seed_seq, times):
-    """Simulate one block and reduce it to table sums (not means)."""
-    rng = np.random.default_rng(seed_seq)
-    T = policy.inspection_period
+def _table(index, rows, cols, weights=None):
+    """Counts (or sums of weights) of flat bin indices, as a rows x cols table."""
+    return np.bincount(index, weights, minlength=rows * cols).reshape(rows, cols)
+
+
+def _block_accumulate(model, T, life, delta, Ms, sizes, seed_seqs, times):
+    """Simulate several streams in one pass and reduce each to table sums.
+
+    Every returned array has one row per stream.  Each sum is one
+    ``np.bincount`` over (stream, bin), which adds a stream's paths in path
+    order, so a stream's row does not depend on the other streams.
+    """
+    rngs = [np.random.default_rng(seq) for seq in seed_seqs]
     kmax = int(math.floor(life.horizon / T + _EPS))
     k_rep, corrective, censored, D, *_ = _simulate_kernel(
-        model, policy, life.horizon, delta, n_block, rng
+        model, T, life.horizon, delta, Ms, sizes, rngs
     )
+    S = len(sizes)
+    stream = np.repeat(np.arange(S), sizes)
     # Per inspection k: replacements by kind and the downtime kT - D of
     # corrective ones (k_rep <= kmax exactly when the cycle is not censored).
     k = k_rep[~censored]
     corr = corrective[~censored]
     w = np.where(corr, k * T - D[~censored], 0.0)
     size = kmax + 1
+    cell = stream[~censored] * size + k
     sums = {
-        "p_p": np.bincount(k[~corr], minlength=size).astype(float),
-        "p_c": np.bincount(k[corr], minlength=size).astype(float),
-        "jw": np.bincount(k, weights=w, minlength=size),
-        "jw2": np.bincount(k, weights=w * w, minlength=size),
-        "alive": np.zeros(len(times)),
-        "resid": np.zeros(len(times)),
-        "resid2": np.zeros(len(times)),
-        "censored": float(censored.sum()),
+        "p_p": _table(cell[~corr], S, size).astype(float),
+        "p_c": _table(cell[corr], S, size).astype(float),
+        "jw": _table(cell, S, size, w),
+        "jw2": _table(cell, S, size, w * w),
+        "alive": np.zeros((S, len(times))),
+        "resid": np.zeros((S, len(times))),
+        "resid2": np.zeros((S, len(times))),
+        "censored": np.bincount(stream[censored], minlength=S).astype(float),
     }
     # Per lattice time t, over the cycles not replaced by its last inspection
     # kf: alive at t, and the downtime accrued since max(D, kf T).  The times
@@ -301,11 +392,16 @@ def _block_accumulate(model, policy, life, delta, n_block, seed_seq, times):
     for kf in range(kmax + 1):
         cols = np.flatnonzero(kf_of == kf)
         t = times[cols]
-        D_open = D[k_rep > kf]
-        sums["alive"][cols] = (D_open[:, None] > t).sum(axis=0)
-        down = np.maximum(0.0, t - np.maximum(D_open, kf * T)[:, None])
-        sums["resid"][cols] = down.sum(axis=0)
-        sums["resid2"][cols] = (down * down).sum(axis=0)
+        nc = len(cols)
+        open_ = np.flatnonzero(k_rep > kf)
+        D_open = D[open_]
+        bins = (stream[open_] * nc)[:, None] + np.arange(nc)
+        down = np.subtract(t, np.maximum(D_open, kf * T)[:, None])
+        np.maximum(down, 0.0, out=down)
+        sums["alive"][:, cols] = _table(bins[D_open[:, None] > t], S, nc)
+        sums["resid"][:, cols] = _table(bins.ravel(), S, nc, down.ravel())
+        np.square(down, out=down)
+        sums["resid2"][:, cols] = _table(bins.ravel(), S, nc, down.ravel())
     return sums
 
 
@@ -521,6 +617,115 @@ def _block_split(n: int, streams: int) -> np.ndarray:
     return np.array([base + (1 if i < extra else 0) for i in range(streams)])
 
 
+def _passes(sizes, cap: int) -> list[list[int]]:
+    """Stream indices grouped, in order, into passes of at most cap paths.
+
+    Empty streams are left out; a stream larger than the cap runs alone.
+    """
+    passes: list[list[int]] = []
+    total = 0
+    for s, size in enumerate(sizes):
+        if size == 0:
+            continue
+        if not passes or total + size > cap:
+            passes.append([])
+            total = 0
+        passes[-1].append(s)
+        total += size
+    return passes
+
+
+def estimate_row(
+    model: SystemModel,
+    T: float,
+    Ms,
+    life: LifeCycle,
+    cfg: SimulationConfig,
+    seed_sequences,
+    threads: int = 1,
+) -> Iterator[EstimateTables]:
+    """Tables of the policies (T, M) for every M in Ms, simulated together.
+
+    Policy j splits cfg.n_samples into ``worker_streams`` blocks whose
+    substreams are spawned from ``seed_sequences[j]``.  The blocks of all
+    policies are simulated in passes of up to _PASS_PATHS paths; every block
+    draws and sums exactly what it would alone, so each table set equals
+    ``estimate_tables`` of its policy with the same seed sequence, whatever
+    the other policies, their order or the thread count.  The policies are
+    checked and the substreams spawned at the call; the table sets are
+    yielded in the order of Ms, each once its blocks are simulated.
+    """
+    policies = [
+        MaintenancePolicy(inspection_period=T, preventive_threshold=M) for M in Ms
+    ]
+    for policy in policies:
+        _check_simulable(model, policy)
+    if len(seed_sequences) != len(policies):
+        raise ConfigurationError("estimate_row needs one seed sequence per threshold")
+    if not policies:
+        return iter(())
+    delta = cfg.step_for(policies[0])
+    seqs = [child for seq in seed_sequences for child in seq.spawn(cfg.worker_streams)]
+    return _row_tables(model, policies, life, cfg, delta, seqs, threads)
+
+
+def _row_tables(model, policies, life, cfg, delta, seqs, threads):
+    """The generator behind estimate_row: simulate the passes, yield table sets."""
+    T = policies[0].inspection_period
+    times = eval_times(policies[0], life)
+    B = cfg.worker_streams
+    block = _block_split(cfg.n_samples, B)
+    last_block = int(np.flatnonzero(block)[-1])
+    sizes = np.tile(block, len(policies))
+    thresholds = np.repeat([p.preventive_threshold for p in policies], B)
+
+    def work(streams):
+        return streams, _block_accumulate(
+            model, T, life, delta, thresholds[streams], sizes[streams],
+            [seqs[s] for s in streams], times,
+        )
+
+    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+    try:
+        passes = _passes(sizes, _PASS_PATHS)
+        results = map(work, passes) if pool is None else pool.map(work, passes)
+        blocks: dict[int, dict[str, np.ndarray]] = {}
+        done = 0
+        for streams, sums in results:
+            for i, s in enumerate(streams):
+                j, b = divmod(s, B)
+                if j not in blocks:  # empty blocks keep their zero rows
+                    blocks[j] = {
+                        name: np.zeros((B, *value.shape[1:]))
+                        for name, value in sums.items()
+                    }
+                for name, array in blocks[j].items():
+                    array[b] = sums[name][i]
+            # Policies are simulated in order: every one whose last block
+            # is simulated is complete.
+            while done < len(policies) and done * B + last_block <= streams[-1]:
+                policy, arrays = policies[done], blocks.pop(done)
+                tables = EstimateTables(
+                    T=T,
+                    M=policy.preventive_threshold,
+                    horizon=life.horizon,
+                    delta=delta,
+                    n=cfg.n_samples,
+                    master_seed=cfg.master_seed,
+                    worker_streams=B,
+                    digest=tables_digest(model, policy, life, cfg, delta),
+                    times=times,
+                    block_sizes=block,
+                    **{"b" + name: array for name, array in arrays.items()},
+                )
+                tables.validate()
+                yield tables
+                done += 1
+    finally:
+        if pool is not None:
+            pool.shutdown()
+
+
 def estimate_tables(
     model: SystemModel,
     policy: MaintenancePolicy,
@@ -532,65 +737,15 @@ def estimate_tables(
     """Estimate all recursion inputs from cfg.n_samples first cycles.
 
     The output is a pure function of (model, policy, life, cfg); the thread
-    count only affects wall-clock time.
+    count only affects wall-clock time.  It is the one-policy case of
+    :func:`estimate_row`.
     """
-    _check_simulable(model, policy)
-    delta = cfg.step_for(policy)
-    times = eval_times(policy, life)
     if seed_sequence is None:
         seed_sequence = np.random.SeedSequence(cfg.master_seed)
-    children = seed_sequence.spawn(cfg.worker_streams)
-    sizes = _block_split(cfg.n_samples, cfg.worker_streams)
-
-    def work(args):
-        n_block, child = args
-        if n_block == 0:
-            return None
-        return _block_accumulate(model, policy, life, delta, n_block, child, times)
-
-    jobs = list(zip(sizes.tolist(), children))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, jobs))
-    else:
-        results = [work(j) for j in jobs]
-
-    B = cfg.worker_streams
-    kmax = int(math.floor(life.horizon / policy.inspection_period + _EPS))
-    shape_k = (B, kmax + 1)
-    shape_t = (B, len(times))
-    arrays = {
-        "bp_p": np.zeros(shape_k), "bp_c": np.zeros(shape_k),
-        "bjw": np.zeros(shape_k), "bjw2": np.zeros(shape_k),
-        "balive": np.zeros(shape_t), "bresid": np.zeros(shape_t),
-        "bresid2": np.zeros(shape_t), "bcensored": np.zeros(B),
-    }
-    for b, sums in enumerate(results):
-        if sums is None:
-            continue
-        arrays["bp_p"][b] = sums["p_p"]
-        arrays["bp_c"][b] = sums["p_c"]
-        arrays["bjw"][b] = sums["jw"]
-        arrays["bjw2"][b] = sums["jw2"]
-        arrays["balive"][b] = sums["alive"]
-        arrays["bresid"][b] = sums["resid"]
-        arrays["bresid2"][b] = sums["resid2"]
-        arrays["bcensored"][b] = sums["censored"]
-
-    tables = EstimateTables(
-        T=policy.inspection_period,
-        M=policy.preventive_threshold,
-        horizon=life.horizon,
-        delta=delta,
-        n=cfg.n_samples,
-        master_seed=cfg.master_seed,
-        worker_streams=cfg.worker_streams,
-        digest=tables_digest(model, policy, life, cfg, delta),
-        times=times,
-        block_sizes=sizes,
-        **arrays,
+    (tables,) = estimate_row(
+        model, policy.inspection_period, [policy.preventive_threshold], life, cfg,
+        [seed_sequence], threads,
     )
-    tables.validate()
     return tables
 
 
@@ -604,10 +759,10 @@ def simulate_cycle(
     """Simulate one first renewal cycle and classify its outcome."""
     _check_simulable(model, policy)
     delta = cfg.step_for(policy)
-    k_rep, corrective, censored, D, sM, sMs, sL, Y = _simulate_kernel(
-        model, policy, life.horizon, delta, 1, rng_stream
-    )
     T = policy.inspection_period
+    k_rep, corrective, censored, D, sM, sMs, sL, Y = _simulate_kernel(
+        model, T, life.horizon, delta, [policy.preventive_threshold], [1], [rng_stream]
+    )
     kmax = int(math.floor(life.horizon / T + _EPS))
 
     def opt(x):
@@ -705,7 +860,7 @@ def _chain_block(model, policy, costs, life, delta, n_block, seed_seq):
     while active.any():
         na = int(active.sum())
         k_rep, corrective, censored, D, *_ = _simulate_kernel(
-            model, policy, tf, delta, na, rng
+            model, T, tf, delta, [policy.preventive_threshold], [na], [rng]
         )
         remaining = tf - clock[active]
         k_limit = np.floor(remaining / T + _EPS).astype(np.int64)
@@ -794,7 +949,9 @@ def sample_failure_times(
     )
     _check_simulable(model, policy)
     rng = np.random.default_rng(np.random.SeedSequence(master_seed))
-    *_, sigma_L, Y = _simulate_kernel(model, policy, horizon, delta, n, rng)
+    *_, sigma_L, Y = _simulate_kernel(
+        model, horizon, horizon, delta, [model.breakdown_threshold], [n], [rng]
+    )
     return sigma_L, Y
 
 

@@ -369,7 +369,8 @@ def test_criterion_9_property_suite(ref_model, ref_policy, ref_costs, ref_life, 
     n_fp = 10_000
     rng = np.random.default_rng(SEED)
     *_, sigma_Ms, _sigma_L, _Y = _simulate_kernel(
-        ref_model, ref_policy, 50.0, 0.02, n_fp, rng
+        ref_model, ref_policy.inspection_period, 50.0, 0.02,
+        [ref_policy.preventive_threshold], [n_fp], [rng],
     )
     fp_ok = True
     for t in np.linspace(5.0, 50.0, 10):

@@ -62,7 +62,7 @@ def test_law_matches_dense_sampler(T, M, delta):
     model = make_model()
     policy = MaintenancePolicy(inspection_period=T, preventive_threshold=M)
     bridge = _simulate_kernel(
-        model, policy, HORIZON, delta, N, np.random.default_rng(SEED)
+        model, T, HORIZON, delta, [M], [N], [np.random.default_rng(SEED)]
     )
     dense = dense_kernel(
         model, policy, HORIZON, delta, N, np.random.default_rng(SEED + 1)
@@ -89,9 +89,8 @@ def test_law_matches_dense_sampler(T, M, delta):
 @pytest.mark.parametrize("M, delta", [(14.0, 0.1), (25.0, 0.3), (30.0, 0.5)])
 def test_crossings_are_grid_points_of_one_path(M, delta):
     model = make_model()
-    policy = MaintenancePolicy(inspection_period=10.0, preventive_threshold=M)
     *_, sM, sMs, sL, _ = _simulate_kernel(
-        model, policy, HORIZON, delta, 20_000, np.random.default_rng(SEED)
+        model, 10.0, HORIZON, delta, [M], [20_000], [np.random.default_rng(SEED)]
     )
     for sigma in (sM, sMs, sL):
         hit = sigma[np.isfinite(sigma)]
@@ -107,9 +106,8 @@ def test_crossings_are_grid_points_of_one_path(M, delta):
 
 def test_identical_thresholds_give_identical_crossings():
     model = make_model(L=25.0, Ms=25.0)
-    policy = MaintenancePolicy(inspection_period=10.0, preventive_threshold=25.0)
     *_, sM, sMs, sL, _ = _simulate_kernel(
-        model, policy, HORIZON, 0.1, 20_000, np.random.default_rng(SEED)
+        model, 10.0, HORIZON, 0.1, [25.0], [20_000], [np.random.default_rng(SEED)]
     )
     assert np.isfinite(sM).any()
     assert np.array_equal(sM, sMs) and np.array_equal(sMs, sL)
@@ -123,8 +121,11 @@ def test_one_pass_reduction_matches_loops(T, horizon, delta):
     times = eval_times(policy, life)
     n = 20_000
     seq = np.random.SeedSequence(SEED)
-    sums = _block_accumulate(model, policy, life, delta, n, seq, times)
-    outputs = _simulate_kernel(model, policy, horizon, delta, n, np.random.default_rng(seq))
+    sums = _block_accumulate(model, T, life, delta, [14.0], [n], [seq], times)
+    sums = {key: value[0] for key, value in sums.items()}
+    outputs = _simulate_kernel(
+        model, T, horizon, delta, [14.0], [n], [np.random.default_rng(seq)]
+    )
     ref = loop_accumulate(*outputs[:4], T, int(horizon // T), times)
     # Counts are exact; sums of n nonnegative terms differ only by summation
     # order, at most n float64 roundings.

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from cbmlife import cli
 from cbmlife.cli import dump_config, main, parse_config, parse_grid_spec
 from cbmlife.errors import ConfigurationError
 
@@ -157,14 +158,24 @@ class TestCurvesCommand:
         )
         assert ir == {t: v for t, v in avail.items() if t in ir}
 
-    def test_non_finite_interval_length(self, small_config, tmp_path):
-        out = tmp_path / "nan"
-        argv = [
-            "curves", "--config", str(small_config), "--grid-M", "14:14",
-            "--ir-s", "nan", "--out-dir", str(out), "--quiet",
-        ]
-        assert main(argv) == 1
-        assert not (out / "interval_reliability.csv").exists()
+    def test_non_finite_interval_length(self, small_config, tmp_path, monkeypatch):
+        simulated = []
+
+        def no_simulation(*args, **kwargs):
+            simulated.append(args)
+            raise AssertionError("a table set was simulated before --ir-s was checked")
+
+        monkeypatch.setattr(cli, "estimate_row", no_simulation)
+        monkeypatch.setattr(cli, "estimate_tables", no_simulation)
+        for s in ("nan", "inf", "-3"):
+            out = tmp_path / s
+            argv = [
+                "curves", "--config", str(small_config),
+                "--ir-s", s, "--out-dir", str(out), "--quiet",
+            ]
+            assert main(argv) == 1
+            assert not (out / "interval_reliability.csv").exists()
+        assert simulated == []
 
 
 class TestSensitivityCommand:

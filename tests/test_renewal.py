@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,27 @@ class TestAsymptotic:
         )
         mass_trunc = truncated.p_preventive.sum() + truncated.p_corrective.sum()
         assert mass_trunc <= mass_full + 1e-15
+
+    def test_truncated_ratio_stops_at_kmax(self, tables_small, ref_costs):
+        truncated = dataclasses.replace(
+            tables_small,
+            bp_p=tables_small.bp_p[:, :3].copy(),
+            bp_c=tables_small.bp_c[:, :3].copy(),
+        )
+        assert truncated.kmax == 2
+        assert truncated.joint_downtime[3:].sum() > 0.0  # downtime past kmax
+        c = ref_costs
+        numerator = denominator = 0.0
+        for k in (1, 2):
+            pp, pc = truncated.p_preventive[k], truncated.p_corrective[k]
+            numerator += (c.corrective * pc + c.preventive * pp
+                          + c.inspection * (k - 1) * (pp + pc)
+                          + c.downtime_rate * truncated.joint_downtime[k])
+            denominator += k * truncated.T * (pp + pc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            rate = asymptotic_cost_rate(truncated, ref_costs)
+        assert rate == pytest.approx(numerator / denominator, rel=1e-12)
 
 
 class TestPerformanceMeasures:

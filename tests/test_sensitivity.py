@@ -103,7 +103,10 @@ class TestShockTable:
                 shock_threshold=ref_model.shock_threshold,
             )
             rng = np.random.default_rng(SEED)
-            *_, sigma_L, Y = _simulate_kernel(model, ref_policy, 50.0, 0.1, n, rng)
+            *_, sigma_L, Y = _simulate_kernel(
+                model, ref_policy.inspection_period, 50.0, 0.1,
+                [ref_policy.preventive_threshold], [n], [rng],
+            )
             frac[scale] = float((Y < sigma_L).mean())
         assert frac[2.0] > frac[1.0]
 
@@ -128,13 +131,13 @@ class TestShockTable:
 
 def test_baseline_cell_is_not_recomputed(ref_model, ref_costs, ref_life, monkeypatch):
     simulated = []
-    real = sensitivity.estimate_tables
+    real = sensitivity.estimate_row
 
-    def counting(model, *args, **kwargs):
-        simulated.append(model)
-        return real(model, *args, **kwargs)
+    def counting(model, T, Ms, *args, **kwargs):
+        simulated.extend([model] * len(Ms))
+        return real(model, T, Ms, *args, **kwargs)
 
-    monkeypatch.setattr(sensitivity, "estimate_tables", counting)
+    monkeypatch.setattr(sensitivity, "estimate_row", counting)
     scheme = PerturbationScheme(variations=(-5.0, 0.0, 5.0))
     cfg = SimulationConfig(n_samples=200, master_seed=SEED, worker_streams=2)
     table = gamma_sensitivity(

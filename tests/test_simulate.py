@@ -113,7 +113,8 @@ class TestEstimateTables:
 
         rng = np.random.default_rng(SEED)
         *_, sigma_Ms, _sigma_L, _Y = _simulate_kernel(
-            ref_model, policy, 50.0, 0.1, cfg.n_samples, rng
+            ref_model, policy.inspection_period, 50.0, 0.1,
+            [policy.preventive_threshold], [cfg.n_samples], [rng],
         )
         n = cfg.n_samples
         for t in np.linspace(5.0, 50.0, 10):
