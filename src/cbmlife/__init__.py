@@ -2,7 +2,7 @@
 
 Library layout:
 
-- :mod:`cbmlife.model`: parametric types and closed-form primitives.
+- :mod:`cbmlife.model`: validated parametric types.
 - :mod:`cbmlife.simulate`: Monte Carlo engine and estimate tables.
 - :mod:`cbmlife.renewal`: Markov renewal recursions (cost, variance,
   availability, reliability, interval reliability).
@@ -30,7 +30,6 @@ from .renewal import (
 from .sensitivity import PerturbationScheme, VariationTable
 from .simulate import (
     EstimateTables,
-    ReplacementSample,
     SimulationConfig,
     estimate_row,
     estimate_tables,
@@ -47,7 +46,6 @@ __all__ = [
     "OptimizationResult",
     "PerturbationScheme",
     "PolicyGrid",
-    "ReplacementSample",
     "ShockIntensity",
     "SimulationConfig",
     "SystemModel",

@@ -37,7 +37,7 @@ from .model import (
 )
 from .simulate import SimulationConfig, chain_statistics, estimate_row, estimate_tables
 
-__all__ = ["RunConfig", "parse_config", "dump_config", "main"]
+__all__ = ["RunConfig", "parse_config", "main"]
 
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "CBMLIFE_OUTDIR"
@@ -58,6 +58,10 @@ class RunConfig:
     out_dir: Path
     workers: int
 
+    def __post_init__(self) -> None:
+        if self.workers < 1:
+            raise ConfigurationError(f"workers must be at least 1, not {self.workers}")
+
 
 def _get(parser_section, section: str, key: str, conv=float):
     try:
@@ -71,15 +75,24 @@ def _get(parser_section, section: str, key: str, conv=float):
 
 
 def parse_grid_spec(spec: str) -> tuple[float, ...]:
-    """Parse 'start:end[:count]'; without count, unit spacing is assumed."""
+    """Parse 'start:end[:count]'; without count, the points are unit spaced."""
     parts = spec.split(":")
     if len(parts) not in (2, 3):
         raise ConfigurationError(f"grid spec '{spec}' is not start:end[:count]")
     try:
         start, end = float(parts[0]), float(parts[1])
-        count = int(parts[2]) if len(parts) == 3 else int(round(end - start)) + 1
+        count = int(parts[2]) if len(parts) == 3 else None
     except ValueError:
         raise ConfigurationError(f"grid spec '{spec}' has non-numeric fields")
+    if not (math.isfinite(start) and math.isfinite(end)):
+        raise ConfigurationError(f"grid spec '{spec}' has a non-finite field")
+    if count is None:
+        steps = round(end - start)
+        if abs(end - start - steps) > 1e-9:
+            raise ConfigurationError(
+                f"grid spec '{spec}' needs a count: end - start is not a whole number"
+            )
+        count = steps + 1
     if count < 1 or end < start:
         raise ConfigurationError(f"grid spec '{spec}' is empty")
     if count == 1:
@@ -140,7 +153,7 @@ def parse_config(path) -> RunConfig:
         parser.get("output", "directory", fallback="")
         or os.environ.get(OUTPUT_DIR_ENV, "out")
     )
-    workers = int(parser.get("simulation", "workers", fallback="1"))
+    workers = _get(s, "simulation", "workers", int) if "workers" in s else 1
     return RunConfig(
         model=model,
         costs=costs,
@@ -151,57 +164,6 @@ def parse_config(path) -> RunConfig:
         out_dir=out_dir,
         workers=workers,
     )
-
-
-def dump_config(rc: RunConfig) -> str:
-    """Serialize a RunConfig back to config-file text (round-trippable)."""
-
-    def grid_spec(values):
-        if len(values) == 1:
-            return f"{values[0]:g}:{values[0]:g}:1"
-        return f"{values[0]:g}:{values[-1]:g}:{len(values)}"
-
-    lines = [
-        "[meta]",
-        f"schema = {SCHEMA_VERSION}",
-        "",
-        "[model]",
-        f"alpha = {rc.model.degradation.alpha:g}",
-        f"beta = {rc.model.degradation.beta:g}",
-        f"lambda1 = {rc.model.shocks.lambda1:g}",
-        f"lambda2 = {rc.model.shocks.lambda2:g}",
-        f"breakdown_threshold = {rc.model.breakdown_threshold:g}",
-        f"shock_threshold = {rc.model.shock_threshold:g}",
-        "",
-        "[costs]",
-        f"corrective = {rc.costs.corrective:g}",
-        f"preventive = {rc.costs.preventive:g}",
-        f"inspection = {rc.costs.inspection:g}",
-        f"downtime_rate = {rc.costs.downtime_rate:g}",
-        "",
-        "[life]",
-        f"horizon = {rc.life.horizon:g}",
-        "",
-        "[policy]",
-        f"inspection_period = {rc.policy.inspection_period:g}",
-        f"preventive_threshold = {rc.policy.preventive_threshold:g}",
-        "",
-        "[grid]",
-        f"T = {grid_spec(rc.grid.T_values)}",
-        f"M = {grid_spec(rc.grid.M_values)}",
-        "",
-        "[simulation]",
-        f"n_samples = {rc.sim.n_samples}",
-        f"path_step = {'' if rc.sim.path_step is None else f'{rc.sim.path_step:g}'}",
-        f"seed = {rc.sim.master_seed}",
-        f"worker_streams = {rc.sim.worker_streams}",
-        f"workers = {rc.workers}",
-        "",
-        "[output]",
-        f"directory = {rc.out_dir}",
-        "",
-    ]
-    return "\n".join(lines)
 
 
 def _apply_overrides(rc: RunConfig, args) -> RunConfig:

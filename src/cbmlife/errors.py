@@ -9,10 +9,6 @@ class GridCoverageError(ValueError):
     """A recursion lookup fell off the evaluation grid."""
 
 
-class CacheInvalidError(RuntimeError):
-    """A persisted table file does not match the requesting context."""
-
-
 class InconsistencyError(RuntimeError):
     """A numerical identity was violated beyond tolerance."""
 

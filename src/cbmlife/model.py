@@ -7,10 +7,8 @@ regimes).  The unit fails when degradation crosses a breakdown threshold or
 when a shock arrives, whichever happens first.  Periodic inspections trigger
 preventive or corrective replacement.
 
-This module holds the immutable configuration types and the closed-form
-distributional primitives: the regularized incomplete gamma function, the
-first-passage-time distribution of the gamma process, and the conditional
-shock survival function.
+This module holds the immutable, validated configuration types; the
+distributions they define are simulated by :mod:`cbmlife.simulate`.
 """
 
 from __future__ import annotations
@@ -19,8 +17,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "GammaDegradation",
     "ShockIntensity",
@@ -28,16 +24,7 @@ __all__ = [
     "MaintenancePolicy",
     "CostStructure",
     "LifeCycle",
-    "regularized_upper_gamma",
-    "regularized_lower_gamma",
-    "first_passage_cdf",
-    "conditional_shock_survival",
-    "shock_survival_baseline",
-    "sample_gamma_increment",
 ]
-
-_MAX_ITER = 10_000
-_EPS = 1e-15
 
 
 def _require_finite(obj, *names: str) -> None:
@@ -65,12 +52,6 @@ class GammaDegradation:
         if not (self.alpha > 0.0 and self.beta > 0.0):
             raise ValueError("gamma process requires alpha > 0 and beta > 0")
 
-    def mean(self, t: float) -> float:
-        return self.alpha * t / self.beta
-
-    def variance(self, t: float) -> float:
-        return self.alpha * t / self.beta**2
-
 
 @dataclass(frozen=True)
 class ShockIntensity:
@@ -78,10 +59,7 @@ class ShockIntensity:
 
     Shocks arrive at rate ``lambda1`` while degradation is at or below the
     shock threshold and at rate ``lambda2`` once it is above.  Rates are
-    constant in time.  The closed forms of this module read the intensity
-    through :meth:`rate` and :meth:`integrated`, so a subclass overriding
-    them changes only those; the simulator draws shock times from
-    ``lambda1`` and ``lambda2`` and rejects such a subclass.
+    constant in time.
     """
 
     lambda1: float
@@ -97,18 +75,6 @@ class ShockIntensity:
                 UserWarning,
                 stacklevel=2,
             )
-
-    def rate(self, regime: int, t: float) -> float:
-        """Instantaneous intensity of regime 1 (below) or 2 (above)."""
-        if regime not in (1, 2):
-            raise ValueError("regime must be 1 or 2")
-        return self.lambda1 if regime == 1 else self.lambda2
-
-    def integrated(self, regime: int, t: float) -> float:
-        """Cumulative hazard of the given regime on [0, t]."""
-        if t < 0.0:
-            raise ValueError("time must be nonnegative")
-        return self.rate(regime, t) * t
 
 
 @dataclass(frozen=True)
@@ -189,143 +155,3 @@ class LifeCycle:
         if self.horizon <= 0.0:
             raise ValueError("life-cycle horizon must be positive")
 
-
-def _lower_series(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma by power series, log-space prefix."""
-    if x == 0.0:
-        return 0.0
-    term = 1.0 / a
-    total = term
-    for n in range(1, _MAX_ITER):
-        term *= x / (a + n)
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            break
-    log_val = a * math.log(x) - x - math.lgamma(a) + math.log(total)
-    return math.exp(log_val) if log_val < 0.0 else 1.0
-
-
-def _upper_cf(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma by Lentz continued fraction."""
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / max(b, tiny)
-    h = d
-    for i in range(1, _MAX_ITER):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    log_val = a * math.log(x) - x - math.lgamma(a) + math.log(abs(h))
-    return math.exp(log_val) if log_val < 0.0 else 1.0
-
-
-def regularized_upper_gamma(a: float, x: float) -> float:
-    """Q(a, x) = Gamma(a, x) / Gamma(a).
-
-    Power series for x < a + 1, continued fraction otherwise, with the
-    prefactor assembled in log space so large shape parameters (a up to at
-    least 1e4 and beyond) stay finite.
-    """
-    if a <= 0.0:
-        raise ValueError("shape parameter a must be positive")
-    if x < 0.0:
-        raise ValueError("argument x must be nonnegative")
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _lower_series(a, x)
-    return _upper_cf(a, x)
-
-
-def regularized_lower_gamma(a: float, x: float) -> float:
-    """P(a, x) = gamma(a, x) / Gamma(a), the complement of the upper ratio."""
-    if a <= 0.0:
-        raise ValueError("shape parameter a must be positive")
-    if x < 0.0:
-        raise ValueError("argument x must be nonnegative")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _lower_series(a, x)
-    return 1.0 - _upper_cf(a, x)
-
-
-def _degradation_of(model) -> GammaDegradation:
-    if isinstance(model, SystemModel):
-        return model.degradation
-    if isinstance(model, GammaDegradation):
-        return model
-    raise TypeError("expected SystemModel or GammaDegradation")
-
-
-def _shocks_of(model) -> ShockIntensity:
-    if isinstance(model, SystemModel):
-        return model.shocks
-    if isinstance(model, ShockIntensity):
-        return model
-    raise TypeError("expected SystemModel or ShockIntensity")
-
-
-def first_passage_cdf(model, z: float, t: float) -> float:
-    """CDF of the first time the gamma process reaches level z.
-
-    P[sigma_z <= t] = P[X(t) >= z] = Q(alpha * t, z * beta).  A shape
-    alpha * t that underflows to zero returns the t -> 0 limit, 0.
-    """
-    deg = _degradation_of(model)
-    if z <= 0.0:
-        raise ValueError("level z must be positive")
-    if t < 0.0:
-        raise ValueError("time t must be nonnegative")
-    shape = deg.alpha * t
-    if shape == 0.0:
-        return 0.0
-    return regularized_upper_gamma(shape, z * deg.beta)
-
-
-def shock_survival_baseline(model, regime: int, t: float) -> float:
-    """Survival of a shock clock running at the regime's own intensity."""
-    shocks = _shocks_of(model)
-    if t < 0.0:
-        raise ValueError("time t must be nonnegative")
-    return math.exp(-shocks.integrated(regime, t))
-
-
-def conditional_shock_survival(model, v: float, t: float) -> float:
-    """P[no shock in (0, t] | degradation crossed the shock threshold at v].
-
-    The hazard runs at the low rate on [0, v] and at the high rate on (v, t].
-    """
-    shocks = _shocks_of(model)
-    if v < 0.0:
-        raise ValueError("crossing time v must be nonnegative")
-    if t < v:
-        raise ValueError("time t must satisfy t >= v")
-    low = shocks.integrated(1, v)
-    high = shocks.integrated(2, t) - shocks.integrated(2, v)
-    return math.exp(-(low + high))
-
-
-def sample_gamma_increment(degradation: GammaDegradation, dt: float, rng, size=None):
-    """Draw degradation increments over a step of length dt.
-
-    Returns a scalar when ``size`` is None, else an ndarray of that shape.
-    A zero step returns exactly zero.
-    """
-    if dt < 0.0:
-        raise ValueError("time step must be nonnegative")
-    if dt == 0.0:
-        return 0.0 if size is None else np.zeros(size)
-    draw = rng.gamma(degradation.alpha * dt, 1.0 / degradation.beta, size)
-    return float(draw) if size is None else draw

@@ -10,7 +10,6 @@ blocks of the cell's estimate tables.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 import warnings
@@ -30,7 +29,6 @@ __all__ = [
     "optimize_transient",
     "renewal_counts",
     "write_matrix_csv",
-    "write_report_json",
 ]
 
 
@@ -226,11 +224,3 @@ def write_matrix_csv(result: OptimizationResult, path) -> None:
                     f"{result.stderr[i, j]:.6f}\n"
                 )
 
-
-def write_report_json(result: OptimizationResult, path, extra: dict | None = None):
-    payload = result.to_dict()
-    if extra:
-        payload.update(extra)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

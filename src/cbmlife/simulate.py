@@ -51,27 +51,21 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CacheInvalidError, ConfigurationError, GridCoverageError
+from .errors import ConfigurationError, GridCoverageError
 from .model import (
     CostStructure,
     LifeCycle,
     MaintenancePolicy,
-    ShockIntensity,
     SystemModel,
 )
 
 __all__ = [
     "SimulationConfig",
-    "ReplacementSample",
     "EstimateTables",
-    "simulate_cycle",
     "estimate_tables",
     "estimate_row",
-    "chain_cycles",
     "chain_statistics",
     "sample_failure_times",
-    "persist_tables",
-    "load_tables",
     "tables_digest",
     "eval_times",
 ]
@@ -86,8 +80,6 @@ _PASS_PATHS = 2048
 # horizon has many inspection epochs, and its skeleton would otherwise
 # outweigh the rest of a pass.
 _SKELETON_POINTS = 16_384
-_MAGIC = "CBMLIFE-TABLES"
-_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -124,33 +116,6 @@ class SimulationConfig:
         return delta
 
 
-@dataclass(frozen=True)
-class ReplacementSample:
-    """One simulated first renewal cycle.
-
-    ``replacement_time`` is a multiple of the inspection period for replaced
-    cycles and equals the life-cycle horizon for censored ones.  Crossing and
-    shock times beyond the simulated horizon are None.  ``inspections_count``
-    is the number of inspections charged at the inspection cost (the
-    replacing inspection itself is folded into the replacement cost).
-    """
-
-    replacement_time: float
-    kind: str
-    failure_time: float | None
-    sigma_M: float | None
-    sigma_Ms: float | None
-    sigma_L: float | None
-    shock_time: float | None
-    inspections_count: int
-
-    @property
-    def downtime(self) -> float:
-        if self.kind != "corrective" or self.failure_time is None:
-            return 0.0
-        return self.replacement_time - self.failure_time
-
-
 def _key(t: float) -> int:
     """Canonical integer key for a grid time (nanosecond-style rounding)."""
     return int(round(t * 1e9))
@@ -177,16 +142,9 @@ def eval_times(policy: MaintenancePolicy, life: LifeCycle) -> np.ndarray:
 
 
 def _check_simulable(model: SystemModel, policy: MaintenancePolicy) -> None:
-    """Reject what the sampler cannot simulate before any path is drawn."""
+    """Reject a preventive threshold above L before any path is drawn."""
     if policy.preventive_threshold > model.breakdown_threshold:
         raise ConfigurationError("preventive threshold must not exceed L")
-    shocks = type(model.shocks)
-    if (shocks.rate is not ShockIntensity.rate
-            or shocks.integrated is not ShockIntensity.integrated):
-        raise ConfigurationError(
-            f"{shocks.__name__} overrides rate or integrated; the sampler draws "
-            "shock times from lambda1 and lambda2 only"
-        )
 
 
 def _skeleton(horizon: float, T: float, delta: float) -> np.ndarray:
@@ -525,17 +483,6 @@ class EstimateTables:
             )
         return row, level
 
-    def base_cost(self, t: float, costs: CostStructure) -> float:
-        """Recursion base case E[C(t)] for t < T: downtime cost only."""
-        if not t < self.T + _EPS:
-            raise GridCoverageError("base_cost is defined for t < T only")
-        return costs.downtime_rate * self.residual_downtime[self.index_of(t)]
-
-    def base_cost_sq(self, t: float, costs: CostStructure) -> float:
-        if not t < self.T + _EPS:
-            raise GridCoverageError("base_cost_sq is defined for t < T only")
-        return costs.downtime_rate**2 * self.residual_downtime_sq[self.index_of(t)]
-
     def block_view(self, b: int) -> "EstimateTables":
         """Single-block tables, used for batch-means standard errors."""
         return EstimateTables(
@@ -593,7 +540,7 @@ class EstimateTables:
 
 def tables_digest(model, policy, life, cfg, delta: float) -> str:
     payload = {
-        "format": _FORMAT_VERSION,
+        "format": 1,  # the version of the payload, so digests stay comparable
         "alpha": model.degradation.alpha,
         "beta": model.degradation.beta,
         "lambda1": model.shocks.lambda1,
@@ -749,105 +696,6 @@ def estimate_tables(
     return tables
 
 
-def simulate_cycle(
-    model: SystemModel,
-    policy: MaintenancePolicy,
-    life: LifeCycle,
-    cfg: SimulationConfig,
-    rng_stream,
-) -> ReplacementSample:
-    """Simulate one first renewal cycle and classify its outcome."""
-    _check_simulable(model, policy)
-    delta = cfg.step_for(policy)
-    T = policy.inspection_period
-    k_rep, corrective, censored, D, sM, sMs, sL, Y = _simulate_kernel(
-        model, T, life.horizon, delta, [policy.preventive_threshold], [1], [rng_stream]
-    )
-    kmax = int(math.floor(life.horizon / T + _EPS))
-
-    def opt(x):
-        return float(x) if np.isfinite(x) else None
-
-    if censored[0]:
-        return ReplacementSample(
-            replacement_time=life.horizon,
-            kind="censored",
-            failure_time=opt(D[0]),
-            sigma_M=opt(sM[0]),
-            sigma_Ms=opt(sMs[0]),
-            sigma_L=opt(sL[0]),
-            shock_time=opt(Y[0]),
-            inspections_count=kmax,
-        )
-    k = int(k_rep[0])
-    kind = "corrective" if corrective[0] else "preventive"
-    return ReplacementSample(
-        replacement_time=k * T,
-        kind=kind,
-        failure_time=float(D[0]) if kind == "corrective" else None,
-        sigma_M=opt(sM[0]),
-        sigma_Ms=opt(sMs[0]),
-        sigma_L=opt(sL[0]),
-        shock_time=opt(Y[0]),
-        inspections_count=k - 1,
-    )
-
-
-def chain_cycles(
-    model: SystemModel,
-    policy: MaintenancePolicy,
-    costs: CostStructure,
-    life: LifeCycle,
-    cfg: SimulationConfig,
-    rng_stream,
-) -> tuple[list[ReplacementSample], float]:
-    """One chained realization over the whole life cycle.
-
-    Cycles restart after each replacement; the final (censored) cycle is
-    charged its inspections and any terminal downtime up to the horizon.
-    """
-    T = policy.inspection_period
-    tf = life.horizon
-    clock = 0.0
-    total = 0.0
-    samples: list[ReplacementSample] = []
-    while clock < tf - _EPS:
-        sample = simulate_cycle(model, policy, life, cfg, rng_stream)
-        remaining = tf - clock
-        k_limit = int(math.floor(remaining / T + _EPS))
-        replaced = (
-            sample.kind != "censored"
-            and sample.replacement_time <= k_limit * T + _EPS
-        )
-        if replaced:
-            k = int(round(sample.replacement_time / T))
-            rep_cost = (
-                costs.corrective if sample.kind == "corrective" else costs.preventive
-            )
-            total += rep_cost + costs.inspection * (k - 1)
-            total += costs.downtime_rate * sample.downtime
-            samples.append(sample)
-            clock += sample.replacement_time
-        else:
-            total += costs.inspection * k_limit
-            if sample.failure_time is not None and sample.failure_time < remaining:
-                total += costs.downtime_rate * (remaining - sample.failure_time)
-            samples.append(
-                ReplacementSample(
-                    replacement_time=remaining,
-                    kind="censored",
-                    failure_time=sample.failure_time,
-                    sigma_M=sample.sigma_M,
-                    sigma_Ms=sample.sigma_Ms,
-                    sigma_L=sample.sigma_L,
-                    shock_time=sample.shock_time,
-                    inspections_count=k_limit,
-                )
-            )
-            break
-    return samples, total
-
-
 def _chain_block(model, policy, costs, life, delta, n_block, seed_seq):
     """Vectorized chained realizations for one block."""
     rng = np.random.default_rng(seed_seq)
@@ -954,64 +802,3 @@ def sample_failure_times(
     )
     return sigma_L, Y
 
-
-# -- persistence -----------------------------------------------------------
-
-def persist_tables(tables: EstimateTables, path) -> None:
-    """Write tables to a versioned npz container keyed by the config digest."""
-    with open(path, "wb") as fh:
-        np.savez(
-            fh,
-            magic=np.array(_MAGIC),
-            version=np.array(_FORMAT_VERSION),
-            digest=np.array(tables.digest),
-            T=np.array(tables.T),
-            M=np.array(tables.M),
-            horizon=np.array(tables.horizon),
-            delta=np.array(tables.delta),
-            n=np.array(tables.n),
-            master_seed=np.array(tables.master_seed),
-            worker_streams=np.array(tables.worker_streams),
-            times=tables.times,
-            block_sizes=tables.block_sizes,
-            bp_p=tables.bp_p,
-            bp_c=tables.bp_c,
-            bjw=tables.bjw,
-            bjw2=tables.bjw2,
-            balive=tables.balive,
-            bresid=tables.bresid,
-            bresid2=tables.bresid2,
-            bcensored=tables.bcensored,
-        )
-
-
-def load_tables(path, expected_digest: str | None = None) -> EstimateTables:
-    """Read a persisted table file, validating magic, version, and digest."""
-    with np.load(path, allow_pickle=False) as data:
-        if "magic" not in data or str(data["magic"]) != _MAGIC:
-            raise CacheInvalidError("not a table cache file (bad magic)")
-        if int(data["version"]) != _FORMAT_VERSION:
-            raise CacheInvalidError("unsupported table cache version")
-        digest = str(data["digest"])
-        if expected_digest is not None and digest != expected_digest:
-            raise CacheInvalidError("table cache digest mismatch (stale cache)")
-        return EstimateTables(
-            T=float(data["T"]),
-            M=float(data["M"]),
-            horizon=float(data["horizon"]),
-            delta=float(data["delta"]),
-            n=int(data["n"]),
-            master_seed=int(data["master_seed"]),
-            worker_streams=int(data["worker_streams"]),
-            digest=digest,
-            times=data["times"],
-            block_sizes=data["block_sizes"],
-            bp_p=data["bp_p"],
-            bp_c=data["bp_c"],
-            bjw=data["bjw"],
-            bjw2=data["bjw2"],
-            balive=data["balive"],
-            bresid=data["bresid"],
-            bresid2=data["bresid2"],
-            bcensored=data["bcensored"],
-        )

@@ -34,8 +34,9 @@ from renewal_oracle import (
     _solve_survival_memo,
     on_lattice,
 )
+from scipy import special
 
-from cbmlife.model import MaintenancePolicy, first_passage_cdf
+from cbmlife.model import MaintenancePolicy
 from cbmlife.optimize import (
     PolicyGrid,
     optimize_asymptotic,
@@ -373,8 +374,10 @@ def test_criterion_9_property_suite(ref_model, ref_policy, ref_costs, ref_life, 
         [ref_policy.preventive_threshold], [n_fp], [rng],
     )
     fp_ok = True
+    deg = ref_model.degradation
     for t in np.linspace(5.0, 50.0, 10):
-        p = first_passage_cdf(ref_model, 20.0, float(t))
+        # P[sigma_z <= t] = P[X(t) >= z] = Q(alpha t, beta z)
+        p = float(special.gammaincc(deg.alpha * t, deg.beta * 20.0))
         p_hat = float((sigma_Ms <= t).mean())
         se_t = math.sqrt(max(p * (1.0 - p), 1e-12) / n_fp)
         fp_ok &= abs(p_hat - p) <= 3.0 * se_t

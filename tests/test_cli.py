@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from cbmlife import cli
-from cbmlife.cli import dump_config, main, parse_config, parse_grid_spec
+from cbmlife.cli import main, parse_config, parse_grid_spec
 from cbmlife.errors import ConfigurationError
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
@@ -30,17 +30,6 @@ class TestConfig:
         assert len(rc.grid.T_values) == 10
         assert len(rc.grid.M_values) == 30
         assert rc.sim.n_samples == 50_000
-
-    def test_round_trip(self, tmp_path):
-        rc = parse_config(CONFIG)
-        path = tmp_path / "dumped.cfg"
-        path.write_text(dump_config(rc))
-        rc2 = parse_config(path)
-        assert rc2.model == rc.model
-        assert rc2.costs == rc.costs
-        assert rc2.policy == rc.policy
-        assert rc2.sim == rc.sim
-        assert rc2.grid.T_values == pytest.approx(rc.grid.T_values)
 
     def test_missing_file(self):
         assert main(["optimize", "--config", "/nonexistent.cfg"]) == 1
@@ -72,10 +61,27 @@ class TestConfig:
         assert parse_grid_spec("5:50:10") == pytest.approx(
             tuple(5.0 + 5.0 * i for i in range(10))
         )
-        with pytest.raises(ConfigurationError):
-            parse_grid_spec("5")
-        with pytest.raises(ConfigurationError):
-            parse_grid_spec("5:1")
+        assert parse_grid_spec("1:4") == (1.0, 2.0, 3.0, 4.0)
+        for bad in ("5", "5:1", "nan:5:3", "1:inf:3", "-inf:1", "0.5:2", "1:2.4"):
+            with pytest.raises(ConfigurationError):
+                parse_grid_spec(bad)
+
+    @pytest.mark.parametrize("value", ["0", "-3", "two"])
+    def test_bad_workers_key(self, tmp_path, value):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(CONFIG.read_text().replace("workers = 1", f"workers = {value}"))
+        with pytest.raises(ConfigurationError, match="workers"):
+            parse_config(bad)
+        assert main(["curves", "--config", str(bad), "--quiet"]) == 1
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_bad_workers_flag(self, small_config, tmp_path, value):
+        argv = [
+            "curves", "--config", str(small_config), "--workers", value,
+            "--out-dir", str(tmp_path), "--quiet",
+        ]
+        assert main(argv) == 1
+        assert not (tmp_path / "curves_report.json").exists()
 
 
 class TestOptimizeCommand:

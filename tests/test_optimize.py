@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,6 @@ from cbmlife.optimize import (
     optimize_transient,
     renewal_counts,
     write_matrix_csv,
-    write_report_json,
 )
 from cbmlife.simulate import SimulationConfig
 
@@ -120,13 +117,10 @@ class TestExports:
         grid = PolicyGrid(T_values=(10.0,), M_values=(12.0, 14.0))
         result = optimize_transient(ref_model, ref_costs, ref_life, grid, cfg)
         csv_path = tmp_path / "matrix.csv"
-        json_path = tmp_path / "report.json"
         write_matrix_csv(result, csv_path)
-        write_report_json(result, json_path, extra={"note": "test"})
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "T,M,value,stderr"
         assert len(lines) == 3
-        report = json.loads(json_path.read_text())
+        report = result.to_dict()
         assert report["objective"] == "transient"
-        assert report["note"] == "test"
         assert (report["T_opt"], report["M_opt"]) == (result.T_opt, result.M_opt)

@@ -49,7 +49,9 @@ class TestExpectedCost:
     def test_base_case_below_first_inspection(self, tables_small, ref_costs):
         for t in (1.0, 5.0, 9.0):
             assert expected_cost(tables_small, ref_costs, None, t) == pytest.approx(
-                tables_small.base_cost(t, ref_costs), rel=1e-12
+                ref_costs.downtime_rate
+                * tables_small.residual_downtime[tables_small.index_of(t)],
+                rel=1e-12,
             )
 
     def test_staged_equals_memoized(self, tables_small, ref_costs):

@@ -1,12 +1,12 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
-from cbmlife.errors import CacheInvalidError, ConfigurationError
+from cbmlife.errors import ConfigurationError
 from cbmlife.model import (
     CostStructure,
     GammaDegradation,
@@ -14,16 +14,13 @@ from cbmlife.model import (
     MaintenancePolicy,
     ShockIntensity,
     SystemModel,
-    first_passage_cdf,
 )
 from cbmlife.simulate import (
     SimulationConfig,
-    chain_cycles,
+    _simulate_kernel,
     chain_statistics,
     estimate_tables,
-    load_tables,
-    persist_tables,
-    simulate_cycle,
+    tables_digest,
 )
 
 SEED = 1234
@@ -46,33 +43,30 @@ def zero_costs():
 class TestSimulateCycle:
     def test_nothing_can_trigger_replacement(self):
         model = make_model(lam1=0.0, lam2=0.0, L=1e9, Ms=1e8)
-        policy = MaintenancePolicy(inspection_period=10.0, preventive_threshold=1e8)
-        life = LifeCycle(50.0)
-        cfg = SimulationConfig(n_samples=1, master_seed=SEED)
         rng = np.random.default_rng(SEED)
-        sample = simulate_cycle(model, policy, life, cfg, rng)
-        assert sample.kind == "censored"
-        assert sample.inspections_count == 5
-        assert sample.replacement_time == 50.0
+        k_rep, _, censored, D, *_, Y = _simulate_kernel(
+            model, 10.0, 50.0, 0.1, [1e8], [200], [rng]
+        )
+        assert censored.all()
+        assert np.all(k_rep == 6)  # one past the last inspection, k_max = 5
+        assert np.all(np.isinf(D)) and np.all(np.isinf(Y))
 
     def test_sample_invariants(self, ref_model, ref_policy, ref_life):
-        cfg = SimulationConfig(n_samples=1, master_seed=SEED)
-        rng = np.random.default_rng(SEED)
         T = ref_policy.inspection_period
-        seen = set()
-        for _ in range(300):
-            s = simulate_cycle(ref_model, ref_policy, ref_life, cfg, rng)
-            seen.add(s.kind)
-            if s.kind == "corrective":
-                assert s.failure_time is not None
-                assert 0.0 <= s.replacement_time - s.failure_time < T
-            if s.kind == "preventive":
-                assert s.failure_time is None
-            if s.kind != "censored":
-                k = s.replacement_time / T
-                assert abs(k - round(k)) < 1e-9
-                assert s.inspections_count == round(k) - 1
-        assert {"corrective", "preventive"} <= seen
+        rng = np.random.default_rng(SEED)
+        k_rep, corrective, censored, D, sigma_M, *_ = _simulate_kernel(
+            ref_model, T, ref_life.horizon, T / 100.0,
+            [ref_policy.preventive_threshold], [300], [rng],
+        )
+        assert np.all(k_rep >= 1)
+        fixed = corrective & ~censored
+        down = k_rep[fixed] * T - D[fixed]
+        assert np.all((down >= 0.0) & (down < T))
+        preventive = ~corrective & ~censored
+        # replaced at the first inspection past sigma_M, before any failure
+        assert np.all(sigma_M[preventive] <= k_rep[preventive] * T)
+        assert np.all(D[preventive] > k_rep[preventive] * T)
+        assert fixed.any() and preventive.any()
 
     def test_bad_step_rejected(self, ref_model, ref_policy, ref_life):
         for step in (-0.5, math.nan, math.inf):
@@ -80,7 +74,7 @@ class TestSimulateCycle:
                 SimulationConfig(n_samples=1, path_step=step)
         cfg = SimulationConfig(n_samples=1, path_step=5.0)  # > T/10 for T=10
         with pytest.raises(ConfigurationError):
-            simulate_cycle(ref_model, ref_policy, ref_life, cfg, np.random.default_rng(0))
+            estimate_tables(ref_model, ref_policy, ref_life, cfg)
 
 
 class TestEstimateTables:
@@ -109,17 +103,17 @@ class TestEstimateTables:
         # empirical P[sigma_Ms <= t] against the first-passage CDF
         policy = MaintenancePolicy(inspection_period=10.0, preventive_threshold=14.0)
         cfg = SimulationConfig(n_samples=20_000, master_seed=SEED)
-        from cbmlife.simulate import _simulate_kernel
-
         rng = np.random.default_rng(SEED)
         *_, sigma_Ms, _sigma_L, _Y = _simulate_kernel(
             ref_model, policy.inspection_period, 50.0, 0.1,
             [policy.preventive_threshold], [cfg.n_samples], [rng],
         )
         n = cfg.n_samples
+        deg = ref_model.degradation
         for t in np.linspace(5.0, 50.0, 10):
             p_hat = float((sigma_Ms <= t).mean())
-            p = first_passage_cdf(ref_model, 20.0, float(t))
+            # P[sigma_z <= t] = P[X(t) >= z] = Q(alpha t, beta z)
+            p = float(special.gammaincc(deg.alpha * t, deg.beta * 20.0))
             se = math.sqrt(max(p * (1.0 - p), 1e-12) / n)
             # the grid records crossings at the next step, a small upward bias
             assert abs(p_hat - p) <= 3.0 * se + 0.05 * 0.1
@@ -150,19 +144,6 @@ class TestEstimateTables:
         assert t1.equals(t2)
         assert t1.equals(t3)
 
-    @pytest.mark.parametrize("hook", ["rate", "integrated"])
-    def test_shock_hook_override_rejected(self, hook, ref_model, ref_policy, ref_costs,
-                                          ref_life):
-        hooked = type("HookedShocks", (ShockIntensity,), {
-            hook: lambda self, regime, t: 0.0,
-        })
-        model = replace(ref_model, shocks=hooked(lambda1=0.01, lambda2=0.1))
-        cfg = SimulationConfig(n_samples=10)
-        with pytest.raises(ConfigurationError, match="overrides rate or integrated"):
-            estimate_tables(model, ref_policy, ref_life, cfg)
-        with pytest.raises(ConfigurationError, match="overrides rate or integrated"):
-            chain_statistics(model, ref_policy, ref_costs, ref_life, cfg)
-
     def test_threshold_above_L_rejected(self, ref_model, ref_life):
         policy = MaintenancePolicy(inspection_period=10.0, preventive_threshold=31.0)
         with pytest.raises(ConfigurationError):
@@ -190,25 +171,22 @@ class TestEstimateTables:
 
 class TestChaining:
     def test_zero_costs(self, ref_model, ref_policy, ref_life):
-        costs = zero_costs()
-        cfg = SimulationConfig(n_samples=1, master_seed=SEED)
-        rng = np.random.default_rng(SEED)
-        samples, total = chain_cycles(ref_model, ref_policy, costs, ref_life, cfg, rng)
-        assert total == 0.0
-        assert samples
+        cfg = SimulationConfig(n_samples=200, master_seed=SEED)
+        counts, totals = chain_statistics(
+            ref_model, ref_policy, zero_costs(), ref_life, cfg
+        )
+        assert np.all(totals == 0.0)
+        assert counts.any()
 
     def test_chain_cycles_clock(self, ref_model, ref_policy, ref_costs, ref_life):
-        cfg = SimulationConfig(n_samples=1, master_seed=SEED)
-        rng = np.random.default_rng(SEED)
-        for _ in range(50):
-            samples, total = chain_cycles(
-                ref_model, ref_policy, ref_costs, ref_life, cfg, rng
-            )
-            assert total >= 0.0
-            elapsed = sum(s.replacement_time for s in samples)
-            assert elapsed <= ref_life.horizon + 1e-9
-            for s in samples[:-1]:
-                assert s.kind in ("corrective", "preventive")
+        cfg = SimulationConfig(n_samples=500, master_seed=SEED)
+        counts, totals = chain_statistics(
+            ref_model, ref_policy, ref_costs, ref_life, cfg
+        )
+        # a renewal completes at an inspection, so at most floor(t_f / T) of them
+        kmax = math.floor(ref_life.horizon / ref_policy.inspection_period)
+        assert np.all((counts >= 0) & (counts <= kmax) & (counts == np.round(counts)))
+        assert np.all(totals >= counts * ref_costs.preventive)
 
     def test_variance_identity(self, strict_full):
         _, totals = strict_full
@@ -224,20 +202,16 @@ class TestChaining:
 
 
 class TestPersistence:
-    def test_round_trip(self, tables_small, tmp_path):
-        path = tmp_path / "tables.npz"
-        persist_tables(tables_small, path)
-        loaded = load_tables(path, expected_digest=tables_small.digest)
-        assert tables_small.equals(loaded)
-
-    def test_digest_mismatch(self, tables_small, tmp_path):
-        path = tmp_path / "tables.npz"
-        persist_tables(tables_small, path)
-        with pytest.raises(CacheInvalidError):
-            load_tables(path, expected_digest="0" * 64)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.npz"
-        np.savez(open(path, "wb"), nonsense=np.arange(3))
-        with pytest.raises(CacheInvalidError):
-            load_tables(path)
+    def test_digest_mismatch(self, ref_model, ref_policy, ref_life):
+        # a table set carries the digest of its configuration, and another
+        # seed gives another digest and other tables
+        cfg = SimulationConfig(n_samples=200, master_seed=SEED, worker_streams=2)
+        tables = estimate_tables(ref_model, ref_policy, ref_life, cfg)
+        delta = cfg.step_for(ref_policy)
+        assert tables.digest == tables_digest(ref_model, ref_policy, ref_life, cfg, delta)
+        assert estimate_tables(ref_model, ref_policy, ref_life, cfg).equals(tables)
+        other_cfg = SimulationConfig(n_samples=200, master_seed=SEED + 1, worker_streams=2)
+        other = estimate_tables(ref_model, ref_policy, ref_life, other_cfg)
+        assert other.digest != tables.digest
+        assert other.digest == tables_digest(ref_model, ref_policy, ref_life, other_cfg, delta)
+        assert not other.equals(tables)
