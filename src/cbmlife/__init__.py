@@ -27,7 +27,7 @@ from .renewal import (
     reliability,
     std_dev,
 )
-from .sensitivity import PerturbationScheme, VariationTable
+from .sensitivity import VariationTable
 from .simulate import (
     EstimateTables,
     SimulationConfig,
@@ -44,7 +44,6 @@ __all__ = [
     "LifeCycle",
     "MaintenancePolicy",
     "OptimizationResult",
-    "PerturbationScheme",
     "PolicyGrid",
     "ShockIntensity",
     "SimulationConfig",

@@ -142,10 +142,10 @@ def parse_config(path) -> RunConfig:
         M_values=parse_grid_spec(_get(g, "grid", "M", str)),
     )
     s = parser["simulation"]
-    path_step_raw = s.get("path_step", "").strip()
+    path_step = _get(s, "simulation", "path_step") if s.get("path_step") else None
     sim = SimulationConfig(
         n_samples=_get(s, "simulation", "n_samples", int),
-        path_step=float(path_step_raw) if path_step_raw else None,
+        path_step=path_step,
         master_seed=_get(s, "simulation", "seed", int),
         worker_streams=_get(s, "simulation", "worker_streams", int),
     )
@@ -211,14 +211,8 @@ def _base_report(rc: RunConfig, started: float, files, warnings_list) -> dict:
 def cmd_optimize(rc: RunConfig, args) -> int:
     started = time.perf_counter()
     rc.out_dir.mkdir(parents=True, exist_ok=True)
-    if args.objective == "asymptotic":
-        result = opt.optimize_asymptotic(
-            rc.model, rc.costs, rc.grid, rc.sim, rc.life, processes=rc.workers
-        )
-    else:
-        result = opt.optimize_transient(
-            rc.model, rc.costs, rc.life, rc.grid, rc.sim, processes=rc.workers
-        )
+    optimize = getattr(opt, f"optimize_{args.objective}")
+    result = optimize(rc.model, rc.costs, rc.life, rc.grid, rc.sim, rc.workers)
     matrix_path = rc.out_dir / f"{args.objective}_matrix.csv"
     report_path = rc.out_dir / f"{args.objective}_report.json"
     opt.write_matrix_csv(result, matrix_path)
@@ -272,8 +266,8 @@ def cmd_curves(rc: RunConfig, args) -> int:
         for value, policy, tables in zip(sweep_values, policies, swept):
             if policy == rc.policy:
                 reference = tables
-            rate = renewal.expected_cost(tables, rc.costs, None, tf) / tf
-            sd = renewal.std_dev(tables, rc.costs, None, tf)
+            rate = renewal.expected_cost(tables, rc.costs, tf) / tf
+            sd = renewal.std_dev(tables, rc.costs, tf)
             row = [value, rate, sd]
             if args.strict_mc:
                 _, totals = chain_statistics(
@@ -356,18 +350,13 @@ def cmd_sensitivity(rc: RunConfig, args) -> int:
     caught: list[str] = []
     with warnings.catch_warnings(record=True) as grabbed:
         warnings.simplefilter("always")
-        if args.target == "gamma":
-            table = sensitivity.gamma_sensitivity(
-                rc.model, rc.costs, rc.life, fixed, sweep,
-                sensitivity.PerturbationScheme(target="gamma_params"),
-                rc.sim, processes=rc.workers,
-            )
-        else:
-            table = sensitivity.shock_sensitivity(
-                rc.model, rc.costs, rc.life, fixed, sweep,
-                sensitivity.PerturbationScheme(target="shock_params"),
-                rc.sim, processes=rc.workers,
-            )
+        table_of = (
+            sensitivity.gamma_sensitivity if args.target == "gamma"
+            else sensitivity.shock_sensitivity
+        )
+        table = table_of(
+            rc.model, rc.costs, rc.life, fixed, sweep, cfg=rc.sim, processes=rc.workers
+        )
     caught.extend(str(w.message) for w in grabbed)
 
     csv_path = rc.out_dir / f"sensitivity_{args.target}.csv"

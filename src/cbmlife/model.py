@@ -133,16 +133,6 @@ class CostStructure:
                 stacklevel=2,
             )
 
-    def scaled(self, factor: float) -> "CostStructure":
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return CostStructure(
-                self.corrective * factor,
-                self.preventive * factor,
-                self.inspection * factor,
-                self.downtime_rate * factor,
-            )
-
 
 @dataclass(frozen=True)
 class LifeCycle:

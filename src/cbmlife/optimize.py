@@ -18,16 +18,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import CostStructure, LifeCycle, MaintenancePolicy, SystemModel
+from .errors import TruncationWarning
+from .model import CostStructure, LifeCycle, SystemModel
 from .renewal import asymptotic_cost_rate, expected_cost
-from .simulate import SimulationConfig, chain_statistics, estimate_row
+from .simulate import SimulationConfig, estimate_row
 
 __all__ = [
     "PolicyGrid",
     "OptimizationResult",
     "optimize_asymptotic",
     "optimize_transient",
-    "renewal_counts",
     "write_matrix_csv",
 ]
 
@@ -92,19 +92,25 @@ def _cell_seed(master_seed: int, T: float, M: float) -> np.random.SeedSequence:
 
 
 def _evaluate_cell(tables, costs, life, objective) -> tuple[float, float]:
-    """The objective of one table set and its batch-means standard error."""
+    """The objective of one table set and its batch-means standard error.
+
+    Only the pooled tables may warn of truncation; a block holds a fraction
+    of the paths, so its censored mass is not the cell's.
+    """
 
     def value_of(t):
         if objective == "asymptotic":
             return asymptotic_cost_rate(t, costs)
-        return expected_cost(t, costs, None, life.horizon) / life.horizon
+        return expected_cost(t, costs, life.horizon) / life.horizon
 
     value = value_of(tables)
-    block_values = [
-        value_of(tables.block_view(b))
-        for b in range(tables.worker_streams)
-        if tables.block_sizes[b] > 0
-    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        block_values = [
+            value_of(tables.block_view(b))
+            for b in range(tables.worker_streams)
+            if tables.block_sizes[b] > 0
+        ]
     if len(block_values) > 1:
         stderr = float(np.std(block_values, ddof=1) / math.sqrt(len(block_values)))
     else:
@@ -175,15 +181,16 @@ def _run_grid(model, costs, life, grid, cfg, objective, processes):
 def optimize_asymptotic(
     model: SystemModel,
     costs: CostStructure,
+    life: LifeCycle,
     grid: PolicyGrid,
     cfg: SimulationConfig,
-    life: LifeCycle,
     processes: int = 1,
 ) -> OptimizationResult:
     """Minimize the asymptotic expected cost rate over the policy grid.
 
     ``life`` sets the simulation horizon for the per-cell estimate tables;
-    censored-mass truncation warnings are collected per cell.
+    a cell whose pooled tables hold censored mass of 1% or more gets one
+    truncation warning.
     """
     return _run_grid(model, costs, life, grid, cfg, "asymptotic", processes)
 
@@ -198,20 +205,6 @@ def optimize_transient(
 ) -> OptimizationResult:
     """Minimize the expected transient cost rate E[C(t_f)] / t_f."""
     return _run_grid(model, costs, life, grid, cfg, "transient", processes)
-
-
-def renewal_counts(
-    model: SystemModel,
-    policy: MaintenancePolicy,
-    life: LifeCycle,
-    cfg: SimulationConfig,
-) -> float:
-    """Expected number of complete renewal cycles within the life cycle."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        zero = CostStructure(0.0, 0.0, 0.0, 0.0)
-    counts, _ = chain_statistics(model, policy, zero, life, cfg)
-    return float(counts.mean())
 
 
 def write_matrix_csv(result: OptimizationResult, path) -> None:

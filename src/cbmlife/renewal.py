@@ -26,14 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridCoverageError, InconsistencyError, TruncationWarning
-from .model import CostStructure, MaintenancePolicy
+from .model import CostStructure
 from .simulate import EstimateTables
 
 __all__ = [
     "CostCurve",
     "PerformanceCurve",
     "expected_cost",
-    "expected_cost_sq",
     "std_dev",
     "asymptotic_cost_rate",
     "availability",
@@ -81,16 +80,6 @@ class PerformanceCurve:
     def validate(self) -> None:
         if np.any(self.values < -1e-12) or np.any(self.values > 1.0 + 1e-12):
             raise InconsistencyError(f"{self.kind} left [0, 1]")
-
-
-def _check_policy(tables: EstimateTables, policy: MaintenancePolicy | None) -> None:
-    if policy is None:
-        return
-    if (
-        abs(policy.inspection_period - tables.T) > 1e-12
-        or abs(policy.preventive_threshold - tables.M) > 1e-12
-    ):
-        raise GridCoverageError("policy does not match the supplied tables")
 
 
 def _chain_matrix(tables: EstimateTables, values: np.ndarray) -> np.ndarray:
@@ -165,38 +154,14 @@ def _std(mean, mean_sq):
     return np.sqrt(np.maximum(var, 0.0))
 
 
-def expected_cost(
-    tables: EstimateTables,
-    costs: CostStructure,
-    policy: MaintenancePolicy | None = None,
-    t: float = 0.0,
-) -> float:
+def expected_cost(tables: EstimateTables, costs: CostStructure, t: float) -> float:
     """E[C(t)] via the cost renewal recursion."""
-    _check_policy(tables, policy)
     i = tables.index_of(t)
     return float(_cost_moments(tables, costs, second=False)[0][i])
 
 
-def expected_cost_sq(
-    tables: EstimateTables,
-    costs: CostStructure,
-    policy: MaintenancePolicy | None = None,
-    t: float = 0.0,
-) -> float:
-    """E[C(t)^2] via the second-moment recursion with its cross terms."""
-    _check_policy(tables, policy)
-    i = tables.index_of(t)
-    return float(_cost_moments(tables, costs)[1][i])
-
-
-def std_dev(
-    tables: EstimateTables,
-    costs: CostStructure,
-    policy: MaintenancePolicy | None = None,
-    t: float = 0.0,
-) -> float:
+def std_dev(tables: EstimateTables, costs: CostStructure, t: float) -> float:
     """Standard deviation of the transient cost at t."""
-    _check_policy(tables, policy)
     i = tables.index_of(t)
     mean, mean_sq = _cost_moments(tables, costs)
     return float(_std(mean[i], mean_sq[i]))
@@ -212,13 +177,8 @@ def cost_curve(tables: EstimateTables, costs: CostStructure) -> CostCurve:
     return curve
 
 
-def asymptotic_cost_rate(
-    tables: EstimateTables,
-    costs: CostStructure,
-    policy: MaintenancePolicy | None = None,
-) -> float:
+def asymptotic_cost_rate(tables: EstimateTables, costs: CostStructure) -> float:
     """Long-run expected cost per time unit (renewal reward ratio)."""
-    _check_policy(tables, policy)
     if tables.censored_fraction >= 0.01:
         warnings.warn(
             f"censored mass {tables.censored_fraction:.3f} >= 1%; "

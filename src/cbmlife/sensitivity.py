@@ -29,28 +29,15 @@ from .renewal import expected_cost
 from .simulate import SimulationConfig, estimate_row
 
 __all__ = [
-    "PerturbationScheme",
+    "VARIATIONS",
     "VariationTable",
     "gamma_sensitivity",
     "shock_sensitivity",
     "write_variation_csv",
 ]
 
-_DEFAULT_VARIATIONS = (-10.0, -5.0, -1.0, 0.0, 1.0, 5.0, 10.0)
-
-
-@dataclass(frozen=True)
-class PerturbationScheme:
-    """Percentage perturbations applied to a parameter pair."""
-
-    variations: tuple[float, ...] = _DEFAULT_VARIATIONS
-    target: str = "gamma_params"
-
-    def __post_init__(self) -> None:
-        if self.target not in ("gamma_params", "shock_params"):
-            raise ValueError("target must be 'gamma_params' or 'shock_params'")
-        if any(v <= -100.0 for v in self.variations):
-            raise ValueError("variations must keep parameters positive")
+# Percentage perturbations applied to each parameter of a pair.
+VARIATIONS = (-10.0, -5.0, -1.0, 0.0, 1.0, 5.0, 10.0)
 
 
 @dataclass(frozen=True)
@@ -96,15 +83,13 @@ def _min_transient_cost(model, costs, life, fixed, sweep_values, cfg) -> float:
             for value in swept
         ]
         for tables in estimate_row(model, T, Ms, life, cfg, seeds):
-            best = min(best, expected_cost(tables, costs, None, life.horizon))
+            best = min(best, expected_cost(tables, costs, life.horizon))
     return best
 
 
 def _perturbed_model(model: SystemModel, target: str, vi: float, vj: float):
     fi = 1.0 + vi / 100.0
     fj = 1.0 + vj / 100.0
-    if fi <= 0.0 or fj <= 0.0:
-        raise ValueError("perturbation drives a parameter nonpositive")
     if target == "gamma_params":
         degradation = GammaDegradation(
             alpha=model.degradation.alpha * fi, beta=model.degradation.beta * fj
@@ -127,16 +112,18 @@ def _cell_job(args) -> tuple[float, list[str]]:
 
 
 def _sensitivity_table(
-    model, costs, life, fixed, sweep_values, scheme, cfg, processes
+    model, costs, life, fixed, sweep_values, variations, cfg, processes, target
 ) -> VariationTable:
-    variations = scheme.variations
+    if any(v <= -100.0 for v in variations):
+        raise ValueError("variations must keep parameters positive")
+    cfg = cfg or SimulationConfig()
     baseline = _min_transient_cost(model, costs, life, fixed, sweep_values, cfg)
     m = len(variations)
     perturbed = [
         (i, j) for i in range(m) for j in range(m) if variations[i] or variations[j]
     ]
     jobs = [
-        (model, costs, life, fixed, sweep_values, cfg, scheme.target,
+        (model, costs, life, fixed, sweep_values, cfg, target,
          variations[i], variations[j])
         for i, j in perturbed
     ]
@@ -154,7 +141,7 @@ def _sensitivity_table(
         warnings.warn(message, UserWarning, stacklevel=3)
     variation = np.abs(baseline - min_costs) / baseline * 100.0
     table = VariationTable(
-        target=scheme.target,
+        target=target,
         variations=variations,
         baseline_min=baseline,
         min_costs=min_costs,
@@ -170,17 +157,14 @@ def gamma_sensitivity(
     life: LifeCycle,
     fixed: tuple[str, float],
     sweep_values: tuple[float, ...],
-    scheme: PerturbationScheme | None = None,
+    variations: tuple[float, ...] = VARIATIONS,
     cfg: SimulationConfig | None = None,
     processes: int = 1,
 ) -> VariationTable:
     """Variation table for (alpha, beta) perturbations."""
-    scheme = scheme or PerturbationScheme(target="gamma_params")
-    if scheme.target != "gamma_params":
-        raise ValueError("scheme target must be gamma_params")
-    cfg = cfg or SimulationConfig()
     return _sensitivity_table(
-        model, costs, life, fixed, sweep_values, scheme, cfg, processes
+        model, costs, life, fixed, sweep_values, variations, cfg, processes,
+        "gamma_params",
     )
 
 
@@ -190,17 +174,14 @@ def shock_sensitivity(
     life: LifeCycle,
     fixed: tuple[str, float],
     sweep_values: tuple[float, ...],
-    scheme: PerturbationScheme | None = None,
+    variations: tuple[float, ...] = VARIATIONS,
     cfg: SimulationConfig | None = None,
     processes: int = 1,
 ) -> VariationTable:
     """Variation table for (lambda1, lambda2) perturbations."""
-    scheme = scheme or PerturbationScheme(target="shock_params")
-    if scheme.target != "shock_params":
-        raise ValueError("scheme target must be shock_params")
-    cfg = cfg or SimulationConfig()
     return _sensitivity_table(
-        model, costs, life, fixed, sweep_values, scheme, cfg, processes
+        model, costs, life, fixed, sweep_values, variations, cfg, processes,
+        "shock_params",
     )
 
 

@@ -65,7 +65,6 @@ __all__ = [
     "estimate_tables",
     "estimate_row",
     "chain_statistics",
-    "sample_failure_times",
     "tables_digest",
     "eval_times",
 ]
@@ -104,6 +103,10 @@ class SimulationConfig:
             raise ConfigurationError("path_step must be positive and finite")
         if self.worker_streams < 1:
             raise ConfigurationError("worker_streams must be at least 1")
+        if self.master_seed < 0:
+            raise ConfigurationError(
+                f"master_seed must be nonnegative, not {self.master_seed}"
+            )
 
     def step_for(self, policy: MaintenancePolicy) -> float:
         delta = self.path_step
@@ -780,25 +783,3 @@ def chain_statistics(
     counts = np.concatenate([r[0] for r in results])
     total = np.concatenate([r[1] for r in results])
     return counts, total
-
-
-def sample_failure_times(
-    model: SystemModel,
-    n: int,
-    delta: float,
-    horizon: float,
-    master_seed: int = 20_260_824,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unmaintained failure draws: (sigma_L, Y), np.inf beyond the horizon."""
-    if not (0.0 < delta < math.inf and 0.0 < horizon < math.inf):
-        raise ConfigurationError("delta and horizon must be positive and finite")
-    policy = MaintenancePolicy(
-        inspection_period=horizon, preventive_threshold=model.breakdown_threshold
-    )
-    _check_simulable(model, policy)
-    rng = np.random.default_rng(np.random.SeedSequence(master_seed))
-    *_, sigma_L, Y = _simulate_kernel(
-        model, horizon, horizon, delta, [model.breakdown_threshold], [n], [rng]
-    )
-    return sigma_L, Y
-

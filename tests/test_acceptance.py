@@ -36,12 +36,11 @@ from renewal_oracle import (
 )
 from scipy import special
 
-from cbmlife.model import MaintenancePolicy
+from cbmlife.model import CostStructure, MaintenancePolicy
 from cbmlife.optimize import (
     PolicyGrid,
     optimize_asymptotic,
     optimize_transient,
-    renewal_counts,
 )
 from cbmlife.renewal import (
     availability,
@@ -58,7 +57,6 @@ from cbmlife.simulate import (
     _simulate_kernel,
     chain_statistics,
     estimate_tables,
-    sample_failure_times,
 )
 
 SEED = 20_260_824
@@ -76,14 +74,16 @@ def report(num: int, name: str, checks: list[tuple[str, bool]]) -> None:
 def grids_full(ref_model, ref_costs, ref_life):
     cfg = SimulationConfig(n_samples=50_000, master_seed=SEED, worker_streams=4)
     grid = PolicyGrid()
-    asym = optimize_asymptotic(ref_model, ref_costs, grid, cfg, ref_life)
+    asym = optimize_asymptotic(ref_model, ref_costs, ref_life, grid, cfg)
     trans = optimize_transient(ref_model, ref_costs, ref_life, grid, cfg)
     return asym, trans
 
 
 def test_criterion_1_failure_laws(ref_model):
-    sigma_L, Y = sample_failure_times(
-        ref_model, n=50_000, delta=0.1, horizon=300.0, master_seed=SEED
+    # unmaintained failure draws: one inspection, at the 300 horizon
+    rng = np.random.default_rng(np.random.SeedSequence(SEED))
+    *_, sigma_L, Y = _simulate_kernel(
+        ref_model, 300.0, 300.0, 0.1, [ref_model.breakdown_threshold], [50_000], [rng]
     )
     mean_sigma = float(sigma_L[np.isfinite(sigma_L)].mean())
     mean_shock = float(Y[np.isfinite(Y)].mean())
@@ -135,9 +135,8 @@ def optimum_checks(result, oracle_min, model, costs, life):
 def test_criterion_2_asymptotic_optimum(ref_model, ref_costs, ref_life, grids_full):
     asym, _ = grids_full
     smoke = optimize_asymptotic(
-        ref_model, ref_costs, PolicyGrid(),
+        ref_model, ref_costs, ref_life, PolicyGrid(),
         SimulationConfig(n_samples=5_000, master_seed=SEED, worker_streams=4),
-        ref_life,
     )
     ref = ASYMPTOTIC_MIN[2]
     checks = optimum_checks(asym, ASYMPTOTIC_MIN, ref_model, ref_costs, ref_life) + [
@@ -193,9 +192,9 @@ def test_criterion_4_oracle_equivalence(ref_model, ref_costs, ref_life):
     for M in (5.0, 10.0, 14.0, 20.0, 25.0):
         policy = MaintenancePolicy(inspection_period=10.0, preventive_threshold=M)
         tables = estimate_tables(ref_model, policy, ref_life, cfg)
-        recursive = expected_cost(tables, ref_costs, None, tf) / tf
+        recursive = expected_cost(tables, ref_costs, tf) / tf
         block_rates = [
-            expected_cost(tables.block_view(b), ref_costs, None, tf) / tf
+            expected_cost(tables.block_view(b), ref_costs, tf) / tf
             for b in range(cfg.worker_streams)
         ]
         se_rec = float(np.std(block_rates, ddof=1)) / math.sqrt(len(block_rates))
@@ -221,7 +220,7 @@ def test_criterion_4_oracle_equivalence(ref_model, ref_costs, ref_life):
 
 
 def test_criterion_5_variance_recursion(tables_full, strict_full, ref_costs):
-    sd = std_dev(tables_full, ref_costs, None, 50.0)
+    sd = std_dev(tables_full, ref_costs, 50.0)
     _, totals = strict_full
     sample_sd = float(totals.std(ddof=1))
     curve = cost_curve(tables_full, ref_costs)
@@ -237,11 +236,14 @@ def test_criterion_5_variance_recursion(tables_full, strict_full, ref_costs):
 
 def test_criterion_6_renewal_counts(ref_model, ref_life):
     cfg = SimulationConfig(n_samples=50_000, master_seed=SEED, worker_streams=4)
+    with pytest.warns(UserWarning):
+        zero = CostStructure(0.0, 0.0, 0.0, 0.0)
     oracle = Oracle(ref_model)
     checks = []
     for T in (5.0, 10.0, 30.0, 45.0):
         policy = MaintenancePolicy(inspection_period=T, preventive_threshold=14.0)
-        count = renewal_counts(ref_model, policy, ref_life, cfg)
+        counts, _ = chain_statistics(ref_model, policy, zero, ref_life, cfg)
+        count = float(counts.mean())
         ref = oracle.renewal_count(T, 14.0, ref_life.horizon)
         checks.append(
             (

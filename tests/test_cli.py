@@ -83,6 +83,29 @@ class TestConfig:
         assert main(argv) == 1
         assert not (tmp_path / "curves_report.json").exists()
 
+    @pytest.mark.parametrize("old, new, key", [
+        ("seed = 20260824", "seed = -5", "seed"),
+        ("path_step =", "path_step = abc", "[simulation] path_step"),
+    ], ids=["seed", "path_step"])
+    def test_bad_simulation_key(self, tmp_path, capsys, old, new, key):
+        bad = tmp_path / "bad.cfg"
+        text = CONFIG.read_text()
+        assert old in text
+        bad.write_text(text.replace(old, new))
+        argv = ["curves", "--config", str(bad), "--out-dir", str(tmp_path), "--quiet"]
+        assert main(argv) == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "curves_report.json").exists()
+
+    def test_negative_seed_flag(self, small_config, tmp_path, capsys):
+        argv = [
+            "curves", "--config", str(small_config), "--seed", "-5",
+            "--out-dir", str(tmp_path), "--quiet",
+        ]
+        assert main(argv) == 1
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "curves_report.json").exists()
+
 
 class TestOptimizeCommand:
     def test_single_cell_and_determinism(self, small_config, tmp_path):

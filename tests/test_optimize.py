@@ -1,15 +1,17 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from cbmlife.model import CostStructure, LifeCycle, MaintenancePolicy
 from cbmlife.optimize import (
     PolicyGrid,
+    _cell_seed,
     optimize_asymptotic,
     optimize_transient,
-    renewal_counts,
     write_matrix_csv,
 )
-from cbmlife.simulate import SimulationConfig
+from cbmlife.simulate import SimulationConfig, chain_statistics, estimate_tables
 
 SEED = 31415
 
@@ -38,21 +40,20 @@ class TestGrids:
     def test_threshold_above_L_rejected(self, ref_model, ref_costs, ref_life, cfg):
         grid = PolicyGrid(T_values=(10.0,), M_values=(35.0,))
         with pytest.raises(ValueError):
-            optimize_asymptotic(ref_model, ref_costs, grid, cfg, ref_life)
+            optimize_asymptotic(ref_model, ref_costs, ref_life, grid, cfg)
 
 
 class TestOptimization:
     def test_single_cell(self, ref_model, ref_costs, ref_life, cfg):
         grid = PolicyGrid(T_values=(10.0,), M_values=(14.0,))
-        result = optimize_asymptotic(ref_model, ref_costs, grid, cfg, ref_life)
+        result = optimize_asymptotic(ref_model, ref_costs, ref_life, grid, cfg)
         assert (result.T_opt, result.M_opt) == (10.0, 14.0)
         assert result.minimum == result.values[0, 0]
 
     def test_zero_costs_tie_break(self, ref_model, ref_life, cfg):
-        with pytest.warns(UserWarning):
-            zero = CostStructure(0.0, 0.0, 0.0, 0.0)
+        zero = zero_costs()
         grid = PolicyGrid(T_values=(25.0, 10.0), M_values=(20.0, 8.0))
-        result = optimize_asymptotic(ref_model, zero, grid, cfg, ref_life)
+        result = optimize_asymptotic(ref_model, zero, ref_life, grid, cfg)
         assert np.all(result.values == 0.0)
         # ties resolve to the smallest M, then the smallest T
         assert (result.T_opt, result.M_opt) == (10.0, 8.0)
@@ -80,12 +81,42 @@ class TestOptimization:
         result = optimize_transient(ref_model, ref_costs, ref_life, grid, cfg)
         assert np.isfinite(result.stderr[0, 0]) and result.stderr[0, 0] > 0.0
 
+    def test_one_truncation_warning_per_cell(
+        self, ref_model, ref_costs, ref_life, cfg
+    ):
+        # the censored mass crosses 1% inside this grid, where one block of
+        # a cell can reach it while the cell's pooled tables do not
+        grid = PolicyGrid(T_values=(10.0, 15.0, 20.0), M_values=(8.0, 12.0, 16.0))
+        result = optimize_asymptotic(ref_model, ref_costs, ref_life, grid, cfg)
+        warned = 0
+        for T in grid.T_values:
+            for M in grid.M_values:
+                tables = estimate_tables(
+                    ref_model, MaintenancePolicy(T, M), ref_life, cfg,
+                    seed_sequence=_cell_seed(cfg.master_seed, T, M),
+                )
+                label = f"(T={T:g}, M={M:g}) "
+                cell = [m for m in result.warnings if m.startswith(label)]
+                if tables.censored_fraction >= 0.01:
+                    assert len(cell) == 1
+                    assert f"censored mass {tables.censored_fraction:.3f} " in cell[0]
+                    warned += 1
+                else:
+                    assert cell == []
+        assert warned > 0
+        assert len(result.warnings) == warned
+
     def test_local_argmin_smoke(self, ref_model, ref_costs, ref_life):
         cfg = SimulationConfig(n_samples=5_000, master_seed=SEED)
         grid = PolicyGrid(T_values=(10.0,), M_values=(6.0, 14.0, 25.0))
-        result = optimize_asymptotic(ref_model, ref_costs, grid, cfg, ref_life)
+        result = optimize_asymptotic(ref_model, ref_costs, ref_life, grid, cfg)
         # the middle threshold beats both extreme ones at T=10
         assert result.M_opt == 14.0
+
+
+def zero_costs():
+    with pytest.warns(UserWarning):
+        return CostStructure(0.0, 0.0, 0.0, 0.0)
 
 
 class TestRenewalCounts:
@@ -104,12 +135,21 @@ class TestRenewalCounts:
         )
         policy = MaintenancePolicy(inspection_period=60.0, preventive_threshold=1e8)
         cfg = SimulationConfig(n_samples=200, master_seed=SEED)
-        assert renewal_counts(model, policy, ref_life, cfg) == 0.0
+        counts, _ = chain_statistics(model, policy, zero_costs(), ref_life, cfg)
+        assert counts.mean() == 0.0
 
     def test_reference_policy_count_is_stable(self, ref_model, ref_policy, ref_life):
         cfg = SimulationConfig(n_samples=5_000, master_seed=SEED)
-        count = renewal_counts(ref_model, ref_policy, ref_life, cfg)
-        assert 1.5 < count < 3.0
+        counts, _ = chain_statistics(ref_model, ref_policy, zero_costs(), ref_life, cfg)
+        assert 1.5 < counts.mean() < 3.0
+
+
+def test_optimizers_share_one_signature():
+    asymptotic = inspect.signature(optimize_asymptotic).parameters
+    transient = inspect.signature(optimize_transient).parameters
+    assert list(asymptotic) == list(transient)
+    assert list(asymptotic) == ["model", "costs", "life", "grid", "cfg", "processes"]
+    assert asymptotic["processes"].default == transient["processes"].default == 1
 
 
 class TestExports:

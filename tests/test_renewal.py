@@ -23,11 +23,11 @@ from cbmlife.model import (
     SystemModel,
 )
 from cbmlife.renewal import (
+    _cost_moments,
     asymptotic_cost_rate,
     availability,
     cost_curve,
     expected_cost,
-    expected_cost_sq,
     interval_reliability,
     performance_curve,
     reliability,
@@ -42,13 +42,13 @@ SEED = 777
 
 class TestExpectedCost:
     def test_zero_at_origin(self, tables_small, ref_costs):
-        assert expected_cost(tables_small, ref_costs, None, 0.0) == 0.0
-        assert expected_cost_sq(tables_small, ref_costs, None, 0.0) == 0.0
-        assert std_dev(tables_small, ref_costs, None, 0.0) == 0.0
+        assert expected_cost(tables_small, ref_costs, 0.0) == 0.0
+        assert cost_curve(tables_small, ref_costs).mean_sq[0] == 0.0
+        assert std_dev(tables_small, ref_costs, 0.0) == 0.0
 
     def test_base_case_below_first_inspection(self, tables_small, ref_costs):
         for t in (1.0, 5.0, 9.0):
-            assert expected_cost(tables_small, ref_costs, None, t) == pytest.approx(
+            assert expected_cost(tables_small, ref_costs, t) == pytest.approx(
                 ref_costs.downtime_rate
                 * tables_small.residual_downtime[tables_small.index_of(t)],
                 rel=1e-12,
@@ -64,13 +64,13 @@ class TestExpectedCost:
             assert np.abs(staged - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_cost_scaling_homogeneity(self, tables_small, ref_costs):
-        doubled = ref_costs.scaled(2.0)
+        doubled = CostStructure(600.0, 300.0, 90.0, 50.0)
         for t in (10.0, 27.0, 50.0):
-            assert expected_cost(tables_small, doubled, None, t) == pytest.approx(
-                2.0 * expected_cost(tables_small, ref_costs, None, t), rel=1e-12
+            assert expected_cost(tables_small, doubled, t) == pytest.approx(
+                2.0 * expected_cost(tables_small, ref_costs, t), rel=1e-12
             )
-            assert std_dev(tables_small, doubled, None, t) == pytest.approx(
-                2.0 * std_dev(tables_small, ref_costs, None, t), rel=1e-9
+            assert std_dev(tables_small, doubled, t) == pytest.approx(
+                2.0 * std_dev(tables_small, ref_costs, t), rel=1e-9
             )
 
     def test_curve_invariants(self, tables_small, ref_costs):
@@ -78,14 +78,9 @@ class TestExpectedCost:
         curve.validate()
         assert np.all(curve.mean_sq + 1e-9 >= curve.mean**2)
 
-    def test_policy_mismatch_rejected(self, tables_small, ref_costs):
-        other = MaintenancePolicy(inspection_period=5.0, preventive_threshold=14.0)
-        with pytest.raises(GridCoverageError):
-            expected_cost(tables_small, ref_costs, other, 10.0)
-
     def test_off_grid_lookup_rejected(self, tables_small, ref_costs):
         with pytest.raises(GridCoverageError):
-            expected_cost(tables_small, ref_costs, None, 10.37)
+            expected_cost(tables_small, ref_costs, 10.37)
 
     def test_negative_variance_flagged(self, tables_small, ref_costs):
         broken = dataclasses.replace(
@@ -94,7 +89,7 @@ class TestExpectedCost:
         t = 9.0
         assert broken.residual_downtime[broken.index_of(t)] > 0.0
         with pytest.raises(InconsistencyError):
-            std_dev(broken, ref_costs, None, t)
+            std_dev(broken, ref_costs, t)
 
 
 class TestAsymptotic:
@@ -120,7 +115,7 @@ class TestAsymptotic:
             SimulationConfig(n_samples=10_000, master_seed=SEED),
         )
         rate = asymptotic_cost_rate(tables, ref_costs)
-        transient = expected_cost(tables, ref_costs, None, 1_000.0) / 1_000.0
+        transient = expected_cost(tables, ref_costs, 1_000.0) / 1_000.0
         assert transient == pytest.approx(rate, rel=0.03)
 
     def test_truncation_monotonicity(self, tables_small):
@@ -261,7 +256,7 @@ class TestQueryChecks:
         with pytest.raises(GridCoverageError):
             availability(tables_small, t)
         with pytest.raises(GridCoverageError):
-            expected_cost(tables_small, ref_costs, None, t)
+            expected_cost(tables_small, ref_costs, t)
         with pytest.raises(GridCoverageError):
             interval_reliability(tables_small, t, 0.0)
 
@@ -317,8 +312,8 @@ class TestRandomLattices:
     def test_measures_equal_oracle(self, tables, pick, ref_costs):
         tables.validate()
         times = tables.times
-        mean = np.array([expected_cost(tables, ref_costs, None, t) for t in times])
-        mean_sq = np.array([expected_cost_sq(tables, ref_costs, None, t) for t in times])
+        mean = np.array([expected_cost(tables, ref_costs, t) for t in times])
+        mean_sq = _cost_moments(tables, ref_costs)[1]
         for solved, memo in (
             (mean, _solve_cost_memo(tables, ref_costs)),
             (mean_sq, _solve_cost_sq_memo(tables, ref_costs)),
@@ -345,7 +340,7 @@ class TestRandomLattices:
         with pytest.raises(GridCoverageError):
             availability(tables, off)
         with pytest.raises(GridCoverageError):
-            expected_cost(tables, ref_costs, None, off)
+            expected_cost(tables, ref_costs, off)
         with pytest.raises(GridCoverageError):
             interval_reliability(tables, off, 0.0)
 

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from cbmlife import sensitivity
-from cbmlife.model import MaintenancePolicy, ShockIntensity
+from cbmlife.model import CostStructure, ShockIntensity
 from cbmlife.sensitivity import (
-    PerturbationScheme,
+    VARIATIONS,
     gamma_sensitivity,
     shock_sensitivity,
     write_variation_csv,
@@ -35,15 +35,18 @@ def shock_table(ref_model, ref_costs, ref_life, cfg):
 
 
 class TestSchemes:
-    def test_target_validation(self):
-        with pytest.raises(ValueError):
-            PerturbationScheme(target="nope")
-        with pytest.raises(ValueError):
-            PerturbationScheme(variations=(-100.0, 0.0))
+    def test_target_validation(self, ref_model, ref_costs, ref_life, cfg):
+        with pytest.raises(ValueError, match="positive"):
+            gamma_sensitivity(
+                ref_model, ref_costs, ref_life, ("T", 10.0), SWEEP,
+                variations=(-100.0, 0.0), cfg=cfg,
+            )
 
-    def test_default_vector(self):
-        scheme = PerturbationScheme()
-        assert scheme.variations == (-10.0, -5.0, -1.0, 0.0, 1.0, 5.0, 10.0)
+    def test_default_vector(self, gamma_table, shock_table):
+        assert VARIATIONS == (-10.0, -5.0, -1.0, 0.0, 1.0, 5.0, 10.0)
+        assert gamma_table.variations == shock_table.variations == VARIATIONS
+        assert gamma_table.target == "gamma_params"
+        assert shock_table.target == "shock_params"
 
 
 class TestGammaTable:
@@ -63,8 +66,9 @@ class TestGammaTable:
         assert diag < off
 
     def test_cost_rescaling_invariance(self, ref_model, ref_costs, ref_life, cfg, gamma_table):
+        doubled_costs = CostStructure(600.0, 300.0, 90.0, 50.0)
         doubled = gamma_sensitivity(
-            ref_model, ref_costs.scaled(2.0), ref_life, ("T", 10.0), SWEEP, cfg=cfg
+            ref_model, doubled_costs, ref_life, ("T", 10.0), SWEEP, cfg=cfg
         )
         assert np.allclose(doubled.variation, gamma_table.variation, atol=1e-9)
 
@@ -111,9 +115,6 @@ class TestShockTable:
         assert frac[2.0] > frac[1.0]
 
     def test_ordering_warning_propagates(self, ref_model, ref_costs, ref_life, cfg):
-        scheme = PerturbationScheme(
-            variations=(-50.0, 0.0), target="shock_params"
-        )
         # lambda1 raised far above lambda2 * 0.5 does not occur here, but
         # lambda2 shrunk by 50% at unperturbed lambda1 keeps ordering; use a
         # model where the margin is thin so the warning fires
@@ -125,7 +126,7 @@ class TestShockTable:
         )
         with pytest.warns(UserWarning):
             shock_sensitivity(
-                thin, ref_costs, ref_life, ("T", 10.0), (14.0,), scheme, cfg
+                thin, ref_costs, ref_life, ("T", 10.0), (14.0,), (-50.0, 0.0), cfg
             )
 
 
@@ -138,10 +139,9 @@ def test_baseline_cell_is_not_recomputed(ref_model, ref_costs, ref_life, monkeyp
         return real(model, T, Ms, *args, **kwargs)
 
     monkeypatch.setattr(sensitivity, "estimate_row", counting)
-    scheme = PerturbationScheme(variations=(-5.0, 0.0, 5.0))
     cfg = SimulationConfig(n_samples=200, master_seed=SEED, worker_streams=2)
     table = gamma_sensitivity(
-        ref_model, ref_costs, ref_life, ("T", 10.0), (14.0,), scheme, cfg
+        ref_model, ref_costs, ref_life, ("T", 10.0), (14.0,), (-5.0, 0.0, 5.0), cfg
     )
     assert len(simulated) == 9  # the baseline and the eight perturbed cells
     assert table.min_costs[1, 1] == table.baseline_min
@@ -150,8 +150,11 @@ def test_baseline_cell_is_not_recomputed(ref_model, ref_costs, ref_life, monkeyp
 
 class TestValidationAndExport:
     def test_positivity_violation(self, ref_model, ref_costs, ref_life, cfg):
-        with pytest.raises(ValueError):
-            PerturbationScheme(variations=(-110.0, 0.0), target="gamma_params")
+        with pytest.raises(ValueError, match="positive"):
+            shock_sensitivity(
+                ref_model, ref_costs, ref_life, ("T", 10.0), SWEEP,
+                variations=(0.0, -110.0), cfg=cfg,
+            )
 
     def test_sweep_above_L_rejected(self, ref_model, ref_costs, ref_life, cfg):
         with pytest.raises(ValueError):
