@@ -5,15 +5,23 @@ delta whose state is at or above the threshold, the same first-grid-point law
 as a path advanced step by step on that grid, but without drawing the whole
 path.  Each path is drawn only at a skeleton of grid points, the inspection
 epochs and the last grid point, by one gamma increment per skeleton interval.
-The first grid point at or above each of the three thresholds (M, M_s, L) is
-then found by bisecting the skeleton interval that brackets it with the gamma
-bridge: given X(a) and X(b), the midpoint m satisfies
+The skeleton alone gives the inspection k_p that first finds the path at or
+above the preventive threshold M, so M is never bisected.  The first grid
+point at or above M_s and at or above L is found by bisecting the skeleton
+interval that brackets it with the gamma bridge: given X(a) and X(b), the
+midpoint m satisfies
 
     X(m) = X(a) + (X(b) - X(a)) * Beta(alpha*delta*(m - a), alpha*delta*(b - m)).
 
-The thresholds are bisected together in ascending order, and a midpoint drawn
-for one threshold is reused by the next when both brackets are the same
-interval, so the three crossings belong to one path and keep their joint law.
+Only the crossings a cycle's outcome reads are bisected: those whose bracket
+opens before end = min(k_p T, horizon).  A skipped crossing of L lies past
+end, and so does any failure it causes; past a skipped crossing of M_s the
+shock time is drawn as if M_s were never reached, which changes it only
+where it already lies past end.  Every failure time up to end is therefore
+the path's own, and no table (nor a strict Monte Carlo cycle) reads a later
+one.  M_s and L are bisected together in ascending order, and a midpoint
+drawn for one is reused by the other when both brackets are the same
+interval, so the two crossings belong to one path and keep their joint law.
 Time and memory grow with the number of inspections, not with 1/delta; only
 the log2(T/delta) bisection levels do.  Crossings stay on the delta-grid, so
 they keep its +delta/2 bias.  Shock times are drawn exactly from the
@@ -158,24 +166,20 @@ def _skeleton(horizon: float, T: float, delta: float) -> np.ndarray:
     return np.array(sorted({0, K, *(min(j, K) for j in epochs)}), dtype=np.int64)
 
 
-def _first_crossings(grid, levels, shape_step, scale, rngs, sizes):
-    """Draw the streams' paths and find where each path first reaches each level.
+def _brackets(grid, levels, shape_step, scale, rngs, sizes):
+    """Draw the streams' paths at the skeleton and bracket every level on each.
 
     Stream s has ``sizes[s]`` paths, drawn from ``rngs[s]`` at the skeleton
     grid indices ``grid`` by one gamma increment per interval; its paths
-    follow those of stream s - 1.  ``levels`` is (3, n) with each path's
-    levels ascending.  Each level's bracketing skeleton interval is bisected
-    with gamma-bridge midpoints; a level whose bracket is the previous
-    level's takes that level's midpoint, so a point is never drawn twice.
-    Only the previous level needs checking: brackets are ordered like their
-    levels, so two equal brackets enclose every level between them.  Returns
-    the (3, n) first grid indices, 0 where a path stays below a level.
+    follow those of stream s - 1.  ``levels`` is (r, n).  Returns ``pos``,
+    the index in ``grid`` of the first skeleton point at or above each level
+    (len(grid) where the path stays below it), and the path's values ``xa``
+    and ``xb`` at grid[pos - 1] and grid[pos], the ends of that bracket.
     """
-    # The skeleton is drawn and reduced to the brackets of the levels a group
-    # of whole streams at a time, each group at most _SKELETON_POINTS points.
-    a, b = np.empty(levels.shape, dtype=np.int64), np.empty(levels.shape, dtype=np.int64)
+    # The skeleton is drawn and reduced to the brackets a group of whole
+    # streams at a time, each group at most _SKELETON_POINTS points.
+    pos = np.empty(levels.shape, dtype=np.int64)
     xa, xb = np.empty(levels.shape), np.empty(levels.shape)
-    hit = np.empty(levels.shape, dtype=bool)
     shapes = shape_step * np.diff(grid)
     starts = np.cumsum(sizes) - sizes
     for group in _passes(sizes, _SKELETON_POINTS // len(grid)):
@@ -186,13 +190,31 @@ def _first_crossings(grid, levels, shape_step, scale, rngs, sizes):
             out=X[:, 1:],
         )
         np.cumsum(X, axis=1, out=X)
-        pos = (X[None, :, :] < levels[:, paths, None]).sum(axis=2)
-        hit[:, paths] = pos < len(grid)
-        np.minimum(pos, len(grid) - 1, out=pos)
+        p = (X[None, :, :] < levels[:, paths, None]).sum(axis=2)
+        pos[:, paths] = p
+        np.minimum(p, len(grid) - 1, out=p)
         rows = np.arange(len(X))
-        b[:, paths], xb[:, paths] = grid[pos], X[rows, pos]
-        a[:, paths], xa[:, paths] = grid[pos - 1], X[rows, pos - 1]
-    np.copyto(a, b, where=~hit)
+        xb[:, paths], xa[:, paths] = X[rows, p], X[rows, p - 1]
+    return pos, xa, xb
+
+
+def _bisect(grid, pos, xa, xb, levels, shape_step, rngs, sizes):
+    """First grid index at or above each bracketed level, by bridge bisection.
+
+    ``pos``, ``xa`` and ``xb`` are the brackets that :func:`_brackets` found
+    for the (r, n) ``levels``, each path's levels ascending; a level whose
+    ``pos`` is len(grid) is left out, and a path's levels left out must be
+    its highest.  Each bracket is bisected with gamma-bridge midpoints, every
+    stream drawing its own from ``rngs[s]``; a level whose bracket is the
+    previous level's takes that level's midpoint, so a point is never drawn
+    twice.  Only the previous level needs checking: brackets are ordered like
+    their levels, so two equal brackets enclose every level between them.
+    ``xa`` and ``xb`` are updated in place.  Returns the (r, n) first grid
+    indices, 0 for the levels left out.
+    """
+    hit = pos < len(grid)
+    b = grid[np.minimum(pos, len(grid) - 1)]
+    a = np.where(hit, grid[pos - 1], b)
     stream = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
     # Flat views of the (level, path) state, level-major.
     fa, fb, fxa, fxb = (v.ravel() for v in (a, b, xa, xb))
@@ -256,34 +278,39 @@ def _simulate_kernel(model, T, horizon, delta, Ms, sizes, rngs):
     stream draws exactly what it would draw alone, in the same order: its
     skeleton increments, its bridge midpoints round by round, then its
     exponentials.  Returns per-path arrays: replacement inspection index
-    (k_rep), corrective flag, censored flag, failure time D, crossing times
-    of M, M_s, L, and the shock time Y (np.inf when beyond the horizon).
+    (k_rep), corrective flag, censored flag, failure time D, crossing time of
+    L and shock time Y (np.inf when beyond the horizon).  Let k_p be the
+    inspection that finds M and end = min(k_p T, horizon): D, sigma_L and Y
+    are the path's own wherever they are at most end, and beyond end they
+    are only known to exceed it (sigma_L then reads np.inf).
     """
     alpha = model.degradation.alpha
     beta = model.degradation.beta
     lam1 = model.shocks.lambda1
     lam2 = model.shocks.lambda2
+    grid = _skeleton(horizon, T, delta)
+    kmax = int(math.floor(horizon / T + _EPS))
 
-    # Each stream's thresholds in ascending order, and the rank of each
-    # threshold (M, M_s, L) in that order.
-    thresholds = np.column_stack([
-        np.asarray(Ms, dtype=float),
-        np.full(len(sizes), model.shock_threshold),
-        np.full(len(sizes), model.breakdown_threshold),
+    # Each path's M, then M_s and L in ascending order.
+    low, high = sorted((model.shock_threshold, model.breakdown_threshold))
+    n = int(np.sum(sizes))
+    levels = np.vstack([
+        np.repeat(np.asarray(Ms, dtype=float), sizes), np.full(n, low), np.full(n, high)
     ])
-    order = np.argsort(thresholds, axis=1, kind="stable")
-    rank = np.argsort(order, axis=1)
-    index = np.take_along_axis(
-        _first_crossings(
-            _skeleton(horizon, T, delta),
-            np.repeat(np.take_along_axis(thresholds, order, axis=1).T, sizes, axis=1),
-            alpha * delta, 1.0 / beta, rngs, sizes,
-        ),
-        np.repeat(rank.T, sizes, axis=1),
-        axis=0,
-    )
-    sigma_M, sigma_Ms, sigma_L = np.where(index > 0, index * delta, np.inf)
-    del index
+    pos, xa, xb = _brackets(grid, levels, alpha * delta, 1.0 / beta, rngs, sizes)
+    # Skeleton point k is inspection k for k <= kmax, so M's bracket ends at
+    # the inspection k_p that finds it, or past the last one: M is never
+    # bisected.  M_s and L are bisected only where their bracket opens
+    # before end = min(k_p T, horizon); an unresolved M_s gives v = horizon
+    # below, which changes Y only past end.
+    k_p = pos[0]
+    pos[1:][pos[1:] > k_p] = len(grid)
+    index = _bisect(grid, pos[1:], xa[1:], xb[1:], levels[1:], alpha * delta, rngs, sizes)
+    sigma = np.where(index > 0, index * delta, np.inf)
+    if model.shock_threshold <= model.breakdown_threshold:
+        sigma_Ms, sigma_L = sigma
+    else:
+        sigma_L, sigma_Ms = sigma
 
     # Exact inverse-transform draw of the shock time given the (grid) time v
     # at which the path enters the high-intensity regime: the cumulative
@@ -297,17 +324,15 @@ def _simulate_kernel(model, T, horizon, delta, Ms, sizes, rngs):
     Y[Y > horizon] = np.inf
 
     D = np.minimum(sigma_L, Y)
-    kmax = int(math.floor(horizon / T + _EPS))
     # A failure in (0, T] is found at the first inspection, however early.
     k_c = np.maximum(np.ceil(D / T - 1e-12), 1.0)
-    k_p = np.ceil(sigma_M / T - 1e-12)
     k_c[~np.isfinite(k_c)] = kmax + 1_000_000
-    k_p[~np.isfinite(k_p)] = kmax + 1_000_000
+    k_p = np.where(k_p < len(grid), k_p, kmax + 1_000_000)
     corrective = k_c <= k_p
     k_rep = np.where(corrective, k_c, k_p)
     k_rep = np.minimum(k_rep, kmax + 1).astype(np.int64)
     censored = np.where(corrective, k_c, k_p) > kmax
-    return k_rep, corrective, censored, D, sigma_M, sigma_Ms, sigma_L, Y
+    return k_rep, corrective, censored, D, sigma_L, Y
 
 
 def _table(index, rows, cols, weights=None):
@@ -700,50 +725,54 @@ def estimate_tables(
 
 
 def _chain_block(model, policy, costs, life, delta, n_block, seed_seq):
-    """Vectorized chained realizations for one block."""
+    """Vectorized chained realizations for one block.
+
+    A realization starts a new cycle at each replacement, an inspection, so
+    its clock is jT after j inspections.  The realizations that share a
+    clock start their cycles in one kernel call, over the remaining horizon
+    t_f - jT, lowest clock first: at most k_max + 1 calls.  The first holds
+    every realization at clock 0, so the first cycles are the table paths of
+    the same seed sequence.  A cycle is read only up to its replacement or
+    the horizon, where the kernel's D is exact.
+    """
     rng = np.random.default_rng(seed_seq)
     T = policy.inspection_period
     tf = life.horizon
-    clock = np.zeros(n_block)
+    inspections = np.zeros(n_block, dtype=np.int64)
     active = np.ones(n_block, dtype=bool)
     counts = np.zeros(n_block)
     total = np.zeros(n_block)
     while active.any():
-        na = int(active.sum())
+        j = inspections[active].min()
+        idx = np.flatnonzero(active & (inspections == j))
+        remaining = tf - j * T
         k_rep, corrective, censored, D, *_ = _simulate_kernel(
-            model, T, tf, delta, [policy.preventive_threshold], [na], [rng]
+            model, T, remaining, delta, [policy.preventive_threshold], [len(idx)], [rng]
         )
-        remaining = tf - clock[active]
-        k_limit = np.floor(remaining / T + _EPS).astype(np.int64)
-        replaced = (k_rep <= k_limit) & ~censored
-        rep_time = k_rep * T
+        # Within the remaining horizon a cycle is replaced exactly when it is
+        # not censored; a censored one is inspected k_limit times.
+        replaced = ~censored
+        k_limit = int(math.floor(remaining / T + _EPS))
         downtime = np.where(
-            corrective & replaced, np.maximum(0.0, rep_time - D), 0.0
+            corrective & replaced, np.maximum(0.0, k_rep * T - D), 0.0
         )
-        cycle_cost = np.where(
+        terminal_down = np.where(
+            censored & (D < remaining),
+            np.maximum(0.0, remaining - np.maximum(D, k_limit * T)),
+            0.0,
+        )
+        total[idx] += np.where(
             replaced,
             np.where(corrective, costs.corrective, costs.preventive)
             + costs.inspection * (k_rep - 1)
             + costs.downtime_rate * downtime,
-            0.0,
-        )
-        terminal_down = np.where(
-            ~replaced & (D < remaining),
-            np.maximum(0.0, remaining - np.maximum(D, k_limit * T)),
-            0.0,
-        )
-        cycle_cost += np.where(
-            ~replaced,
             costs.inspection * k_limit + costs.downtime_rate * terminal_down,
-            0.0,
         )
-        idx = np.where(active)[0]
-        total[idx] += cycle_cost
         counts[idx] += replaced
-        clock[idx[replaced]] += rep_time[replaced]
-        active[idx[~replaced]] = False
+        active[idx[censored]] = False
         still = idx[replaced]
-        active[still] = clock[still] < tf - _EPS
+        inspections[still] += k_rep[replaced]
+        active[still] = inspections[still] * T < tf - _EPS
     return counts, total
 
 

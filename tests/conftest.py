@@ -1,3 +1,6 @@
+from collections import Counter
+
+import numpy as np
 import pytest
 
 from cbmlife.model import (
@@ -11,6 +14,40 @@ from cbmlife.model import (
 from cbmlife.simulate import SimulationConfig, chain_statistics, estimate_tables
 
 SEED = 20_260_824
+
+
+def _counted(name):
+    base = getattr(np.random.Generator, name)
+
+    def sample(self, *args, **kwargs):
+        out = base(self, *args, **kwargs)
+        self.counts[name] += int(np.size(out))
+        return out
+
+    return sample
+
+
+class CountingGenerator(np.random.Generator):
+    """``default_rng(seed)``'s generator, counting the variates it draws.
+
+    It draws from the same PCG64 bit generator, so its draws are
+    ``default_rng(seed)``'s; ``counts[name]`` is the number of variates its
+    ``name`` sampler has returned.
+    """
+
+    beta = _counted("beta")
+    exponential = _counted("exponential")
+    gamma = _counted("gamma")
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.counts = Counter()
+
+
+@pytest.fixture
+def counting_rng():
+    """Build a CountingGenerator from a seed."""
+    return CountingGenerator
 
 
 @pytest.fixture(scope="session")

@@ -4,8 +4,10 @@
 :mod:`cbmlife.simulate` replaced: the whole degradation path on the
 delta-grid.  It draws every grid increment, so the first grid point at or
 above each threshold is read directly from the path; the law tests compare
-the bridge kernel's outputs against it.  Its signature and outputs are those
-of ``cbmlife.simulate._simulate_kernel``.  ``loop_accumulate`` is the table
+the bridge kernel's outputs against it.  Its signature is that of
+``cbmlife.simulate._simulate_kernel``; it returns the kernel's first four
+outputs (k_rep, corrective, censored, D), then the crossing times of M, M_s
+and L and the shock time, each the path's own at every time.  ``loop_accumulate`` is the table
 reduction that ``_block_accumulate`` replaced.
 """
 

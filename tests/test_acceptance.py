@@ -21,6 +21,7 @@ import math
 
 import numpy as np
 import pytest
+from crossings import all_crossings
 from oracle import (
     ASYMPTOTIC_MIN,
     TRANSIENT_MIN,
@@ -371,9 +372,9 @@ def test_criterion_9_property_suite(ref_model, ref_policy, ref_costs, ref_life, 
 
     n_fp = 10_000
     rng = np.random.default_rng(SEED)
-    *_, sigma_Ms, _sigma_L, _Y = _simulate_kernel(
+    _sigma_M, sigma_Ms, _sigma_L = all_crossings(
         ref_model, ref_policy.inspection_period, 50.0, 0.02,
-        [ref_policy.preventive_threshold], [n_fp], [rng],
+        ref_policy.preventive_threshold, n_fp, rng,
     )
     fp_ok = True
     deg = ref_model.degradation

@@ -2,14 +2,18 @@
 
 Both samplers record a crossing at the first delta-grid point at or above
 the threshold, so they have one law; the bridge draws far fewer variates.
-The two-sample checks compare independent runs of the two at 4 standard
-errors of the difference; the joint checks hold path by path.
+The kernel resolves only what a cycle's outcome reads, so its outputs are
+compared through the events the tables read, and the crossing times through
+``all_crossings``, the kernel's routines with every level bisected.  The
+two-sample checks compare independent runs of the two at 4 standard errors
+of the difference; the joint checks hold path by path.
 """
 
 import math
 
 import numpy as np
 import pytest
+from crossings import all_crossings
 from dense_sampler import dense_kernel, loop_accumulate
 
 from cbmlife.model import (
@@ -49,17 +53,20 @@ def mean_z(a, b):
     return 0.0 if se == 0.0 else (a.mean() - b.mean()) / se
 
 
-@pytest.mark.parametrize(
-    "T, M, delta",
-    [
-        pytest.param(10.0, 14.0, 0.1, id="reference"),
-        pytest.param(50.0, 25.0, 0.5, id="one-inspection"),
-        pytest.param(10.0, 30.0, 0.1, id="M-equals-L"),
-        pytest.param(10.0, 14.0, 0.3, id="T-over-delta-not-integer"),
-    ],
-)
-def test_law_matches_dense_sampler(T, M, delta):
-    model = make_model()
+LAW_CASES = [
+    pytest.param(10.0, 14.0, 0.1, 30.0, 20.0, id="reference"),
+    pytest.param(50.0, 25.0, 0.5, 30.0, 20.0, id="one-inspection"),
+    pytest.param(10.0, 30.0, 0.1, 30.0, 20.0, id="M-equals-L"),
+    pytest.param(10.0, 14.0, 0.3, 30.0, 20.0, id="T-over-delta-not-integer"),
+    pytest.param(10.0, 14.0, 0.1, 30.0, 35.0, id="Ms-above-L"),
+]
+
+
+@pytest.mark.parametrize("T, M, delta, L, Ms", LAW_CASES)
+def test_law_matches_dense_sampler(T, M, delta, L, Ms):
+    # the events the tables read: when and how a cycle ends, and whether it
+    # has failed by each inspection up to the one that ends it
+    model = make_model(L, Ms)
     policy = MaintenancePolicy(inspection_period=T, preventive_threshold=M)
     bridge = _simulate_kernel(
         model, T, HORIZON, delta, [M], [N], [np.random.default_rng(SEED)]
@@ -68,20 +75,35 @@ def test_law_matches_dense_sampler(T, M, delta):
         model, policy, HORIZON, delta, N, np.random.default_rng(SEED + 1)
     )
     kmax = int(HORIZON // T)
-    epochs = T * np.arange(1, kmax + 1)
+    ks = np.arange(1, kmax + 1)
+    epochs = T * ks
 
-    def events(k_rep, corrective, censored, D, sM, sMs, sL, Y):
+    def events(k_rep, corrective, censored, D, *_):
         return np.vstack([
             k_rep[None, :] == np.arange(1, kmax + 2)[:, None],
             corrective,
             censored,
-            sMs[None, :] <= epochs[:, None],
-            sL[None, :] <= epochs[:, None],
+            (D[None, :] <= epochs[:, None]) & (k_rep[None, :] >= ks[:, None]),
         ])
 
-    z = list(proportion_z(events(*bridge), events(*dense)))
-    for i in (5, 6):  # sigma_Ms, sigma_L
-        z.append(mean_z(np.minimum(bridge[i], HORIZON), np.minimum(dense[i], HORIZON)))
+    z = proportion_z(events(*bridge), events(*dense))
+    worst = np.abs(z).max()
+    assert worst <= Z, f"largest two-sample |z| is {worst:.2f}"
+
+
+@pytest.mark.parametrize("T, M, delta, L, Ms", LAW_CASES)
+def test_crossing_law_matches_dense_sampler(T, M, delta, L, Ms):
+    model = make_model(L, Ms)
+    policy = MaintenancePolicy(inspection_period=T, preventive_threshold=M)
+    bridge = all_crossings(model, T, HORIZON, delta, M, N, np.random.default_rng(SEED))
+    dense = dense_kernel(
+        model, policy, HORIZON, delta, N, np.random.default_rng(SEED + 1)
+    )[4:7]
+    epochs = T * np.arange(1, int(HORIZON // T) + 1)
+    z = []
+    for a, b in zip(bridge, dense):
+        z.extend(proportion_z(a[None, :] <= epochs[:, None], b[None, :] <= epochs[:, None]))
+        z.append(mean_z(np.minimum(a, HORIZON), np.minimum(b, HORIZON)))
     worst = max(abs(v) for v in z)
     assert worst <= Z, f"largest two-sample |z| is {worst:.2f}"
 
@@ -89,8 +111,8 @@ def test_law_matches_dense_sampler(T, M, delta):
 @pytest.mark.parametrize("M, delta", [(14.0, 0.1), (25.0, 0.3), (30.0, 0.5)])
 def test_crossings_are_grid_points_of_one_path(M, delta):
     model = make_model()
-    *_, sM, sMs, sL, _ = _simulate_kernel(
-        model, 10.0, HORIZON, delta, [M], [20_000], [np.random.default_rng(SEED)]
+    sM, sMs, sL = all_crossings(
+        model, 10.0, HORIZON, delta, M, 20_000, np.random.default_rng(SEED)
     )
     for sigma in (sM, sMs, sL):
         hit = sigma[np.isfinite(sigma)]
@@ -106,8 +128,8 @@ def test_crossings_are_grid_points_of_one_path(M, delta):
 
 def test_identical_thresholds_give_identical_crossings():
     model = make_model(L=25.0, Ms=25.0)
-    *_, sM, sMs, sL, _ = _simulate_kernel(
-        model, 10.0, HORIZON, 0.1, [25.0], [20_000], [np.random.default_rng(SEED)]
+    sM, sMs, sL = all_crossings(
+        model, 10.0, HORIZON, 0.1, 25.0, 20_000, np.random.default_rng(SEED)
     )
     assert np.isfinite(sM).any()
     assert np.array_equal(sM, sMs) and np.array_equal(sMs, sL)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from crossings import all_crossings
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
@@ -119,10 +120,9 @@ class TestFirstPassage:
         levels = np.array([z1, z1 + dz1, z1 + dz1 + dz2])[order]
         model = SystemModel(DEG, SHOCKS, levels[2], levels[1])
         rng = np.random.default_rng(6)
-        *_, sigma_M, sigma_Ms, sigma_L, _Y = _simulate_kernel(
-            model, 10.0, 100.0, 0.1, [levels[0]], [200], [rng]
-        )
-        sigma = np.stack([sigma_M, sigma_Ms, sigma_L])[np.argsort(order)]
+        sigma = np.stack(
+            all_crossings(model, 10.0, 100.0, 0.1, levels[0], 200, rng)
+        )[np.argsort(order)]
         assert np.all(sigma[0] <= sigma[1]) and np.all(sigma[1] <= sigma[2])
 
 

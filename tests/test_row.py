@@ -80,6 +80,22 @@ def test_row_equals_one_threshold_calls(model, T, horizon, n, streams, delta):
 
 
 @pytest.mark.parametrize(
+    "Ms", [pytest.param(35.0, id="Ms-above-L"), pytest.param(30.0, id="Ms-equals-L")]
+)
+def test_row_with_shock_threshold_at_or_above_L(Ms):
+    model = SystemModel(
+        degradation=GammaDegradation(alpha=0.1, beta=0.1),
+        shocks=ShockIntensity(lambda1=0.01, lambda2=0.1),
+        breakdown_threshold=30.0,
+        shock_threshold=Ms,
+    )
+    life = LifeCycle(50.0)
+    cfg = SimulationConfig(n_samples=803, master_seed=SEED, worker_streams=4)
+    row = list(estimate_row(model, 10.0, THRESHOLDS, life, cfg, seeds(THRESHOLDS)))
+    assert_rows_equal(row, one_by_one(model, 10.0, THRESHOLDS, life, cfg))
+
+
+@pytest.mark.parametrize(
     "n, streams",
     [
         pytest.param(130, 4, id="passes-across-thresholds"),  # blocks of 32-33

@@ -1,12 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from crossings import all_crossings
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from cbmlife.errors import ConfigurationError
+from cbmlife.errors import ConfigurationError, GridCoverageError
 from cbmlife.model import (
     CostStructure,
     GammaDegradation,
@@ -18,6 +20,7 @@ from cbmlife.model import (
 from cbmlife.simulate import (
     SimulationConfig,
     _simulate_kernel,
+    _skeleton,
     chain_statistics,
     estimate_tables,
     tables_digest,
@@ -52,21 +55,49 @@ class TestSimulateCycle:
         assert np.all(np.isinf(D)) and np.all(np.isinf(Y))
 
     def test_sample_invariants(self, ref_model, ref_policy, ref_life):
-        T = ref_policy.inspection_period
-        rng = np.random.default_rng(SEED)
-        k_rep, corrective, censored, D, sigma_M, *_ = _simulate_kernel(
-            ref_model, T, ref_life.horizon, T / 100.0,
-            [ref_policy.preventive_threshold], [300], [rng],
+        T, M = ref_policy.inspection_period, ref_policy.preventive_threshold
+        delta = T / 100.0
+        k_rep, corrective, censored, D, *_ = _simulate_kernel(
+            ref_model, T, ref_life.horizon, delta, [M], [300],
+            [np.random.default_rng(SEED)],
         )
+        # the kernel draws the skeleton first: X at the inspection epochs
+        grid = _skeleton(ref_life.horizon, T, delta)
+        deg = ref_model.degradation
+        X = np.random.default_rng(SEED).gamma(
+            deg.alpha * delta * np.diff(grid), 1.0 / deg.beta, (300, len(grid) - 1)
+        ).cumsum(axis=1)
+        X_at = np.column_stack([np.zeros(300), X])  # X_at[:, k] = X(kT), k <= kmax
+        rows = np.arange(300)
         assert np.all(k_rep >= 1)
         fixed = corrective & ~censored
         down = k_rep[fixed] * T - D[fixed]
         assert np.all((down >= 0.0) & (down < T))
+        # no inspection before the replacement found M
+        ended = ~censored
+        assert np.all(X_at[rows[ended], k_rep[ended] - 1] < M)
         preventive = ~corrective & ~censored
-        # replaced at the first inspection past sigma_M, before any failure
-        assert np.all(sigma_M[preventive] <= k_rep[preventive] * T)
+        # replaced at the first inspection that finds X >= M, before any failure
+        assert np.all(X_at[rows[preventive], k_rep[preventive]] >= M)
         assert np.all(D[preventive] > k_rep[preventive] * T)
         assert fixed.any() and preventive.any()
+
+    def test_no_bridge_draws_past_the_replacement(self, counting_rng):
+        # Every path is found above M at the first inspection, long before it
+        # can reach M_s or L, so no crossing needs resolving.
+        model = make_model(L=300.0, Ms=200.0)
+        n = 500
+        rng = counting_rng(SEED)
+        outputs = _simulate_kernel(model, 10.0, 1000.0, 0.1, [1e-6], [n], [rng])
+        k_rep, corrective, censored, D, *_ = outputs
+        assert np.all(k_rep == 1) and not censored.any()
+        assert np.all(D[~corrective] > 10.0)
+        assert rng.counts == {"gamma": n * 100, "exponential": n}
+        plain = _simulate_kernel(
+            model, 10.0, 1000.0, 0.1, [1e-6], [n], [np.random.default_rng(SEED)]
+        )
+        for a, b in zip(outputs, plain):
+            assert np.array_equal(a, b)
 
     def test_bad_step_rejected(self, ref_model, ref_policy, ref_life):
         for step in (-0.5, math.nan, math.inf):
@@ -104,9 +135,9 @@ class TestEstimateTables:
         policy = MaintenancePolicy(inspection_period=10.0, preventive_threshold=14.0)
         cfg = SimulationConfig(n_samples=20_000, master_seed=SEED)
         rng = np.random.default_rng(SEED)
-        *_, sigma_Ms, _sigma_L, _Y = _simulate_kernel(
+        _sigma_M, sigma_Ms, _sigma_L = all_crossings(
             ref_model, policy.inspection_period, 50.0, 0.1,
-            [policy.preventive_threshold], [cfg.n_samples], [rng],
+            policy.preventive_threshold, cfg.n_samples, rng,
         )
         n = cfg.n_samples
         deg = ref_model.degradation
@@ -169,6 +200,40 @@ class TestEstimateTables:
         tables.validate()
 
 
+class TestRandomModels:
+    @given(
+        alpha=st.floats(min_value=0.02, max_value=1.0),
+        beta=st.floats(min_value=0.02, max_value=1.0),
+        lam1=st.floats(min_value=0.0, max_value=0.1),
+        lam2=st.floats(min_value=0.0, max_value=0.3),
+        L=st.floats(min_value=1.0, max_value=60.0),
+        Ms_over_L=st.floats(min_value=0.1, max_value=2.0),
+        M_over_L=st.floats(min_value=0.01, max_value=1.0),
+        T=st.floats(min_value=0.5, max_value=30.0),
+        periods=st.floats(min_value=0.2, max_value=50.0),
+        n=st.integers(min_value=1, max_value=200),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_valid_tables_and_finite_chains_or_typed_error(
+        self, ref_costs, alpha, beta, lam1, lam2, L, Ms_over_L, M_over_L, T, periods, n
+    ):
+        # M_s above L is allowed; t_f / T is at most 50
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # lambda1 > lambda2
+            model = make_model(alpha, beta, lam1, lam2, L, Ms=L * Ms_over_L)
+        policy = MaintenancePolicy(inspection_period=T, preventive_threshold=L * M_over_L)
+        life = LifeCycle(T * periods)
+        cfg = SimulationConfig(n_samples=n, master_seed=SEED)
+        try:
+            tables = estimate_tables(model, policy, life, cfg)
+            counts, totals = chain_statistics(model, policy, ref_costs, life, cfg)
+        except (ConfigurationError, GridCoverageError):
+            return
+        tables.validate()
+        assert np.isfinite(counts).all() and np.isfinite(totals).all()
+        assert np.all(totals >= 0.0)
+
+
 class TestChaining:
     def test_zero_costs(self, ref_model, ref_policy, ref_life):
         cfg = SimulationConfig(n_samples=200, master_seed=SEED)
@@ -187,6 +252,18 @@ class TestChaining:
         kmax = math.floor(ref_life.horizon / ref_policy.inspection_period)
         assert np.all((counts >= 0) & (counts <= kmax) & (counts == np.round(counts)))
         assert np.all(totals >= counts * ref_costs.preventive)
+
+    def test_first_cycles_are_the_table_paths(self, ref_model, ref_policy, ref_costs, ref_life):
+        # chain_statistics starts from the paths of estimate_tables with the
+        # same seed: a realization renews at least once exactly when its
+        # first cycle is not censored
+        cfg = SimulationConfig(n_samples=2_000, master_seed=SEED, worker_streams=4)
+        tables = estimate_tables(ref_model, ref_policy, ref_life, cfg)
+        counts, _ = chain_statistics(ref_model, ref_policy, ref_costs, ref_life, cfg)
+        assert np.array_equal(
+            [(block >= 1).sum() for block in np.split(counts, 4)],
+            tables.block_sizes - tables.bcensored,
+        )
 
     def test_variance_identity(self, strict_full):
         _, totals = strict_full
