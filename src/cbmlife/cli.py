@@ -26,7 +26,7 @@ import numpy as np
 
 from . import optimize as opt
 from . import renewal, sensitivity
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InconsistencyError
 from .model import (
     CostStructure,
     GammaDegradation,
@@ -261,21 +261,35 @@ def cmd_curves(rc: RunConfig, args) -> int:
                                 threads=rc.workers, seed_sequence=seed(v))
                 for policy, v in zip(policies, sweep_values)
             )
-        rows = []
         reference = None
-        for value, policy, tables in zip(sweep_values, policies, swept):
-            if policy == rc.policy:
-                reference = tables
-            rate = renewal.expected_cost(tables, rc.costs, tf) / tf
-            sd = renewal.std_dev(tables, rc.costs, tf)
-            row = [value, rate, sd]
-            if args.strict_mc:
-                _, totals = chain_statistics(
-                    rc.model, policy, rc.costs, rc.life, rc.sim,
-                    threads=rc.workers, seed_sequence=seed(value, 1),
-                )
-                row.append(float(totals.mean()) / tf)
-            rows.append(row)
+        strict_rates = []
+
+        def read(swept):
+            """Each swept table set once; only the reference policy's is kept."""
+            nonlocal reference
+            for value, policy, tables in zip(sweep_values, policies, swept):
+                if policy == rc.policy:
+                    reference = tables
+                if args.strict_mc:
+                    _, totals = chain_statistics(
+                        rc.model, policy, rc.costs, rc.life, rc.sim,
+                        threads=rc.workers, seed_sequence=seed(value, 1),
+                    )
+                    strict_rates.append(float(totals.mean()) / tf)
+                yield tables
+
+        # The thresholds of an M sweep share one lattice, so one two-moment
+        # solve gives every rate and stddev; each T of a T sweep has its own.
+        groups = [read(swept)] if sweep_dim == "M" else ([t] for t in read(swept))
+        moments = [
+            renewal.cost_moments(
+                renewal.stack_tables(g, renewal.MOMENT_ESTIMATES), rc.costs, tf
+            )
+            for g in groups
+        ]
+        mean, sd = (np.concatenate(m) for m in zip(*moments))
+        strict = [strict_rates] if args.strict_mc else []
+        rows = list(zip(sweep_values, mean / tf, sd, *strict))
 
         header = [sweep_dim, "cost_rate", "stddev"] + (
             ["strict_mc_rate"] if args.strict_mc else []
@@ -433,7 +447,7 @@ def main(argv=None) -> int:
     try:
         rc = _apply_overrides(parse_config(args.config), args)
         return args.func(rc, args)
-    except (ConfigurationError, ValueError, OSError) as exc:
+    except (ConfigurationError, InconsistencyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -4,23 +4,30 @@ Each grid cell gets an independent, value-keyed random substream, so the
 objective matrix is reproducible and invariant to the enumeration order of
 the grid.  The cells of one inspection period are simulated together by one
 :func:`~cbmlife.simulate.estimate_row` call, each still from its own
-substream.  Per-cell standard errors come from batch means over the worker
-blocks of the cell's estimate tables.
+substream, and all their pooled and block tables are evaluated by one
+batched renewal solve.  Per-cell standard errors come from batch means over
+the worker blocks of the cell's estimate tables.
 """
 
 from __future__ import annotations
 
 import math
 import time
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import TruncationWarning
+from .errors import InconsistencyError
 from .model import CostStructure, LifeCycle, SystemModel
-from .renewal import asymptotic_cost_rate, expected_cost
+from .renewal import (
+    COST_ESTIMATES,
+    RATE_ESTIMATES,
+    asymptotic_cost_rates,
+    expected_costs,
+    stack_tables,
+    truncation_note,
+)
 from .simulate import SimulationConfig, estimate_row
 
 __all__ = [
@@ -91,46 +98,42 @@ def _cell_seed(master_seed: int, T: float, M: float) -> np.random.SeedSequence:
     )
 
 
-def _evaluate_cell(tables, costs, life, objective) -> tuple[float, float]:
-    """The objective of one table set and its batch-means standard error.
-
-    Only the pooled tables may warn of truncation; a block holds a fraction
-    of the paths, so its censored mass is not the cell's.
-    """
-
-    def value_of(t):
-        if objective == "asymptotic":
-            return asymptotic_cost_rate(t, costs)
-        return expected_cost(t, costs, life.horizon) / life.horizon
-
-    value = value_of(tables)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        block_values = [
-            value_of(tables.block_view(b))
-            for b in range(tables.worker_streams)
-            if tables.block_sizes[b] > 0
-        ]
-    if len(block_values) > 1:
-        stderr = float(np.std(block_values, ddof=1) / math.sqrt(len(block_values)))
-    else:
-        stderr = float("nan")
-    return float(value), stderr
-
-
 def _evaluate_row(args) -> list[tuple[float, float, list[str]]]:
-    """Every cell of one T row, from one simulation of the row."""
+    """Every cell of one T row, from one simulation and one renewal solve.
+
+    The stack holds each cell's pooled tables followed by its nonempty
+    worker blocks, whose values give the cell's batch-means standard error.
+    Only the pooled tables may warn of truncation: a block holds a fraction
+    of the paths, so its censored mass is not the cell's.  A block without
+    replacement mass has no asymptotic rate, and its cell no standard error;
+    a cell whose pooled tables hold none raises InconsistencyError.
+    """
     model, costs, life, cfg, T, Ms, objective = args
     row = estimate_row(
         model, T, Ms, life, cfg, [_cell_seed(cfg.master_seed, T, M) for M in Ms]
     )
+    if objective == "asymptotic":
+        stack = stack_tables(row, RATE_ESTIMATES, blocks=True)
+        values = asymptotic_cost_rates(stack, costs)
+    else:
+        stack = stack_tables(row, COST_ESTIMATES, blocks=True)
+        values = expected_costs(stack, costs, life.horizon) / life.horizon
+    cells = values.reshape(len(Ms), -1)
+    fractions = stack.censored_fraction.reshape(len(Ms), -1)[:, 0]
     outcomes = []
-    for M, tables in zip(Ms, row):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            value, stderr = _evaluate_cell(tables, costs, life, objective)
-        messages = [f"(T={T:g}, M={M:g}) {w.message}" for w in caught]
-        outcomes.append((value, stderr, messages))
+    for M, (value, *blocks), fraction in zip(Ms, cells, fractions):
+        label = f"(T={T:g}, M={M:g})"
+        if math.isnan(value):
+            raise InconsistencyError(
+                f"{label} no replacement mass observed; rate undefined"
+            )
+        note = truncation_note(fraction) if objective == "asymptotic" else None
+        messages = [] if note is None else [f"{label} {note}"]
+        if len(blocks) > 1:  # a block without a rate (NaN) leaves it NaN
+            stderr = float(np.std(blocks, ddof=1) / math.sqrt(len(blocks)))
+        else:
+            stderr = float("nan")
+        outcomes.append((float(value), stderr, messages))
     return outcomes
 
 

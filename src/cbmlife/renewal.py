@@ -9,11 +9,19 @@ equations of the form
 on the evaluation lattice carried by :class:`~cbmlife.simulate.EstimateTables`,
 with a measure-specific non-renewal term g and renewal mass p_k.  The lattice
 is closed under t -> t - T, so it splits into chains r, r + T, r + 2T, ...
-(:attr:`~cbmlife.simulate.EstimateTables.chains`).  Laid out as a matrix with
-one row per chain and one column per level, every recursion is one forward
+(:attr:`~cbmlife.simulate.Lattice.chains`).  Laid out as a matrix with one
+row per chain and one column per level, every recursion is one forward
 substitution over the columns, for all chains at once: memory O(N) in the
-lattice size N, one vectorized step per level.  Each measure builds its g
-with numpy and calls that one solver.
+lattice size N, one vectorized step per level.
+
+The table sets of one inspection period share one lattice, so the solver
+takes a leading batch axis: a :class:`TableStack` holds R table sets (or
+their worker blocks), one row each, and each measure builds its R
+non-renewal terms with numpy and solves them all in one substitution.  The
+one-table measures are the R = 1 case; the row measures
+(:func:`expected_costs`, :func:`cost_moments`, :func:`asymptotic_cost_rates`)
+evaluate a whole stack, row r bit for bit as the one-table measure of its
+table set.
 """
 
 from __future__ import annotations
@@ -21,20 +29,30 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GridCoverageError, InconsistencyError, TruncationWarning
 from .model import CostStructure
-from .simulate import EstimateTables
+from .simulate import EstimateTables, Lattice
 
 __all__ = [
     "CostCurve",
     "PerformanceCurve",
+    "TableStack",
+    "RATE_ESTIMATES",
+    "COST_ESTIMATES",
+    "MOMENT_ESTIMATES",
+    "stack_tables",
     "expected_cost",
+    "expected_costs",
     "std_dev",
+    "cost_moments",
     "asymptotic_cost_rate",
+    "asymptotic_cost_rates",
+    "truncation_note",
     "availability",
     "reliability",
     "interval_reliability",
@@ -82,48 +100,134 @@ class PerformanceCurve:
             raise InconsistencyError(f"{self.kind} left [0, 1]")
 
 
-def _chain_matrix(tables: EstimateTables, values: np.ndarray) -> np.ndarray:
-    """Lattice values laid out with one row per chain and one column per level."""
-    row, level = tables.chains
-    out = np.zeros((row.max() + 1, level.max() + 1))
-    out[row, level] = values
+# The estimates of a table set, each with the block array it pools.
+_BLOCK_ARRAYS = {
+    "p_preventive": "bp_p",
+    "p_corrective": "bp_c",
+    "joint_downtime": "bjw",
+    "joint_downtime_sq": "bjw2",
+    "alive_no_replacement": "balive",
+    "residual_downtime": "bresid",
+    "residual_downtime_sq": "bresid2",
+}
+# The estimates read by the asymptotic rate, by the expected cost, and by
+# the cost's two moments.
+RATE_ESTIMATES = ("p_preventive", "p_corrective", "joint_downtime")
+COST_ESTIMATES = (*RATE_ESTIMATES, "residual_downtime")
+MOMENT_ESTIMATES = (*COST_ESTIMATES, "joint_downtime_sq", "residual_downtime_sq")
+
+
+@dataclass(frozen=True, eq=False)
+class TableStack:
+    """The estimates of R table sets over one lattice, one row each.
+
+    Each array is a table set's pooled estimate (see
+    :class:`~cbmlife.simulate.EstimateTables`) with a leading axis of R
+    rows: ``(R, kmax + 1)`` per inspection, ``(R, N)`` per lattice time and
+    ``(R,)`` for ``censored_fraction``.  An estimate left out of the stack
+    is None.
+    """
+
+    lattice: Lattice
+    censored_fraction: np.ndarray
+    p_preventive: np.ndarray | None = None
+    p_corrective: np.ndarray | None = None
+    joint_downtime: np.ndarray | None = None
+    joint_downtime_sq: np.ndarray | None = None
+    alive_no_replacement: np.ndarray | None = None
+    residual_downtime: np.ndarray | None = None
+    residual_downtime_sq: np.ndarray | None = None
+
+    @property
+    def kmax(self) -> int:
+        return self.p_preventive.shape[1] - 1
+
+
+def stack_tables(
+    tables: Iterable[EstimateTables],
+    estimates: tuple[str, ...] = tuple(_BLOCK_ARRAYS),
+    blocks: bool = False,
+) -> TableStack:
+    """The table sets of one inspection period stacked in order, one row each.
+
+    ``estimates`` names the estimates to stack, all by default; a row
+    measure reads those of its ``*_ESTIMATES`` tuple.  With ``blocks``, each
+    table set's row is followed by one row per nonempty worker block: that
+    block's estimates alone, from which batch-means errors follow.  Only
+    the rows are kept, so ``tables`` may be a lazy iterator such as
+    :func:`~cbmlife.simulate.estimate_row`.  The table sets must share one
+    lattice: ValueError otherwise.
+    """
+    rows: dict[str, list] = {name: [] for name in (*estimates, "censored_fraction")}
+    lattice = None
+    for table in tables:
+        if lattice is None:
+            lattice = table.lattice
+        elif table.T != lattice.T or not np.array_equal(table.times, lattice.times):
+            raise ValueError("stacked table sets must share one lattice")
+        picked = np.flatnonzero(table.block_sizes) if blocks else []
+        n = table.block_sizes[picked, None]
+        for name in estimates:
+            block_rows = getattr(table, _BLOCK_ARRAYS[name])[picked] / n
+            rows[name].append(np.concatenate((getattr(table, name)[None], block_rows)))
+        block_rows = table.bcensored[picked] / n[:, 0]
+        rows["censored_fraction"].append(
+            np.concatenate(([table.censored_fraction], block_rows))
+        )
+    if lattice is None:
+        raise ValueError("no table sets to stack")
+    return TableStack(lattice, **{name: np.concatenate(v) for name, v in rows.items()})
+
+
+def _chain_matrix(chains, values: np.ndarray) -> np.ndarray:
+    """(R, N) lattice values laid out as (R, chain, level)."""
+    row, level = chains
+    out = np.zeros((len(values), row.max() + 1, level.max() + 1))
+    out[:, row, level] = values
     return out
 
 
-def _chain_sum(
-    tables: EstimateTables, g: np.ndarray, p: np.ndarray, v: np.ndarray | None = None
-) -> np.ndarray:
-    """g(t) + sum_{k=1}^{len(p)} p[k-1] u(t - kT) at every lattice time t.
+def _chain_sum(chains, g: np.ndarray, p: np.ndarray, v: np.ndarray | None = None):
+    """g(t) + sum_{k=1}^{K} p[:, k-1] u(t - kT) at every lattice time t, per row.
 
-    u is v when given; otherwise u is the result itself, which solves the
-    renewal equation by forward substitution over the levels.
+    ``g`` is (R, N) over the lattice of ``chains`` and ``p`` is (R, K).  u
+    is v when given; otherwise u is the result itself, which solves the R
+    renewal equations together by forward substitution over the levels.
     """
-    out = _chain_matrix(tables, g)
-    src = out if v is None else _chain_matrix(tables, v)
-    lags = np.zeros(out.shape[1])
-    lags[: min(len(p), len(lags))] = p[: len(lags)]
-    for j in range(1, out.shape[1]):
-        out[:, j] += src[:, j - 1 :: -1] @ lags[:j]
-    row, level = tables.chains
-    return out[row, level]
+    out = _chain_matrix(chains, g)
+    src = out if v is None else _chain_matrix(chains, v)
+    lags = np.zeros((len(out), out.shape[2]))
+    lags[:, : min(p.shape[1], lags.shape[1])] = p[:, : lags.shape[1]]
+    # numpy multiplies the reversed (negative-stride) view without BLAS, term
+    # by term in order, so each row sums exactly as a solve of its own.
+    for j in range(1, out.shape[2]):
+        lagged = np.matmul(src[:, :, j - 1 :: -1], lags[:, :j, None])
+        out[:, :, j] += lagged[:, :, 0]
+    row, level = chains
+    return out[:, row, level]
+
+
+def _one(tables: EstimateTables) -> TableStack:
+    return stack_tables([tables])
 
 
 # -- transient cost ----------------------------------------------------------
 
 def _cost_moments(
-    tables: EstimateTables, costs: CostStructure, second: bool = True
+    stack: TableStack, costs: CostStructure, second: bool = True
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """E[C(t)] and, when second is set, E[C(t)^2] at every lattice time.
+    """E[C(t)] and, when second is set, E[C(t)^2] at every lattice time, per row.
 
     A cycle replaced at kT costs c_x(k) = C_x + C_I (k - 1) plus its downtime;
     w_k and a_k are the first and second moments of that cost on the event
     of a replacement at kT, and a cycle still open at t has paid kf(t) C_I.
     """
-    kmax = tables.kmax
-    kf = np.minimum(tables.chains[1], kmax)
+    kmax = stack.kmax
+    chains = stack.lattice.chains
+    kf = np.minimum(chains[1], kmax)
     k = np.arange(1, kmax + 1)
-    pp, pc = tables.p_preventive[1:], tables.p_corrective[1:]
-    jw = tables.joint_downtime[1 : kmax + 1]
+    pp, pc = stack.p_preventive[:, 1:], stack.p_corrective[:, 1:]
+    jw = stack.joint_downtime[:, 1 : kmax + 1]
     CI, Cd = costs.inspection, costs.downtime_rate
     cp = costs.preventive + CI * (k - 1)
     cc = costs.corrective + CI * (k - 1)
@@ -131,20 +235,21 @@ def _cost_moments(
     w = cp * pp + cc * pc + Cd * jw
 
     def upto_kf(x):
-        return np.concatenate(([0.0], np.cumsum(x)))[kf]
+        sums = np.concatenate((np.zeros((len(x), 1)), np.cumsum(x, axis=1)), axis=1)
+        return sums[:, kf]
 
     open_mass = 1.0 - upto_kf(p)
-    resid = tables.residual_downtime
-    mean = _chain_sum(tables, upto_kf(w) + kf * CI * open_mass + Cd * resid, p)
+    resid = stack.residual_downtime
+    mean = _chain_sum(chains, upto_kf(w) + kf * CI * open_mass + Cd * resid, p)
     if not second:
         return mean, None
-    jw2 = tables.joint_downtime_sq[1 : kmax + 1]
+    jw2 = stack.joint_downtime_sq[:, 1 : kmax + 1]
     a = cp * cp * pp + cc * cc * pc + 2.0 * cc * Cd * jw + Cd * Cd * jw2
     # Squaring (c_x(k) + D) + C(t - kT) leaves the cross term 2 w_k E[C(t - kT)].
-    cross = _chain_sum(tables, np.zeros_like(mean), w, mean)
+    cross = _chain_sum(chains, np.zeros_like(mean), w, mean)
     g = upto_kf(a) + 2.0 * cross + (kf * CI) ** 2 * open_mass
-    g += 2.0 * kf * CI * Cd * resid + Cd * Cd * tables.residual_downtime_sq
-    return mean, _chain_sum(tables, g, p)
+    g += 2.0 * kf * CI * Cd * resid + Cd * Cd * stack.residual_downtime_sq
+    return mean, _chain_sum(chains, g, p)
 
 
 def _std(mean, mean_sq):
@@ -154,22 +259,34 @@ def _std(mean, mean_sq):
     return np.sqrt(np.maximum(var, 0.0))
 
 
+def expected_costs(stack: TableStack, costs: CostStructure, t: float) -> np.ndarray:
+    """E[C(t)] of every row of the stack, from one solve."""
+    i = stack.lattice.index_of(t)
+    return _cost_moments(stack, costs, second=False)[0][:, i]
+
+
+def cost_moments(
+    stack: TableStack, costs: CostStructure, t: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """E[C(t)] and the standard deviation of C(t) of every row, from one solve."""
+    i = stack.lattice.index_of(t)
+    mean, mean_sq = _cost_moments(stack, costs)
+    return mean[:, i], _std(mean[:, i], mean_sq[:, i])
+
+
 def expected_cost(tables: EstimateTables, costs: CostStructure, t: float) -> float:
     """E[C(t)] via the cost renewal recursion."""
-    i = tables.index_of(t)
-    return float(_cost_moments(tables, costs, second=False)[0][i])
+    return float(expected_costs(_one(tables), costs, t)[0])
 
 
 def std_dev(tables: EstimateTables, costs: CostStructure, t: float) -> float:
     """Standard deviation of the transient cost at t."""
-    i = tables.index_of(t)
-    mean, mean_sq = _cost_moments(tables, costs)
-    return float(_std(mean[i], mean_sq[i]))
+    return float(cost_moments(_one(tables), costs, t)[1][0])
 
 
 def cost_curve(tables: EstimateTables, costs: CostStructure) -> CostCurve:
     """Full transient cost curve on the evaluation grid."""
-    mean, mean_sq = _cost_moments(tables, costs)
+    mean, mean_sq = (m[0] for m in _cost_moments(_one(tables), costs))
     curve = CostCurve(
         times=tables.times, mean=mean, mean_sq=mean_sq, std=_std(mean, mean_sq)
     )
@@ -177,52 +294,69 @@ def cost_curve(tables: EstimateTables, costs: CostStructure) -> CostCurve:
     return curve
 
 
+def asymptotic_cost_rates(stack: TableStack, costs: CostStructure) -> np.ndarray:
+    """Long-run expected cost per time unit of every row (renewal reward ratio).
+
+    A row without replacement mass has no rate: NaN.  Nothing warns of
+    truncation here; see :func:`truncation_note`.
+    """
+    kmax = stack.kmax
+    ks = np.arange(1, kmax + 1)
+    pp = stack.p_preventive[:, 1:]
+    pc = stack.p_corrective[:, 1:]
+    numerator = np.sum(
+        costs.corrective * pc
+        + costs.preventive * pp
+        + costs.inspection * (ks - 1) * (pp + pc),
+        axis=1,
+    ) + costs.downtime_rate * stack.joint_downtime[:, 1 : kmax + 1].sum(axis=1)
+    denominator = np.sum(ks * stack.lattice.T * (pp + pc), axis=1)
+    rates = np.full(len(denominator), np.nan)
+    np.divide(numerator, denominator, out=rates, where=denominator != 0.0)
+    return rates
+
+
+def truncation_note(censored_fraction: float) -> str | None:
+    """The truncation warning of a table set with this censored mass, if any."""
+    if censored_fraction >= 0.01:
+        return (
+            f"censored mass {censored_fraction:.3f} >= 1%; "
+            "asymptotic sums are truncated"
+        )
+    return None
+
+
 def asymptotic_cost_rate(tables: EstimateTables, costs: CostStructure) -> float:
     """Long-run expected cost per time unit (renewal reward ratio)."""
-    if tables.censored_fraction >= 0.01:
-        warnings.warn(
-            f"censored mass {tables.censored_fraction:.3f} >= 1%; "
-            "asymptotic sums are truncated",
-            TruncationWarning,
-            stacklevel=2,
-        )
-    ks = np.arange(1, tables.kmax + 1)
-    pp = tables.p_preventive[1:]
-    pc = tables.p_corrective[1:]
-    numerator = float(
-        np.sum(
-            costs.corrective * pc
-            + costs.preventive * pp
-            + costs.inspection * (ks - 1) * (pp + pc)
-        )
-        + costs.downtime_rate * tables.joint_downtime[1 : tables.kmax + 1].sum()
-    )
-    denominator = float(np.sum(ks * tables.T * (pp + pc)))
-    if denominator == 0.0:
+    note = truncation_note(tables.censored_fraction)
+    if note is not None:
+        warnings.warn(note, TruncationWarning, stacklevel=2)
+    rate = float(asymptotic_cost_rates(_one(tables), costs)[0])
+    if math.isnan(rate):
         raise InconsistencyError("no replacement mass observed; rate undefined")
-    return numerator / denominator
+    return rate
 
 
 # -- performance measures ----------------------------------------------------
 
-def _survival(tables: EstimateTables, preventive_only: bool) -> np.ndarray:
+def _survival(stack: TableStack, preventive_only: bool) -> np.ndarray:
     """Availability, or reliability when only preventive replacements renew."""
-    p = tables.p_preventive[1:]
+    p = stack.p_preventive[:, 1:]
     if not preventive_only:
-        p = p + tables.p_corrective[1:]
-    return _chain_sum(tables, tables.alive_no_replacement, p)
+        p = p + stack.p_corrective[:, 1:]
+    return _chain_sum(stack.lattice.chains, stack.alive_no_replacement, p)
 
 
 def availability(tables: EstimateTables, t: float) -> float:
     """P[system working at t]."""
     i = tables.index_of(t)
-    return float(_survival(tables, preventive_only=False)[i])
+    return float(_survival(_one(tables), preventive_only=False)[0, i])
 
 
 def reliability(tables: EstimateTables, t: float) -> float:
     """P[no failure in (0, t]]; only preventive replacements renew it."""
     i = tables.index_of(t)
-    return float(_survival(tables, preventive_only=True)[i])
+    return float(_survival(_one(tables), preventive_only=True)[0, i])
 
 
 def _check_length(s: float) -> None:
@@ -230,38 +364,41 @@ def _check_length(s: float) -> None:
         raise GridCoverageError(f"interval length s={s} must be finite and nonnegative")
 
 
-def _interval(tables: EstimateTables, s: float) -> np.ndarray:
-    """IR(t, t+s) at every lattice t; NaN where t+s is off the lattice.
+def _interval(stack: TableStack, s: float) -> np.ndarray:
+    """IR(t, t+s) at every lattice t, per row; NaN where t+s is off the lattice.
 
     The non-renewal term is P[no replacement by t+s] plus, for each
     inspection k with kf(t) < k <= kf(t+s), a preventive renewal at kT
     followed by survival to t+s: p_p(k) R(t+s-kT).
     """
-    end = tables.indices_of(tables.times + s)
+    lattice = stack.lattice
+    chains = lattice.chains
+    end = lattice.indices_of(lattice.times + s)
     on_grid = end >= 0
-    if (np.diff(_chain_matrix(tables, on_grid)) > 0).any():
+    if (np.diff(_chain_matrix(chains, on_grid[None])) > 0).any():
         raise GridCoverageError(f"t + s is on the lattice but t - T + s is not (s={s})")
-    row, level = tables.chains
+    row, level = chains
     idx = np.flatnonzero(on_grid)
     end = end[idx]
-    rel = _chain_matrix(tables, _survival(tables, preventive_only=True))
-    kf_t = np.minimum(level[idx], tables.kmax)
-    kf_end = np.minimum(level[end], tables.kmax)
-    g = np.zeros(len(level))
-    g[idx] = tables.alive_no_replacement[end]
+    rel = _chain_matrix(chains, _survival(stack, preventive_only=True))
+    kf_t = np.minimum(level[idx], stack.kmax)
+    kf_end = np.minimum(level[end], stack.kmax)
+    g = np.zeros((len(rel), len(level)))
+    g[:, idx] = stack.alive_no_replacement[:, end]
     for d in range(1, int((kf_end - kf_t).max(initial=0)) + 1):
         on = kf_t + d <= kf_end
         k, e = kf_t[on] + d, end[on]
-        g[idx[on]] += rel[row[e], level[e] - k] * tables.p_preventive[k]
-    values = _chain_sum(tables, g, tables.p_preventive[1:] + tables.p_corrective[1:])
-    values[~on_grid] = np.nan
+        g[:, idx[on]] += rel[:, row[e], level[e] - k] * stack.p_preventive[:, k]
+    p = stack.p_preventive[:, 1:] + stack.p_corrective[:, 1:]
+    values = _chain_sum(chains, g, p)
+    values[:, ~on_grid] = np.nan
     return values
 
 
 def interval_reliability(tables: EstimateTables, t: float, s: float) -> float:
     """P[system works throughout (t, t+s]]."""
     _check_length(s)
-    value = _interval(tables, s)[tables.index_of(t)]
+    value = _interval(_one(tables), s)[0, tables.index_of(t)]
     if math.isnan(value):
         raise GridCoverageError(f"t + s = {t + s} is not on the evaluation grid")
     return float(value)
@@ -274,11 +411,11 @@ def performance_curve(
     _check_length(s)
     times = tables.times
     if kind == "availability":
-        values = _survival(tables, preventive_only=False)
+        values = _survival(_one(tables), preventive_only=False)[0]
     elif kind == "reliability":
-        values = _survival(tables, preventive_only=True)
+        values = _survival(_one(tables), preventive_only=True)[0]
     elif kind == "interval_reliability":
-        values = _interval(tables, s)
+        values = _interval(_one(tables), s)[0]
         keep = ~np.isnan(values)
         times, values = times[keep], values[keep]
     else:

@@ -7,7 +7,7 @@ random numbers), so cell differences reflect parameters rather than Monte
 Carlo noise; the zero-variation cell is the baseline itself and is not
 simulated again.  Every cell re-optimizes over the swept policy dimension
 before comparing; with T fixed, the whole sweep of one model is one
-:func:`~cbmlife.simulate.estimate_row` call.
+:func:`~cbmlife.simulate.estimate_row` call and one batched renewal solve.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .model import (
     ShockIntensity,
     SystemModel,
 )
-from .renewal import expected_cost
+from .renewal import COST_ESTIMATES, expected_costs, stack_tables
 from .simulate import SimulationConfig, estimate_row
 
 __all__ = [
@@ -82,8 +82,9 @@ def _min_transient_cost(model, costs, life, fixed, sweep_values, cfg) -> float:
             )
             for value in swept
         ]
-        for tables in estimate_row(model, T, Ms, life, cfg, seeds):
-            best = min(best, expected_cost(tables, costs, life.horizon))
+        row = estimate_row(model, T, Ms, life, cfg, seeds)
+        stack = stack_tables(row, COST_ESTIMATES)
+        best = min(best, *expected_costs(stack, costs, life.horizon).tolist())
     return best
 
 

@@ -70,6 +70,7 @@ from .model import (
 __all__ = [
     "SimulationConfig",
     "EstimateTables",
+    "Lattice",
     "estimate_tables",
     "estimate_row",
     "chain_statistics",
@@ -79,13 +80,12 @@ __all__ = [
 
 _EPS = 1e-9
 # Paths simulated together in one sampler pass.  A pass holds about 400
-# bytes a path (bisection state, bridge draws and reduction temporaries) plus
-# 8 bytes a skeleton point while the paths are drawn, so the cap bounds its
-# memory; a larger block runs alone in its own pass.
+# bytes a path (bisection state, bridge draws and reduction temporaries), so
+# the cap bounds its memory; a larger block runs alone in its own pass.
 _PASS_PATHS = 2048
-# Skeleton points (paths times skeleton indices) drawn at once: a long
-# horizon has many inspection epochs, and its skeleton would otherwise
-# outweigh the rest of a pass.
+# Skeleton points (paths times skeleton indices) drawn at once, whatever the
+# pass size: a long horizon has many inspection epochs, and its skeleton
+# would otherwise outweigh the rest of a pass.
 _SKELETON_POINTS = 16_384
 
 
@@ -176,17 +176,21 @@ def _brackets(grid, levels, shape_step, scale, rngs, sizes):
     (len(grid) where the path stays below it), and the path's values ``xa``
     and ``xb`` at grid[pos - 1] and grid[pos], the ends of that bracket.
     """
-    # The skeleton is drawn and reduced to the brackets a group of whole
-    # streams at a time, each group at most _SKELETON_POINTS points.
+    # The skeleton is drawn and reduced to the brackets at most cap paths at
+    # a time.  A stream's rows may span chunks: its generator fills them in
+    # row order, so the chunks of a stream draw the variates it would draw
+    # at once.
     pos = np.empty(levels.shape, dtype=np.int64)
     xa, xb = np.empty(levels.shape), np.empty(levels.shape)
     shapes = shape_step * np.diff(grid)
-    starts = np.cumsum(sizes) - sizes
-    for group in _passes(sizes, _SKELETON_POINTS // len(grid)):
-        paths = slice(starts[group[0]], starts[group[-1]] + sizes[group[-1]])
+    cap = max(1, _SKELETON_POINTS // len(grid))
+    first = 0
+    for parts in _row_chunks(sizes, cap):
+        paths = slice(first, first + sum(k for _, k in parts))
+        first = paths.stop
         X = np.zeros((paths.stop - paths.start, len(grid)))
         np.concatenate(
-            [rngs[s].gamma(shapes, scale, (sizes[s], len(grid) - 1)) for s in group],
+            [rngs[s].gamma(shapes, scale, (k, len(grid) - 1)) for s, k in parts],
             out=X[:, 1:],
         )
         np.cumsum(X, axis=1, out=X)
@@ -196,6 +200,28 @@ def _brackets(grid, levels, shape_step, scale, rngs, sizes):
         rows = np.arange(len(X))
         xb[:, paths], xa[:, paths] = X[rows, p], X[rows, p - 1]
     return pos, xa, xb
+
+
+def _row_chunks(sizes, cap: int) -> Iterator[list[tuple[int, int]]]:
+    """The streams' paths, in order, in chunks of at most cap paths.
+
+    Each chunk is a list of (stream, rows) parts; a stream larger than the
+    room left in a chunk continues in the next one.
+    """
+    parts: list[tuple[int, int]] = []
+    room = cap
+    for s, size in enumerate(sizes):
+        size = int(size)
+        while size > 0:
+            rows = min(size, room)
+            parts.append((s, rows))
+            size -= rows
+            room -= rows
+            if room == 0:
+                yield parts
+                parts, room = [], cap
+    if parts:
+        yield parts
 
 
 def _bisect(grid, pos, xa, xb, levels, shape_step, rngs, sizes):
@@ -391,6 +417,68 @@ def _block_accumulate(model, T, life, delta, Ms, sizes, seed_seqs, times):
     return sums
 
 
+@dataclass(frozen=True, eq=False)
+class Lattice:
+    """The evaluation times of one inspection period T and their chains.
+
+    Every table set of one T has this lattice, so the renewal recursions of
+    several table sets can share its lookups and its chain map.
+    """
+
+    times: np.ndarray
+    T: float
+
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        return np.round(self.times * 1e9).astype(np.int64)
+
+    def indices_of(self, ts: np.ndarray) -> np.ndarray:
+        """Lattice index of each finite time in ts, -1 where it is off the lattice.
+
+        A time matches a lattice key within one unit: a lattice time is
+        rounded to its key, so t + s or t - T may round one key away.
+        """
+        keys = np.round(np.asarray(ts, dtype=float) * 1e9).astype(np.int64)
+        hi = np.clip(np.searchsorted(self._keys, keys), 1, len(self._keys) - 1)
+        near = np.where(keys - self._keys[hi - 1] < self._keys[hi] - keys, hi - 1, hi)
+        return np.where(np.abs(self._keys[near] - keys) <= 1, near, -1)
+
+    def index_of(self, t: float) -> int:
+        if not math.isfinite(t):
+            raise GridCoverageError(f"time {t} is not finite")
+        i = int(self.indices_of(t))
+        if i < 0:
+            raise GridCoverageError(
+                f"time {t} is not on the evaluation grid (T={self.T})"
+            )
+        return i
+
+    @cached_property
+    def chains(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row and level of each lattice time in its chain t, t - T, t - 2T, ...
+
+        The level is floor(t/T + eps).  A row holds the times whose residues
+        t - level*T agree to within 2e-9, the rounding of two lattice keys
+        of 1e-9 each.  Every recursion steps down a row one level at a time,
+        so each row must hold exactly the levels 0..top: GridCoverageError
+        otherwise.
+        """
+        level = np.floor(self.times / self.T + _EPS).astype(np.int64)
+        residue = self.times - level * self.T
+        order = np.argsort(residue, kind="stable")
+        row = np.empty_like(level)
+        row[order] = np.cumsum(np.diff(residue[order], prepend=residue[order[0]]) > 2e-9)
+        slots = np.full((row.max() + 1, level.max() + 1), -1)
+        slots[row, level] = np.arange(len(level))
+        if (slots[row, level] != np.arange(len(level))).any() or (
+            (slots[:, :-1] < 0) & (slots[:, 1:] >= 0)
+        ).any():
+            raise GridCoverageError(
+                f"the evaluation lattice is not closed under t -> t - T (T={self.T})"
+            )
+        return row, level
+
+
 @dataclass(eq=False)
 class EstimateTables:
     """Monte Carlo estimates feeding the Markov renewal recursions.
@@ -398,7 +486,8 @@ class EstimateTables:
     Arrays prefixed ``b`` hold one row per worker block; pooled estimates are
     sample-size-weighted means across blocks.  Downtime moments are stored
     cost-free (time units); the recursion base cases are recovered by
-    scaling with the downtime cost rate.
+    scaling with the downtime cost rate.  ``times`` is the evaluation
+    lattice, and :attr:`lattice` its lookups and chain map.
     """
 
     T: float
@@ -462,77 +551,11 @@ class EstimateTables:
         return self.bp_p.shape[1] - 1
 
     @cached_property
-    def _keys(self) -> np.ndarray:
-        return np.round(self.times * 1e9).astype(np.int64)
-
-    def indices_of(self, ts: np.ndarray) -> np.ndarray:
-        """Lattice index of each finite time in ts, -1 where it is off the lattice.
-
-        A time matches a lattice key within one unit: a lattice time is
-        rounded to its key, so t + s or t - T may round one key away.
-        """
-        keys = np.round(np.asarray(ts, dtype=float) * 1e9).astype(np.int64)
-        hi = np.clip(np.searchsorted(self._keys, keys), 1, len(self._keys) - 1)
-        near = np.where(keys - self._keys[hi - 1] < self._keys[hi] - keys, hi - 1, hi)
-        return np.where(np.abs(self._keys[near] - keys) <= 1, near, -1)
+    def lattice(self) -> Lattice:
+        return Lattice(self.times, self.T)
 
     def index_of(self, t: float) -> int:
-        if not math.isfinite(t):
-            raise GridCoverageError(f"time {t} is not finite")
-        i = int(self.indices_of(t))
-        if i < 0:
-            raise GridCoverageError(
-                f"time {t} is not on the evaluation grid (T={self.T})"
-            )
-        return i
-
-    @cached_property
-    def chains(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row and level of each lattice time in its chain t, t - T, t - 2T, ...
-
-        The level is floor(t/T + eps).  A row holds the times whose residues
-        t - level*T agree to within 2e-9, the rounding of two lattice keys
-        of 1e-9 each.  Every recursion steps down a row one level at a time,
-        so each row must hold exactly the levels 0..top: GridCoverageError
-        otherwise.
-        """
-        level = np.floor(self.times / self.T + _EPS).astype(np.int64)
-        residue = self.times - level * self.T
-        order = np.argsort(residue, kind="stable")
-        row = np.empty_like(level)
-        row[order] = np.cumsum(np.diff(residue[order], prepend=residue[order[0]]) > 2e-9)
-        slots = np.full((row.max() + 1, level.max() + 1), -1)
-        slots[row, level] = np.arange(len(level))
-        if (slots[row, level] != np.arange(len(level))).any() or (
-            (slots[:, :-1] < 0) & (slots[:, 1:] >= 0)
-        ).any():
-            raise GridCoverageError(
-                f"the evaluation lattice is not closed under t -> t - T (T={self.T})"
-            )
-        return row, level
-
-    def block_view(self, b: int) -> "EstimateTables":
-        """Single-block tables, used for batch-means standard errors."""
-        return EstimateTables(
-            T=self.T,
-            M=self.M,
-            horizon=self.horizon,
-            delta=self.delta,
-            n=int(self.block_sizes[b]),
-            master_seed=self.master_seed,
-            worker_streams=1,
-            digest=f"{self.digest}:block{b}",
-            times=self.times,
-            block_sizes=self.block_sizes[b : b + 1],
-            bp_p=self.bp_p[b : b + 1],
-            bp_c=self.bp_c[b : b + 1],
-            bjw=self.bjw[b : b + 1],
-            bjw2=self.bjw2[b : b + 1],
-            balive=self.balive[b : b + 1],
-            bresid=self.bresid[b : b + 1],
-            bresid2=self.bresid2[b : b + 1],
-            bcensored=self.bcensored[b : b + 1],
-        )
+        return self.lattice.index_of(t)
 
     def validate(self) -> None:
         total = self.p_preventive.sum() + self.p_corrective.sum()

@@ -47,9 +47,11 @@ from cbmlife.renewal import (
     availability,
     cost_curve,
     expected_cost,
+    expected_costs,
     interval_reliability,
     performance_curve,
     reliability,
+    stack_tables,
     std_dev,
 )
 from cbmlife.sensitivity import gamma_sensitivity, shock_sensitivity
@@ -194,10 +196,10 @@ def test_criterion_4_oracle_equivalence(ref_model, ref_costs, ref_life):
         policy = MaintenancePolicy(inspection_period=10.0, preventive_threshold=M)
         tables = estimate_tables(ref_model, policy, ref_life, cfg)
         recursive = expected_cost(tables, ref_costs, tf) / tf
-        block_rates = [
-            expected_cost(tables.block_view(b), ref_costs, tf) / tf
-            for b in range(cfg.worker_streams)
-        ]
+        # Rows 1.. of the stack are the worker blocks, one rate each.
+        stack = stack_tables([tables], blocks=True)
+        block_rates = list(expected_costs(stack, ref_costs, tf)[1:] / tf)
+        assert len(block_rates) == cfg.worker_streams
         se_rec = float(np.std(block_rates, ddof=1)) / math.sqrt(len(block_rates))
         _, totals = chain_statistics(ref_model, policy, ref_costs, ref_life, cfg)
         strict = float(totals.mean()) / tf

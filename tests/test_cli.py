@@ -139,6 +139,31 @@ class TestOptimizeCommand:
             out2 / "asymptotic_matrix.csv"
         ).read_bytes()
 
+    def test_small_asymptotic_grid(self, tmp_path):
+        # At n = 8 some worker blocks hold no replacement: their cells get a
+        # value but no standard error.
+        argv = [
+            "optimize", "--objective", "asymptotic", "--config", str(CONFIG),
+            "--samples", "8", "--seed", "20260824", "--out-dir", str(tmp_path),
+            "--quiet",
+        ]
+        assert main(argv) == 0
+        lines = (tmp_path / "asymptotic_matrix.csv").read_text().splitlines()[1:]
+        assert len(lines) == 300
+        values = [line.split(",")[2] for line in lines]
+        errors = [line.split(",")[3] for line in lines]
+        assert "nan" not in values
+        assert 0 < errors.count("nan") < len(errors)
+
+    def test_cell_without_replacement_is_an_error(self, small_config, tmp_path, capsys):
+        argv = [
+            "optimize", "--objective", "asymptotic", "--config", str(small_config),
+            "--grid-T", "60:60", "--grid-M", "14:14", "--out-dir", str(tmp_path),
+            "--quiet",
+        ]
+        assert main(argv) == 1
+        assert "error: (T=60, M=14) no replacement mass" in capsys.readouterr().err
+
 
 class TestCurvesCommand:
     def test_outputs(self, small_config, tmp_path):

@@ -1,8 +1,10 @@
 import inspect
+import warnings
 
 import numpy as np
 import pytest
 
+from cbmlife.errors import InconsistencyError
 from cbmlife.model import CostStructure, LifeCycle, MaintenancePolicy
 from cbmlife.optimize import (
     PolicyGrid,
@@ -10,6 +12,12 @@ from cbmlife.optimize import (
     optimize_asymptotic,
     optimize_transient,
     write_matrix_csv,
+)
+from cbmlife.renewal import (
+    asymptotic_cost_rate,
+    expected_cost,
+    expected_costs,
+    stack_tables,
 )
 from cbmlife.simulate import SimulationConfig, chain_statistics, estimate_tables
 
@@ -105,6 +113,63 @@ class TestOptimization:
                     assert cell == []
         assert warned > 0
         assert len(result.warnings) == warned
+
+    def test_warnings_keep_the_one_table_text_and_grid_order(
+        self, ref_model, ref_costs, ref_life, cfg
+    ):
+        grid = PolicyGrid(T_values=(20.0, 10.0, 15.0), M_values=(16.0, 8.0, 12.0))
+        result = optimize_asymptotic(ref_model, ref_costs, ref_life, grid, cfg)
+        expected = []
+        for T in grid.T_values:
+            for M in grid.M_values:
+                tables = estimate_tables(
+                    ref_model, MaintenancePolicy(T, M), ref_life, cfg,
+                    seed_sequence=_cell_seed(cfg.master_seed, T, M),
+                )
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    asymptotic_cost_rate(tables, ref_costs)
+                expected += [f"(T={T:g}, M={M:g}) {w.message}" for w in caught]
+        assert expected and list(result.warnings) == expected
+
+    @pytest.mark.parametrize("n, finite", [(1, False), (3, True), (5, True)])
+    def test_stderr_over_nonempty_blocks(
+        self, ref_model, ref_costs, ref_life, n, finite
+    ):
+        # n < worker_streams leaves blocks empty; a cell of one nonempty
+        # block has no batch-means error.
+        cfg = SimulationConfig(n_samples=n, master_seed=SEED, worker_streams=4)
+        grid = PolicyGrid(T_values=(10.0,), M_values=(14.0,))
+        result = optimize_transient(ref_model, ref_costs, ref_life, grid, cfg)
+        tables = estimate_tables(
+            ref_model, MaintenancePolicy(10.0, 14.0), ref_life, cfg,
+            seed_sequence=_cell_seed(SEED, 10.0, 14.0),
+        )
+        assert result.values[0, 0] == expected_cost(tables, ref_costs, 50.0) / 50.0
+        assert np.isfinite(result.stderr[0, 0]) == finite
+        if finite:
+            rates = expected_costs(
+                stack_tables([tables], blocks=True), ref_costs, 50.0
+            )[1:] / 50.0
+            assert len(rates) == min(n, 4)
+            se = np.std(rates, ddof=1) / np.sqrt(len(rates))
+            assert result.stderr[0, 0] == se
+
+    def test_block_without_replacement_mass_leaves_no_stderr(
+        self, ref_model, ref_costs, ref_life
+    ):
+        cfg = SimulationConfig(n_samples=8, master_seed=20_260_824, worker_streams=4)
+        result = optimize_asymptotic(ref_model, ref_costs, ref_life, PolicyGrid(), cfg)
+        assert np.isfinite(result.values).all()
+        assert 0 < np.isnan(result.stderr).sum() < result.stderr.size
+
+    def test_cell_without_replacement_mass_is_named(
+        self, ref_model, ref_costs, ref_life, cfg
+    ):
+        # No inspection falls within the horizon, so nothing is ever replaced.
+        grid = PolicyGrid(T_values=(60.0,), M_values=(14.0,))
+        with pytest.raises(InconsistencyError, match=r"\(T=60, M=14\) no replacement"):
+            optimize_asymptotic(ref_model, ref_costs, ref_life, grid, cfg)
 
     def test_local_argmin_smoke(self, ref_model, ref_costs, ref_life):
         cfg = SimulationConfig(n_samples=5_000, master_seed=SEED)

@@ -23,19 +23,31 @@ from cbmlife.model import (
     SystemModel,
 )
 from cbmlife.renewal import (
+    _chain_sum,
     _cost_moments,
     asymptotic_cost_rate,
+    asymptotic_cost_rates,
     availability,
     cost_curve,
+    cost_moments,
     expected_cost,
+    expected_costs,
     interval_reliability,
     performance_curve,
     reliability,
+    stack_tables,
     std_dev,
     write_cost_curve_csv,
     write_performance_curve_csv,
 )
-from cbmlife.simulate import EstimateTables, SimulationConfig, estimate_tables, eval_times
+from cbmlife.simulate import (
+    EstimateTables,
+    Lattice,
+    SimulationConfig,
+    estimate_row,
+    estimate_tables,
+    eval_times,
+)
 
 SEED = 777
 
@@ -269,22 +281,30 @@ class TestQueryChecks:
 
 
 @st.composite
-def random_tables(draw):
-    """EstimateTables of random but consistent entries on an eval_times lattice.
+def random_lattice(draw):
+    """(T, t_f, kmax) of a random eval_times lattice.
 
-    t_f/T is an integer or not, and the tables may hold fewer inspection
-    epochs than the horizon has (kmax below floor(t_f/T)).
+    t_f/T is an integer or not, and kmax may be below floor(t_f/T): tables
+    holding fewer inspection epochs than the horizon has.
     """
     T = draw(st.sampled_from([0.5, 1.0, 2.5, 5.0, 7.0, 10.0]))
     periods = draw(st.integers(1, 12))
     tf = round(T * (periods + draw(st.sampled_from([0.0, 0.3, 0.55, 0.9]))), 9)
     full = int(np.floor(tf / T + 1e-9))
     kmax = draw(st.one_of(st.just(full), st.integers(0, full)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    times = eval_times(
+    return T, tf, kmax
+
+
+def lattice_times(T, tf):
+    return eval_times(
         MaintenancePolicy(inspection_period=T, preventive_threshold=14.0),
         LifeCycle(horizon=tf),
     )
+
+
+def random_estimates(rng, T, tf, kmax, times):
+    """Random but consistent pooled estimates, keyed by their block array."""
+    full = int(np.floor(tf / T + 1e-9))
     mass = rng.dirichlet(np.ones(2 * kmax + 1)) * rng.uniform(0.2, 1.0)
     pp = np.concatenate(([0.0], mass[:kmax]))
     pc = np.concatenate(([0.0], mass[kmax : 2 * kmax]))
@@ -296,14 +316,179 @@ def random_tables(draw):
     jw2 = jw * rng.uniform(0.0, 2.0 * T, full + 1)
     resid = rng.uniform(0.0, T, len(times))
     resid2 = resid * rng.uniform(0.0, 2.0 * T, len(times))
-    # One block of n = 1 whose sums are the pooled estimates themselves.
+    return {
+        "bp_p": pp, "bp_c": pc, "bjw": jw, "bjw2": jw2, "balive": alive,
+        "bresid": resid, "bresid2": resid2, "bcensored": 1.0 - pp.sum() - pc.sum(),
+    }
+
+
+def tables_of(T, tf, times, sizes, estimates):
+    """EstimateTables whose block b holds sizes[b] paths with estimates[b]."""
+    sizes = np.asarray(sizes)
     return EstimateTables(
-        T=T, M=14.0, horizon=tf, delta=T / 100.0, n=1, master_seed=0,
-        worker_streams=1, digest="random", times=times,
-        block_sizes=np.array([1]), bp_p=pp[None], bp_c=pc[None], bjw=jw[None],
-        bjw2=jw2[None], balive=alive[None], bresid=resid[None],
-        bresid2=resid2[None], bcensored=np.array([1.0 - pp.sum() - pc.sum()]),
+        T=T, M=14.0, horizon=tf, delta=T / 100.0, n=int(sizes.sum()), master_seed=0,
+        worker_streams=len(sizes), digest="random", times=times, block_sizes=sizes,
+        **{
+            name: np.array([n * e[name] for n, e in zip(sizes, estimates)])
+            for name in estimates[0]
+        },
     )
+
+
+BLOCK_ARRAYS = (
+    "bp_p", "bp_c", "bjw", "bjw2", "balive", "bresid", "bresid2", "bcensored",
+)
+
+
+def block_tables(tables, b):
+    """Worker block b of a table set, as a table set of its own."""
+    return dataclasses.replace(
+        tables, n=int(tables.block_sizes[b]), worker_streams=1,
+        block_sizes=tables.block_sizes[b : b + 1],
+        **{name: getattr(tables, name)[b : b + 1] for name in BLOCK_ARRAYS},
+    )
+
+
+def singles(row):
+    """The table sets of a stack with blocks, in its row order."""
+    return [
+        one
+        for tables in row
+        for one in (tables, *(block_tables(tables, b)
+                              for b in np.flatnonzero(tables.block_sizes)))
+    ]
+
+
+@st.composite
+def random_tables(draw):
+    """EstimateTables of random but consistent entries on a random lattice."""
+    T, tf, kmax = draw(random_lattice())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    times = lattice_times(T, tf)
+    # One block of n = 1 whose sums are the pooled estimates themselves.
+    return tables_of(T, tf, times, [1], [random_estimates(rng, T, tf, kmax, times)])
+
+
+@st.composite
+def random_row(draw):
+    """Table sets on one random lattice, of the same blocks, some maybe empty."""
+    T, tf, kmax = draw(random_lattice())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    times = lattice_times(T, tf)
+    sizes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4).filter(any))
+    return [
+        tables_of(T, tf, times, sizes,
+                  [random_estimates(rng, T, tf, kmax, times) for _ in sizes])
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+
+
+def one_solve(chains, g, p, v=None):
+    """The forward substitution of one table set, on 2-D chain matrices."""
+    row, level = chains
+
+    def matrix(values):
+        out = np.zeros((row.max() + 1, level.max() + 1))
+        out[row, level] = values
+        return out
+
+    out = matrix(g)
+    src = out if v is None else matrix(v)
+    lags = np.zeros(out.shape[1])
+    lags[: min(len(p), len(lags))] = p[: len(lags)]
+    for j in range(1, out.shape[1]):
+        out[:, j] += src[:, j - 1 :: -1] @ lags[:j]
+    return out[row, level]
+
+
+class TestBatchedSolve:
+    @given(
+        lattice=random_lattice(), R=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1), with_v=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batched_chain_sum_equals_separate_solves(self, lattice, R, seed, with_v):
+        T, tf, kmax = lattice
+        times = lattice_times(T, tf)
+        chains = Lattice(times, T).chains
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-3.0, 3.0, (R, 1))
+        g = rng.uniform(0.0, 1.0, (R, len(times))) * scale
+        p = rng.uniform(0.0, 0.3, (R, kmax))
+        v = rng.uniform(0.0, 1.0, (R, len(times))) * scale if with_v else None
+        batched = _chain_sum(chains, g, p, v)
+        for r in range(R):
+            alone = one_solve(chains, g[r], p[r], None if v is None else v[r])
+            assert np.array_equal(batched[r], alone)
+
+    @given(row=random_row(), pick=st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_row_measures_equal_one_table_measures(self, row, pick, ref_costs):
+        stack = stack_tables(row, blocks=True)
+        tables = singles(row)
+        assert len(stack.censored_fraction) == len(tables)
+        t = float(row[0].times[pick % len(row[0].times)])
+        costs = expected_costs(stack, ref_costs, t)
+        rates = asymptotic_cost_rates(stack, ref_costs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            for r, one in enumerate(tables):
+                assert stack.censored_fraction[r] == one.censored_fraction
+                assert costs[r] == expected_cost(one, ref_costs, t)
+                if np.isnan(rates[r]):
+                    with pytest.raises(InconsistencyError):
+                        asymptotic_cost_rate(one, ref_costs)
+                else:
+                    assert rates[r] == asymptotic_cost_rate(one, ref_costs)
+        try:
+            mean, sd = cost_moments(stack, ref_costs, t)
+        except InconsistencyError:
+            with pytest.raises(InconsistencyError):
+                for one in tables:
+                    std_dev(one, ref_costs, t)
+        else:
+            for r, one in enumerate(tables):
+                assert mean[r] == costs[r]
+                assert sd[r] == std_dev(one, ref_costs, t)
+
+    def test_row_with_empty_blocks(self, ref_model, ref_costs, ref_life):
+        cfg = SimulationConfig(n_samples=3, master_seed=SEED, worker_streams=4)
+        seqs = [np.random.SeedSequence(SEED, spawn_key=(k,)) for k in range(2)]
+        row = list(estimate_row(ref_model, 10.0, (8.0, 14.0), ref_life, cfg, seqs))
+        assert list(row[0].block_sizes) == [1, 1, 1, 0]
+        stack = stack_tables(row, blocks=True)
+        tables = singles(row)
+        assert len(tables) == len(stack.censored_fraction) == 2 * (1 + 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            for r, one in enumerate(tables):
+                assert expected_costs(stack, ref_costs, 50.0)[r] == expected_cost(
+                    one, ref_costs, 50.0
+                )
+                rate = asymptotic_cost_rates(stack, ref_costs)[r]
+                if np.isnan(rate):
+                    with pytest.raises(InconsistencyError):
+                        asymptotic_cost_rate(one, ref_costs)
+                else:
+                    assert rate == asymptotic_cost_rate(one, ref_costs)
+
+    def test_pooled_rows_only_by_default(self, tables_small, ref_costs):
+        stack = stack_tables([tables_small, tables_small])
+        assert stack.p_preventive.shape == (2, tables_small.kmax + 1)
+        assert np.array_equal(stack.p_preventive[1], tables_small.p_preventive)
+        assert expected_costs(stack, ref_costs, 50.0)[1] == expected_cost(
+            tables_small, ref_costs, 50.0
+        )
+
+    def test_stack_needs_one_lattice(self, tables_small, ref_model, ref_life):
+        other = estimate_tables(
+            ref_model, MaintenancePolicy(5.0, 14.0), ref_life,
+            SimulationConfig(n_samples=200, master_seed=SEED),
+        )
+        with pytest.raises(ValueError, match="one lattice"):
+            stack_tables([tables_small, other])
+        with pytest.raises(ValueError):
+            stack_tables([])
 
 
 class TestRandomLattices:
@@ -313,7 +498,7 @@ class TestRandomLattices:
         tables.validate()
         times = tables.times
         mean = np.array([expected_cost(tables, ref_costs, t) for t in times])
-        mean_sq = _cost_moments(tables, ref_costs)[1]
+        mean_sq = _cost_moments(stack_tables([tables]), ref_costs)[1][0]
         for solved, memo in (
             (mean, _solve_cost_memo(tables, ref_costs)),
             (mean_sq, _solve_cost_sq_memo(tables, ref_costs)),

@@ -24,6 +24,7 @@ from cbmlife.simulate import (
     SimulationConfig,
     _block_accumulate,
     _passes,
+    chain_statistics,
     estimate_row,
     estimate_tables,
     eval_times,
@@ -111,6 +112,33 @@ def test_row_spanning_several_passes(model, monkeypatch, n, streams):
     assert len(_passes(sizes, simulate._PASS_PATHS)) > len(THRESHOLDS)
     row = list(estimate_row(model, 10.0, THRESHOLDS, life, cfg, seeds(THRESHOLDS)))
     assert_rows_equal(row, reference)
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        pytest.param(1, id="one-path-chunks"),
+        pytest.param(50, id="streams-split-across-chunks"),  # chunks of 8 paths
+    ],
+)
+def test_skeleton_chunks_do_not_matter(model, ref_costs, monkeypatch, points):
+    # A stream larger than a chunk is drawn in row chunks; the generator
+    # fills rows in order, so the tables and the chains stay bit for bit.
+    policy, life = MaintenancePolicy(10.0, 14.0), LifeCycle(50.0)
+    cfg = SimulationConfig(n_samples=1003, master_seed=SEED, worker_streams=4)
+    tables = estimate_tables(model, policy, life, cfg)
+    chains = chain_statistics(model, policy, ref_costs, life, cfg)
+    monkeypatch.setattr(simulate, "_SKELETON_POINTS", points)
+    assert estimate_tables(model, policy, life, cfg).equals(tables)
+    again = chain_statistics(model, policy, ref_costs, life, cfg)
+    for counts_or_costs, ref in zip(again, chains):
+        assert np.array_equal(counts_or_costs, ref)
+
+
+def test_row_chunks_cover_the_paths_in_order():
+    chunks = list(simulate._row_chunks([3, 0, 5, 1], 4))
+    assert chunks == [[(0, 3), (2, 1)], [(2, 4)], [(3, 1)]]
+    assert list(simulate._row_chunks([0, 0], 4)) == []
 
 
 def test_passes_group_in_order_and_never_split():
