@@ -250,9 +250,9 @@ def cmd_curves(rc: RunConfig, args) -> int:
         warnings.simplefilter("always")
         if sweep_dim == "M":
             policies = [replace(rc.policy, preventive_threshold=v) for v in sweep_values]
+            T = rc.policy.inspection_period
             swept = estimate_row(
-                rc.model, rc.policy.inspection_period, sweep_values, rc.life, rc.sim,
-                [seed(v) for v in sweep_values], threads=rc.workers,
+                rc.model, T, sweep_values, rc.life, rc.sim, seed(T), threads=rc.workers
             )
         else:
             policies = [replace(rc.policy, inspection_period=v) for v in sweep_values]

@@ -1,12 +1,13 @@
 """Grid search over maintenance policies.
 
-Each grid cell gets an independent, value-keyed random substream, so the
-objective matrix is reproducible and invariant to the enumeration order of
-the grid.  The cells of one inspection period are simulated together by one
-:func:`~cbmlife.simulate.estimate_row` call, each still from its own
-substream, and all their pooled and block tables are evaluated by one
-batched renewal solve.  Per-cell standard errors come from batch means over
-the worker blocks of the cell's estimate tables.
+The cells of one inspection period T are simulated together by one
+:func:`~cbmlife.simulate.estimate_row` call from a seed sequence keyed by
+the value of T, each cell from paths of its own, and all their pooled and
+block tables are evaluated by one batched renewal solve.  The objective
+matrix is therefore reproducible and invariant to the enumeration order of
+the grid; a cell depends on the set of thresholds in its row, though not on
+their order.  Per-cell standard errors come from batch means over the
+worker blocks of the cell's estimate tables.
 """
 
 from __future__ import annotations
@@ -91,11 +92,8 @@ class OptimizationResult:
         }
 
 
-def _cell_seed(master_seed: int, T: float, M: float) -> np.random.SeedSequence:
-    return np.random.SeedSequence(
-        entropy=master_seed,
-        spawn_key=(int(round(T * 1e6)), int(round(M * 1e6))),
-    )
+def _row_seed(master_seed: int, T: float) -> np.random.SeedSequence:
+    return np.random.SeedSequence(entropy=master_seed, spawn_key=(int(round(T * 1e6)),))
 
 
 def _evaluate_row(args) -> list[tuple[float, float, list[str]]]:
@@ -109,9 +107,7 @@ def _evaluate_row(args) -> list[tuple[float, float, list[str]]]:
     a cell whose pooled tables hold none raises InconsistencyError.
     """
     model, costs, life, cfg, T, Ms, objective = args
-    row = estimate_row(
-        model, T, Ms, life, cfg, [_cell_seed(cfg.master_seed, T, M) for M in Ms]
-    )
+    row = estimate_row(model, T, Ms, life, cfg, _row_seed(cfg.master_seed, T))
     if objective == "asymptotic":
         stack = stack_tables(row, RATE_ESTIMATES, blocks=True)
         values = asymptotic_cost_rates(stack, costs)

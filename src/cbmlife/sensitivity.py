@@ -8,6 +8,9 @@ Carlo noise; the zero-variation cell is the baseline itself and is not
 simulated again.  Every cell re-optimizes over the swept policy dimension
 before comparing; with T fixed, the whole sweep of one model is one
 :func:`~cbmlife.simulate.estimate_row` call and one batched renewal solve.
+Each row of thresholds is seeded by its T, and each of its table sets has
+paths of its own, drawn from the row's block streams: a table set depends on
+the set of swept thresholds, though not on their order.
 """
 
 from __future__ import annotations
@@ -55,34 +58,31 @@ class VariationTable:
             raise ValueError("costs and variations must be nonnegative")
 
 
-def _rows(fixed: tuple[str, float], sweep_values) -> list[tuple[float, tuple, tuple]]:
-    """(T, thresholds, swept values) of each estimate_row call of the sweep.
+def _rows(fixed: tuple[str, float], sweep_values) -> list[tuple[float, tuple]]:
+    """(T, thresholds) of each estimate_row call of the sweep.
 
     A fixed T is one row holding every swept M; a fixed M is one row per
-    swept T.  A table set's seed is keyed by its swept value.
+    swept T.
     """
     name, fixed_value = fixed
     sweep = tuple(sweep_values)
     if name == "T":
-        return [(fixed_value, sweep, sweep)]
+        return [(fixed_value, sweep)]
     if name == "M":
-        return [(T, (fixed_value,), (T,)) for T in sweep]
+        return [(T, (fixed_value,)) for T in sweep]
     raise ValueError("fixed dimension must be 'T' or 'M'")
 
 
 def _min_transient_cost(model, costs, life, fixed, sweep_values, cfg) -> float:
-    """Minimal E[C(t_f)] over the swept policy dimension, value-keyed seeds."""
+    """Minimal E[C(t_f)] over the swept policy dimension, rows keyed by T."""
     best = np.inf
-    for T, Ms, swept in _rows(fixed, sweep_values):
+    for T, Ms in _rows(fixed, sweep_values):
         if any(M > model.breakdown_threshold for M in Ms):
             raise ValueError("swept preventive threshold exceeds L")
-        seeds = [
-            np.random.SeedSequence(
-                entropy=cfg.master_seed, spawn_key=(int(round(value * 1e6)),)
-            )
-            for value in swept
-        ]
-        row = estimate_row(model, T, Ms, life, cfg, seeds)
+        seed = np.random.SeedSequence(
+            entropy=cfg.master_seed, spawn_key=(int(round(T * 1e6)),)
+        )
+        row = estimate_row(model, T, Ms, life, cfg, seed)
         stack = stack_tables(row, COST_ESTIMATES)
         best = min(best, *expected_costs(stack, costs, life.horizon).tolist())
     return best

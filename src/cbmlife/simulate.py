@@ -36,15 +36,14 @@ downtime) functions on the evaluation lattice.  Every recursion in
 ``worker_streams`` blocks with independent substreams so results are
 reproducible bit for bit regardless of the executing thread count.
 
-:func:`estimate_row` serves every threshold M of one inspection period.  It
-simulates the blocks of all its table sets together, in passes of at most
-``_PASS_PATHS`` paths (a larger block runs alone), which removes the fixed
-cost of a sampler call per block.  Within a pass each block keeps its own
-generator and draws what it would draw alone, in the same order, and each
-table sum is one ``np.bincount`` over (block, bin), which adds a block's
-paths in path order.  Every table set therefore equals bit for bit the
-:func:`estimate_tables` result of its policy and seed sequence, whatever
-else the pass holds.
+:func:`estimate_row` serves every threshold M of one inspection period from
+one seed sequence.  Block stream b draws the block-b paths of every
+threshold, in ascending M, in passes of at most ``_PASS_PATHS`` paths (a
+larger block runs alone), which removes the fixed cost of a sampler call
+per threshold.  Pass g of every block stream holds the same thresholds,
+which are complete, checked and yielded once every stream has run it.  Each threshold has paths of its own, so the table sets of a
+row are independent; each depends on the row's set of thresholds, though
+not on their order.  :func:`estimate_tables` is the one-threshold row.
 """
 
 from __future__ import annotations
@@ -166,33 +165,28 @@ def _skeleton(horizon: float, T: float, delta: float) -> np.ndarray:
     return np.array(sorted({0, K, *(min(j, K) for j in epochs)}), dtype=np.int64)
 
 
-def _brackets(grid, levels, shape_step, scale, rngs, sizes):
-    """Draw the streams' paths at the skeleton and bracket every level on each.
+def _brackets(grid, levels, shape_step, scale, rng):
+    """Draw the paths at the skeleton and bracket every level on each.
 
-    Stream s has ``sizes[s]`` paths, drawn from ``rngs[s]`` at the skeleton
-    grid indices ``grid`` by one gamma increment per interval; its paths
-    follow those of stream s - 1.  ``levels`` is (r, n).  Returns ``pos``,
-    the index in ``grid`` of the first skeleton point at or above each level
-    (len(grid) where the path stays below it), and the path's values ``xa``
-    and ``xb`` at grid[pos - 1] and grid[pos], the ends of that bracket.
+    ``levels`` is (r, n), the r levels of each of n paths, drawn from ``rng``
+    at the skeleton grid indices ``grid`` by one gamma increment per
+    interval.  Returns ``pos``, the index in ``grid`` of the first skeleton
+    point at or above each level (len(grid) where the path stays below it),
+    and the path's values ``xa`` and ``xb`` at grid[pos - 1] and grid[pos],
+    the ends of that bracket.
     """
     # The skeleton is drawn and reduced to the brackets at most cap paths at
-    # a time.  A stream's rows may span chunks: its generator fills them in
-    # row order, so the chunks of a stream draw the variates it would draw
-    # at once.
+    # a time.  The generator fills rows in order, so the chunks draw the
+    # variates that one draw of every row would.
     pos = np.empty(levels.shape, dtype=np.int64)
     xa, xb = np.empty(levels.shape), np.empty(levels.shape)
     shapes = shape_step * np.diff(grid)
     cap = max(1, _SKELETON_POINTS // len(grid))
-    first = 0
-    for parts in _row_chunks(sizes, cap):
-        paths = slice(first, first + sum(k for _, k in parts))
-        first = paths.stop
-        X = np.zeros((paths.stop - paths.start, len(grid)))
-        np.concatenate(
-            [rngs[s].gamma(shapes, scale, (k, len(grid) - 1)) for s, k in parts],
-            out=X[:, 1:],
-        )
+    n = levels.shape[1]
+    for first in range(0, n, cap):
+        paths = slice(first, min(first + cap, n))
+        X = np.zeros((paths.stop - first, len(grid)))
+        X[:, 1:] = rng.gamma(shapes, scale, (paths.stop - first, len(grid) - 1))
         np.cumsum(X, axis=1, out=X)
         p = (X[None, :, :] < levels[:, paths, None]).sum(axis=2)
         pos[:, paths] = p
@@ -202,49 +196,25 @@ def _brackets(grid, levels, shape_step, scale, rngs, sizes):
     return pos, xa, xb
 
 
-def _row_chunks(sizes, cap: int) -> Iterator[list[tuple[int, int]]]:
-    """The streams' paths, in order, in chunks of at most cap paths.
-
-    Each chunk is a list of (stream, rows) parts; a stream larger than the
-    room left in a chunk continues in the next one.
-    """
-    parts: list[tuple[int, int]] = []
-    room = cap
-    for s, size in enumerate(sizes):
-        size = int(size)
-        while size > 0:
-            rows = min(size, room)
-            parts.append((s, rows))
-            size -= rows
-            room -= rows
-            if room == 0:
-                yield parts
-                parts, room = [], cap
-    if parts:
-        yield parts
-
-
-def _bisect(grid, pos, xa, xb, levels, shape_step, rngs, sizes):
+def _bisect(grid, pos, xa, xb, levels, shape_step, rng):
     """First grid index at or above each bracketed level, by bridge bisection.
 
     ``pos``, ``xa`` and ``xb`` are the brackets that :func:`_brackets` found
     for the (r, n) ``levels``, each path's levels ascending; a level whose
     ``pos`` is len(grid) is left out, and a path's levels left out must be
-    its highest.  Each bracket is bisected with gamma-bridge midpoints, every
-    stream drawing its own from ``rngs[s]``; a level whose bracket is the
-    previous level's takes that level's midpoint, so a point is never drawn
-    twice.  Only the previous level needs checking: brackets are ordered like
-    their levels, so two equal brackets enclose every level between them.
-    ``xa`` and ``xb`` are updated in place.  Returns the (r, n) first grid
-    indices, 0 for the levels left out.
+    its highest.  Each bracket is bisected with gamma-bridge midpoints drawn
+    from ``rng``; a level whose bracket is the previous level's takes that
+    level's midpoint, so a point is never drawn twice.  Only the previous
+    level needs checking: brackets are ordered like their levels, so two
+    equal brackets enclose every level between them.  ``xa`` and ``xb`` are
+    updated in place.  Returns the (r, n) first grid indices, 0 for the
+    levels left out.
     """
     hit = pos < len(grid)
     b = grid[np.minimum(pos, len(grid) - 1)]
     a = np.where(hit, grid[pos - 1], b)
-    stream = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
     # Flat views of the (level, path) state, level-major.
     fa, fb, fxa, fxb = (v.ravel() for v in (a, b, xa, xb))
-    owner = np.tile(stream, len(levels))
     m, xm = np.empty_like(a), np.zeros_like(xa)
     fm, fxm = m.ravel(), xm.ravel()
     shared = np.zeros(a.shape, dtype=bool)
@@ -257,10 +227,7 @@ def _bisect(grid, pos, xa, xb, levels, shape_step, rngs, sizes):
         np.logical_and(active[1:], a[1:] == a[:-1], out=shared[1:])
         shared[1:] &= b[1:] == b[:-1]
         draw = np.flatnonzero(active & ~shared)
-        who = owner[draw]
-        if len(rngs) > 1:
-            draw = draw[np.argsort(who, kind="stable")]
-        fxm[draw] = _bridge(draw, who, rngs, shape_step, fa, fm, fb, fxa, fxb)
+        fxm[draw] = _bridge(draw, rng, shape_step, fa, fm, fb, fxa, fxb)
         for i in range(1, len(levels)):
             copy = np.flatnonzero(shared[i])
             xm[i, copy] = xm[i - 1, copy]
@@ -273,21 +240,16 @@ def _bisect(grid, pos, xa, xb, levels, shape_step, rngs, sizes):
     return np.where(hit, b, 0)
 
 
-def _bridge(draw, who, rngs, shape_step, a, m, b, xa, xb):
+def _bridge(draw, rng, shape_step, a, m, b, xa, xb):
     """Gamma-bridge values at the midpoints m[draw] of the brackets [a, b].
 
-    ``draw`` is grouped by the stream ``who`` of each point, and stream s
-    draws its points' beta variates from ``rngs[s]`` in one call, in the
-    order of ``draw``.
+    The beta variates come from ``rng`` in one call, in the order of ``draw``.
     """
     mid = m[draw]
     p = shape_step * (mid - a[draw])
     q = shape_step * (b[draw] - mid)
     del mid
-    ends = np.cumsum(np.bincount(who, minlength=len(rngs))).tolist()
-    for s, (i, j) in enumerate(zip([0, *ends], ends)):
-        if j > i:
-            p[i:j] = rngs[s].beta(p[i:j], q[i:j])
+    p = rng.beta(p, q)
     x_lo = np.take(xa, draw)
     x = np.take(xb, draw, out=q)
     x -= x_lo
@@ -296,19 +258,17 @@ def _bridge(draw, who, rngs, shape_step, a, m, b, xa, xb):
     return x
 
 
-def _simulate_kernel(model, T, horizon, delta, Ms, sizes, rngs):
-    """Vectorized first-cycle simulation of several streams in one pass.
+def _simulate_kernel(model, T, horizon, delta, Ms, rng):
+    """Vectorized first-cycle simulation of one pass of paths.
 
-    Stream s has ``sizes[s]`` paths, preventive threshold ``Ms[s]`` and
-    generator ``rngs[s]``; its paths follow those of stream s - 1.  Each
-    stream draws exactly what it would draw alone, in the same order: its
-    skeleton increments, its bridge midpoints round by round, then its
-    exponentials.  Returns per-path arrays: replacement inspection index
-    (k_rep), corrective flag, censored flag, failure time D, crossing time of
-    L and shock time Y (np.inf when beyond the horizon).  Let k_p be the
-    inspection that finds M and end = min(k_p T, horizon): D, sigma_L and Y
-    are the path's own wherever they are at most end, and beyond end they
-    are only known to exceed it (sigma_L then reads np.inf).
+    Path i has preventive threshold ``Ms[i]``; every path is drawn from
+    ``rng``: the skeleton increments, the bridge midpoints round by round,
+    then the exponentials.  Returns per-path arrays: replacement inspection
+    index (k_rep), corrective flag, censored flag, failure time D, crossing
+    time of L and shock time Y (np.inf when beyond the horizon).  Let k_p be
+    the inspection that finds M and end = min(k_p T, horizon): D, sigma_L
+    and Y are the path's own wherever they are at most end, and beyond end
+    they are only known to exceed it (sigma_L then reads np.inf).
     """
     alpha = model.degradation.alpha
     beta = model.degradation.beta
@@ -319,11 +279,9 @@ def _simulate_kernel(model, T, horizon, delta, Ms, sizes, rngs):
 
     # Each path's M, then M_s and L in ascending order.
     low, high = sorted((model.shock_threshold, model.breakdown_threshold))
-    n = int(np.sum(sizes))
-    levels = np.vstack([
-        np.repeat(np.asarray(Ms, dtype=float), sizes), np.full(n, low), np.full(n, high)
-    ])
-    pos, xa, xb = _brackets(grid, levels, alpha * delta, 1.0 / beta, rngs, sizes)
+    n = len(Ms)
+    levels = np.vstack([np.asarray(Ms, dtype=float), np.full(n, low), np.full(n, high)])
+    pos, xa, xb = _brackets(grid, levels, alpha * delta, 1.0 / beta, rng)
     # Skeleton point k is inspection k for k <= kmax, so M's bracket ends at
     # the inspection k_p that finds it, or past the last one: M is never
     # bisected.  M_s and L are bisected only where their bracket opens
@@ -331,7 +289,7 @@ def _simulate_kernel(model, T, horizon, delta, Ms, sizes, rngs):
     # below, which changes Y only past end.
     k_p = pos[0]
     pos[1:][pos[1:] > k_p] = len(grid)
-    index = _bisect(grid, pos[1:], xa[1:], xb[1:], levels[1:], alpha * delta, rngs, sizes)
+    index = _bisect(grid, pos[1:], xa[1:], xb[1:], levels[1:], alpha * delta, rng)
     sigma = np.where(index > 0, index * delta, np.inf)
     if model.shock_threshold <= model.breakdown_threshold:
         sigma_Ms, sigma_L = sigma
@@ -341,7 +299,7 @@ def _simulate_kernel(model, T, horizon, delta, Ms, sizes, rngs):
     # Exact inverse-transform draw of the shock time given the (grid) time v
     # at which the path enters the high-intensity regime: the cumulative
     # hazard is lam1*t on [0, v] and lam1*v + lam2*(t - v) beyond.
-    E = np.concatenate([rng.exponential(1.0, size) for rng, size in zip(rngs, sizes)])
+    E = rng.exponential(1.0, n)
     v = np.minimum(sigma_Ms, horizon)
     with np.errstate(divide="ignore", invalid="ignore"):
         below = np.where(lam1 > 0.0, E / max(lam1, 1e-300), np.inf)
@@ -366,36 +324,35 @@ def _table(index, rows, cols, weights=None):
     return np.bincount(index, weights, minlength=rows * cols).reshape(rows, cols)
 
 
-def _block_accumulate(model, T, life, delta, Ms, sizes, seed_seqs, times):
-    """Simulate several streams in one pass and reduce each to table sums.
+def _block_accumulate(model, T, life, delta, Ms, size, rng, times):
+    """Simulate ``size`` paths of each threshold in Ms in one pass, and sum them.
 
-    Every returned array has one row per stream.  Each sum is one
-    ``np.bincount`` over (stream, bin), which adds a stream's paths in path
-    order, so a stream's row does not depend on the other streams.
+    The paths are drawn from ``rng``, those of Ms[0] first.  Every returned
+    array has one row per threshold.  Each sum is one ``np.bincount`` over
+    (threshold, bin), which adds a threshold's paths in path order.
     """
-    rngs = [np.random.default_rng(seq) for seq in seed_seqs]
     kmax = int(math.floor(life.horizon / T + _EPS))
     k_rep, corrective, censored, D, *_ = _simulate_kernel(
-        model, T, life.horizon, delta, Ms, sizes, rngs
+        model, T, life.horizon, delta, np.repeat(Ms, size), rng
     )
-    S = len(sizes)
-    stream = np.repeat(np.arange(S), sizes)
+    S = len(Ms)
+    owner = np.repeat(np.arange(S), size)
     # Per inspection k: replacements by kind and the downtime kT - D of
     # corrective ones (k_rep <= kmax exactly when the cycle is not censored).
     k = k_rep[~censored]
     corr = corrective[~censored]
     w = np.where(corr, k * T - D[~censored], 0.0)
-    size = kmax + 1
-    cell = stream[~censored] * size + k
+    K = kmax + 1
+    cell = owner[~censored] * K + k
     sums = {
-        "p_p": _table(cell[~corr], S, size).astype(float),
-        "p_c": _table(cell[corr], S, size).astype(float),
-        "jw": _table(cell, S, size, w),
-        "jw2": _table(cell, S, size, w * w),
+        "p_p": _table(cell[~corr], S, K).astype(float),
+        "p_c": _table(cell[corr], S, K).astype(float),
+        "jw": _table(cell, S, K, w),
+        "jw2": _table(cell, S, K, w * w),
         "alive": np.zeros((S, len(times))),
         "resid": np.zeros((S, len(times))),
         "resid2": np.zeros((S, len(times))),
-        "censored": np.bincount(stream[censored], minlength=S).astype(float),
+        "censored": np.bincount(owner[censored], minlength=S).astype(float),
     }
     # Per lattice time t, over the cycles not replaced by its last inspection
     # kf: alive at t, and the downtime accrued since max(D, kf T).  The times
@@ -407,7 +364,7 @@ def _block_accumulate(model, T, life, delta, Ms, sizes, seed_seqs, times):
         nc = len(cols)
         open_ = np.flatnonzero(k_rep > kf)
         D_open = D[open_]
-        bins = (stream[open_] * nc)[:, None] + np.arange(nc)
+        bins = (owner[open_] * nc)[:, None] + np.arange(nc)
         down = np.subtract(t, np.maximum(D_open, kf * T)[:, None])
         np.maximum(down, 0.0, out=down)
         sums["alive"][:, cols] = _table(bins[D_open[:, None] > t], S, nc)
@@ -477,6 +434,32 @@ class Lattice:
                 f"the evaluation lattice is not closed under t -> t - T (T={self.T})"
             )
         return row, level
+
+
+_CHECKED = ("p_p", "p_c", "jw", "jw2", "alive", "resid", "resid2")
+
+
+def _check_tables(n: int, blocks: dict[str, np.ndarray]) -> None:
+    """Raise ConfigurationError unless the block sums pool into valid tables.
+
+    Each array of ``blocks`` (named as in :data:`_CHECKED`) holds block sums
+    on its second-to-last axis, after any leading axes: the thresholds of a
+    pass are checked at once.  Column 0 of alive is time 0, where every
+    cycle is alive.
+    """
+    p_p, p_c, alive = (
+        blocks[name].sum(axis=-2) / n for name in ("p_p", "p_c", "alive")
+    )
+    if (p_p.sum(axis=-1) + p_c.sum(axis=-1) > 1.0 + 1e-12).any():
+        raise ConfigurationError("replacement probabilities exceed one")
+    for arr in (p_p, p_c, alive):
+        if (arr < -1e-15).any() or (arr > 1.0 + 1e-12).any():
+            raise ConfigurationError("probability entry outside [0, 1]")
+    for name in ("jw", "jw2", "resid", "resid2"):
+        if (blocks[name].sum(axis=-2) / n < -1e-15).any():
+            raise ConfigurationError("negative downtime moment")
+    if (np.abs(alive[..., 0] - 1.0) > 1e-12).any():
+        raise ConfigurationError("alive_no_replacement(0) must be 1")
 
 
 @dataclass(eq=False)
@@ -558,22 +541,7 @@ class EstimateTables:
         return self.lattice.index_of(t)
 
     def validate(self) -> None:
-        total = self.p_preventive.sum() + self.p_corrective.sum()
-        if total > 1.0 + 1e-12:
-            raise ConfigurationError("replacement probabilities exceed one")
-        for arr in (self.p_preventive, self.p_corrective, self.alive_no_replacement):
-            if (arr < -1e-15).any() or (arr > 1.0 + 1e-12).any():
-                raise ConfigurationError("probability entry outside [0, 1]")
-        for arr in (
-            self.joint_downtime,
-            self.joint_downtime_sq,
-            self.residual_downtime,
-            self.residual_downtime_sq,
-        ):
-            if (arr < -1e-15).any():
-                raise ConfigurationError("negative downtime moment")
-        if abs(self.alive_no_replacement[self.index_of(0.0)] - 1.0) > 1e-12:
-            raise ConfigurationError("alive_no_replacement(0) must be 1")
+        _check_tables(self.n, {name: getattr(self, "b" + name) for name in _CHECKED})
 
     def equals(self, other: "EstimateTables") -> bool:
         if not isinstance(other, EstimateTables):
@@ -589,9 +557,18 @@ class EstimateTables:
         )
 
 
-def tables_digest(model, policy, life, cfg, delta: float) -> str:
+def tables_digest(
+    model, policy, life, cfg, delta: float, seed_sequence, thresholds
+) -> str:
+    """Identify the draws behind a table set of the row ``thresholds`` of T.
+
+    A table set depends on its row's set of thresholds, so the digest holds
+    them, sorted, along with the seed sequence the row's block streams are
+    spawned from: its entropy, spawn key and the children it had already
+    spawned, which shift the block streams.
+    """
     payload = {
-        "format": 1,  # the version of the payload, so digests stay comparable
+        "format": 2,  # the version of the payload, so digests stay comparable
         "alpha": model.degradation.alpha,
         "beta": model.degradation.beta,
         "lambda1": model.shocks.lambda1,
@@ -600,10 +577,13 @@ def tables_digest(model, policy, life, cfg, delta: float) -> str:
         "Ms": model.shock_threshold,
         "T": policy.inspection_period,
         "M": policy.preventive_threshold,
+        "row": sorted(float(M) for M in thresholds),
         "tf": life.horizon,
         "n": cfg.n_samples,
         "delta": delta,
-        "seed": cfg.master_seed,
+        "entropy": np.asarray(seed_sequence.entropy, dtype=object).tolist(),
+        "spawn_key": list(seed_sequence.spawn_key),
+        "spawned": seed_sequence.n_children_spawned,
         "streams": cfg.worker_streams,
     }
     blob = json.dumps(payload, sort_keys=True).encode()
@@ -616,9 +596,9 @@ def _block_split(n: int, streams: int) -> np.ndarray:
 
 
 def _passes(sizes, cap: int) -> list[list[int]]:
-    """Stream indices grouped, in order, into passes of at most cap paths.
+    """Cell indices grouped, in order, into passes of at most cap paths.
 
-    Empty streams are left out; a stream larger than the cap runs alone.
+    Empty cells are left out; a cell larger than the cap runs alone.
     """
     passes: list[list[int]] = []
     total = 0
@@ -639,86 +619,96 @@ def estimate_row(
     Ms,
     life: LifeCycle,
     cfg: SimulationConfig,
-    seed_sequences,
+    seed_sequence: np.random.SeedSequence,
     threads: int = 1,
 ) -> Iterator[EstimateTables]:
-    """Tables of the policies (T, M) for every M in Ms, simulated together.
+    """Tables of the policies (T, M) for every M in Ms, from one set of streams.
 
-    Policy j splits cfg.n_samples into ``worker_streams`` blocks whose
-    substreams are spawned from ``seed_sequences[j]``.  The blocks of all
-    policies are simulated in passes of up to _PASS_PATHS paths; every block
-    draws and sums exactly what it would alone, so each table set equals
-    ``estimate_tables`` of its policy with the same seed sequence, whatever
-    the other policies, their order or the thread count.  The policies are
-    checked and the substreams spawned at the call; the table sets are
-    yielded in the order of Ms, each once its blocks are simulated.
+    Each policy's cfg.n_samples paths are split into ``worker_streams``
+    blocks.  Block stream b, the b-th child spawned from ``seed_sequence``,
+    draws the block-b paths of every threshold in ascending M, in passes of
+    consecutive thresholds of at most _PASS_PATHS paths (a larger block runs
+    alone), and each threshold has paths of its own.  A table set therefore
+    depends on the row's set of thresholds, though not on their order or on
+    the thread count, which splits each pass by block; :func:`estimate_tables`
+    is the one-threshold row.  The policies are checked and the streams
+    spawned at the call; the table sets are yielded in the order of Ms, each
+    once the passes up to its threshold have run.
     """
     policies = [
         MaintenancePolicy(inspection_period=T, preventive_threshold=M) for M in Ms
     ]
     for policy in policies:
         _check_simulable(model, policy)
-    if len(seed_sequences) != len(policies):
-        raise ConfigurationError("estimate_row needs one seed sequence per threshold")
     if not policies:
         return iter(())
     delta = cfg.step_for(policies[0])
-    seqs = [child for seq in seed_sequences for child in seq.spawn(cfg.worker_streams)]
-    return _row_tables(model, policies, life, cfg, delta, seqs, threads)
+    order = np.argsort([p.preventive_threshold for p in policies], kind="stable")
+    ascending = np.array([policies[j].preventive_threshold for j in order])
+    # The digests read the children seed_sequence has spawned so far.
+    digests = [
+        tables_digest(model, policy, life, cfg, delta, seed_sequence, ascending)
+        for policy in policies
+    ]
+    streams = seed_sequence.spawn(cfg.worker_streams)
+    return _row_tables(
+        model, policies, life, cfg, delta, order, digests, streams, threads
+    )
 
 
-def _row_tables(model, policies, life, cfg, delta, seqs, threads):
-    """The generator behind estimate_row: simulate the passes, yield table sets."""
+def _row_tables(model, policies, life, cfg, delta, order, digests, streams, threads):
+    """The generator behind estimate_row: run the passes, yield the table sets.
+
+    Pass g of every block stream holds the same thresholds, grouped by the
+    largest block, so they are complete once each stream has run its pass g.
+    A stream runs its passes in order, so it draws what it would draw alone.
+    """
     T = policies[0].inspection_period
     times = eval_times(policies[0], life)
     B = cfg.worker_streams
     block = _block_split(cfg.n_samples, B)
-    last_block = int(np.flatnonzero(block)[-1])
-    sizes = np.tile(block, len(policies))
-    thresholds = np.repeat([p.preventive_threshold for p in policies], B)
+    nonempty = np.flatnonzero(block).tolist()
+    rngs = {b: np.random.default_rng(streams[b]) for b in nonempty}
+    ascending = np.array([policies[j].preventive_threshold for j in order])
+    finished: dict[int, EstimateTables] = {}
+    yielded = 0
 
-    def work(streams):
-        return streams, _block_accumulate(
-            model, T, life, delta, thresholds[streams], sizes[streams],
-            [seqs[s] for s in streams], times,
+    def work(job):
+        cells, b = job
+        return _block_accumulate(
+            model, T, life, delta, ascending[cells], block[b], rngs[b], times
         )
 
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     try:
-        passes = _passes(sizes, _PASS_PATHS)
-        results = map(work, passes) if pool is None else pool.map(work, passes)
-        blocks: dict[int, dict[str, np.ndarray]] = {}
-        done = 0
-        for streams, sums in results:
-            for i, s in enumerate(streams):
-                j, b = divmod(s, B)
-                if j not in blocks:  # empty blocks keep their zero rows
-                    blocks[j] = {
-                        name: np.zeros((B, *value.shape[1:]))
-                        for name, value in sums.items()
-                    }
-                for name, array in blocks[j].items():
-                    array[b] = sums[name][i]
-            # Policies are simulated in order: every one whose last block
-            # is simulated is complete.
-            while done < len(policies) and done * B + last_block <= streams[-1]:
-                policy, arrays = policies[done], blocks.pop(done)
-                tables = EstimateTables(
+        for cells in _passes([block[0]] * len(policies), _PASS_PATHS):
+            jobs = [(cells, b) for b in nonempty]
+            results = map(work, jobs) if pool is None else pool.map(work, jobs)
+            # The pass's (threshold, block, ...) arrays; empty blocks stay zero.
+            arrays: dict[str, np.ndarray] = {}
+            for b, sums in zip(nonempty, results):
+                for name, value in sums.items():
+                    if name not in arrays:
+                        arrays[name] = np.zeros((len(cells), B, *value.shape[1:]))
+                    arrays[name][:, b] = value
+            _check_tables(cfg.n_samples, arrays)
+            for i, j in enumerate(order[cells].tolist()):
+                finished[j] = EstimateTables(
                     T=T,
-                    M=policy.preventive_threshold,
+                    M=policies[j].preventive_threshold,
                     horizon=life.horizon,
                     delta=delta,
                     n=cfg.n_samples,
                     master_seed=cfg.master_seed,
                     worker_streams=B,
-                    digest=tables_digest(model, policy, life, cfg, delta),
+                    digest=digests[j],
                     times=times,
                     block_sizes=block,
-                    **{"b" + name: array for name, array in arrays.items()},
+                    **{"b" + name: array[i] for name, array in arrays.items()},
                 )
-                tables.validate()
-                yield tables
-                done += 1
+            while yielded in finished:
+                yield finished.pop(yielded)
+                yielded += 1
     finally:
         if pool is not None:
             pool.shutdown()
@@ -742,7 +732,7 @@ def estimate_tables(
         seed_sequence = np.random.SeedSequence(cfg.master_seed)
     (tables,) = estimate_row(
         model, policy.inspection_period, [policy.preventive_threshold], life, cfg,
-        [seed_sequence], threads,
+        seed_sequence, threads,
     )
     return tables
 
@@ -754,9 +744,9 @@ def _chain_block(model, policy, costs, life, delta, n_block, seed_seq):
     its clock is jT after j inspections.  The realizations that share a
     clock start their cycles in one kernel call, over the remaining horizon
     t_f - jT, lowest clock first: at most k_max + 1 calls.  The first holds
-    every realization at clock 0, so the first cycles are the table paths of
-    the same seed sequence.  A cycle is read only up to its replacement or
-    the horizon, where the kernel's D is exact.
+    every realization at clock 0, so the first cycles are the paths of
+    estimate_tables with the same seed sequence.  A cycle is read only up
+    to its replacement or the horizon, where the kernel's D is exact.
     """
     rng = np.random.default_rng(seed_seq)
     T = policy.inspection_period
@@ -769,8 +759,9 @@ def _chain_block(model, policy, costs, life, delta, n_block, seed_seq):
         j = inspections[active].min()
         idx = np.flatnonzero(active & (inspections == j))
         remaining = tf - j * T
+        Ms = np.full(len(idx), policy.preventive_threshold)
         k_rep, corrective, censored, D, *_ = _simulate_kernel(
-            model, T, remaining, delta, [policy.preventive_threshold], [len(idx)], [rng]
+            model, T, remaining, delta, Ms, rng
         )
         # Within the remaining horizon a cycle is replaced exactly when it is
         # not censored; a censored one is inspected k_limit times.

@@ -22,6 +22,7 @@ def _counted(name):
     def sample(self, *args, **kwargs):
         out = base(self, *args, **kwargs)
         self.counts[name] += int(np.size(out))
+        self.calls[name] += 1
         return out
 
     return sample
@@ -32,7 +33,7 @@ class CountingGenerator(np.random.Generator):
 
     It draws from the same PCG64 bit generator, so its draws are
     ``default_rng(seed)``'s; ``counts[name]`` is the number of variates its
-    ``name`` sampler has returned.
+    ``name`` sampler has returned, and ``calls[name]`` the number of calls.
     """
 
     beta = _counted("beta")
@@ -42,6 +43,7 @@ class CountingGenerator(np.random.Generator):
     def __init__(self, seed):
         super().__init__(np.random.PCG64(seed))
         self.counts = Counter()
+        self.calls = Counter()
 
 
 @pytest.fixture

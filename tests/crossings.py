@@ -25,8 +25,8 @@ def all_crossings(model, T, horizon, delta, M, n, rng):
     grid = _skeleton(horizon, T, delta)
     shape_step = model.degradation.alpha * delta
     pos, xa, xb = _brackets(
-        grid, levels, shape_step, 1.0 / model.degradation.beta, [rng], [n]
+        grid, levels, shape_step, 1.0 / model.degradation.beta, rng
     )
-    index = _bisect(grid, pos, xa, xb, levels, shape_step, [rng], [n])
+    index = _bisect(grid, pos, xa, xb, levels, shape_step, rng)
     sigma = np.where(index > 0, index * delta, np.inf)
     return tuple(sigma[np.argsort(order)])

@@ -86,7 +86,7 @@ def test_criterion_1_failure_laws(ref_model):
     # unmaintained failure draws: one inspection, at the 300 horizon
     rng = np.random.default_rng(np.random.SeedSequence(SEED))
     *_, sigma_L, Y = _simulate_kernel(
-        ref_model, 300.0, 300.0, 0.1, [ref_model.breakdown_threshold], [50_000], [rng]
+        ref_model, 300.0, 300.0, 0.1, np.full(50_000, ref_model.breakdown_threshold), rng
     )
     mean_sigma = float(sigma_L[np.isfinite(sigma_L)].mean())
     mean_shock = float(Y[np.isfinite(Y)].mean())

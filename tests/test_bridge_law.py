@@ -69,7 +69,7 @@ def test_law_matches_dense_sampler(T, M, delta, L, Ms):
     model = make_model(L, Ms)
     policy = MaintenancePolicy(inspection_period=T, preventive_threshold=M)
     bridge = _simulate_kernel(
-        model, T, HORIZON, delta, [M], [N], [np.random.default_rng(SEED)]
+        model, T, HORIZON, delta, np.full(N, M), np.random.default_rng(SEED)
     )
     dense = dense_kernel(
         model, policy, HORIZON, delta, N, np.random.default_rng(SEED + 1)
@@ -143,10 +143,12 @@ def test_one_pass_reduction_matches_loops(T, horizon, delta):
     times = eval_times(policy, life)
     n = 20_000
     seq = np.random.SeedSequence(SEED)
-    sums = _block_accumulate(model, T, life, delta, [14.0], [n], [seq], times)
+    sums = _block_accumulate(
+        model, T, life, delta, [14.0], n, np.random.default_rng(seq), times
+    )
     sums = {key: value[0] for key, value in sums.items()}
     outputs = _simulate_kernel(
-        model, T, horizon, delta, [14.0], [n], [np.random.default_rng(seq)]
+        model, T, horizon, delta, np.full(n, 14.0), np.random.default_rng(seq)
     )
     ref = loop_accumulate(*outputs[:4], T, int(horizon // T), times)
     # Counts are exact; sums of n nonnegative terms differ only by summation

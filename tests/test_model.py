@@ -67,7 +67,7 @@ def _failure_times(model, n, delta, horizon, seed):
     """Unmaintained (sigma_L, Y) draws, np.inf beyond the horizon."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     *_, sigma_L, Y = _simulate_kernel(
-        model, horizon, horizon, delta, [model.breakdown_threshold], [n], [rng]
+        model, horizon, horizon, delta, np.full(n, model.breakdown_threshold), rng
     )
     return sigma_L, Y
 
@@ -148,7 +148,7 @@ class TestSampling:
         draws = []
         for T, seed in ((4.0, 3), (40.0, 4)):
             *_, sigma_L, _Y = _simulate_kernel(
-                model, T, 40.0, 0.1, [6.0], [20_000], [np.random.default_rng(seed)]
+                model, T, 40.0, 0.1, np.full(20_000, 6.0), np.random.default_rng(seed)
             )
             draws.append(np.minimum(sigma_L, 41.0))
         result = stats.ks_2samp(*draws)

@@ -8,7 +8,7 @@ from cbmlife.errors import InconsistencyError
 from cbmlife.model import CostStructure, LifeCycle, MaintenancePolicy
 from cbmlife.optimize import (
     PolicyGrid,
-    _cell_seed,
+    _row_seed,
     optimize_asymptotic,
     optimize_transient,
     write_matrix_csv,
@@ -19,7 +19,12 @@ from cbmlife.renewal import (
     expected_costs,
     stack_tables,
 )
-from cbmlife.simulate import SimulationConfig, chain_statistics, estimate_tables
+from cbmlife.simulate import (
+    SimulationConfig,
+    chain_statistics,
+    estimate_row,
+    estimate_tables,
+)
 
 SEED = 31415
 
@@ -98,11 +103,9 @@ class TestOptimization:
         result = optimize_asymptotic(ref_model, ref_costs, ref_life, grid, cfg)
         warned = 0
         for T in grid.T_values:
-            for M in grid.M_values:
-                tables = estimate_tables(
-                    ref_model, MaintenancePolicy(T, M), ref_life, cfg,
-                    seed_sequence=_cell_seed(cfg.master_seed, T, M),
-                )
+            row = estimate_row(ref_model, T, grid.M_values, ref_life, cfg,
+                               _row_seed(cfg.master_seed, T))
+            for M, tables in zip(grid.M_values, row):
                 label = f"(T={T:g}, M={M:g}) "
                 cell = [m for m in result.warnings if m.startswith(label)]
                 if tables.censored_fraction >= 0.01:
@@ -121,11 +124,9 @@ class TestOptimization:
         result = optimize_asymptotic(ref_model, ref_costs, ref_life, grid, cfg)
         expected = []
         for T in grid.T_values:
-            for M in grid.M_values:
-                tables = estimate_tables(
-                    ref_model, MaintenancePolicy(T, M), ref_life, cfg,
-                    seed_sequence=_cell_seed(cfg.master_seed, T, M),
-                )
+            row = estimate_row(ref_model, T, grid.M_values, ref_life, cfg,
+                               _row_seed(cfg.master_seed, T))
+            for M, tables in zip(grid.M_values, row):
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
                     asymptotic_cost_rate(tables, ref_costs)
@@ -143,7 +144,7 @@ class TestOptimization:
         result = optimize_transient(ref_model, ref_costs, ref_life, grid, cfg)
         tables = estimate_tables(
             ref_model, MaintenancePolicy(10.0, 14.0), ref_life, cfg,
-            seed_sequence=_cell_seed(SEED, 10.0, 14.0),
+            seed_sequence=_row_seed(SEED, 10.0),
         )
         assert result.values[0, 0] == expected_cost(tables, ref_costs, 50.0) / 50.0
         assert np.isfinite(result.stderr[0, 0]) == finite

@@ -453,8 +453,8 @@ class TestBatchedSolve:
 
     def test_row_with_empty_blocks(self, ref_model, ref_costs, ref_life):
         cfg = SimulationConfig(n_samples=3, master_seed=SEED, worker_streams=4)
-        seqs = [np.random.SeedSequence(SEED, spawn_key=(k,)) for k in range(2)]
-        row = list(estimate_row(ref_model, 10.0, (8.0, 14.0), ref_life, cfg, seqs))
+        seq = np.random.SeedSequence(SEED)
+        row = list(estimate_row(ref_model, 10.0, (8.0, 14.0), ref_life, cfg, seq))
         assert list(row[0].block_sizes) == [1, 1, 1, 0]
         stack = stack_tables(row, blocks=True)
         tables = singles(row)

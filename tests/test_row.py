@@ -1,10 +1,17 @@
-"""estimate_row: one sampler pass serves many table sets, each bit for bit its own.
+"""estimate_row: one set of block streams serves a whole row of thresholds.
 
-Every table set of a row must equal the one-threshold estimate_tables with
-the same seed sequence, whatever the other thresholds, their order, the pass
-size or the thread count.  A pass of several blocks must also equal the same
-blocks simulated one by one.
+Block stream b, the b-th child of the row's seed sequence, draws the block-b
+paths of every threshold in ascending M, in passes of consecutive
+thresholds, and each threshold has paths of its own.  A table set therefore
+depends on its row's set of thresholds, though not on their order, the
+thread count or the process count, and estimate_tables is the one-threshold
+row.  A cell of a row is not bit for bit its one-threshold estimate_tables,
+but it has the same law: the tests below check the layout against the
+reference reduction, the invariances, the agreement in law with each cell's
+own estimate, and the generators and sampler calls a row costs.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -22,17 +29,21 @@ from cbmlife.model import (
 from cbmlife.optimize import PolicyGrid, optimize_transient
 from cbmlife.simulate import (
     SimulationConfig,
-    _block_accumulate,
     _passes,
+    _simulate_kernel,
+    _skeleton,
     chain_statistics,
     estimate_row,
     estimate_tables,
     eval_times,
 )
+from dense_sampler import loop_accumulate
 
 SEED = 8642
 # Below M_s = 20, between M_s and L = 30, at M_s and at L.
 THRESHOLDS = (5.0, 14.0, 20.0, 25.0, 30.0)
+COUNTS = ("p_p", "p_c", "alive", "censored")
+SUMS = ("jw", "jw2", "resid", "resid2")
 
 
 @pytest.fixture(scope="module")
@@ -45,21 +56,56 @@ def model():
     )
 
 
-def seeds(Ms):
-    return [np.random.SeedSequence(SEED, spawn_key=(int(M * 1e6),)) for M in Ms]
+def row_seed():
+    return np.random.SeedSequence(SEED, spawn_key=(10_000_000,))
 
 
-def one_by_one(model, T, Ms, life, cfg):
-    return [
-        estimate_tables(model, MaintenancePolicy(T, M), life, cfg, seed_sequence=seq)
-        for M, seq in zip(Ms, seeds(Ms))
-    ]
+def by_block_streams(model, T, Ms, life, cfg):
+    """Each threshold's block sums, drawn as documented and reduced by the loop.
+
+    Block stream b draws the block-b paths of every threshold, in ascending
+    M, pass by pass, and the largest block sets which thresholds share a
+    pass; each threshold's paths are reduced on their own by the reference
+    reduction.
+    """
+    policy = MaintenancePolicy(T, min(Ms))
+    delta, times = cfg.step_for(policy), eval_times(policy, life)
+    kmax = int(math.floor(life.horizon / T + 1e-9))
+    block = simulate._block_split(cfg.n_samples, cfg.worker_streams)
+    ascending = sorted(Ms)
+    expected = {M: {} for M in Ms}
+    for b, child in enumerate(row_seed().spawn(cfg.worker_streams)):
+        size = int(block[b])
+        rng = np.random.default_rng(child)
+        for cells in _passes([block[0]] * len(Ms), simulate._PASS_PATHS):
+            levels = np.repeat([ascending[c] for c in cells], size)
+            out = _simulate_kernel(model, T, life.horizon, delta, levels, rng)
+            for i, c in enumerate(cells):
+                paths = slice(i * size, (i + 1) * size)
+                sums = loop_accumulate(*(o[paths] for o in out[:4]), T, kmax, times)
+                expected[ascending[c]][b] = sums
+    return expected, block
 
 
-def assert_rows_equal(row, reference):
-    assert len(row) == len(reference)
-    for tables, ref in zip(row, reference):
-        assert tables.equals(ref), f"M={ref.M}"
+def assert_row_follows_block_streams(model, T, Ms, life, cfg):
+    row = list(estimate_row(model, T, Ms, life, cfg, row_seed()))
+    expected, block = by_block_streams(model, T, Ms, life, cfg)
+    assert [tables.M for tables in row] == list(Ms)
+    for tables in row:
+        for b in range(cfg.worker_streams):
+            sums = expected[tables.M].get(b)
+            for name in COUNTS + SUMS:
+                got = getattr(tables, "b" + name)[b]
+                if sums is None:  # an empty block keeps its zero row
+                    assert not np.any(got), (tables.M, b, name)
+                elif name in COUNTS:
+                    assert np.array_equal(got, sums[name]), (tables.M, b, name)
+                else:
+                    # sums of block[b] nonnegative terms, in another order
+                    np.testing.assert_allclose(
+                        got, sums[name], rtol=block[b] * np.finfo(float).eps,
+                        atol=0.0, err_msg=f"M={tables.M} block {b} {name}",
+                    )
 
 
 @pytest.mark.parametrize(
@@ -72,12 +118,10 @@ def assert_rows_equal(row, reference):
         pytest.param(5.0, 200.0, 100, 2, 0.5, id="long-horizon"),
     ],
 )
-def test_row_equals_one_threshold_calls(model, T, horizon, n, streams, delta):
-    life = LifeCycle(horizon)
+def test_row_equals_its_block_streams(model, T, horizon, n, streams, delta):
     cfg = SimulationConfig(n_samples=n, path_step=delta, master_seed=SEED,
                            worker_streams=streams)
-    row = list(estimate_row(model, T, THRESHOLDS, life, cfg, seeds(THRESHOLDS)))
-    assert_rows_equal(row, one_by_one(model, T, THRESHOLDS, life, cfg))
+    assert_row_follows_block_streams(model, T, THRESHOLDS, LifeCycle(horizon), cfg)
 
 
 @pytest.mark.parametrize(
@@ -90,10 +134,8 @@ def test_row_with_shock_threshold_at_or_above_L(Ms):
         breakdown_threshold=30.0,
         shock_threshold=Ms,
     )
-    life = LifeCycle(50.0)
     cfg = SimulationConfig(n_samples=803, master_seed=SEED, worker_streams=4)
-    row = list(estimate_row(model, 10.0, THRESHOLDS, life, cfg, seeds(THRESHOLDS)))
-    assert_rows_equal(row, one_by_one(model, 10.0, THRESHOLDS, life, cfg))
+    assert_row_follows_block_streams(model, 10.0, THRESHOLDS, LifeCycle(50.0), cfg)
 
 
 @pytest.mark.parametrize(
@@ -104,14 +146,37 @@ def test_row_with_shock_threshold_at_or_above_L(Ms):
     ],
 )
 def test_row_spanning_several_passes(model, monkeypatch, n, streams):
-    life = LifeCycle(50.0)
-    cfg = SimulationConfig(n_samples=n, master_seed=SEED, worker_streams=streams)
-    reference = one_by_one(model, 10.0, THRESHOLDS, life, cfg)
     monkeypatch.setattr(simulate, "_PASS_PATHS", 100)
-    sizes = np.tile(simulate._block_split(n, streams), len(THRESHOLDS))
-    assert len(_passes(sizes, simulate._PASS_PATHS)) > len(THRESHOLDS)
-    row = list(estimate_row(model, 10.0, THRESHOLDS, life, cfg, seeds(THRESHOLDS)))
-    assert_rows_equal(row, reference)
+    cfg = SimulationConfig(n_samples=n, master_seed=SEED, worker_streams=streams)
+    size = simulate._block_split(n, streams)[0]
+    assert len(_passes([size] * len(THRESHOLDS), simulate._PASS_PATHS)) > 1
+    # Shuffled, so the passes must follow ascending M, not the order given.
+    Ms = (25.0, 5.0, 30.0, 14.0, 20.0)
+    assert_row_follows_block_streams(model, 10.0, Ms, LifeCycle(50.0), cfg)
+
+
+def test_one_threshold_row_is_estimate_tables(model, monkeypatch):
+    # With every threshold in a pass of its own, the lowest is drawn first
+    # by each block stream, exactly as its one-threshold row draws it.
+    monkeypatch.setattr(simulate, "_PASS_PATHS", 100)
+    life = LifeCycle(50.0)
+    cfg = SimulationConfig(n_samples=404, master_seed=SEED, worker_streams=4)
+    row = list(estimate_row(model, 10.0, THRESHOLDS, life, cfg, row_seed()))
+    alone = estimate_tables(model, MaintenancePolicy(10.0, 5.0), life, cfg,
+                            seed_sequence=row_seed())
+    for name in ("bp_p", "bp_c", "bjw", "bjw2", "balive", "bresid", "bresid2"):
+        assert np.array_equal(getattr(row[0], name), getattr(alone, name)), name
+    assert not np.array_equal(row[1].balive, alone.balive)
+
+
+def test_thresholds_have_paths_of_their_own(model):
+    # A threshold given twice gets two table sets from disjoint paths.
+    cfg = SimulationConfig(n_samples=400, master_seed=SEED)
+    first, second = estimate_row(model, 10.0, (14.0, 14.0), LifeCycle(50.0), cfg,
+                                 row_seed())
+    assert first.digest == second.digest
+    assert not np.array_equal(first.balive, second.balive)
+    assert not np.array_equal(first.bp_p, second.bp_p)
 
 
 @pytest.mark.parametrize(
@@ -122,7 +187,7 @@ def test_row_spanning_several_passes(model, monkeypatch, n, streams):
     ],
 )
 def test_skeleton_chunks_do_not_matter(model, ref_costs, monkeypatch, points):
-    # A stream larger than a chunk is drawn in row chunks; the generator
+    # A block larger than a chunk is drawn in row chunks; the generator
     # fills rows in order, so the tables and the chains stay bit for bit.
     policy, life = MaintenancePolicy(10.0, 14.0), LifeCycle(50.0)
     cfg = SimulationConfig(n_samples=1003, master_seed=SEED, worker_streams=4)
@@ -135,47 +200,17 @@ def test_skeleton_chunks_do_not_matter(model, ref_costs, monkeypatch, points):
         assert np.array_equal(counts_or_costs, ref)
 
 
-def test_row_chunks_cover_the_paths_in_order():
-    chunks = list(simulate._row_chunks([3, 0, 5, 1], 4))
-    assert chunks == [[(0, 3), (2, 1)], [(2, 4)], [(3, 1)]]
-    assert list(simulate._row_chunks([0, 0], 4)) == []
-
-
 def test_passes_group_in_order_and_never_split():
     assert _passes([30, 120, 50, 50, 0, 10], 100) == [[0], [1], [2, 3], [5]]
     assert _passes([0, 0], 100) == []
 
 
-@pytest.mark.parametrize(
-    "Ms, sizes",
-    [
-        pytest.param((14.0, 30.0, 5.0, 20.0, 25.0), (1, 37, 5, 120, 2), id="mixed"),
-        pytest.param(THRESHOLDS * 3, (1,) * 15, id="one-path-blocks"),
-        # With M = L the last block draws no midpoint for L, so a round's
-        # draws start and end in the first block.
-        pytest.param((14.0, 30.0), (40, 40), id="last-block-at-L"),
-    ],
-)
-def test_pass_equals_blocks_alone(model, Ms, sizes):
-    T, life, delta = 10.0, LifeCycle(50.0), 0.1
-    times = eval_times(MaintenancePolicy(T, 14.0), life)
-    Ms, sizes = np.array(Ms), np.array(sizes)
-    seqs = np.random.SeedSequence(SEED).spawn(len(sizes))
-    together = _block_accumulate(model, T, life, delta, Ms, sizes, seqs, times)
-    for s in range(len(sizes)):
-        alone = _block_accumulate(
-            model, T, life, delta, Ms[s:s + 1], sizes[s:s + 1], seqs[s:s + 1], times
-        )
-        for key, value in alone.items():
-            assert np.array_equal(together[key][s], value[0]), (s, key)
-
-
 def test_threshold_order_does_not_matter(model):
     life = LifeCycle(50.0)
     cfg = SimulationConfig(n_samples=250, master_seed=SEED)
-    row = list(estimate_row(model, 10.0, THRESHOLDS, life, cfg, seeds(THRESHOLDS)))
+    row = list(estimate_row(model, 10.0, THRESHOLDS, life, cfg, row_seed()))
     permuted = (25.0, 5.0, 30.0, 14.0, 20.0)
-    other = list(estimate_row(model, 10.0, permuted, life, cfg, seeds(permuted)))
+    other = list(estimate_row(model, 10.0, permuted, life, cfg, row_seed()))
     by_M = {tables.M: tables for tables in other}
     for tables in row:
         assert tables.equals(by_M[tables.M])
@@ -184,10 +219,12 @@ def test_threshold_order_does_not_matter(model):
 def test_threads_do_not_matter(model):
     life = LifeCycle(50.0)
     cfg = SimulationConfig(n_samples=2_500, master_seed=SEED)
-    serial = list(estimate_row(model, 10.0, THRESHOLDS, life, cfg, seeds(THRESHOLDS)))
-    threaded = list(estimate_row(model, 10.0, THRESHOLDS, life, cfg,
-                                 seeds(THRESHOLDS), threads=2))
-    assert_rows_equal(threaded, serial)
+    serial = list(estimate_row(model, 10.0, THRESHOLDS, life, cfg, row_seed()))
+    threaded = list(estimate_row(model, 10.0, THRESHOLDS, life, cfg, row_seed(),
+                                 threads=2))
+    assert len(threaded) == len(serial)
+    for tables, ref in zip(threaded, serial):
+        assert tables.equals(ref), f"M={ref.M}"
 
 
 def test_processes_do_not_matter(model):
@@ -207,7 +244,107 @@ def test_policies_checked_at_the_call(model):
     life = LifeCycle(50.0)
     cfg = SimulationConfig(n_samples=10)
     with pytest.raises(ConfigurationError, match="must not exceed L"):
-        estimate_row(model, 10.0, (14.0, 31.0), life, cfg, seeds((14.0, 31.0)))
-    with pytest.raises(ConfigurationError, match="one seed sequence per threshold"):
-        estimate_row(model, 10.0, (14.0, 20.0), life, cfg, seeds((14.0,)))
-    assert list(estimate_row(model, 10.0, (), life, cfg, [])) == []
+        estimate_row(model, 10.0, (14.0, 31.0), life, cfg, row_seed())
+    assert list(estimate_row(model, 10.0, (), life, cfg, row_seed())) == []
+
+
+@pytest.mark.parametrize(
+    "name, column, change, message",
+    [
+        ("p_p", 1, 1e6, "replacement probabilities exceed one"),
+        ("p_c", 2, -1e6, "probability entry outside"),
+        ("resid", 3, -1e6, "negative downtime moment"),
+        ("alive", 0, -1.0, r"alive_no_replacement\(0\) must be 1"),
+    ],
+)
+def test_a_corrupted_cell_fails_the_row(
+    model, monkeypatch, name, column, change, message
+):
+    # The thresholds of a pass are checked at once; one bad cell in one
+    # block of the middle threshold fails the row.
+    accumulate, check, checks = simulate._block_accumulate, simulate._check_tables, []
+
+    def corrupted(model, T, life, delta, Ms, size, rng, times):
+        sums = accumulate(model, T, life, delta, Ms, size, rng, times)
+        if 20.0 in Ms:
+            sums[name][list(Ms).index(20.0), column] += change
+        return sums
+
+    def counted(n, blocks):
+        checks.append(blocks["p_p"].shape)
+        return check(n, blocks)
+
+    monkeypatch.setattr(simulate, "_check_tables", counted)
+    life = LifeCycle(50.0)
+    cfg = SimulationConfig(n_samples=400, master_seed=SEED, worker_streams=4)
+    list(estimate_row(model, 10.0, THRESHOLDS, life, cfg, row_seed()))
+    assert checks == [(len(THRESHOLDS), 4, 6)]  # one pass holds the row
+    monkeypatch.setattr(simulate, "_block_accumulate", corrupted)
+    with pytest.raises(ConfigurationError, match=message):
+        list(estimate_row(model, 10.0, THRESHOLDS, life, cfg, row_seed()))
+
+
+def test_a_row_costs_one_generator_per_block(model, monkeypatch, counting_rng):
+    made = []
+
+    def default_rng(seed):
+        made.append(counting_rng(seed))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    life = LifeCycle(50.0)
+    Ms = np.linspace(1.0, 30.0, 30)
+    cfg = SimulationConfig(n_samples=800, master_seed=SEED, worker_streams=4)
+    list(estimate_row(model, 10.0, Ms, life, cfg, row_seed()))
+    assert len(made) == cfg.worker_streams
+    block = simulate._block_split(cfg.n_samples, cfg.worker_streams)
+    passes = len(block) * len(_passes([block[0]] * len(Ms), simulate._PASS_PATHS))
+    assert passes == 12  # 10 thresholds of 200 paths a pass
+    # A bracket of w grid steps is bisected in ceil(log2 w) rounds.
+    rounds = math.ceil(math.log2(np.diff(_skeleton(50.0, 10.0, 0.1)).max()))
+    beta_calls = sum(rng.calls["beta"] for rng in made)
+    assert 0 < beta_calls <= passes * rounds
+    assert all(rng.calls["gamma"] == rng.calls["exponential"] == 3 for rng in made)
+
+
+# Each cell of a 30-threshold row against its own one-threshold estimate,
+# drawn from another seed sequence: the two are independent with one law.
+LAW_N = 4_000
+
+
+@pytest.fixture(scope="module")
+def law_rows(model):
+    cfg = SimulationConfig(n_samples=LAW_N, master_seed=SEED)
+    life = LifeCycle(50.0)
+    Ms = tuple(np.linspace(1.0, 30.0, 30))
+    rows = {}
+
+    def row(T):
+        if T not in rows:
+            seed = np.random.SeedSequence(SEED, spawn_key=(1, int(T)))
+            rows[T] = dict(zip(Ms, estimate_row(model, T, Ms, life, cfg, seed)))
+        return rows[T]
+
+    return row, cfg, life
+
+
+@pytest.mark.parametrize(
+    "T, M", [(10.0, 14.0), (15.0, 11.0), (30.0, 15.0), (10.0, 5.0)]
+)
+def test_row_cells_agree_in_law_with_their_own_tables(model, law_rows, T, M):
+    row, cfg, life = law_rows
+    cell = row(T)[M]
+    seed = np.random.SeedSequence(SEED, spawn_key=(2, int(T), int(M)))
+    own = estimate_tables(model, MaintenancePolicy(T, M), life, cfg, seed_sequence=seed)
+    first = own.lattice.index_of(T)
+
+    def proportions(tables):
+        # Each is the fraction of paths with an event, so binomial.
+        return np.array([tables.p_preventive.sum(), tables.p_corrective.sum(),
+                         tables.alive_no_replacement[first]])
+
+    a, b = proportions(cell), proportions(own)
+    se = np.sqrt((a * (1 - a) + b * (1 - b)) / LAW_N)
+    assert np.all(se > 0.0)
+    z = (a - b) / se
+    assert np.all(np.abs(z) <= 3.0), dict(zip(("p_p", "p_c", "alive(T)"), z))

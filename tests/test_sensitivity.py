@@ -109,7 +109,7 @@ class TestShockTable:
             rng = np.random.default_rng(SEED)
             *_, sigma_L, Y = _simulate_kernel(
                 model, ref_policy.inspection_period, 50.0, 0.1,
-                [ref_policy.preventive_threshold], [n], [rng],
+                np.full(n, ref_policy.preventive_threshold), rng,
             )
             frac[scale] = float((Y < sigma_L).mean())
         assert frac[2.0] > frac[1.0]

@@ -22,6 +22,7 @@ from cbmlife.simulate import (
     _simulate_kernel,
     _skeleton,
     chain_statistics,
+    estimate_row,
     estimate_tables,
     tables_digest,
 )
@@ -48,7 +49,7 @@ class TestSimulateCycle:
         model = make_model(lam1=0.0, lam2=0.0, L=1e9, Ms=1e8)
         rng = np.random.default_rng(SEED)
         k_rep, _, censored, D, *_, Y = _simulate_kernel(
-            model, 10.0, 50.0, 0.1, [1e8], [200], [rng]
+            model, 10.0, 50.0, 0.1, np.full(200, 1e8), rng
         )
         assert censored.all()
         assert np.all(k_rep == 6)  # one past the last inspection, k_max = 5
@@ -58,8 +59,8 @@ class TestSimulateCycle:
         T, M = ref_policy.inspection_period, ref_policy.preventive_threshold
         delta = T / 100.0
         k_rep, corrective, censored, D, *_ = _simulate_kernel(
-            ref_model, T, ref_life.horizon, delta, [M], [300],
-            [np.random.default_rng(SEED)],
+            ref_model, T, ref_life.horizon, delta, np.full(300, M),
+            np.random.default_rng(SEED),
         )
         # the kernel draws the skeleton first: X at the inspection epochs
         grid = _skeleton(ref_life.horizon, T, delta)
@@ -88,13 +89,13 @@ class TestSimulateCycle:
         model = make_model(L=300.0, Ms=200.0)
         n = 500
         rng = counting_rng(SEED)
-        outputs = _simulate_kernel(model, 10.0, 1000.0, 0.1, [1e-6], [n], [rng])
+        outputs = _simulate_kernel(model, 10.0, 1000.0, 0.1, np.full(n, 1e-6), rng)
         k_rep, corrective, censored, D, *_ = outputs
         assert np.all(k_rep == 1) and not censored.any()
         assert np.all(D[~corrective] > 10.0)
         assert rng.counts == {"gamma": n * 100, "exponential": n}
         plain = _simulate_kernel(
-            model, 10.0, 1000.0, 0.1, [1e-6], [n], [np.random.default_rng(SEED)]
+            model, 10.0, 1000.0, 0.1, np.full(n, 1e-6), np.random.default_rng(SEED)
         )
         for a, b in zip(outputs, plain):
             assert np.array_equal(a, b)
@@ -280,15 +281,34 @@ class TestChaining:
 
 class TestPersistence:
     def test_digest_mismatch(self, ref_model, ref_policy, ref_life):
-        # a table set carries the digest of its configuration, and another
-        # seed gives another digest and other tables
+        # a table set carries the digest of the draws behind it: another
+        # seed, seed sequence or row gives another digest and other tables
         cfg = SimulationConfig(n_samples=200, master_seed=SEED, worker_streams=2)
         tables = estimate_tables(ref_model, ref_policy, ref_life, cfg)
         delta = cfg.step_for(ref_policy)
-        assert tables.digest == tables_digest(ref_model, ref_policy, ref_life, cfg, delta)
+
+        def digest(cfg, seq, row=(ref_policy.preventive_threshold,)):
+            return tables_digest(ref_model, ref_policy, ref_life, cfg, delta, seq, row)
+
+        assert tables.digest == digest(cfg, np.random.SeedSequence(SEED))
         assert estimate_tables(ref_model, ref_policy, ref_life, cfg).equals(tables)
         other_cfg = SimulationConfig(n_samples=200, master_seed=SEED + 1, worker_streams=2)
         other = estimate_tables(ref_model, ref_policy, ref_life, other_cfg)
         assert other.digest != tables.digest
-        assert other.digest == tables_digest(ref_model, ref_policy, ref_life, other_cfg, delta)
+        assert other.digest == digest(other_cfg, np.random.SeedSequence(SEED + 1))
         assert not other.equals(tables)
+        # the same master seed with a spawn key, or after a spawn
+        keyed = np.random.SeedSequence(SEED, spawn_key=(14_000_000,))
+        spawned = np.random.SeedSequence(SEED)
+        spawned.spawn(1)
+        for seq in (keyed, spawned):
+            expected = digest(cfg, seq)
+            moved = estimate_tables(ref_model, ref_policy, ref_life, cfg, seed_sequence=seq)
+            assert moved.digest == expected != tables.digest
+            assert not np.array_equal(moved.balive, tables.balive)
+        # a row's cell depends on the row's thresholds, not on their order
+        row = list(estimate_row(ref_model, 10.0, (20.0, 14.0), ref_life, cfg,
+                                np.random.SeedSequence(SEED)))
+        assert row[1].digest == digest(cfg, np.random.SeedSequence(SEED), (14.0, 20.0))
+        assert row[1].digest != tables.digest
+        assert not np.array_equal(row[1].balive, tables.balive)
