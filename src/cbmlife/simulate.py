@@ -4,30 +4,33 @@ Threshold crossings are recorded at the first point of a uniform grid of step
 delta whose state is at or above the threshold, the same first-grid-point law
 as a path advanced step by step on that grid, but without drawing the whole
 path.  Each path is drawn only at a skeleton of grid points, the inspection
-epochs and the last grid point, by one gamma increment per skeleton interval.
-The skeleton alone gives the inspection k_p that first finds the path at or
-above the preventive threshold M, so M is never bisected.  The first grid
-point at or above M_s and at or above L is found by bisecting the skeleton
-interval that brackets it with the gamma bridge: given X(a) and X(b), the
-midpoint m satisfies
+epochs and the last grid point, one epoch at a time: skeleton step j extends
+every path still below the preventive threshold M by one gamma increment, in
+one call over those paths.  A path therefore stops at the inspection k_p that
+first finds it at or above M, where its first cycle ends, and M is never
+bisected.  The first grid point at or above M_s and at or above L is found by
+bisecting the skeleton interval that brackets it with the gamma bridge: given
+X(a) and X(b), the midpoint m satisfies
 
     X(m) = X(a) + (X(b) - X(a)) * Beta(alpha*delta*(m - a), alpha*delta*(b - m)).
 
-Only the crossings a cycle's outcome reads are bisected: those whose bracket
-opens before end = min(k_p T, horizon).  A skipped crossing of L lies past
-end, and so does any failure it causes; past a skipped crossing of M_s the
-shock time is drawn as if M_s were never reached, which changes it only
-where it already lies past end.  Every failure time up to end is therefore
-the path's own, and no table (nor a strict Monte Carlo cycle) reads a later
-one.  M_s and L are bisected together in ascending order, and a midpoint
-drawn for one is reused by the other when both brackets are the same
-interval, so the two crossings belong to one path and keep their joint law.
-Time and memory grow with the number of inspections, not with 1/delta; only
-the log2(T/delta) bisection levels do.  Crossings stay on the delta-grid, so
-they keep its +delta/2 bias.  Shock times are drawn exactly from the
-two-regime hazard conditional on the simulated crossing of the shock
-threshold, and inspection outcomes (preventive, corrective, censored) follow
-from the first-cycle definition of the replacement policy.
+Only the crossings a cycle's outcome reads are bracketed and bisected: those
+whose bracket opens before end = min(k_p T, horizon).  A skipped crossing of
+L lies past end, and so does any failure it causes; past a skipped crossing
+of M_s the shock time is drawn as if M_s were never reached, which changes
+it only where it already lies past end.  Every failure time up to end is
+therefore the path's own, and no table (nor a strict Monte Carlo cycle)
+reads a later one.  M_s and L are bisected together in ascending order, and
+a midpoint drawn for one is reused by the other when both brackets are the
+same interval, so the two crossings belong to one path and keep their joint
+law.
+Time grows with the inspections up to each path's k_p, and a pass holds
+O(paths) state however many inspections the horizon has; only the
+log2(T/delta) bisection levels grow with 1/delta.  Crossings stay on the
+delta-grid, so they keep its +delta/2 bias.  Shock times are drawn exactly
+from the two-regime hazard conditional on the simulated crossing of the
+shock threshold, and inspection outcomes (preventive, corrective, censored)
+follow from the first-cycle definition of the replacement policy.
 
 The central product is :class:`EstimateTables`: per-inspection replacement
 probabilities, joint downtime moments, and the non-renewal (alive, residual
@@ -41,9 +44,10 @@ one seed sequence.  Block stream b draws the block-b paths of every
 threshold, in ascending M, in passes of at most ``_PASS_PATHS`` paths (a
 larger block runs alone), which removes the fixed cost of a sampler call
 per threshold.  Pass g of every block stream holds the same thresholds,
-which are complete, checked and yielded once every stream has run it.  Each threshold has paths of its own, so the table sets of a
-row are independent; each depends on the row's set of thresholds, though
-not on their order.  :func:`estimate_tables` is the one-threshold row.
+which are complete, checked and yielded once every stream has run it.  Each
+threshold has paths of its own, so the table sets of a row are independent;
+each depends on the row's set of thresholds, though not on their order.
+:func:`estimate_tables` is the one-threshold row.
 """
 
 from __future__ import annotations
@@ -82,10 +86,10 @@ _EPS = 1e-9
 # bytes a path (bisection state, bridge draws and reduction temporaries), so
 # the cap bounds its memory; a larger block runs alone in its own pass.
 _PASS_PATHS = 2048
-# Skeleton points (paths times skeleton indices) drawn at once, whatever the
-# pass size: a long horizon has many inspection epochs, and its skeleton
-# would otherwise outweigh the rest of a pass.
-_SKELETON_POINTS = 16_384
+# The most inspection periods t_f/T may hold.  A period adds 10 or 11 lattice
+# points, a skeleton step to every pass and a reduction step, so a longer
+# horizon (T = 0.001 at t_f = 50: 500,001 points) is refused up front.
+_MAX_PERIODS = 10_000
 
 
 @dataclass(frozen=True)
@@ -126,35 +130,37 @@ class SimulationConfig:
         return delta
 
 
-def _key(t: float) -> int:
-    """Canonical integer key for a grid time (nanosecond-style rounding)."""
-    return int(round(t * 1e9))
+def _check_periods(T: float, horizon: float) -> None:
+    if horizon / T > _MAX_PERIODS:
+        raise ConfigurationError(f"t_f/T exceeds {_MAX_PERIODS} inspection periods")
 
 
 def eval_times(policy: MaintenancePolicy, life: LifeCycle) -> np.ndarray:
     """Evaluation lattice: {t_f - j*T/10} down to 0, union inspection epochs.
 
     Both families are closed under subtracting multiples of T, so every
-    recursive lookup t - kT lands back on the lattice.
+    recursive lookup t - kT lands back on the lattice.  More than
+    _MAX_PERIODS periods raise ConfigurationError before anything is built.
     """
     T = policy.inspection_period
     tf = life.horizon
+    _check_periods(T, tf)
     dg = T / 10.0
-    points = {0}
-    j = 0
-    while tf - j * dg > -_EPS:
-        points.add(_key(max(tf - j * dg, 0.0)))
-        j += 1
+    # Every tf - j*dg above -_EPS, and some below that clamp to the point 0;
+    # times are keyed by rounding to the nanosecond.
+    down = np.maximum(tf - np.arange(int((tf + _EPS) / dg) + 2) * dg, 0.0)
     kmax = int(math.floor(tf / T + _EPS))
-    for k in range(kmax + 1):
-        points.add(_key(k * T))
-    return np.array(sorted(points), dtype=np.int64) / 1e9
+    epochs = np.arange(kmax + 1) * T
+    keys = np.round(np.concatenate([down, epochs]) * 1e9).astype(np.int64)
+    keys.sort()  # np.unique would import numpy.ma, 1.6 MB of resident memory
+    return keys[np.diff(keys, prepend=-1) != 0] / 1e9
 
 
-def _check_simulable(model: SystemModel, policy: MaintenancePolicy) -> None:
-    """Reject a preventive threshold above L before any path is drawn."""
+def _check_simulable(model: SystemModel, policy: MaintenancePolicy, life) -> None:
+    """Reject a preventive threshold above L or too long a horizon early."""
     if policy.preventive_threshold > model.breakdown_threshold:
         raise ConfigurationError("preventive threshold must not exceed L")
+    _check_periods(policy.inspection_period, life.horizon)
 
 
 def _skeleton(horizon: float, T: float, delta: float) -> np.ndarray:
@@ -166,33 +172,31 @@ def _skeleton(horizon: float, T: float, delta: float) -> np.ndarray:
 
 
 def _brackets(grid, levels, shape_step, scale, rng):
-    """Draw the paths at the skeleton and bracket every level on each.
+    """Draw the paths at the skeleton, each until it reaches its first level.
 
-    ``levels`` is (r, n), the r levels of each of n paths, drawn from ``rng``
-    at the skeleton grid indices ``grid`` by one gamma increment per
-    interval.  Returns ``pos``, the index in ``grid`` of the first skeleton
-    point at or above each level (len(grid) where the path stays below it),
+    ``levels`` is (r, n), the r levels of each of n paths.  Skeleton step j
+    extends the paths still below their level in row 0 by one gamma
+    increment each, drawn from ``rng`` in one call, and records the
+    brackets of the levels that the step crosses (prev < level <= new, the
+    paths being nondecreasing).  Returns ``pos``, the index in ``grid`` of
+    the first skeleton point at or above each level (len(grid) where the
+    path stays below it up to the last point, or up to its row-0 crossing),
     and the path's values ``xa`` and ``xb`` at grid[pos - 1] and grid[pos],
     the ends of that bracket.
     """
-    # The skeleton is drawn and reduced to the brackets at most cap paths at
-    # a time.  The generator fills rows in order, so the chunks draw the
-    # variates that one draw of every row would.
-    pos = np.empty(levels.shape, dtype=np.int64)
-    xa, xb = np.empty(levels.shape), np.empty(levels.shape)
-    shapes = shape_step * np.diff(grid)
-    cap = max(1, _SKELETON_POINTS // len(grid))
-    n = levels.shape[1]
-    for first in range(0, n, cap):
-        paths = slice(first, min(first + cap, n))
-        X = np.zeros((paths.stop - first, len(grid)))
-        X[:, 1:] = rng.gamma(shapes, scale, (paths.stop - first, len(grid) - 1))
-        np.cumsum(X, axis=1, out=X)
-        p = (X[None, :, :] < levels[:, paths, None]).sum(axis=2)
-        pos[:, paths] = p
-        np.minimum(p, len(grid) - 1, out=p)
-        rows = np.arange(len(X))
-        xb[:, paths], xa[:, paths] = X[rows, p], X[rows, p - 1]
+    pos = np.full(levels.shape, len(grid))
+    xa, xb = np.zeros(levels.shape), np.zeros(levels.shape)
+    live, x, below = np.arange(levels.shape[1]), np.zeros(levels.shape[1]), levels
+    for j, shape in enumerate(shape_step * np.diff(grid), start=1):
+        new = x + rng.gamma(shape, scale, len(live))
+        row, col = np.nonzero((x < below) & (below <= new))
+        paths = live[col]
+        pos[row, paths] = j
+        xa[row, paths], xb[row, paths] = x[col], new[col]
+        keep = new < below[0]
+        if not keep.any():
+            break
+        live, x, below = live[keep], new[keep], below[:, keep]
     return pos, xa, xb
 
 
@@ -284,11 +288,11 @@ def _simulate_kernel(model, T, horizon, delta, Ms, rng):
     pos, xa, xb = _brackets(grid, levels, alpha * delta, 1.0 / beta, rng)
     # Skeleton point k is inspection k for k <= kmax, so M's bracket ends at
     # the inspection k_p that finds it, or past the last one: M is never
-    # bisected.  M_s and L are bisected only where their bracket opens
-    # before end = min(k_p T, horizon); an unresolved M_s gives v = horizon
-    # below, which changes Y only past end.
+    # bisected.  A path is drawn only up to k_p, so M_s and L are bracketed,
+    # and bisected, only where their bracket opens before end = min(k_p T,
+    # horizon); an unresolved M_s gives v = horizon below, which changes Y
+    # only past end.
     k_p = pos[0]
-    pos[1:][pos[1:] > k_p] = len(grid)
     index = _bisect(grid, pos[1:], xa[1:], xb[1:], levels[1:], alpha * delta, rng)
     sigma = np.where(index > 0, index * delta, np.inf)
     if model.shock_threshold <= model.breakdown_threshold:
@@ -356,13 +360,18 @@ def _block_accumulate(model, T, life, delta, Ms, size, rng, times):
     }
     # Per lattice time t, over the cycles not replaced by its last inspection
     # kf: alive at t, and the downtime accrued since max(D, kf T).  The times
-    # sharing one kf are reduced together.
+    # sharing one kf are reduced together.  A cycle open at kf was open at
+    # kf - 1, so each open set is filtered from the last; once it is empty,
+    # the later columns stay zero.
     kf_of = np.minimum(np.floor(times / T + _EPS).astype(np.int64), kmax)
+    open_ = np.arange(len(k_rep))
     for kf in range(kmax + 1):
+        open_ = open_[k_rep[open_] > kf]
+        if not len(open_):
+            break
         cols = np.flatnonzero(kf_of == kf)
         t = times[cols]
         nc = len(cols)
-        open_ = np.flatnonzero(k_rep > kf)
         D_open = D[open_]
         bins = (owner[open_] * nc)[:, None] + np.arange(nc)
         down = np.subtract(t, np.maximum(D_open, kf * T)[:, None])
@@ -462,6 +471,10 @@ def _check_tables(n: int, blocks: dict[str, np.ndarray]) -> None:
         raise ConfigurationError("alive_no_replacement(0) must be 1")
 
 
+def _pooled(blocks: str) -> cached_property:
+    return cached_property(lambda self: getattr(self, blocks).sum(axis=0) / self.n)
+
+
 @dataclass(eq=False)
 class EstimateTables:
     """Monte Carlo estimates feeding the Markov renewal recursions.
@@ -492,37 +505,14 @@ class EstimateTables:
     bresid2: np.ndarray
     bcensored: np.ndarray
 
-    # -- pooled estimates -------------------------------------------------
-    def _pool(self, blocks: np.ndarray) -> np.ndarray:
-        return blocks.sum(axis=0) / self.n
-
-    @cached_property
-    def p_preventive(self) -> np.ndarray:
-        return self._pool(self.bp_p)
-
-    @cached_property
-    def p_corrective(self) -> np.ndarray:
-        return self._pool(self.bp_c)
-
-    @cached_property
-    def joint_downtime(self) -> np.ndarray:
-        return self._pool(self.bjw)
-
-    @cached_property
-    def joint_downtime_sq(self) -> np.ndarray:
-        return self._pool(self.bjw2)
-
-    @cached_property
-    def alive_no_replacement(self) -> np.ndarray:
-        return self._pool(self.balive)
-
-    @cached_property
-    def residual_downtime(self) -> np.ndarray:
-        return self._pool(self.bresid)
-
-    @cached_property
-    def residual_downtime_sq(self) -> np.ndarray:
-        return self._pool(self.bresid2)
+    # -- pooled estimates: the block sums over n -------------------------
+    p_preventive = _pooled("bp_p")
+    p_corrective = _pooled("bp_c")
+    joint_downtime = _pooled("bjw")
+    joint_downtime_sq = _pooled("bjw2")
+    alive_no_replacement = _pooled("balive")
+    residual_downtime = _pooled("bresid")
+    residual_downtime_sq = _pooled("bresid2")
 
     @cached_property
     def censored_fraction(self) -> float:
@@ -564,11 +554,10 @@ def tables_digest(
 
     A table set depends on its row's set of thresholds, so the digest holds
     them, sorted, along with the seed sequence the row's block streams are
-    spawned from: its entropy, spawn key and the children it had already
-    spawned, which shift the block streams.
+    derived from: its entropy and spawn key (:func:`_block_streams`).
     """
     payload = {
-        "format": 2,  # the version of the payload, so digests stay comparable
+        "format": 3,  # the version of the payload, so digests stay comparable
         "alpha": model.degradation.alpha,
         "beta": model.degradation.beta,
         "lambda1": model.shocks.lambda1,
@@ -583,11 +572,20 @@ def tables_digest(
         "delta": delta,
         "entropy": np.asarray(seed_sequence.entropy, dtype=object).tolist(),
         "spawn_key": list(seed_sequence.spawn_key),
-        "spawned": seed_sequence.n_children_spawned,
         "streams": cfg.worker_streams,
     }
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
+
+
+def _block_streams(seed: np.random.SeedSequence, streams: int) -> list:
+    """The children a fresh ``seed`` would spawn, built without touching it."""
+    return [
+        np.random.SeedSequence(
+            seed.entropy, spawn_key=(*seed.spawn_key, b), pool_size=seed.pool_size
+        )
+        for b in range(streams)
+    ]
 
 
 def _block_split(n: int, streams: int) -> np.ndarray:
@@ -625,32 +623,31 @@ def estimate_row(
     """Tables of the policies (T, M) for every M in Ms, from one set of streams.
 
     Each policy's cfg.n_samples paths are split into ``worker_streams``
-    blocks.  Block stream b, the b-th child spawned from ``seed_sequence``,
-    draws the block-b paths of every threshold in ascending M, in passes of
+    blocks.  Block stream b, the b-th child of ``seed_sequence``, draws the
+    block-b paths of every threshold in ascending M, in passes of
     consecutive thresholds of at most _PASS_PATHS paths (a larger block runs
     alone), and each threshold has paths of its own.  A table set therefore
     depends on the row's set of thresholds, though not on their order or on
     the thread count, which splits each pass by block; :func:`estimate_tables`
-    is the one-threshold row.  The policies are checked and the streams
-    spawned at the call; the table sets are yielded in the order of Ms, each
-    once the passes up to its threshold have run.
+    is the one-threshold row.  The policies are checked at the call, and
+    ``seed_sequence`` is left unchanged.  The table sets are yielded in the
+    order of Ms, each once the passes up to its threshold have run.
     """
     policies = [
         MaintenancePolicy(inspection_period=T, preventive_threshold=M) for M in Ms
     ]
     for policy in policies:
-        _check_simulable(model, policy)
+        _check_simulable(model, policy, life)
     if not policies:
         return iter(())
     delta = cfg.step_for(policies[0])
     order = np.argsort([p.preventive_threshold for p in policies], kind="stable")
     ascending = np.array([policies[j].preventive_threshold for j in order])
-    # The digests read the children seed_sequence has spawned so far.
     digests = [
         tables_digest(model, policy, life, cfg, delta, seed_sequence, ascending)
         for policy in policies
     ]
-    streams = seed_sequence.spawn(cfg.worker_streams)
+    streams = _block_streams(seed_sequence, cfg.worker_streams)
     return _row_tables(
         model, policies, life, cfg, delta, order, digests, streams, threads
     )
@@ -804,11 +801,11 @@ def chain_statistics(
     Returns the per-realization count of completed renewal cycles and the
     per-realization total cost over the life cycle.
     """
-    _check_simulable(model, policy)
+    _check_simulable(model, policy, life)
     delta = cfg.step_for(policy)
     if seed_sequence is None:
         seed_sequence = np.random.SeedSequence(cfg.master_seed)
-    children = seed_sequence.spawn(cfg.worker_streams)
+    children = _block_streams(seed_sequence, cfg.worker_streams)
     sizes = _block_split(cfg.n_samples, cfg.worker_streams)
 
     def work(args):

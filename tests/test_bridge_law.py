@@ -157,3 +157,34 @@ def test_one_pass_reduction_matches_loops(T, horizon, delta):
     for key in ref:
         np.testing.assert_allclose(sums[key], ref[key], rtol=n * np.finfo(float).eps,
                                    atol=0.0, err_msg=key)
+
+
+@pytest.mark.parametrize(
+    "T, horizon, delta, Ms",
+    [(5.0, 200.0, 0.5, (1.0, 3.0)), (15.0, 50.0, 0.15, (1.0, 2.0)),
+     (50.0, 50.0, 0.5, (0.5,))],
+)
+def test_reduction_stops_at_the_last_open_inspection(T, horizon, delta, Ms):
+    # Every cycle of a low threshold ends within a few inspections, so the
+    # lattice loop stops early and the later columns must stay zero.
+    model = make_model()
+    life = LifeCycle(horizon=horizon)
+    times = eval_times(MaintenancePolicy(T, min(Ms)), life)
+    n, kmax = 5_000, int(horizon // T)
+    seq = np.random.SeedSequence(SEED)
+    sums = _block_accumulate(
+        model, T, life, delta, Ms, n, np.random.default_rng(seq), times
+    )
+    outputs = _simulate_kernel(
+        model, T, horizon, delta, np.repeat(Ms, n), np.random.default_rng(seq)
+    )
+    assert outputs[0].max() <= kmax  # every cycle ends, so the loop breaks
+    for i in range(len(Ms)):
+        paths = slice(i * n, (i + 1) * n)
+        ref = loop_accumulate(*(o[paths] for o in outputs[:4]), T, kmax, times)
+        for key in ref:
+            np.testing.assert_allclose(
+                sums[key][i], ref[key], rtol=n * np.finfo(float).eps, atol=0.0,
+                err_msg=f"M={Ms[i]} {key}",
+            )
+        assert not sums["alive"][i, times > outputs[0][paths].max() * T].any()

@@ -32,7 +32,6 @@ from cbmlife.simulate import (
     _passes,
     _simulate_kernel,
     _skeleton,
-    chain_statistics,
     estimate_row,
     estimate_tables,
     eval_times,
@@ -179,27 +178,6 @@ def test_thresholds_have_paths_of_their_own(model):
     assert not np.array_equal(first.bp_p, second.bp_p)
 
 
-@pytest.mark.parametrize(
-    "points",
-    [
-        pytest.param(1, id="one-path-chunks"),
-        pytest.param(50, id="streams-split-across-chunks"),  # chunks of 8 paths
-    ],
-)
-def test_skeleton_chunks_do_not_matter(model, ref_costs, monkeypatch, points):
-    # A block larger than a chunk is drawn in row chunks; the generator
-    # fills rows in order, so the tables and the chains stay bit for bit.
-    policy, life = MaintenancePolicy(10.0, 14.0), LifeCycle(50.0)
-    cfg = SimulationConfig(n_samples=1003, master_seed=SEED, worker_streams=4)
-    tables = estimate_tables(model, policy, life, cfg)
-    chains = chain_statistics(model, policy, ref_costs, life, cfg)
-    monkeypatch.setattr(simulate, "_SKELETON_POINTS", points)
-    assert estimate_tables(model, policy, life, cfg).equals(tables)
-    again = chain_statistics(model, policy, ref_costs, life, cfg)
-    for counts_or_costs, ref in zip(again, chains):
-        assert np.array_equal(counts_or_costs, ref)
-
-
 def test_passes_group_in_order_and_never_split():
     assert _passes([30, 120, 50, 50, 0, 10], 100) == [[0], [1], [2, 3], [5]]
     assert _passes([0, 0], 100) == []
@@ -301,10 +279,15 @@ def test_a_row_costs_one_generator_per_block(model, monkeypatch, counting_rng):
     passes = len(block) * len(_passes([block[0]] * len(Ms), simulate._PASS_PATHS))
     assert passes == 12  # 10 thresholds of 200 paths a pass
     # A bracket of w grid steps is bisected in ceil(log2 w) rounds.
-    rounds = math.ceil(math.log2(np.diff(_skeleton(50.0, 10.0, 0.1)).max()))
+    grid = _skeleton(50.0, 10.0, 0.1)
+    rounds = math.ceil(math.log2(np.diff(grid).max()))
     beta_calls = sum(rng.calls["beta"] for rng in made)
     assert 0 < beta_calls <= passes * rounds
-    assert all(rng.calls["gamma"] == rng.calls["exponential"] == 3 for rng in made)
+    # A pass draws its skeleton in at most one gamma call per skeleton step.
+    per_block = passes // len(block)
+    for rng in made:
+        assert rng.calls["exponential"] == per_block
+        assert 0 < rng.calls["gamma"] <= per_block * (len(grid) - 1)
 
 
 # Each cell of a 30-threshold row against its own one-threshold estimate,

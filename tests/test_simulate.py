@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,11 +20,13 @@ from cbmlife.model import (
 )
 from cbmlife.simulate import (
     SimulationConfig,
+    _brackets,
     _simulate_kernel,
     _skeleton,
     chain_statistics,
     estimate_row,
     estimate_tables,
+    eval_times,
     tables_digest,
 )
 
@@ -62,14 +65,21 @@ class TestSimulateCycle:
             ref_model, T, ref_life.horizon, delta, np.full(300, M),
             np.random.default_rng(SEED),
         )
-        # the kernel draws the skeleton first: X at the inspection epochs
+        # The kernel draws the skeleton first, epoch by epoch: step j extends
+        # the paths still below M, in path order, by one gamma call.  X_at
+        # stays NaN past the epoch at which a path reaches M.
         grid = _skeleton(ref_life.horizon, T, delta)
         deg = ref_model.degradation
-        X = np.random.default_rng(SEED).gamma(
-            deg.alpha * delta * np.diff(grid), 1.0 / deg.beta, (300, len(grid) - 1)
-        ).cumsum(axis=1)
-        X_at = np.column_stack([np.zeros(300), X])  # X_at[:, k] = X(kT), k <= kmax
-        rows = np.arange(300)
+        replay = np.random.default_rng(SEED)
+        X_at = np.full((300, len(grid)), np.nan)  # X_at[:, k] = X(kT), k <= kmax
+        X_at[:, 0] = 0.0
+        live = rows = np.arange(300)
+        for j in range(1, len(grid)):
+            shape = deg.alpha * delta * (grid[j] - grid[j - 1])
+            X_at[live, j] = X_at[live, j - 1] + replay.gamma(
+                shape, 1.0 / deg.beta, len(live)
+            )
+            live = live[X_at[live, j] < M]
         assert np.all(k_rep >= 1)
         fixed = corrective & ~censored
         down = k_rep[fixed] * T - D[fixed]
@@ -93,7 +103,8 @@ class TestSimulateCycle:
         k_rep, corrective, censored, D, *_ = outputs
         assert np.all(k_rep == 1) and not censored.any()
         assert np.all(D[~corrective] > 10.0)
-        assert rng.counts == {"gamma": n * 100, "exponential": n}
+        # one skeleton step: every path is at or above M after it
+        assert rng.counts == {"gamma": n, "exponential": n}
         plain = _simulate_kernel(
             model, 10.0, 1000.0, 0.1, np.full(n, 1e-6), np.random.default_rng(SEED)
         )
@@ -279,6 +290,105 @@ class TestChaining:
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
+class TestSkeleton:
+    """Each path is drawn one skeleton epoch at a time, until it reaches M."""
+
+    @pytest.mark.parametrize("T, M", [(10.0, 14.0), (5.0, 30.0), (50.0, 1.0)])
+    def test_law_of_the_inspection_that_finds_M(self, T, M):
+        # With nothing able to fail, k_rep is k_p capped at k_max + 1, and
+        # P[k_p <= k] = P[X(kT) >= M] = Q(alpha k T, beta M).  Up to 10
+        # correlated points are tested per case, each within 4 SE.
+        model = make_model(lam1=0.0, lam2=0.0, L=1e9, Ms=1e8)
+        horizon, n = 50.0, 20_000
+        k_rep, _, censored, *_ = _simulate_kernel(
+            model, T, horizon, T / 100.0, np.full(n, M), np.random.default_rng(SEED)
+        )
+        kmax = math.floor(horizon / T)
+        assert np.array_equal(censored, k_rep > kmax)
+        deg = model.degradation
+        for k in range(1, kmax + 1):
+            p = float(special.gammaincc(deg.alpha * k * T, deg.beta * M))
+            p_hat = float((k_rep <= k).mean())
+            se = math.sqrt(max(p * (1.0 - p), 1e-12) / n)
+            assert abs(p_hat - p) <= 4.0 * se, (k, p_hat, p)
+
+    def test_gammas_drawn_up_to_the_inspection_that_finds_M(self, counting_rng):
+        # Path i draws min(k_p,i, len(grid) - 1) skeleton gammas, in at most
+        # one call per skeleton step, and its levels are bracketed up to k_p.
+        T, horizon, delta, n = 5.0, 23.0, 0.5, 3_000
+        grid = _skeleton(horizon, T, delta)
+        Ms = np.linspace(1.0, 30.0, n)
+        levels = np.vstack([Ms, np.full(n, 20.0), np.full(n, 30.0)])
+        rng = counting_rng(SEED)
+        pos, xa, xb = _brackets(grid, levels, 0.1 * delta, 10.0, rng)
+        k_p = pos[0]
+        assert rng.counts == {"gamma": np.minimum(k_p, len(grid) - 1).sum()}
+        assert rng.calls["gamma"] <= len(grid) - 1
+        assert (k_p < len(grid)).any() and (k_p == len(grid)).any()
+        hit = pos < len(grid)
+        assert np.all((xa[hit] < levels[hit]) & (levels[hit] <= xb[hit]))
+        # no level is bracketed past k_p, and one at or below M is by k_p
+        assert np.all(pos[1:][hit[1:]] <= np.broadcast_to(k_p, pos[1:].shape)[hit[1:]])
+        assert np.all(hit[1:][(levels[1:] <= Ms) & (k_p < len(grid))])
+
+    def test_a_long_horizon_draws_in_small_memory(self, ref_model):
+        # A pass holds O(paths) state: at T = 0.5 and t_f = 200 the 401
+        # skeleton epochs of one 12,500-path block would take 40 MB alone.
+        policy, life = MaintenancePolicy(0.5, 14.0), LifeCycle(200.0)
+        cfg = SimulationConfig(n_samples=50_000, master_seed=SEED)
+        tracemalloc.start()
+        try:
+            tables = estimate_tables(ref_model, policy, life, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tables.validate()
+        assert peak < 10e6
+
+
+def loop_times(T, tf, eps=1e-9):
+    """The evaluation lattice built point by point, keyed in nanoseconds."""
+    dg = T / 10.0
+    points = {0}
+    j = 0
+    while tf - j * dg > -eps:
+        points.add(int(round(max(tf - j * dg, 0.0) * 1e9)))
+        j += 1
+    for k in range(int(math.floor(tf / T + eps)) + 1):
+        points.add(int(round(k * T * 1e9)))
+    return np.array(sorted(points), dtype=np.int64) / 1e9
+
+
+class TestLattice:
+    @pytest.mark.parametrize(
+        "T, tf",
+        [(10.0, 50.0), (15.0, 50.0), (5.0, 200.0), (7.2222222222222, 50.0),
+         (10.0 / 3.0, 50.0), (0.3, 50.0), (45.0, 50.0), (50.0, 50.0),
+         (0.7, 13.1), (60.0, 50.0), (0.01, 100.0)],
+    )
+    def test_lattice_equals_the_loop(self, T, tf):
+        times = eval_times(MaintenancePolicy(T, 1.0), LifeCycle(tf))
+        assert np.array_equal(times, loop_times(T, tf))
+
+    def test_too_many_periods_rejected(self, ref_model, ref_costs):
+        # T = 0.001 at t_f = 50 is 50,000 periods, over the cap of 10,000:
+        # refused at the call, before any lattice or path.
+        policy, life = MaintenancePolicy(0.001, 14.0), LifeCycle(50.0)
+        cfg = SimulationConfig(n_samples=10, master_seed=SEED)
+        calls = (
+            lambda: eval_times(policy, life),
+            lambda: estimate_tables(ref_model, policy, life, cfg),
+            lambda: estimate_row(ref_model, 0.001, (14.0,), life, cfg,
+                                 np.random.SeedSequence(SEED)),
+            lambda: chain_statistics(ref_model, policy, ref_costs, life, cfg),
+        )
+        for call in calls:
+            with pytest.raises(ConfigurationError, match="inspection periods"):
+                call()
+        at_cap = eval_times(MaintenancePolicy(0.005, 14.0), life)
+        assert len(at_cap) == 100_001
+
+
 class TestPersistence:
     def test_digest_mismatch(self, ref_model, ref_policy, ref_life):
         # a table set carries the digest of the draws behind it: another
@@ -297,18 +407,35 @@ class TestPersistence:
         assert other.digest != tables.digest
         assert other.digest == digest(other_cfg, np.random.SeedSequence(SEED + 1))
         assert not other.equals(tables)
-        # the same master seed with a spawn key, or after a spawn
+        # the same master seed with a spawn key
         keyed = np.random.SeedSequence(SEED, spawn_key=(14_000_000,))
-        spawned = np.random.SeedSequence(SEED)
-        spawned.spawn(1)
-        for seq in (keyed, spawned):
-            expected = digest(cfg, seq)
-            moved = estimate_tables(ref_model, ref_policy, ref_life, cfg, seed_sequence=seq)
-            assert moved.digest == expected != tables.digest
-            assert not np.array_equal(moved.balive, tables.balive)
+        moved = estimate_tables(ref_model, ref_policy, ref_life, cfg, seed_sequence=keyed)
+        assert moved.digest == digest(cfg, keyed) != tables.digest
+        assert not np.array_equal(moved.balive, tables.balive)
         # a row's cell depends on the row's thresholds, not on their order
         row = list(estimate_row(ref_model, 10.0, (20.0, 14.0), ref_life, cfg,
                                 np.random.SeedSequence(SEED)))
         assert row[1].digest == digest(cfg, np.random.SeedSequence(SEED), (14.0, 20.0))
         assert row[1].digest != tables.digest
         assert not np.array_equal(row[1].balive, tables.balive)
+
+    def test_one_seed_sequence_object_twice(self, ref_model, ref_policy, ref_costs, ref_life):
+        # The block streams are derived without spawning, so one object
+        # passed twice, or after a spawn, gives the tables and chains of a
+        # fresh one.
+        cfg = SimulationConfig(n_samples=300, master_seed=SEED, worker_streams=3)
+        seq = np.random.SeedSequence(SEED, spawn_key=(7,))
+        first = estimate_tables(ref_model, ref_policy, ref_life, cfg, seed_sequence=seq)
+        again = estimate_tables(ref_model, ref_policy, ref_life, cfg, seed_sequence=seq)
+        assert again.equals(first) and again.digest == first.digest
+        chains = [
+            chain_statistics(ref_model, ref_policy, ref_costs, ref_life, cfg,
+                             seed_sequence=seq)
+            for _ in range(2)
+        ]
+        for a, b in zip(*chains):
+            assert np.array_equal(a, b)
+        assert seq.n_children_spawned == 0
+        seq.spawn(2)
+        spawned = estimate_tables(ref_model, ref_policy, ref_life, cfg, seed_sequence=seq)
+        assert spawned.equals(first)
