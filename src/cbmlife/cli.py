@@ -95,6 +95,8 @@ def parse_grid_spec(spec: str) -> tuple[float, ...]:
         count = steps + 1
     if count < 1 or end < start:
         raise ConfigurationError(f"grid spec '{spec}' is empty")
+    if count > 1 and end == start:
+        raise ConfigurationError(f"grid spec '{spec}' repeats one point {count} times")
     if count == 1:
         return (start,)
     return tuple(np.linspace(start, end, count))

@@ -62,6 +62,11 @@ class PolicyGrid:
             raise ValueError("all inspection periods must be positive")
         if any(M <= 0.0 for M in self.M_values):
             raise ValueError("all preventive thresholds must be positive")
+        # A repeated point would be simulated again from other paths, and
+        # the minimum over its copies is biased low.
+        for name, values in (("T", self.T_values), ("M", self.M_values)):
+            if len(set(values)) < len(values):
+                raise ValueError(f"grid {name} values must not repeat")
 
 
 @dataclass(frozen=True)

@@ -35,9 +35,15 @@ follow from the first-cycle definition of the replacement policy.
 The central product is :class:`EstimateTables`: per-inspection replacement
 probabilities, joint downtime moments, and the non-renewal (alive, residual
 downtime) functions on the evaluation lattice.  Every recursion in
-:mod:`cbmlife.renewal` consumes these tables.  Sampling is partitioned into
-``worker_streams`` blocks with independent substreams so results are
-reproducible bit for bit regardless of the executing thread count.
+:mod:`cbmlife.renewal` consumes these tables.  A pass's paths are reduced
+to them by one ``np.bincount`` per table, with no loop over inspections: a
+cycle is open (not yet replaced) on a prefix of the lattice, alive on the
+part of it before its failure time and down on the rest, so the alive
+counts are a reversed cumulative sum of the prefix lengths, and the
+residual downtime sums run over the (path, time) pairs past the failure
+only.  Sampling is partitioned into ``worker_streams`` blocks with
+independent substreams so results are reproducible bit for bit regardless
+of the executing thread count.
 
 :func:`estimate_row` serves every threshold M of one inspection period from
 one seed sequence.  Block stream b draws the block-b paths of every
@@ -82,12 +88,13 @@ __all__ = [
 ]
 
 _EPS = 1e-9
-# Paths simulated together in one sampler pass.  A pass holds about 400
+# Paths simulated together in one sampler pass.  A pass holds about 250
 # bytes a path (bisection state, bridge draws and reduction temporaries), so
-# the cap bounds its memory; a larger block runs alone in its own pass.
-_PASS_PATHS = 2048
+# the cap bounds its memory, at about 2 MB; a larger block runs alone in its
+# own pass.
+_PASS_PATHS = 8192
 # The most inspection periods t_f/T may hold.  A period adds 10 or 11 lattice
-# points, a skeleton step to every pass and a reduction step, so a longer
+# points to every table and a skeleton step to every pass, so a longer
 # horizon (T = 0.001 at t_f = 50: 500,001 points) is refused up front.
 _MAX_PERIODS = 10_000
 
@@ -331,16 +338,25 @@ def _table(index, rows, cols, weights=None):
 def _block_accumulate(model, T, life, delta, Ms, size, rng, times):
     """Simulate ``size`` paths of each threshold in Ms in one pass, and sum them.
 
-    The paths are drawn from ``rng``, those of Ms[0] first.  Every returned
-    array has one row per threshold.  Each sum is one ``np.bincount`` over
-    (threshold, bin), which adds a threshold's paths in path order.
+    The paths are drawn from ``rng``, those of Ms[0] first, and reduced by
+    :func:`_reduce`.
     """
     kmax = int(math.floor(life.horizon / T + _EPS))
     k_rep, corrective, censored, D, *_ = _simulate_kernel(
         model, T, life.horizon, delta, np.repeat(Ms, size), rng
     )
-    S = len(Ms)
-    owner = np.repeat(np.arange(S), size)
+    return _reduce(k_rep, corrective, censored, D, len(Ms), T, kmax, times)
+
+
+def _reduce(k_rep, corrective, censored, D, S, T, kmax, times):
+    """The table sums of S thresholds' paths, the kernel outputs of one pass.
+
+    The paths are the thresholds' in turn, an equal number each.  Every
+    returned array has one row per threshold.  Each sum is one
+    ``np.bincount`` over (threshold, bin), which adds a threshold's paths in
+    path order.
+    """
+    owner = np.repeat(np.arange(S), len(k_rep) // S)
     # Per inspection k: replacements by kind and the downtime kT - D of
     # corrective ones (k_rep <= kmax exactly when the cycle is not censored).
     k = k_rep[~censored]
@@ -348,39 +364,36 @@ def _block_accumulate(model, T, life, delta, Ms, size, rng, times):
     w = np.where(corr, k * T - D[~censored], 0.0)
     K = kmax + 1
     cell = owner[~censored] * K + k
-    sums = {
+    # Per lattice time t, over the cycles not replaced by its last inspection
+    # kf(t): alive at t, and the downtime accrued since D.  kf grows with t,
+    # so a cycle is open (kf < k_rep) on a prefix of the lattice, alive on
+    # the part of it before D and down on the rest.  A cycle down at t failed
+    # after kf T, or the inspection ceil(D / T) <= kf would have replaced it.
+    C = len(times)
+    kf_of = np.minimum(np.floor(times / T + _EPS).astype(np.int64), kmax)
+    n_open = np.searchsorted(kf_of, k_rep)
+    n_alive = np.minimum(n_open, np.searchsorted(times, D))
+    # Column c counts the prefixes longer than c: a reversed cumulative sum
+    # of the prefix lengths' counts, from length C down to length 1.
+    lengths = _table(owner * (C + 1) + n_alive, S, C + 1)
+    alive = np.cumsum(lengths[:, :0:-1], axis=1)[:, ::-1]
+    # The (path, column) pairs of the open prefix from D on, path by path,
+    # so each bin adds its terms in path order (a term at t = D is 0.0).
+    width = n_open - n_alive
+    path = np.repeat(np.arange(len(D)), width)
+    col = np.arange(len(path)) + np.repeat(n_alive - (np.cumsum(width) - width), width)
+    down = times[col] - D[path]
+    lattice_cell = owner[path] * C + col
+    return {
         "p_p": _table(cell[~corr], S, K).astype(float),
         "p_c": _table(cell[corr], S, K).astype(float),
         "jw": _table(cell, S, K, w),
         "jw2": _table(cell, S, K, w * w),
-        "alive": np.zeros((S, len(times))),
-        "resid": np.zeros((S, len(times))),
-        "resid2": np.zeros((S, len(times))),
+        "alive": alive.astype(float),
+        "resid": _table(lattice_cell, S, C, down),
+        "resid2": _table(lattice_cell, S, C, down * down),
         "censored": np.bincount(owner[censored], minlength=S).astype(float),
     }
-    # Per lattice time t, over the cycles not replaced by its last inspection
-    # kf: alive at t, and the downtime accrued since max(D, kf T).  The times
-    # sharing one kf are reduced together.  A cycle open at kf was open at
-    # kf - 1, so each open set is filtered from the last; once it is empty,
-    # the later columns stay zero.
-    kf_of = np.minimum(np.floor(times / T + _EPS).astype(np.int64), kmax)
-    open_ = np.arange(len(k_rep))
-    for kf in range(kmax + 1):
-        open_ = open_[k_rep[open_] > kf]
-        if not len(open_):
-            break
-        cols = np.flatnonzero(kf_of == kf)
-        t = times[cols]
-        nc = len(cols)
-        D_open = D[open_]
-        bins = (owner[open_] * nc)[:, None] + np.arange(nc)
-        down = np.subtract(t, np.maximum(D_open, kf * T)[:, None])
-        np.maximum(down, 0.0, out=down)
-        sums["alive"][:, cols] = _table(bins[D_open[:, None] > t], S, nc)
-        sums["resid"][:, cols] = _table(bins.ravel(), S, nc, down.ravel())
-        np.square(down, out=down)
-        sums["resid2"][:, cols] = _table(bins.ravel(), S, nc, down.ravel())
-    return sums
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,8 +7,8 @@ above each threshold is read directly from the path; the law tests compare
 the bridge kernel's outputs against it.  Its signature is that of
 ``cbmlife.simulate._simulate_kernel``; it returns the kernel's first four
 outputs (k_rep, corrective, censored, D), then the crossing times of M, M_s
-and L and the shock time, each the path's own at every time.  ``loop_accumulate`` is the table
-reduction that ``_block_accumulate`` replaced.
+and L and the shock time, each the path's own at every time.  ``loop_accumulate``
+is the table reduction that ``_reduce`` replaced.
 """
 
 import math
@@ -65,8 +65,8 @@ def dense_kernel(model, policy, horizon, delta, n, rng):
 def loop_accumulate(k_rep, corrective, censored, D, T, kmax, times):
     """Table sums by one masked pass per inspection and per lattice time.
 
-    The reduction that ``cbmlife.simulate._block_accumulate`` replaced with
-    one ``np.bincount`` per table and one broadcast per inspection level.
+    The reduction that ``cbmlife.simulate._reduce`` replaced with one
+    ``np.bincount`` per table.
     """
     sums = {
         "p_p": np.zeros(kmax + 1),

@@ -166,7 +166,7 @@ def test_one_pass_reduction_matches_loops(T, horizon, delta):
 )
 def test_reduction_stops_at_the_last_open_inspection(T, horizon, delta, Ms):
     # Every cycle of a low threshold ends within a few inspections, so the
-    # lattice loop stops early and the later columns must stay zero.
+    # later columns must stay zero.
     model = make_model()
     life = LifeCycle(horizon=horizon)
     times = eval_times(MaintenancePolicy(T, min(Ms)), life)
@@ -178,7 +178,7 @@ def test_reduction_stops_at_the_last_open_inspection(T, horizon, delta, Ms):
     outputs = _simulate_kernel(
         model, T, horizon, delta, np.repeat(Ms, n), np.random.default_rng(seq)
     )
-    assert outputs[0].max() <= kmax  # every cycle ends, so the loop breaks
+    assert outputs[0].max() <= kmax  # every cycle ends before the horizon
     for i in range(len(Ms)):
         paths = slice(i * n, (i + 1) * n)
         ref = loop_accumulate(*(o[paths] for o in outputs[:4]), T, kmax, times)

@@ -65,6 +65,20 @@ class TestConfig:
         for bad in ("5", "5:1", "nan:5:3", "1:inf:3", "-inf:1", "0.5:2", "1:2.4"):
             with pytest.raises(ConfigurationError):
                 parse_grid_spec(bad)
+        assert parse_grid_spec("14:14:1") == (14.0,)
+        with pytest.raises(ConfigurationError, match="repeats one point 3 times"):
+            parse_grid_spec("14:14:3")
+
+    def test_repeated_grid_point_flag(self, small_config, tmp_path, capsys):
+        # One (T, M) simulated three times from other paths would report
+        # the lowest of three estimates as the minimum.
+        argv = [
+            "optimize", "--objective", "transient", "--config", str(small_config),
+            "--grid-M", "14:14:3", "--out-dir", str(tmp_path), "--quiet",
+        ]
+        assert main(argv) == 1
+        assert "repeats one point" in capsys.readouterr().err
+        assert not (tmp_path / "transient_matrix.csv").exists()
 
     @pytest.mark.parametrize("value", ["0", "-3", "two"])
     def test_bad_workers_key(self, tmp_path, value):

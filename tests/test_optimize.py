@@ -42,6 +42,10 @@ class TestGrids:
             PolicyGrid(T_values=(0.0,), M_values=(10.0,))
         with pytest.raises(ValueError):
             PolicyGrid(T_values=(10.0,), M_values=(-1.0,))
+        with pytest.raises(ValueError, match="M values must not repeat"):
+            PolicyGrid(T_values=(10.0,), M_values=(14.0, 15.0, 14.0))
+        with pytest.raises(ValueError, match="T values must not repeat"):
+            PolicyGrid(T_values=(10.0, 10.0), M_values=(14.0,))
 
     def test_defaults_match_documented_ranges(self):
         grid = PolicyGrid()

@@ -277,7 +277,7 @@ def test_a_row_costs_one_generator_per_block(model, monkeypatch, counting_rng):
     assert len(made) == cfg.worker_streams
     block = simulate._block_split(cfg.n_samples, cfg.worker_streams)
     passes = len(block) * len(_passes([block[0]] * len(Ms), simulate._PASS_PATHS))
-    assert passes == 12  # 10 thresholds of 200 paths a pass
+    assert passes == 4  # the 30 thresholds of 200 paths in one pass
     # A bracket of w grid steps is bisected in ceil(log2 w) rounds.
     grid = _skeleton(50.0, 10.0, 0.1)
     rounds = math.ceil(math.log2(np.diff(grid).max()))

@@ -5,10 +5,12 @@ import warnings
 import numpy as np
 import pytest
 from crossings import all_crossings
+from dense_sampler import loop_accumulate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from cbmlife import simulate
 from cbmlife.errors import ConfigurationError, GridCoverageError
 from cbmlife.model import (
     CostStructure,
@@ -20,7 +22,9 @@ from cbmlife.model import (
 )
 from cbmlife.simulate import (
     SimulationConfig,
+    _block_accumulate,
     _brackets,
+    _reduce,
     _simulate_kernel,
     _skeleton,
     chain_statistics,
@@ -344,6 +348,75 @@ class TestSkeleton:
             tracemalloc.stop()
         tables.validate()
         assert peak < 10e6
+
+
+def kernel_outcomes(D, k_p, T, kmax):
+    """The kernel's outcomes of failure times D and inspections k_p finding M."""
+    k_c = np.maximum(np.ceil(D / T - 1e-12), 1.0)
+    k_c[~np.isfinite(k_c)] = kmax + 1_000_000
+    corrective = k_c <= k_p
+    k_rep = np.minimum(np.where(corrective, k_c, k_p), kmax + 1).astype(np.int64)
+    censored = np.where(corrective, k_c, k_p) > kmax
+    return k_rep, corrective, censored, D
+
+
+class TestReduction:
+    """The tables of given kernel outputs against the per-time loop."""
+
+    @pytest.mark.parametrize(
+        "T, tf", [(10.0, 50.0), (15.0, 50.0), (5.0, 200.0), (50.0, 50.0), (7.0, 50.0)]
+    )
+    def test_edge_cases_match_the_loop(self, T, tf):
+        # Every failure time on the lattice, at each kT, never (inf), inside
+        # the last interval and at random, each with every k_p, including
+        # one past k_max (M never found), in random order over 3 thresholds.
+        rng = np.random.default_rng(SEED)
+        times = eval_times(MaintenancePolicy(T, 1.0), LifeCycle(tf))
+        kmax = math.floor(tf / T + 1e-9)
+        D = np.concatenate([
+            times[1:], np.arange(1, kmax + 1) * T, np.full(5, np.inf),
+            rng.uniform(max(kmax * T, tf - T), tf, 20), rng.uniform(0.0, tf, 50),
+        ])
+        k_p = np.append(np.arange(1, kmax + 1), kmax + 1_000_000)
+        D, k_p = (a.ravel() for a in np.meshgrid(D, k_p))
+        order = rng.permutation(len(D))[: len(D) // 3 * 3]
+        outputs = kernel_outcomes(D[order], k_p[order], T, kmax)
+        k_rep, _, censored, failure = outputs
+        assert (k_rep == kmax + 1).any()
+        # a failure after k_max T is censored where the horizon is past it
+        assert (censored & np.isfinite(failure)).any() == (tf > kmax * T)
+        sums = _reduce(*outputs, 3, T, kmax, times)
+        size = len(order) // 3
+        for i in range(3):
+            paths = slice(i * size, (i + 1) * size)
+            ref = loop_accumulate(*(o[paths] for o in outputs), T, kmax, times)
+            assert sums.keys() == ref.keys()
+            for key in ("p_p", "p_c", "alive", "censored"):
+                assert np.array_equal(sums[key][i], ref[key]), key
+            # sums of size nonnegative terms, added in another order
+            for key in ("jw", "jw2", "resid", "resid2"):
+                np.testing.assert_allclose(
+                    sums[key][i], ref[key], rtol=size * np.finfo(float).eps,
+                    atol=0.0, err_msg=key,
+                )
+
+    @pytest.mark.parametrize("tf", [50.0, 200.0])
+    def test_a_pass_holds_little_memory(self, ref_model, tf):
+        # One pass of _PASS_PATHS paths over 30 thresholds at T = 5.  It
+        # peaked at 1.9 MB (t_f = 50) and 2.0 MB (t_f = 200); with the
+        # reduction looping over inspections, at 2.9 and 3.1 MB.
+        T, Ms = 5.0, np.linspace(1.0, 30.0, 30)
+        life = LifeCycle(tf)
+        times = eval_times(MaintenancePolicy(T, 1.0), life)
+        size = simulate._PASS_PATHS // len(Ms)
+        rng = np.random.default_rng(SEED)
+        tracemalloc.start()
+        try:
+            _block_accumulate(ref_model, T, life, T / 100.0, Ms, size, rng, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6
 
 
 def loop_times(T, tf, eps=1e-9):
