@@ -253,14 +253,12 @@ def cmd_curves(rc: RunConfig, args) -> int:
         if sweep_dim == "M":
             policies = [replace(rc.policy, preventive_threshold=v) for v in sweep_values]
             T = rc.policy.inspection_period
-            swept = estimate_row(
-                rc.model, T, sweep_values, rc.life, rc.sim, seed(T), threads=rc.workers
-            )
+            swept = estimate_row(rc.model, T, sweep_values, rc.life, rc.sim, seed(T))
         else:
             policies = [replace(rc.policy, inspection_period=v) for v in sweep_values]
             swept = (
                 estimate_tables(rc.model, policy, rc.life, rc.sim,
-                                threads=rc.workers, seed_sequence=seed(v))
+                                seed_sequence=seed(v))
                 for policy, v in zip(policies, sweep_values)
             )
         reference = None
@@ -275,7 +273,7 @@ def cmd_curves(rc: RunConfig, args) -> int:
                 if args.strict_mc:
                     _, totals = chain_statistics(
                         rc.model, policy, rc.costs, rc.life, rc.sim,
-                        threads=rc.workers, seed_sequence=seed(value, 1),
+                        seed_sequence=seed(value, 1),
                     )
                     strict_rates.append(float(totals.mean()) / tf)
                 yield tables
@@ -306,9 +304,7 @@ def cmd_curves(rc: RunConfig, args) -> int:
         # tables, so the run reports one estimate per policy.
         tables = reference
         if tables is None:
-            tables = estimate_tables(
-                rc.model, rc.policy, rc.life, rc.sim, threads=rc.workers
-            )
+            tables = estimate_tables(rc.model, rc.policy, rc.life, rc.sim)
         curve = renewal.cost_curve(tables, rc.costs)
         cost_path = rc.out_dir / "cost_curve.csv"
         renewal.write_cost_curve_csv(curve, cost_path)
@@ -396,7 +392,10 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, help="override the master seed")
     sub.add_argument("--samples", type=int, help="override n_samples")
     sub.add_argument("--delta", type=float, help="override the path step")
-    sub.add_argument("--workers", type=int, help="parallel workers (execution only)")
+    sub.add_argument(
+        "--workers", type=int,
+        help="worker processes of optimize and sensitivity (outputs do not change)",
+    )
     sub.add_argument("--out-dir", help=f"output directory (env {OUTPUT_DIR_ENV})")
     sub.add_argument("--grid-T", help="T grid as start:end[:count]")
     sub.add_argument("--grid-M", help="M grid as start:end[:count]")

@@ -1,13 +1,14 @@
 """Grid search over maintenance policies.
 
 The cells of one inspection period T are simulated together by one
-:func:`~cbmlife.simulate.estimate_row` call from a seed sequence keyed by
-the value of T, each cell from paths of its own, and all their pooled and
-block tables are evaluated by one batched renewal solve.  The objective
-matrix is therefore reproducible and invariant to the enumeration order of
-the grid; a cell depends on the set of thresholds in its row, though not on
-their order.  Per-cell standard errors come from batch means over the
-worker blocks of the cell's estimate tables.
+:func:`~cbmlife.simulate.estimate_row` call, from one generator built from a
+seed sequence keyed by the value of T, each cell from paths of its own, and
+all their pooled and block tables are evaluated by one batched renewal
+solve.  The objective matrix is therefore reproducible and invariant to the
+enumeration order of the grid and to the number of worker processes that
+run its rows; a cell depends on the set of thresholds in its row, though
+not on their order.  Per-cell standard errors come from batch means over the
+worker blocks of the cell's estimate tables, contiguous ranges of its paths.
 """
 
 from __future__ import annotations

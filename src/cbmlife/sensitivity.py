@@ -9,8 +9,9 @@ simulated again.  Every cell re-optimizes over the swept policy dimension
 before comparing; with T fixed, the whole sweep of one model is one
 :func:`~cbmlife.simulate.estimate_row` call and one batched renewal solve.
 Each row of thresholds is seeded by its T, and each of its table sets has
-paths of its own, drawn from the row's block streams: a table set depends on
-the set of swept thresholds, though not on their order.
+paths of its own, drawn from the row's one generator: a table set depends on
+the set of swept thresholds, though not on their order.  The perturbed
+models may run in a process pool; the tables do not depend on its size.
 """
 
 from __future__ import annotations

@@ -41,16 +41,18 @@ cycle is open (not yet replaced) on a prefix of the lattice, alive on the
 part of it before its failure time and down on the rest, so the alive
 counts are a reversed cumulative sum of the prefix lengths, and the
 residual downtime sums run over the (path, time) pairs past the failure
-only.  Sampling is partitioned into ``worker_streams`` blocks with
-independent substreams so results are reproducible bit for bit regardless
-of the executing thread count.
+only.  Each threshold's paths are split into ``worker_streams`` blocks,
+contiguous ranges of its paths whose sums are the batch means of the
+standard errors; the pooled counts do not depend on the split.
 
 :func:`estimate_row` serves every threshold M of one inspection period from
-one seed sequence.  Block stream b draws the block-b paths of every
-threshold, in ascending M, in passes of at most ``_PASS_PATHS`` paths (a
-larger block runs alone), which removes the fixed cost of a sampler call
-per threshold.  Pass g of every block stream holds the same thresholds,
-which are complete, checked and yielded once every stream has run it.  Each
+one generator, built from one seed sequence.  It draws the thresholds in
+ascending M, in passes of at most ``_PASS_PATHS`` paths: a pass holds
+consecutive thresholds, and a threshold with more paths is drawn alone, in
+the fewest consecutive chunks of at most that many, of even sizes.  A pass
+is one sampler call over all its paths and one reduction by (threshold,
+block), which removes the fixed cost of a sampler call per threshold and
+block, and its thresholds are checked and yielded once it ends.  Each
 threshold has paths of its own, so the table sets of a row are independent;
 each depends on the row's set of thresholds, though not on their order.
 :func:`estimate_tables` is the one-threshold row.
@@ -62,7 +64,6 @@ import hashlib
 import json
 import math
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -90,8 +91,8 @@ __all__ = [
 _EPS = 1e-9
 # Paths simulated together in one sampler pass.  A pass holds about 250
 # bytes a path (bisection state, bridge draws and reduction temporaries), so
-# the cap bounds its memory, at about 2 MB; a larger block runs alone in its
-# own pass.
+# the cap bounds its memory, at about 2 MB; a threshold with more paths is
+# drawn in the fewest even chunks of at most this many.
 _PASS_PATHS = 8192
 # The most inspection periods t_f/T may hold.  A period adds 10 or 11 lattice
 # points to every table and a skeleton step to every pass, so a longer
@@ -104,9 +105,11 @@ class SimulationConfig:
     """Controls for the Monte Carlo engine.
 
     ``path_step`` of None selects the default step T/100 of the policy under
-    study.  ``worker_streams`` fixes the reproducible partition of samples
-    into independent substreams; it is part of the statistical identity of a
-    run, unlike the physical thread count.
+    study.  ``worker_streams`` is the number of batch-means batches: each
+    threshold's paths are split into that many contiguous blocks, whose sums
+    give the standard errors.  It does not change which paths are drawn, so
+    the pooled counts do not depend on it, and the pooled sums only by the
+    rounding of their order.
     """
 
     n_samples: int = 50_000
@@ -335,28 +338,30 @@ def _table(index, rows, cols, weights=None):
     return np.bincount(index, weights, minlength=rows * cols).reshape(rows, cols)
 
 
-def _block_accumulate(model, T, life, delta, Ms, size, rng, times):
-    """Simulate ``size`` paths of each threshold in Ms in one pass, and sum them.
+def _block_accumulate(model, T, life, delta, Ms, sizes, rng, times):
+    """Simulate the paths of each threshold in Ms in one pass, and sum them.
 
+    A threshold's paths are its blocks' in turn, ``sizes[b]`` of block b.
     The paths are drawn from ``rng``, those of Ms[0] first, and reduced by
-    :func:`_reduce`.
+    :func:`_reduce` with one row per (threshold, block), threshold-major.
     """
     kmax = int(math.floor(life.horizon / T + _EPS))
     k_rep, corrective, censored, D, *_ = _simulate_kernel(
-        model, T, life.horizon, delta, np.repeat(Ms, size), rng
+        model, T, life.horizon, delta, np.repeat(Ms, np.sum(sizes)), rng
     )
-    return _reduce(k_rep, corrective, censored, D, len(Ms), T, kmax, times)
+    bins = np.tile(sizes, len(Ms))
+    return _reduce(k_rep, corrective, censored, D, bins, T, kmax, times)
 
 
-def _reduce(k_rep, corrective, censored, D, S, T, kmax, times):
-    """The table sums of S thresholds' paths, the kernel outputs of one pass.
+def _reduce(k_rep, corrective, censored, D, sizes, T, kmax, times):
+    """The table sums of the bins of one pass's kernel outputs.
 
-    The paths are the thresholds' in turn, an equal number each.  Every
-    returned array has one row per threshold.  Each sum is one
-    ``np.bincount`` over (threshold, bin), which adds a threshold's paths in
-    path order.
+    The paths are the bins' in turn, ``sizes[i]`` of bin i.  Every returned
+    array has one row per bin.  Each sum is one ``np.bincount`` over (bin,
+    table cell), which adds a bin's paths in path order.
     """
-    owner = np.repeat(np.arange(S), len(k_rep) // S)
+    S = len(sizes)
+    owner = np.repeat(np.arange(S), sizes)
     # Per inspection k: replacements by kind and the downtime kT - D of
     # corrective ones (k_rep <= kmax exactly when the cycle is not censored).
     k = k_rep[~censored]
@@ -566,11 +571,11 @@ def tables_digest(
     """Identify the draws behind a table set of the row ``thresholds`` of T.
 
     A table set depends on its row's set of thresholds, so the digest holds
-    them, sorted, along with the seed sequence the row's block streams are
-    derived from: its entropy and spawn key (:func:`_block_streams`).
+    them, sorted, along with the seed sequence the row's generator is built
+    from: its entropy and spawn key.
     """
     payload = {
-        "format": 3,  # the version of the payload, so digests stay comparable
+        "format": 4,  # the version of the payload, so digests stay comparable
         "alpha": model.degradation.alpha,
         "beta": model.degradation.beta,
         "lambda1": model.shocks.lambda1,
@@ -589,16 +594,6 @@ def tables_digest(
     }
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
-
-
-def _block_streams(seed: np.random.SeedSequence, streams: int) -> list:
-    """The children a fresh ``seed`` would spawn, built without touching it."""
-    return [
-        np.random.SeedSequence(
-            seed.entropy, spawn_key=(*seed.spawn_key, b), pool_size=seed.pool_size
-        )
-        for b in range(streams)
-    ]
 
 
 def _block_split(n: int, streams: int) -> np.ndarray:
@@ -624,6 +619,17 @@ def _passes(sizes, cap: int) -> list[list[int]]:
     return passes
 
 
+def _chunks(n: int) -> list[tuple[int, int]]:
+    """n paths cut into the fewest consecutive ranges of at most _PASS_PATHS.
+
+    The ranges are of even sizes, so none is a small remainder that pays a
+    whole pass's fixed cost.
+    """
+    count = -(-n // _PASS_PATHS)
+    bounds = [i * n // count for i in range(count + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 def estimate_row(
     model: SystemModel,
     T: float,
@@ -631,20 +637,20 @@ def estimate_row(
     life: LifeCycle,
     cfg: SimulationConfig,
     seed_sequence: np.random.SeedSequence,
-    threads: int = 1,
 ) -> Iterator[EstimateTables]:
-    """Tables of the policies (T, M) for every M in Ms, from one set of streams.
+    """Tables of the policies (T, M) for every M in Ms, from one generator.
 
-    Each policy's cfg.n_samples paths are split into ``worker_streams``
-    blocks.  Block stream b, the b-th child of ``seed_sequence``, draws the
-    block-b paths of every threshold in ascending M, in passes of
-    consecutive thresholds of at most _PASS_PATHS paths (a larger block runs
-    alone), and each threshold has paths of its own.  A table set therefore
-    depends on the row's set of thresholds, though not on their order or on
-    the thread count, which splits each pass by block; :func:`estimate_tables`
-    is the one-threshold row.  The policies are checked at the call, and
-    ``seed_sequence`` is left unchanged.  The table sets are yielded in the
-    order of Ms, each once the passes up to its threshold have run.
+    The generator, ``np.random.default_rng(seed_sequence)``, draws the
+    cfg.n_samples paths of every threshold in ascending M, in passes of
+    consecutive thresholds of at most _PASS_PATHS paths (a threshold with
+    more is drawn alone, in the chunks of :func:`_chunks`), and each threshold
+    has paths of its own.  Worker block b of a threshold is the b-th range
+    of its paths in the split of :func:`_block_split`.  A table set
+    therefore depends on the row's set of thresholds, though not on their
+    order; :func:`estimate_tables` is the one-threshold row.  The policies
+    are checked at the call, and ``seed_sequence`` is left unchanged.  The
+    table sets are yielded in the order of Ms, each once the passes up to
+    its threshold have run.
     """
     policies = [
         MaintenancePolicy(inspection_period=T, preventive_threshold=M) for M in Ms
@@ -660,68 +666,54 @@ def estimate_row(
         tables_digest(model, policy, life, cfg, delta, seed_sequence, ascending)
         for policy in policies
     ]
-    streams = _block_streams(seed_sequence, cfg.worker_streams)
-    return _row_tables(
-        model, policies, life, cfg, delta, order, digests, streams, threads
-    )
+    rng = np.random.default_rng(seed_sequence)
+    return _row_tables(model, policies, life, cfg, delta, order, digests, rng)
 
 
-def _row_tables(model, policies, life, cfg, delta, order, digests, streams, threads):
+def _row_tables(model, policies, life, cfg, delta, order, digests, rng):
     """The generator behind estimate_row: run the passes, yield the table sets.
 
-    Pass g of every block stream holds the same thresholds, grouped by the
-    largest block, so they are complete once each stream has run its pass g.
-    A stream runs its passes in order, so it draws what it would draw alone.
+    Each chunk of a pass is summed by (threshold, block): the blocks' path
+    ranges are clipped to the chunk's, so a block split between chunks adds
+    up its parts.  Only a threshold alone in its pass has more than one chunk.
     """
     T = policies[0].inspection_period
     times = eval_times(policies[0], life)
-    B = cfg.worker_streams
-    block = _block_split(cfg.n_samples, B)
-    nonempty = np.flatnonzero(block).tolist()
-    rngs = {b: np.random.default_rng(streams[b]) for b in nonempty}
+    n, B = cfg.n_samples, cfg.worker_streams
+    block = _block_split(n, B)
+    starts = np.concatenate([[0], np.cumsum(block)])
     ascending = np.array([policies[j].preventive_threshold for j in order])
     finished: dict[int, EstimateTables] = {}
     yielded = 0
-
-    def work(job):
-        cells, b = job
-        return _block_accumulate(
-            model, T, life, delta, ascending[cells], block[b], rngs[b], times
-        )
-
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        for cells in _passes([block[0]] * len(policies), _PASS_PATHS):
-            jobs = [(cells, b) for b in nonempty]
-            results = map(work, jobs) if pool is None else pool.map(work, jobs)
-            # The pass's (threshold, block, ...) arrays; empty blocks stay zero.
-            arrays: dict[str, np.ndarray] = {}
-            for b, sums in zip(nonempty, results):
-                for name, value in sums.items():
-                    if name not in arrays:
-                        arrays[name] = np.zeros((len(cells), B, *value.shape[1:]))
-                    arrays[name][:, b] = value
-            _check_tables(cfg.n_samples, arrays)
-            for i, j in enumerate(order[cells].tolist()):
-                finished[j] = EstimateTables(
-                    T=T,
-                    M=policies[j].preventive_threshold,
-                    horizon=life.horizon,
-                    delta=delta,
-                    n=cfg.n_samples,
-                    master_seed=cfg.master_seed,
-                    worker_streams=B,
-                    digest=digests[j],
-                    times=times,
-                    block_sizes=block,
-                    **{"b" + name: array[i] for name, array in arrays.items()},
-                )
-            while yielded in finished:
-                yield finished.pop(yielded)
-                yielded += 1
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for cells in _passes([n] * len(policies), _PASS_PATHS):
+        # The pass's (threshold, block, ...) arrays; empty blocks stay zero.
+        arrays: dict[str, np.ndarray] = {}
+        for lo, hi in _chunks(n):
+            sizes = np.diff(np.clip(starts, lo, hi))
+            sums = _block_accumulate(
+                model, T, life, delta, ascending[cells], sizes, rng, times
+            )
+            for name, value in sums.items():
+                value = value.reshape(len(cells), B, *value.shape[1:])
+                arrays[name] = arrays[name] + value if name in arrays else value
+        _check_tables(n, arrays)
+        for i, j in enumerate(order[cells].tolist()):
+            finished[j] = EstimateTables(
+                T=T,
+                M=policies[j].preventive_threshold,
+                horizon=life.horizon,
+                delta=delta,
+                n=n,
+                master_seed=cfg.master_seed,
+                worker_streams=B,
+                digest=digests[j],
+                times=times,
+                block_sizes=block,
+                **{"b" + name: array[i] for name, array in arrays.items()},
+            )
+        while yielded in finished:
+            yield finished.pop(yielded)
+            yielded += 1
 
 
 def estimate_tables(
@@ -729,75 +721,21 @@ def estimate_tables(
     policy: MaintenancePolicy,
     life: LifeCycle,
     cfg: SimulationConfig,
-    threads: int = 1,
     seed_sequence: np.random.SeedSequence | None = None,
 ) -> EstimateTables:
     """Estimate all recursion inputs from cfg.n_samples first cycles.
 
-    The output is a pure function of (model, policy, life, cfg); the thread
-    count only affects wall-clock time.  It is the one-policy case of
-    :func:`estimate_row`.
+    The output is a pure function of (model, policy, life, cfg) and the seed
+    sequence, by default that of cfg.master_seed.  It is the one-policy case
+    of :func:`estimate_row`.
     """
     if seed_sequence is None:
         seed_sequence = np.random.SeedSequence(cfg.master_seed)
     (tables,) = estimate_row(
         model, policy.inspection_period, [policy.preventive_threshold], life, cfg,
-        seed_sequence, threads,
+        seed_sequence,
     )
     return tables
-
-
-def _chain_block(model, policy, costs, life, delta, n_block, seed_seq):
-    """Vectorized chained realizations for one block.
-
-    A realization starts a new cycle at each replacement, an inspection, so
-    its clock is jT after j inspections.  The realizations that share a
-    clock start their cycles in one kernel call, over the remaining horizon
-    t_f - jT, lowest clock first: at most k_max + 1 calls.  The first holds
-    every realization at clock 0, so the first cycles are the paths of
-    estimate_tables with the same seed sequence.  A cycle is read only up
-    to its replacement or the horizon, where the kernel's D is exact.
-    """
-    rng = np.random.default_rng(seed_seq)
-    T = policy.inspection_period
-    tf = life.horizon
-    inspections = np.zeros(n_block, dtype=np.int64)
-    active = np.ones(n_block, dtype=bool)
-    counts = np.zeros(n_block)
-    total = np.zeros(n_block)
-    while active.any():
-        j = inspections[active].min()
-        idx = np.flatnonzero(active & (inspections == j))
-        remaining = tf - j * T
-        Ms = np.full(len(idx), policy.preventive_threshold)
-        k_rep, corrective, censored, D, *_ = _simulate_kernel(
-            model, T, remaining, delta, Ms, rng
-        )
-        # Within the remaining horizon a cycle is replaced exactly when it is
-        # not censored; a censored one is inspected k_limit times.
-        replaced = ~censored
-        k_limit = int(math.floor(remaining / T + _EPS))
-        downtime = np.where(
-            corrective & replaced, np.maximum(0.0, k_rep * T - D), 0.0
-        )
-        terminal_down = np.where(
-            censored & (D < remaining),
-            np.maximum(0.0, remaining - np.maximum(D, k_limit * T)),
-            0.0,
-        )
-        total[idx] += np.where(
-            replaced,
-            np.where(corrective, costs.corrective, costs.preventive)
-            + costs.inspection * (k_rep - 1)
-            + costs.downtime_rate * downtime,
-            costs.inspection * k_limit + costs.downtime_rate * terminal_down,
-        )
-        counts[idx] += replaced
-        active[idx[censored]] = False
-        still = idx[replaced]
-        inspections[still] += k_rep[replaced]
-        active[still] = inspections[still] * T < tf - _EPS
-    return counts, total
 
 
 def chain_statistics(
@@ -806,33 +744,66 @@ def chain_statistics(
     costs: CostStructure,
     life: LifeCycle,
     cfg: SimulationConfig,
-    threads: int = 1,
     seed_sequence: np.random.SeedSequence | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Chained (strict Monte Carlo) realizations for all samples.
 
     Returns the per-realization count of completed renewal cycles and the
-    per-realization total cost over the life cycle.
+    per-realization total cost over the life cycle.  A realization starts a
+    new cycle at each replacement, an inspection, so its clock is jT after j
+    inspections.  The realizations that share a clock start their cycles
+    together, lowest clock first, over the remaining horizon t_f - jT, in
+    kernel calls of at most _PASS_PATHS realizations, all drawn from one
+    generator, ``np.random.default_rng(seed_sequence)``.  The first clock
+    holds every realization, chunked as :func:`estimate_tables` chunks its
+    paths, so the first cycles are the paths of estimate_tables with the
+    same seed sequence.  A cycle is read only up to its replacement or the
+    horizon, where the kernel's D is exact.
     """
     _check_simulable(model, policy, life)
     delta = cfg.step_for(policy)
     if seed_sequence is None:
         seed_sequence = np.random.SeedSequence(cfg.master_seed)
-    children = _block_streams(seed_sequence, cfg.worker_streams)
-    sizes = _block_split(cfg.n_samples, cfg.worker_streams)
-
-    def work(args):
-        n_block, child = args
-        if n_block == 0:
-            return np.zeros(0), np.zeros(0)
-        return _chain_block(model, policy, costs, life, delta, n_block, child)
-
-    jobs = list(zip(sizes.tolist(), children))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, jobs))
-    else:
-        results = [work(j) for j in jobs]
-    counts = np.concatenate([r[0] for r in results])
-    total = np.concatenate([r[1] for r in results])
+    rng = np.random.default_rng(seed_sequence)
+    T = policy.inspection_period
+    tf = life.horizon
+    n = cfg.n_samples
+    inspections = np.zeros(n, dtype=np.int64)
+    active = np.ones(n, dtype=bool)
+    counts = np.zeros(n)
+    total = np.zeros(n)
+    while active.any():
+        j = inspections[active].min()
+        group = np.flatnonzero(active & (inspections == j))
+        remaining = tf - j * T
+        # Within the remaining horizon a cycle is replaced exactly when it is
+        # not censored; a censored one is inspected k_limit times.
+        k_limit = int(math.floor(remaining / T + _EPS))
+        for lo, hi in _chunks(len(group)):
+            idx = group[lo:hi]
+            Ms = np.full(len(idx), policy.preventive_threshold)
+            k_rep, corrective, censored, D, *_ = _simulate_kernel(
+                model, T, remaining, delta, Ms, rng
+            )
+            replaced = ~censored
+            downtime = np.where(
+                corrective & replaced, np.maximum(0.0, k_rep * T - D), 0.0
+            )
+            terminal_down = np.where(
+                censored & (D < remaining),
+                np.maximum(0.0, remaining - np.maximum(D, k_limit * T)),
+                0.0,
+            )
+            total[idx] += np.where(
+                replaced,
+                np.where(corrective, costs.corrective, costs.preventive)
+                + costs.inspection * (k_rep - 1)
+                + costs.downtime_rate * downtime,
+                costs.inspection * k_limit + costs.downtime_rate * terminal_down,
+            )
+            counts[idx] += replaced
+            active[idx[censored]] = False
+            still = idx[replaced]
+            inspections[still] += k_rep[replaced]
+            active[still] = inspections[still] * T < tf - _EPS
     return counts, total

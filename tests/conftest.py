@@ -23,6 +23,7 @@ def _counted(name):
         out = base(self, *args, **kwargs)
         self.counts[name] += int(np.size(out))
         self.calls[name] += 1
+        self.largest[name] = max(self.largest[name], int(np.size(out)))
         return out
 
     return sample
@@ -33,7 +34,8 @@ class CountingGenerator(np.random.Generator):
 
     It draws from the same PCG64 bit generator, so its draws are
     ``default_rng(seed)``'s; ``counts[name]`` is the number of variates its
-    ``name`` sampler has returned, and ``calls[name]`` the number of calls.
+    ``name`` sampler has returned, ``calls[name]`` the number of calls, and
+    ``largest[name]`` the most variates one call returned.
     """
 
     beta = _counted("beta")
@@ -44,6 +46,7 @@ class CountingGenerator(np.random.Generator):
         super().__init__(np.random.PCG64(seed))
         self.counts = Counter()
         self.calls = Counter()
+        self.largest = Counter()
 
 
 @pytest.fixture

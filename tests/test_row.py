@@ -1,14 +1,16 @@
-"""estimate_row: one set of block streams serves a whole row of thresholds.
+"""estimate_row: one generator serves a whole row of thresholds.
 
-Block stream b, the b-th child of the row's seed sequence, draws the block-b
-paths of every threshold in ascending M, in passes of consecutive
-thresholds, and each threshold has paths of its own.  A table set therefore
-depends on its row's set of thresholds, though not on their order, the
-thread count or the process count, and estimate_tables is the one-threshold
-row.  A cell of a row is not bit for bit its one-threshold estimate_tables,
-but it has the same law: the tests below check the layout against the
-reference reduction, the invariances, the agreement in law with each cell's
-own estimate, and the generators and sampler calls a row costs.
+The row's generator, default_rng of its seed sequence, draws the paths of
+every threshold in ascending M, in passes of consecutive thresholds (a
+threshold above the pass cap alone, in chunks), and each threshold has paths
+of its own.  Worker block b of a threshold is the b-th range of its paths.
+A table set therefore depends on its row's set of thresholds, though not on
+their order or the process count, its pooled counts not on the number of
+blocks, and estimate_tables is the one-threshold row.  A cell of a row is
+not bit for bit its one-threshold estimate_tables, but it has the same law:
+the tests below check the layout against the reference reduction, the
+invariances, the agreement in law with each cell's own estimate, and the
+generators and sampler calls a row costs.
 """
 
 import math
@@ -59,36 +61,50 @@ def row_seed():
     return np.random.SeedSequence(SEED, spawn_key=(10_000_000,))
 
 
-def by_block_streams(model, T, Ms, life, cfg):
+def by_path_ranges(model, T, Ms, life, cfg):
     """Each threshold's block sums, drawn as documented and reduced by the loop.
 
-    Block stream b draws the block-b paths of every threshold, in ascending
-    M, pass by pass, and the largest block sets which thresholds share a
-    pass; each threshold's paths are reduced on their own by the reference
-    reduction.
+    One generator draws the paths of every threshold, in ascending M, pass
+    by pass, and a threshold of more paths than the cap in the fewest even
+    chunks; block b of a threshold is the b-th range of its paths, reduced
+    on its own by the reference reduction.
     """
     policy = MaintenancePolicy(T, min(Ms))
     delta, times = cfg.step_for(policy), eval_times(policy, life)
     kmax = int(math.floor(life.horizon / T + 1e-9))
-    block = simulate._block_split(cfg.n_samples, cfg.worker_streams)
+    n, cap = cfg.n_samples, simulate._PASS_PATHS
+    block = simulate._block_split(n, cfg.worker_streams)
+    starts = np.concatenate([[0], np.cumsum(block)])
     ascending = sorted(Ms)
-    expected = {M: {} for M in Ms}
-    for b, child in enumerate(row_seed().spawn(cfg.worker_streams)):
-        size = int(block[b])
-        rng = np.random.default_rng(child)
-        for cells in _passes([block[0]] * len(Ms), simulate._PASS_PATHS):
-            levels = np.repeat([ascending[c] for c in cells], size)
-            out = _simulate_kernel(model, T, life.horizon, delta, levels, rng)
-            for i, c in enumerate(cells):
-                paths = slice(i * size, (i + 1) * size)
-                sums = loop_accumulate(*(o[paths] for o in out[:4]), T, kmax, times)
-                expected[ascending[c]][b] = sums
+    rng = np.random.default_rng(row_seed())
+    outputs = {}
+    for cells in _passes([n] * len(Ms), cap):
+        levels = [ascending[c] for c in cells]
+        chunks = math.ceil(n / cap)
+        for c in range(chunks):
+            size = (c + 1) * n // chunks - c * n // chunks
+            out = _simulate_kernel(
+                model, T, life.horizon, delta, np.repeat(levels, size), rng
+            )
+            for i, M in enumerate(levels):
+                chunk = [o[i * size:(i + 1) * size] for o in out[:4]]
+                if M in outputs:
+                    chunk = [np.concatenate(pair) for pair in zip(outputs[M], chunk)]
+                outputs[M] = chunk
+    expected = {
+        M: {
+            b: loop_accumulate(*(o[starts[b]:starts[b + 1]] for o in out), T, kmax,
+                               times)
+            for b in np.flatnonzero(block)
+        }
+        for M, out in outputs.items()
+    }
     return expected, block
 
 
-def assert_row_follows_block_streams(model, T, Ms, life, cfg):
+def assert_row_follows_its_generator(model, T, Ms, life, cfg):
     row = list(estimate_row(model, T, Ms, life, cfg, row_seed()))
-    expected, block = by_block_streams(model, T, Ms, life, cfg)
+    expected, block = by_path_ranges(model, T, Ms, life, cfg)
     assert [tables.M for tables in row] == list(Ms)
     for tables in row:
         for b in range(cfg.worker_streams):
@@ -118,9 +134,10 @@ def assert_row_follows_block_streams(model, T, Ms, life, cfg):
     ],
 )
 def test_row_equals_its_block_streams(model, T, horizon, n, streams, delta):
+    # Block b of each threshold sums its b-th range of the generator's paths.
     cfg = SimulationConfig(n_samples=n, path_step=delta, master_seed=SEED,
                            worker_streams=streams)
-    assert_row_follows_block_streams(model, T, THRESHOLDS, LifeCycle(horizon), cfg)
+    assert_row_follows_its_generator(model, T, THRESHOLDS, LifeCycle(horizon), cfg)
 
 
 @pytest.mark.parametrize(
@@ -134,29 +151,30 @@ def test_row_with_shock_threshold_at_or_above_L(Ms):
         shock_threshold=Ms,
     )
     cfg = SimulationConfig(n_samples=803, master_seed=SEED, worker_streams=4)
-    assert_row_follows_block_streams(model, 10.0, THRESHOLDS, LifeCycle(50.0), cfg)
+    assert_row_follows_its_generator(model, 10.0, THRESHOLDS, LifeCycle(50.0), cfg)
 
 
 @pytest.mark.parametrize(
     "n, streams",
     [
-        pytest.param(130, 4, id="passes-across-thresholds"),  # blocks of 32-33
-        pytest.param(404, 4, id="blocks-above-the-cap"),  # blocks of 101
+        pytest.param(30, 4, id="passes-across-thresholds"),  # 3 thresholds a pass
+        # Thresholds of 404 paths drawn in chunks of 80 or 81, blocks of 101
+        # split between chunks.
+        pytest.param(404, 4, id="blocks-above-the-cap"),
     ],
 )
 def test_row_spanning_several_passes(model, monkeypatch, n, streams):
     monkeypatch.setattr(simulate, "_PASS_PATHS", 100)
     cfg = SimulationConfig(n_samples=n, master_seed=SEED, worker_streams=streams)
-    size = simulate._block_split(n, streams)[0]
-    assert len(_passes([size] * len(THRESHOLDS), simulate._PASS_PATHS)) > 1
+    assert len(_passes([n] * len(THRESHOLDS), simulate._PASS_PATHS)) > 1
     # Shuffled, so the passes must follow ascending M, not the order given.
     Ms = (25.0, 5.0, 30.0, 14.0, 20.0)
-    assert_row_follows_block_streams(model, 10.0, Ms, LifeCycle(50.0), cfg)
+    assert_row_follows_its_generator(model, 10.0, Ms, LifeCycle(50.0), cfg)
 
 
 def test_one_threshold_row_is_estimate_tables(model, monkeypatch):
-    # With every threshold in a pass of its own, the lowest is drawn first
-    # by each block stream, exactly as its one-threshold row draws it.
+    # With every threshold in passes of its own, the lowest is drawn first,
+    # in the chunks its one-threshold row draws.
     monkeypatch.setattr(simulate, "_PASS_PATHS", 100)
     life = LifeCycle(50.0)
     cfg = SimulationConfig(n_samples=404, master_seed=SEED, worker_streams=4)
@@ -194,15 +212,31 @@ def test_threshold_order_does_not_matter(model):
         assert tables.equals(by_M[tables.M])
 
 
-def test_threads_do_not_matter(model):
-    life = LifeCycle(50.0)
-    cfg = SimulationConfig(n_samples=2_500, master_seed=SEED)
-    serial = list(estimate_row(model, 10.0, THRESHOLDS, life, cfg, row_seed()))
-    threaded = list(estimate_row(model, 10.0, THRESHOLDS, life, cfg, row_seed(),
-                                 threads=2))
-    assert len(threaded) == len(serial)
-    for tables, ref in zip(threaded, serial):
-        assert tables.equals(ref), f"M={ref.M}"
+def test_blocks_do_not_change_the_pooled_tables(model):
+    # The blocks split the same paths, so the pooled counts are identical
+    # and the pooled sums add the same terms in another order.
+    life, n = LifeCycle(50.0), 803
+    rows = {
+        streams: list(estimate_row(
+            model, 10.0, THRESHOLDS, life,
+            SimulationConfig(n_samples=n, master_seed=SEED, worker_streams=streams),
+            row_seed(),
+        ))
+        for streams in (1, 3, 4, 7)
+    }
+    for streams, row in rows.items():
+        for tables, ref in zip(row, rows[1]):
+            assert len(tables.block_sizes) == streams
+            for name in ("p_preventive", "p_corrective", "alive_no_replacement",
+                         "censored_fraction"):
+                assert np.array_equal(getattr(tables, name), getattr(ref, name)), name
+            for name in ("joint_downtime", "joint_downtime_sq", "residual_downtime",
+                         "residual_downtime_sq"):
+                np.testing.assert_allclose(
+                    getattr(tables, name), getattr(ref, name),
+                    rtol=n * np.finfo(float).eps, atol=0.0,
+                    err_msg=f"{streams} blocks, M={ref.M} {name}",
+                )
 
 
 def test_processes_do_not_matter(model):
@@ -242,10 +276,10 @@ def test_a_corrupted_cell_fails_the_row(
     # block of the middle threshold fails the row.
     accumulate, check, checks = simulate._block_accumulate, simulate._check_tables, []
 
-    def corrupted(model, T, life, delta, Ms, size, rng, times):
-        sums = accumulate(model, T, life, delta, Ms, size, rng, times)
-        if 20.0 in Ms:
-            sums[name][list(Ms).index(20.0), column] += change
+    def corrupted(model, T, life, delta, Ms, sizes, rng, times):
+        sums = accumulate(model, T, life, delta, Ms, sizes, rng, times)
+        if 20.0 in Ms:  # rows are (threshold, block), threshold-major
+            sums[name][list(Ms).index(20.0) * len(sizes) + 1, column] += change
         return sums
 
     def counted(n, blocks):
@@ -262,7 +296,8 @@ def test_a_corrupted_cell_fails_the_row(
         list(estimate_row(model, 10.0, THRESHOLDS, life, cfg, row_seed()))
 
 
-def test_a_row_costs_one_generator_per_block(model, monkeypatch, counting_rng):
+def counted_generators(monkeypatch, counting_rng):
+    """The CountingGenerators that default_rng hands out from now on."""
     made = []
 
     def default_rng(seed):
@@ -270,24 +305,40 @@ def test_a_row_costs_one_generator_per_block(model, monkeypatch, counting_rng):
         return made[-1]
 
     monkeypatch.setattr(np.random, "default_rng", default_rng)
+    return made
+
+
+def test_a_row_costs_one_generator(model, monkeypatch, counting_rng):
+    made = counted_generators(monkeypatch, counting_rng)
     life = LifeCycle(50.0)
     Ms = np.linspace(1.0, 30.0, 30)
     cfg = SimulationConfig(n_samples=800, master_seed=SEED, worker_streams=4)
     list(estimate_row(model, 10.0, Ms, life, cfg, row_seed()))
-    assert len(made) == cfg.worker_streams
-    block = simulate._block_split(cfg.n_samples, cfg.worker_streams)
-    passes = len(block) * len(_passes([block[0]] * len(Ms), simulate._PASS_PATHS))
-    assert passes == 4  # the 30 thresholds of 200 paths in one pass
+    (rng,) = made
+    passes = len(_passes([cfg.n_samples] * len(Ms), simulate._PASS_PATHS))
+    assert passes == 3  # 10 thresholds of 800 paths a pass
     # A bracket of w grid steps is bisected in ceil(log2 w) rounds.
     grid = _skeleton(50.0, 10.0, 0.1)
     rounds = math.ceil(math.log2(np.diff(grid).max()))
-    beta_calls = sum(rng.calls["beta"] for rng in made)
-    assert 0 < beta_calls <= passes * rounds
+    assert 0 < rng.calls["beta"] <= passes * rounds
     # A pass draws its skeleton in at most one gamma call per skeleton step.
-    per_block = passes // len(block)
-    for rng in made:
-        assert rng.calls["exponential"] == per_block
-        assert 0 < rng.calls["gamma"] <= per_block * (len(grid) - 1)
+    assert rng.calls["exponential"] == passes
+    assert 0 < rng.calls["gamma"] <= passes * (len(grid) - 1)
+
+
+def test_a_large_threshold_is_drawn_in_chunks(model, monkeypatch, counting_rng):
+    # 50,000 paths of one threshold: no sampler call draws more than a
+    # pass, and the chunks are even.
+    made = counted_generators(monkeypatch, counting_rng)
+    cfg = SimulationConfig(n_samples=50_000, master_seed=SEED, worker_streams=4)
+    list(estimate_row(model, 10.0, (14.0,), LifeCycle(50.0), cfg, row_seed()))
+    (rng,) = made
+    cap = simulate._PASS_PATHS
+    assert rng.calls["exponential"] == math.ceil(cfg.n_samples / cap)
+    assert rng.counts["exponential"] == cfg.n_samples
+    assert 0 < rng.largest["gamma"] <= cap
+    chunks = rng.calls["exponential"]
+    assert rng.largest["exponential"] == math.ceil(cfg.n_samples / chunks)
 
 
 # Each cell of a 30-threshold row against its own one-threshold estimate,

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import tracemalloc
 import warnings
@@ -187,9 +189,7 @@ class TestEstimateTables:
         cfg = SimulationConfig(n_samples=2_000, master_seed=SEED, worker_streams=3)
         t1 = estimate_tables(ref_model, ref_policy, ref_life, cfg)
         t2 = estimate_tables(ref_model, ref_policy, ref_life, cfg)
-        t3 = estimate_tables(ref_model, ref_policy, ref_life, cfg, threads=4)
         assert t1.equals(t2)
-        assert t1.equals(t3)
 
     def test_threshold_above_L_rejected(self, ref_model, ref_life):
         policy = MaintenancePolicy(inspection_period=10.0, preventive_threshold=31.0)
@@ -269,17 +269,21 @@ class TestChaining:
         assert np.all((counts >= 0) & (counts <= kmax) & (counts == np.round(counts)))
         assert np.all(totals >= counts * ref_costs.preventive)
 
-    def test_first_cycles_are_the_table_paths(self, ref_model, ref_policy, ref_costs, ref_life):
+    def test_first_cycles_are_the_table_paths(
+        self, ref_model, ref_policy, ref_costs, ref_life, monkeypatch
+    ):
         # chain_statistics starts from the paths of estimate_tables with the
-        # same seed: a realization renews at least once exactly when its
-        # first cycle is not censored
+        # same seed, in one pass or in chunks alike: a realization renews at
+        # least once exactly when its first cycle is not censored
         cfg = SimulationConfig(n_samples=2_000, master_seed=SEED, worker_streams=4)
-        tables = estimate_tables(ref_model, ref_policy, ref_life, cfg)
-        counts, _ = chain_statistics(ref_model, ref_policy, ref_costs, ref_life, cfg)
-        assert np.array_equal(
-            [(block >= 1).sum() for block in np.split(counts, 4)],
-            tables.block_sizes - tables.bcensored,
-        )
+        for cap in (simulate._PASS_PATHS, 300):
+            monkeypatch.setattr(simulate, "_PASS_PATHS", cap)
+            tables = estimate_tables(ref_model, ref_policy, ref_life, cfg)
+            counts, _ = chain_statistics(ref_model, ref_policy, ref_costs, ref_life, cfg)
+            assert np.array_equal(
+                [(block >= 1).sum() for block in np.split(counts, 4)],
+                tables.block_sizes - tables.bcensored,
+            ), cap
 
     def test_variance_identity(self, strict_full):
         _, totals = strict_full
@@ -290,7 +294,7 @@ class TestChaining:
     def test_chain_statistics_determinism(self, ref_model, ref_policy, ref_costs, ref_life):
         cfg = SimulationConfig(n_samples=1_000, master_seed=SEED)
         a = chain_statistics(ref_model, ref_policy, ref_costs, ref_life, cfg)
-        b = chain_statistics(ref_model, ref_policy, ref_costs, ref_life, cfg, threads=3)
+        b = chain_statistics(ref_model, ref_policy, ref_costs, ref_life, cfg)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
@@ -385,8 +389,8 @@ class TestReduction:
         assert (k_rep == kmax + 1).any()
         # a failure after k_max T is censored where the horizon is past it
         assert (censored & np.isfinite(failure)).any() == (tf > kmax * T)
-        sums = _reduce(*outputs, 3, T, kmax, times)
         size = len(order) // 3
+        sums = _reduce(*outputs, np.full(3, size), T, kmax, times)
         for i in range(3):
             paths = slice(i * size, (i + 1) * size)
             ref = loop_accumulate(*(o[paths] for o in outputs), T, kmax, times)
@@ -412,7 +416,7 @@ class TestReduction:
         rng = np.random.default_rng(SEED)
         tracemalloc.start()
         try:
-            _block_accumulate(ref_model, T, life, T / 100.0, Ms, size, rng, times)
+            _block_accumulate(ref_model, T, life, T / 100.0, Ms, [size], rng, times)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -474,6 +478,17 @@ class TestPersistence:
             return tables_digest(ref_model, ref_policy, ref_life, cfg, delta, seq, row)
 
         assert tables.digest == digest(cfg, np.random.SeedSequence(SEED))
+        # Format 4: the seed sequence names the row's one generator.
+        deg, shocks = ref_model.degradation, ref_model.shocks
+        payload = {
+            "format": 4, "alpha": deg.alpha, "beta": deg.beta,
+            "lambda1": shocks.lambda1, "lambda2": shocks.lambda2,
+            "L": ref_model.breakdown_threshold, "Ms": ref_model.shock_threshold,
+            "T": 10.0, "M": 14.0, "row": [14.0], "tf": 50.0, "n": 200,
+            "delta": delta, "entropy": SEED, "spawn_key": [], "streams": 2,
+        }
+        blob = json.dumps(payload, sort_keys=True).encode()
+        assert tables.digest == hashlib.sha256(blob).hexdigest()
         assert estimate_tables(ref_model, ref_policy, ref_life, cfg).equals(tables)
         other_cfg = SimulationConfig(n_samples=200, master_seed=SEED + 1, worker_streams=2)
         other = estimate_tables(ref_model, ref_policy, ref_life, other_cfg)
@@ -493,9 +508,9 @@ class TestPersistence:
         assert not np.array_equal(row[1].balive, tables.balive)
 
     def test_one_seed_sequence_object_twice(self, ref_model, ref_policy, ref_costs, ref_life):
-        # The block streams are derived without spawning, so one object
-        # passed twice, or after a spawn, gives the tables and chains of a
-        # fresh one.
+        # The generator is built without spawning, so one object passed
+        # twice, or after a spawn, gives the tables and chains of a fresh
+        # one.
         cfg = SimulationConfig(n_samples=300, master_seed=SEED, worker_streams=3)
         seq = np.random.SeedSequence(SEED, spawn_key=(7,))
         first = estimate_tables(ref_model, ref_policy, ref_life, cfg, seed_sequence=seq)
