@@ -3,9 +3,11 @@
 Library layout:
 
 - :mod:`cbmlife.model`: validated parametric types.
-- :mod:`cbmlife.simulate`: Monte Carlo engine and estimate tables.
+- :mod:`cbmlife.simulate`: Monte Carlo engine and estimate tables, one
+  table set per row of thresholds at one inspection period.
 - :mod:`cbmlife.renewal`: Markov renewal recursions (cost, variance,
-  availability, reliability, interval reliability).
+  availability, reliability, interval reliability), of one policy or of
+  every row of a table set.
 - :mod:`cbmlife.optimize`: policy grid search under both objectives.
 - :mod:`cbmlife.sensitivity`: parameter perturbation tables.
 - :mod:`cbmlife.cli`: command-line front end.
@@ -21,8 +23,11 @@ from .model import (
 )
 from .optimize import OptimizationResult, PolicyGrid
 from .renewal import (
+    asymptotic_cost_rates,
     availability,
+    cost_moments,
     expected_cost,
+    expected_costs,
     interval_reliability,
     reliability,
     std_dev,
@@ -50,10 +55,13 @@ __all__ = [
     "SystemModel",
     "VariationTable",
     "__version__",
+    "asymptotic_cost_rates",
     "availability",
+    "cost_moments",
     "estimate_row",
     "estimate_tables",
     "expected_cost",
+    "expected_costs",
     "interval_reliability",
     "reliability",
     "std_dev",

@@ -35,7 +35,13 @@ from .model import (
     ShockIntensity,
     SystemModel,
 )
-from .simulate import SimulationConfig, chain_statistics, estimate_row, estimate_tables
+from .simulate import (
+    SimulationConfig,
+    chain_statistics,
+    estimate_row,
+    estimate_tables,
+    row_seed,
+)
 
 __all__ = ["RunConfig", "parse_config", "main"]
 
@@ -242,52 +248,34 @@ def cmd_curves(rc: RunConfig, args) -> int:
     sweep_dim = args.sweep
     sweep_values = rc.grid.M_values if sweep_dim == "M" else rc.grid.T_values
     sweep_path = rc.out_dir / f"cost_rate_vs_{sweep_dim}.csv"
-
-    def seed(value, *extra):
-        return np.random.SeedSequence(
-            entropy=rc.sim.master_seed, spawn_key=(int(round(value * 1e6)), *extra)
-        )
+    master_seed = rc.sim.master_seed
 
     with warnings.catch_warnings(record=True) as grabbed:
         warnings.simplefilter("always")
+        # The thresholds of an M sweep are one row, so one two-moment solve
+        # gives every rate and stddev; each T of a T sweep is a row of its own.
         if sweep_dim == "M":
             policies = [replace(rc.policy, preventive_threshold=v) for v in sweep_values]
             T = rc.policy.inspection_period
-            swept = estimate_row(rc.model, T, sweep_values, rc.life, rc.sim, seed(T))
+            swept = [estimate_row(rc.model, T, sweep_values, rc.life, rc.sim,
+                                  row_seed(master_seed, T))]
         else:
             policies = [replace(rc.policy, inspection_period=v) for v in sweep_values]
-            swept = (
+            swept = [
                 estimate_tables(rc.model, policy, rc.life, rc.sim,
-                                seed_sequence=seed(v))
+                                seed_sequence=row_seed(master_seed, v))
                 for policy, v in zip(policies, sweep_values)
-            )
-        reference = None
-        strict_rates = []
-
-        def read(swept):
-            """Each swept table set once; only the reference policy's is kept."""
-            nonlocal reference
-            for value, policy, tables in zip(sweep_values, policies, swept):
-                if policy == rc.policy:
-                    reference = tables
-                if args.strict_mc:
-                    _, totals = chain_statistics(
-                        rc.model, policy, rc.costs, rc.life, rc.sim,
-                        seed_sequence=seed(value, 1),
-                    )
-                    strict_rates.append(float(totals.mean()) / tf)
-                yield tables
-
-        # The thresholds of an M sweep share one lattice, so one two-moment
-        # solve gives every rate and stddev; each T of a T sweep has its own.
-        groups = [read(swept)] if sweep_dim == "M" else ([t] for t in read(swept))
-        moments = [
-            renewal.cost_moments(
-                renewal.stack_tables(g, renewal.MOMENT_ESTIMATES), rc.costs, tf
-            )
-            for g in groups
-        ]
+            ]
+        moments = [renewal.cost_moments(tables, rc.costs, tf) for tables in swept]
         mean, sd = (np.concatenate(m) for m in zip(*moments))
+        strict_rates = []
+        if args.strict_mc:
+            for policy, v in zip(policies, sweep_values):
+                _, totals = chain_statistics(
+                    rc.model, policy, rc.costs, rc.life, rc.sim,
+                    seed_sequence=row_seed(master_seed, v, 1),
+                )
+                strict_rates.append(float(totals.mean()) / tf)
         strict = [strict_rates] if args.strict_mc else []
         rows = list(zip(sweep_values, mean / tf, sd, *strict))
 
@@ -302,8 +290,10 @@ def cmd_curves(rc: RunConfig, args) -> int:
 
         # The curves of a policy the sweep contains come from its swept
         # tables, so the run reports one estimate per policy.
-        tables = reference
-        if tables is None:
+        if rc.policy in policies:
+            i = policies.index(rc.policy)
+            tables = swept[0].take(i) if sweep_dim == "M" else swept[i]
+        else:
             tables = estimate_tables(rc.model, rc.policy, rc.life, rc.sim)
         curve = renewal.cost_curve(tables, rc.costs)
         cost_path = rc.out_dir / "cost_curve.csv"

@@ -1,14 +1,14 @@
 """Grid search over maintenance policies.
 
-The cells of one inspection period T are simulated together by one
-:func:`~cbmlife.simulate.estimate_row` call, from one generator built from a
-seed sequence keyed by the value of T, each cell from paths of its own, and
-all their pooled and block tables are evaluated by one batched renewal
-solve.  The objective matrix is therefore reproducible and invariant to the
-enumeration order of the grid and to the number of worker processes that
-run its rows; a cell depends on the set of thresholds in its row, though
-not on their order.  Per-cell standard errors come from batch means over the
-worker blocks of the cell's estimate tables, contiguous ranges of its paths.
+The cells of one inspection period T are the rows of one table set, drawn
+by one :func:`~cbmlife.simulate.estimate_row` call from one generator built
+from a seed sequence keyed by the value of T, each cell from paths of its
+own.  One batched renewal solve evaluates the pooled rows, and one more the
+rows of ``tables.batches()``, each cell's worker blocks, contiguous ranges
+of its paths, whose values give the cell's batch-means standard error.  The
+objective matrix is therefore reproducible and invariant to the enumeration
+order of the grid and to the number of worker processes that run its rows; a
+cell depends on the set of thresholds in its row, though not on their order.
 """
 
 from __future__ import annotations
@@ -22,15 +22,8 @@ import numpy as np
 
 from .errors import InconsistencyError
 from .model import CostStructure, LifeCycle, SystemModel
-from .renewal import (
-    COST_ESTIMATES,
-    RATE_ESTIMATES,
-    asymptotic_cost_rates,
-    expected_costs,
-    stack_tables,
-    truncation_note,
-)
-from .simulate import SimulationConfig, estimate_row
+from .renewal import asymptotic_cost_rates, expected_costs, truncation_note
+from .simulate import SimulationConfig, estimate_row, row_seed
 
 __all__ = [
     "PolicyGrid",
@@ -98,32 +91,30 @@ class OptimizationResult:
         }
 
 
-def _row_seed(master_seed: int, T: float) -> np.random.SeedSequence:
-    return np.random.SeedSequence(entropy=master_seed, spawn_key=(int(round(T * 1e6)),))
-
-
 def _evaluate_row(args) -> list[tuple[float, float, list[str]]]:
-    """Every cell of one T row, from one simulation and one renewal solve.
+    """Every cell of one T row, from one simulation and two renewal solves.
 
-    The stack holds each cell's pooled tables followed by its nonempty
-    worker blocks, whose values give the cell's batch-means standard error.
-    Only the pooled tables may warn of truncation: a block holds a fraction
-    of the paths, so its censored mass is not the cell's.  A block without
-    replacement mass has no asymptotic rate, and its cell no standard error;
-    a cell whose pooled tables hold none raises InconsistencyError.
+    The pooled rows give the cells' values, and the rows of
+    ``tables.batches()``, each cell's nonempty worker blocks, their
+    batch-means standard errors.  Only the pooled rows may warn of
+    truncation: a block holds a fraction of the paths, so its censored mass
+    is not the cell's.  A block without replacement mass has no asymptotic
+    rate, and its cell no standard error; a cell whose pooled row holds none
+    raises InconsistencyError.
     """
     model, costs, life, cfg, T, Ms, objective = args
-    row = estimate_row(model, T, Ms, life, cfg, _row_seed(cfg.master_seed, T))
-    if objective == "asymptotic":
-        stack = stack_tables(row, RATE_ESTIMATES, blocks=True)
-        values = asymptotic_cost_rates(stack, costs)
-    else:
-        stack = stack_tables(row, COST_ESTIMATES, blocks=True)
-        values = expected_costs(stack, costs, life.horizon) / life.horizon
-    cells = values.reshape(len(Ms), -1)
-    fractions = stack.censored_fraction.reshape(len(Ms), -1)[:, 0]
+
+    def evaluate(rows):
+        if objective == "asymptotic":
+            return asymptotic_cost_rates(rows, costs)
+        return expected_costs(rows, costs, life.horizon) / life.horizon
+
+    tables = estimate_row(model, T, Ms, life, cfg, row_seed(cfg.master_seed, T))
+    # Every cell has the same worker blocks, so as many batch rows.
+    batches = evaluate(tables.batches()).reshape(len(Ms), -1)
+    cells = zip(Ms, evaluate(tables), batches, tables.censored_fraction)
     outcomes = []
-    for M, (value, *blocks), fraction in zip(Ms, cells, fractions):
+    for M, value, blocks, fraction in cells:
         label = f"(T={T:g}, M={M:g})"
         if math.isnan(value):
             raise InconsistencyError(

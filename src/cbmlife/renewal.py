@@ -14,14 +14,15 @@ row per chain and one column per level, every recursion is one forward
 substitution over the columns, for all chains at once: memory O(N) in the
 lattice size N, one vectorized step per level.
 
-The table sets of one inspection period share one lattice, so the solver
-takes a leading batch axis: a :class:`TableStack` holds R table sets (or
-their worker blocks), one row each, and each measure builds its R
-non-renewal terms with numpy and solves them all in one substitution.  The
-one-table measures are the R = 1 case; the row measures
-(:func:`expected_costs`, :func:`cost_moments`, :func:`asymptotic_cost_rates`)
-evaluate a whole stack, row r bit for bit as the one-table measure of its
-table set.
+The thresholds of one inspection period share one lattice, so the solver's
+leading batch axis is the threshold axis of a table set: each measure builds
+the R non-renewal terms of its R rows with numpy and solves them all in one
+substitution.  The row measures (:func:`expected_costs`,
+:func:`cost_moments`, :func:`asymptotic_cost_rates`) evaluate every row,
+row r bit for bit as the one-policy measure of ``tables.take(r)``; on
+``tables.batches()`` they give the batch means of each threshold's worker
+blocks.  The one-policy measures take a table set of one row (R = 1), and
+raise ValueError on more.
 """
 
 from __future__ import annotations
@@ -29,23 +30,17 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GridCoverageError, InconsistencyError, TruncationWarning
 from .model import CostStructure
-from .simulate import EstimateTables, Lattice
+from .simulate import EstimateTables
 
 __all__ = [
     "CostCurve",
     "PerformanceCurve",
-    "TableStack",
-    "RATE_ESTIMATES",
-    "COST_ESTIMATES",
-    "MOMENT_ESTIMATES",
-    "stack_tables",
     "expected_cost",
     "expected_costs",
     "std_dev",
@@ -100,85 +95,6 @@ class PerformanceCurve:
             raise InconsistencyError(f"{self.kind} left [0, 1]")
 
 
-# The estimates of a table set, each with the block array it pools.
-_BLOCK_ARRAYS = {
-    "p_preventive": "bp_p",
-    "p_corrective": "bp_c",
-    "joint_downtime": "bjw",
-    "joint_downtime_sq": "bjw2",
-    "alive_no_replacement": "balive",
-    "residual_downtime": "bresid",
-    "residual_downtime_sq": "bresid2",
-}
-# The estimates read by the asymptotic rate, by the expected cost, and by
-# the cost's two moments.
-RATE_ESTIMATES = ("p_preventive", "p_corrective", "joint_downtime")
-COST_ESTIMATES = (*RATE_ESTIMATES, "residual_downtime")
-MOMENT_ESTIMATES = (*COST_ESTIMATES, "joint_downtime_sq", "residual_downtime_sq")
-
-
-@dataclass(frozen=True, eq=False)
-class TableStack:
-    """The estimates of R table sets over one lattice, one row each.
-
-    Each array is a table set's pooled estimate (see
-    :class:`~cbmlife.simulate.EstimateTables`) with a leading axis of R
-    rows: ``(R, kmax + 1)`` per inspection, ``(R, N)`` per lattice time and
-    ``(R,)`` for ``censored_fraction``.  An estimate left out of the stack
-    is None.
-    """
-
-    lattice: Lattice
-    censored_fraction: np.ndarray
-    p_preventive: np.ndarray | None = None
-    p_corrective: np.ndarray | None = None
-    joint_downtime: np.ndarray | None = None
-    joint_downtime_sq: np.ndarray | None = None
-    alive_no_replacement: np.ndarray | None = None
-    residual_downtime: np.ndarray | None = None
-    residual_downtime_sq: np.ndarray | None = None
-
-    @property
-    def kmax(self) -> int:
-        return self.p_preventive.shape[1] - 1
-
-
-def stack_tables(
-    tables: Iterable[EstimateTables],
-    estimates: tuple[str, ...] = tuple(_BLOCK_ARRAYS),
-    blocks: bool = False,
-) -> TableStack:
-    """The table sets of one inspection period stacked in order, one row each.
-
-    ``estimates`` names the estimates to stack, all by default; a row
-    measure reads those of its ``*_ESTIMATES`` tuple.  With ``blocks``, each
-    table set's row is followed by one row per nonempty worker block: that
-    block's estimates alone, from which batch-means errors follow.  Only
-    the rows are kept, so ``tables`` may be a lazy iterator such as
-    :func:`~cbmlife.simulate.estimate_row`.  The table sets must share one
-    lattice: ValueError otherwise.
-    """
-    rows: dict[str, list] = {name: [] for name in (*estimates, "censored_fraction")}
-    lattice = None
-    for table in tables:
-        if lattice is None:
-            lattice = table.lattice
-        elif table.T != lattice.T or not np.array_equal(table.times, lattice.times):
-            raise ValueError("stacked table sets must share one lattice")
-        picked = np.flatnonzero(table.block_sizes) if blocks else []
-        n = table.block_sizes[picked, None]
-        for name in estimates:
-            block_rows = getattr(table, _BLOCK_ARRAYS[name])[picked] / n
-            rows[name].append(np.concatenate((getattr(table, name)[None], block_rows)))
-        block_rows = table.bcensored[picked] / n[:, 0]
-        rows["censored_fraction"].append(
-            np.concatenate(([table.censored_fraction], block_rows))
-        )
-    if lattice is None:
-        raise ValueError("no table sets to stack")
-    return TableStack(lattice, **{name: np.concatenate(v) for name, v in rows.items()})
-
-
 def _chain_matrix(chains, values: np.ndarray) -> np.ndarray:
     """(R, N) lattice values laid out as (R, chain, level)."""
     row, level = chains
@@ -207,14 +123,18 @@ def _chain_sum(chains, g: np.ndarray, p: np.ndarray, v: np.ndarray | None = None
     return out[:, row, level]
 
 
-def _one(tables: EstimateTables) -> TableStack:
-    return stack_tables([tables])
+def _check_one_policy(tables: EstimateTables) -> None:
+    if len(tables.Ms) != 1:
+        raise ValueError(
+            f"a one-policy measure needs a table set of R = 1 threshold, not "
+            f"R = {len(tables.Ms)}; take one with tables.take(i)"
+        )
 
 
 # -- transient cost ----------------------------------------------------------
 
 def _cost_moments(
-    stack: TableStack, costs: CostStructure, second: bool = True
+    tables: EstimateTables, costs: CostStructure, second: bool = True
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """E[C(t)] and, when second is set, E[C(t)^2] at every lattice time, per row.
 
@@ -222,12 +142,12 @@ def _cost_moments(
     w_k and a_k are the first and second moments of that cost on the event
     of a replacement at kT, and a cycle still open at t has paid kf(t) C_I.
     """
-    kmax = stack.kmax
-    chains = stack.lattice.chains
+    kmax = tables.kmax
+    chains = tables.lattice.chains
     kf = np.minimum(chains[1], kmax)
     k = np.arange(1, kmax + 1)
-    pp, pc = stack.p_preventive[:, 1:], stack.p_corrective[:, 1:]
-    jw = stack.joint_downtime[:, 1 : kmax + 1]
+    pp, pc = tables.p_preventive[:, 1:], tables.p_corrective[:, 1:]
+    jw = tables.joint_downtime[:, 1 : kmax + 1]
     CI, Cd = costs.inspection, costs.downtime_rate
     cp = costs.preventive + CI * (k - 1)
     cc = costs.corrective + CI * (k - 1)
@@ -239,16 +159,16 @@ def _cost_moments(
         return sums[:, kf]
 
     open_mass = 1.0 - upto_kf(p)
-    resid = stack.residual_downtime
+    resid = tables.residual_downtime
     mean = _chain_sum(chains, upto_kf(w) + kf * CI * open_mass + Cd * resid, p)
     if not second:
         return mean, None
-    jw2 = stack.joint_downtime_sq[:, 1 : kmax + 1]
+    jw2 = tables.joint_downtime_sq[:, 1 : kmax + 1]
     a = cp * cp * pp + cc * cc * pc + 2.0 * cc * Cd * jw + Cd * Cd * jw2
     # Squaring (c_x(k) + D) + C(t - kT) leaves the cross term 2 w_k E[C(t - kT)].
     cross = _chain_sum(chains, np.zeros_like(mean), w, mean)
     g = upto_kf(a) + 2.0 * cross + (kf * CI) ** 2 * open_mass
-    g += 2.0 * kf * CI * Cd * resid + Cd * Cd * stack.residual_downtime_sq
+    g += 2.0 * kf * CI * Cd * resid + Cd * Cd * tables.residual_downtime_sq
     return mean, _chain_sum(chains, g, p)
 
 
@@ -259,34 +179,37 @@ def _std(mean, mean_sq):
     return np.sqrt(np.maximum(var, 0.0))
 
 
-def expected_costs(stack: TableStack, costs: CostStructure, t: float) -> np.ndarray:
-    """E[C(t)] of every row of the stack, from one solve."""
-    i = stack.lattice.index_of(t)
-    return _cost_moments(stack, costs, second=False)[0][:, i]
+def expected_costs(tables: EstimateTables, costs: CostStructure, t: float) -> np.ndarray:
+    """E[C(t)] of every row of the table set, from one solve."""
+    i = tables.lattice.index_of(t)
+    return _cost_moments(tables, costs, second=False)[0][:, i]
 
 
 def cost_moments(
-    stack: TableStack, costs: CostStructure, t: float
+    tables: EstimateTables, costs: CostStructure, t: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """E[C(t)] and the standard deviation of C(t) of every row, from one solve."""
-    i = stack.lattice.index_of(t)
-    mean, mean_sq = _cost_moments(stack, costs)
+    i = tables.lattice.index_of(t)
+    mean, mean_sq = _cost_moments(tables, costs)
     return mean[:, i], _std(mean[:, i], mean_sq[:, i])
 
 
 def expected_cost(tables: EstimateTables, costs: CostStructure, t: float) -> float:
     """E[C(t)] via the cost renewal recursion."""
-    return float(expected_costs(_one(tables), costs, t)[0])
+    _check_one_policy(tables)
+    return float(expected_costs(tables, costs, t)[0])
 
 
 def std_dev(tables: EstimateTables, costs: CostStructure, t: float) -> float:
     """Standard deviation of the transient cost at t."""
-    return float(cost_moments(_one(tables), costs, t)[1][0])
+    _check_one_policy(tables)
+    return float(cost_moments(tables, costs, t)[1][0])
 
 
 def cost_curve(tables: EstimateTables, costs: CostStructure) -> CostCurve:
     """Full transient cost curve on the evaluation grid."""
-    mean, mean_sq = (m[0] for m in _cost_moments(_one(tables), costs))
+    _check_one_policy(tables)
+    mean, mean_sq = (m[0] for m in _cost_moments(tables, costs))
     curve = CostCurve(
         times=tables.times, mean=mean, mean_sq=mean_sq, std=_std(mean, mean_sq)
     )
@@ -294,23 +217,23 @@ def cost_curve(tables: EstimateTables, costs: CostStructure) -> CostCurve:
     return curve
 
 
-def asymptotic_cost_rates(stack: TableStack, costs: CostStructure) -> np.ndarray:
+def asymptotic_cost_rates(tables: EstimateTables, costs: CostStructure) -> np.ndarray:
     """Long-run expected cost per time unit of every row (renewal reward ratio).
 
     A row without replacement mass has no rate: NaN.  Nothing warns of
     truncation here; see :func:`truncation_note`.
     """
-    kmax = stack.kmax
+    kmax = tables.kmax
     ks = np.arange(1, kmax + 1)
-    pp = stack.p_preventive[:, 1:]
-    pc = stack.p_corrective[:, 1:]
+    pp = tables.p_preventive[:, 1:]
+    pc = tables.p_corrective[:, 1:]
     numerator = np.sum(
         costs.corrective * pc
         + costs.preventive * pp
         + costs.inspection * (ks - 1) * (pp + pc),
         axis=1,
-    ) + costs.downtime_rate * stack.joint_downtime[:, 1 : kmax + 1].sum(axis=1)
-    denominator = np.sum(ks * stack.lattice.T * (pp + pc), axis=1)
+    ) + costs.downtime_rate * tables.joint_downtime[:, 1 : kmax + 1].sum(axis=1)
+    denominator = np.sum(ks * tables.lattice.T * (pp + pc), axis=1)
     rates = np.full(len(denominator), np.nan)
     np.divide(numerator, denominator, out=rates, where=denominator != 0.0)
     return rates
@@ -328,10 +251,11 @@ def truncation_note(censored_fraction: float) -> str | None:
 
 def asymptotic_cost_rate(tables: EstimateTables, costs: CostStructure) -> float:
     """Long-run expected cost per time unit (renewal reward ratio)."""
-    note = truncation_note(tables.censored_fraction)
+    _check_one_policy(tables)
+    note = truncation_note(tables.censored_fraction[0])
     if note is not None:
         warnings.warn(note, TruncationWarning, stacklevel=2)
-    rate = float(asymptotic_cost_rates(_one(tables), costs)[0])
+    rate = float(asymptotic_cost_rates(tables, costs)[0])
     if math.isnan(rate):
         raise InconsistencyError("no replacement mass observed; rate undefined")
     return rate
@@ -339,24 +263,26 @@ def asymptotic_cost_rate(tables: EstimateTables, costs: CostStructure) -> float:
 
 # -- performance measures ----------------------------------------------------
 
-def _survival(stack: TableStack, preventive_only: bool) -> np.ndarray:
+def _survival(tables: EstimateTables, preventive_only: bool) -> np.ndarray:
     """Availability, or reliability when only preventive replacements renew."""
-    p = stack.p_preventive[:, 1:]
+    p = tables.p_preventive[:, 1:]
     if not preventive_only:
-        p = p + stack.p_corrective[:, 1:]
-    return _chain_sum(stack.lattice.chains, stack.alive_no_replacement, p)
+        p = p + tables.p_corrective[:, 1:]
+    return _chain_sum(tables.lattice.chains, tables.alive_no_replacement, p)
 
 
 def availability(tables: EstimateTables, t: float) -> float:
     """P[system working at t]."""
+    _check_one_policy(tables)
     i = tables.index_of(t)
-    return float(_survival(_one(tables), preventive_only=False)[0, i])
+    return float(_survival(tables, preventive_only=False)[0, i])
 
 
 def reliability(tables: EstimateTables, t: float) -> float:
     """P[no failure in (0, t]]; only preventive replacements renew it."""
+    _check_one_policy(tables)
     i = tables.index_of(t)
-    return float(_survival(_one(tables), preventive_only=True)[0, i])
+    return float(_survival(tables, preventive_only=True)[0, i])
 
 
 def _check_length(s: float) -> None:
@@ -364,14 +290,14 @@ def _check_length(s: float) -> None:
         raise GridCoverageError(f"interval length s={s} must be finite and nonnegative")
 
 
-def _interval(stack: TableStack, s: float) -> np.ndarray:
+def _interval(tables: EstimateTables, s: float) -> np.ndarray:
     """IR(t, t+s) at every lattice t, per row; NaN where t+s is off the lattice.
 
     The non-renewal term is P[no replacement by t+s] plus, for each
     inspection k with kf(t) < k <= kf(t+s), a preventive renewal at kT
     followed by survival to t+s: p_p(k) R(t+s-kT).
     """
-    lattice = stack.lattice
+    lattice = tables.lattice
     chains = lattice.chains
     end = lattice.indices_of(lattice.times + s)
     on_grid = end >= 0
@@ -380,16 +306,16 @@ def _interval(stack: TableStack, s: float) -> np.ndarray:
     row, level = chains
     idx = np.flatnonzero(on_grid)
     end = end[idx]
-    rel = _chain_matrix(chains, _survival(stack, preventive_only=True))
-    kf_t = np.minimum(level[idx], stack.kmax)
-    kf_end = np.minimum(level[end], stack.kmax)
+    rel = _chain_matrix(chains, _survival(tables, preventive_only=True))
+    kf_t = np.minimum(level[idx], tables.kmax)
+    kf_end = np.minimum(level[end], tables.kmax)
     g = np.zeros((len(rel), len(level)))
-    g[:, idx] = stack.alive_no_replacement[:, end]
+    g[:, idx] = tables.alive_no_replacement[:, end]
     for d in range(1, int((kf_end - kf_t).max(initial=0)) + 1):
         on = kf_t + d <= kf_end
         k, e = kf_t[on] + d, end[on]
-        g[:, idx[on]] += rel[:, row[e], level[e] - k] * stack.p_preventive[:, k]
-    p = stack.p_preventive[:, 1:] + stack.p_corrective[:, 1:]
+        g[:, idx[on]] += rel[:, row[e], level[e] - k] * tables.p_preventive[:, k]
+    p = tables.p_preventive[:, 1:] + tables.p_corrective[:, 1:]
     values = _chain_sum(chains, g, p)
     values[:, ~on_grid] = np.nan
     return values
@@ -397,8 +323,9 @@ def _interval(stack: TableStack, s: float) -> np.ndarray:
 
 def interval_reliability(tables: EstimateTables, t: float, s: float) -> float:
     """P[system works throughout (t, t+s]]."""
+    _check_one_policy(tables)
     _check_length(s)
-    value = _interval(_one(tables), s)[0, tables.index_of(t)]
+    value = _interval(tables, s)[0, tables.index_of(t)]
     if math.isnan(value):
         raise GridCoverageError(f"t + s = {t + s} is not on the evaluation grid")
     return float(value)
@@ -408,14 +335,15 @@ def performance_curve(
     tables: EstimateTables, kind: str, s: float = 0.0
 ) -> PerformanceCurve:
     """Availability, reliability, or interval-reliability curve."""
+    _check_one_policy(tables)
     _check_length(s)
     times = tables.times
     if kind == "availability":
-        values = _survival(_one(tables), preventive_only=False)[0]
+        values = _survival(tables, preventive_only=False)[0]
     elif kind == "reliability":
-        values = _survival(_one(tables), preventive_only=True)[0]
+        values = _survival(tables, preventive_only=True)[0]
     elif kind == "interval_reliability":
-        values = _interval(_one(tables), s)[0]
+        values = _interval(tables, s)[0]
         keep = ~np.isnan(values)
         times, values = times[keep], values[keep]
     else:

@@ -6,12 +6,13 @@ variation vector.  All cells of a table share the same master seed (common
 random numbers), so cell differences reflect parameters rather than Monte
 Carlo noise; the zero-variation cell is the baseline itself and is not
 simulated again.  Every cell re-optimizes over the swept policy dimension
-before comparing; with T fixed, the whole sweep of one model is one
-:func:`~cbmlife.simulate.estimate_row` call and one batched renewal solve.
-Each row of thresholds is seeded by its T, and each of its table sets has
-paths of its own, drawn from the row's one generator: a table set depends on
-the set of swept thresholds, though not on their order.  The perturbed
-models may run in a process pool; the tables do not depend on its size.
+before comparing; with T fixed, the whole sweep of one model is one table
+set, from one :func:`~cbmlife.simulate.estimate_row` call, and one batched
+renewal solve over its rows.  Each row of thresholds is seeded by its T, and
+each threshold has paths of its own, drawn from the row's one generator: a
+threshold's estimates depend on the set of swept thresholds, though not on
+their order.  The perturbed models may run in a process pool; the tables do
+not depend on its size.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from .model import (
     ShockIntensity,
     SystemModel,
 )
-from .renewal import COST_ESTIMATES, expected_costs, stack_tables
-from .simulate import SimulationConfig, estimate_row
+from .renewal import expected_costs
+from .simulate import SimulationConfig, estimate_row, row_seed
 
 __all__ = [
     "VARIATIONS",
@@ -80,12 +81,8 @@ def _min_transient_cost(model, costs, life, fixed, sweep_values, cfg) -> float:
     for T, Ms in _rows(fixed, sweep_values):
         if any(M > model.breakdown_threshold for M in Ms):
             raise ValueError("swept preventive threshold exceeds L")
-        seed = np.random.SeedSequence(
-            entropy=cfg.master_seed, spawn_key=(int(round(T * 1e6)),)
-        )
-        row = estimate_row(model, T, Ms, life, cfg, seed)
-        stack = stack_tables(row, COST_ESTIMATES)
-        best = min(best, *expected_costs(stack, costs, life.horizon).tolist())
+        tables = estimate_row(model, T, Ms, life, cfg, row_seed(cfg.master_seed, T))
+        best = min(best, *expected_costs(tables, costs, life.horizon).tolist())
     return best
 
 

@@ -34,28 +34,30 @@ follow from the first-cycle definition of the replacement policy.
 
 The central product is :class:`EstimateTables`: per-inspection replacement
 probabilities, joint downtime moments, and the non-renewal (alive, residual
-downtime) functions on the evaluation lattice.  Every recursion in
-:mod:`cbmlife.renewal` consumes these tables.  A pass's paths are reduced
-to them by one ``np.bincount`` per table, with no loop over inspections: a
-cycle is open (not yet replaced) on a prefix of the lattice, alive on the
-part of it before its failure time and down on the rest, so the alive
-counts are a reversed cumulative sum of the prefix lengths, and the
-residual downtime sums run over the (path, time) pairs past the failure
-only.  Each threshold's paths are split into ``worker_streams`` blocks,
-contiguous ranges of its paths whose sums are the batch means of the
-standard errors; the pooled counts do not depend on the split.
+downtime) functions on the evaluation lattice, one row per threshold M of
+one inspection period.  Every recursion in :mod:`cbmlife.renewal` consumes
+these tables.  A pass's paths are reduced to them by one ``np.bincount``
+per table, with no loop over inspections: a cycle is open (not yet
+replaced) on a prefix of the lattice, alive on the part of it before its
+failure time and down on the rest, so the alive counts are a reversed
+cumulative sum of the prefix lengths, and the residual downtime sums run
+over the (path, time) pairs past the failure only.  Each threshold's paths
+are split into ``worker_streams`` blocks, contiguous ranges of its paths
+whose sums are the batch means of the standard errors; the pooled counts do
+not depend on the split.
 
-:func:`estimate_row` serves every threshold M of one inspection period from
-one generator, built from one seed sequence.  It draws the thresholds in
-ascending M, in passes of at most ``_PASS_PATHS`` paths: a pass holds
-consecutive thresholds, and a threshold with more paths is drawn alone, in
-the fewest consecutive chunks of at most that many, of even sizes.  A pass
-is one sampler call over all its paths and one reduction by (threshold,
-block), which removes the fixed cost of a sampler call per threshold and
-block, and its thresholds are checked and yielded once it ends.  Each
-threshold has paths of its own, so the table sets of a row are independent;
-each depends on the row's set of thresholds, though not on their order.
-:func:`estimate_tables` is the one-threshold row.
+:func:`estimate_row` returns the table set of every threshold M of one
+inspection period, drawn from one generator built from one seed sequence.
+It draws the thresholds in ascending M, in passes of at most
+``_PASS_PATHS`` paths: a pass holds consecutive thresholds, and a threshold
+with more paths is drawn alone, in the fewest consecutive chunks of at most
+that many, of even sizes.  A pass is one sampler call over all its paths
+and one reduction by (threshold, block), whose sums are written at its
+thresholds' rows, which removes the fixed cost of a sampler call per
+threshold and block; the row is checked once, when every pass has run.
+Each threshold has paths of its own, so the rows of a table set are
+independent; each depends on the row's set of thresholds, though not on
+their order.  :func:`estimate_tables` is the one-threshold row.
 """
 
 from __future__ import annotations
@@ -63,8 +65,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -86,6 +87,7 @@ __all__ = [
     "chain_statistics",
     "tables_digest",
     "eval_times",
+    "row_seed",
 ]
 
 _EPS = 1e-9
@@ -405,8 +407,8 @@ def _reduce(k_rep, corrective, censored, D, sizes, T, kmax, times):
 class Lattice:
     """The evaluation times of one inspection period T and their chains.
 
-    Every table set of one T has this lattice, so the renewal recursions of
-    several table sets can share its lookups and its chain map.
+    Every threshold of one T has this lattice, so the renewal recursions of
+    a table set's rows share its lookups and its chain map.
     """
 
     times: np.ndarray
@@ -463,56 +465,38 @@ class Lattice:
         return row, level
 
 
-_CHECKED = ("p_p", "p_c", "jw", "jw2", "alive", "resid", "resid2")
-
-
-def _check_tables(n: int, blocks: dict[str, np.ndarray]) -> None:
-    """Raise ConfigurationError unless the block sums pool into valid tables.
-
-    Each array of ``blocks`` (named as in :data:`_CHECKED`) holds block sums
-    on its second-to-last axis, after any leading axes: the thresholds of a
-    pass are checked at once.  Column 0 of alive is time 0, where every
-    cycle is alive.
-    """
-    p_p, p_c, alive = (
-        blocks[name].sum(axis=-2) / n for name in ("p_p", "p_c", "alive")
-    )
-    if (p_p.sum(axis=-1) + p_c.sum(axis=-1) > 1.0 + 1e-12).any():
-        raise ConfigurationError("replacement probabilities exceed one")
-    for arr in (p_p, p_c, alive):
-        if (arr < -1e-15).any() or (arr > 1.0 + 1e-12).any():
-            raise ConfigurationError("probability entry outside [0, 1]")
-    for name in ("jw", "jw2", "resid", "resid2"):
-        if (blocks[name].sum(axis=-2) / n < -1e-15).any():
-            raise ConfigurationError("negative downtime moment")
-    if (np.abs(alive[..., 0] - 1.0) > 1e-12).any():
-        raise ConfigurationError("alive_no_replacement(0) must be 1")
+# The block sums of a table set, each with axes (threshold, block, ...).
+_BLOCK_SUMS = (
+    "bp_p", "bp_c", "bjw", "bjw2", "balive", "bresid", "bresid2", "bcensored"
+)
 
 
 def _pooled(blocks: str) -> cached_property:
-    return cached_property(lambda self: getattr(self, blocks).sum(axis=0) / self.n)
+    return cached_property(
+        lambda self: getattr(self, blocks).sum(axis=1) / self._paths[:, None]
+    )
 
 
 @dataclass(eq=False)
 class EstimateTables:
     """Monte Carlo estimates feeding the Markov renewal recursions.
 
-    Arrays prefixed ``b`` hold one row per worker block; pooled estimates are
-    sample-size-weighted means across blocks.  Downtime moments are stored
-    cost-free (time units); the recursion base cases are recovered by
-    scaling with the downtime cost rate.  ``times`` is the evaluation
-    lattice, and :attr:`lattice` its lookups and chain map.
+    Row r holds the policy (T, Ms[r]).  Arrays prefixed ``b`` hold block
+    sums with axes (threshold, block, ...), and ``block_sizes`` (threshold,
+    block) the paths behind each; a pooled estimate is a row's block sums
+    over its paths, of shape (R, kmax + 1) per inspection and (R, N) per
+    lattice time, and ``censored_fraction`` is (R,).  Downtime moments are
+    stored cost-free (time units); the recursion base cases are recovered by
+    scaling with the downtime cost rate.  :attr:`lattice` holds the
+    evaluation times and their chain map, which every row shares, and
+    ``digest`` identifies the draws behind the row.
     """
 
-    T: float
-    M: float
+    lattice: Lattice
+    Ms: np.ndarray
     horizon: float
     delta: float
-    n: int
-    master_seed: int
-    worker_streams: int
     digest: str
-    times: np.ndarray
     block_sizes: np.ndarray
     bp_p: np.ndarray
     bp_c: np.ndarray
@@ -523,7 +507,7 @@ class EstimateTables:
     bresid2: np.ndarray
     bcensored: np.ndarray
 
-    # -- pooled estimates: the block sums over n -------------------------
+    # -- pooled estimates: a row's block sums over its paths ---------------
     p_preventive = _pooled("bp_p")
     p_corrective = _pooled("bp_c")
     joint_downtime = _pooled("bjw")
@@ -533,58 +517,94 @@ class EstimateTables:
     residual_downtime_sq = _pooled("bresid2")
 
     @cached_property
-    def censored_fraction(self) -> float:
-        return float(self.bcensored.sum()) / self.n
+    def censored_fraction(self) -> np.ndarray:
+        return self.bcensored.sum(axis=1) / self._paths
+
+    @cached_property
+    def _paths(self) -> np.ndarray:
+        return self.block_sizes.sum(axis=1)
 
     # -- structure ---------------------------------------------------------
     @property
-    def kmax(self) -> int:
-        return self.bp_p.shape[1] - 1
+    def T(self) -> float:
+        return self.lattice.T
 
-    @cached_property
-    def lattice(self) -> Lattice:
-        return Lattice(self.times, self.T)
+    @property
+    def times(self) -> np.ndarray:
+        return self.lattice.times
+
+    @property
+    def kmax(self) -> int:
+        return self.bp_p.shape[-1] - 1
 
     def index_of(self, t: float) -> int:
         return self.lattice.index_of(t)
 
+    def take(self, i: int) -> "EstimateTables":
+        """Threshold i alone: the table set of its one row."""
+        return self._rows(self.Ms[[i]], [i])
+
+    def batches(self) -> "EstimateTables":
+        """Each (threshold, nonempty block) pair as a row, threshold-major.
+
+        A row's estimates are its block's sums over its block's paths: the
+        batch means of the standard errors.
+        """
+        r, b = np.nonzero(self.block_sizes)
+        return self._rows(self.Ms[r], (r, b, None))
+
+    def _rows(self, Ms, index) -> "EstimateTables":
+        names = ("block_sizes", *_BLOCK_SUMS)
+        return replace(self, Ms=Ms, **{n: getattr(self, n)[index] for n in names})
+
     def validate(self) -> None:
-        _check_tables(self.n, {name: getattr(self, "b" + name) for name in _CHECKED})
+        """Raise ConfigurationError unless every row's estimates are valid.
+
+        Column 0 of alive is time 0, where every cycle is alive.
+        """
+        p_p, p_c = self.p_preventive, self.p_corrective
+        alive = self.alive_no_replacement
+        if (p_p.sum(axis=-1) + p_c.sum(axis=-1) > 1.0 + 1e-12).any():
+            raise ConfigurationError("replacement probabilities exceed one")
+        for arr in (p_p, p_c, alive):
+            if (arr < -1e-15).any() or (arr > 1.0 + 1e-12).any():
+                raise ConfigurationError("probability entry outside [0, 1]")
+        for arr in (self.joint_downtime, self.joint_downtime_sq,
+                    self.residual_downtime, self.residual_downtime_sq):
+            if (arr < -1e-15).any():
+                raise ConfigurationError("negative downtime moment")
+        if (np.abs(alive[:, 0] - 1.0) > 1e-12).any():
+            raise ConfigurationError("alive_no_replacement(0) must be 1")
 
     def equals(self, other: "EstimateTables") -> bool:
         if not isinstance(other, EstimateTables):
             return False
-        scalars = ("T", "M", "horizon", "delta", "n", "master_seed",
-                   "worker_streams", "digest")
+        scalars = ("T", "horizon", "delta", "digest")
         if any(getattr(self, f) != getattr(other, f) for f in scalars):
             return False
-        arrays = ("times", "block_sizes", "bp_p", "bp_c", "bjw", "bjw2",
-                  "balive", "bresid", "bresid2", "bcensored")
+        arrays = ("times", "Ms", "block_sizes", *_BLOCK_SUMS)
         return all(
             np.array_equal(getattr(self, f), getattr(other, f)) for f in arrays
         )
 
 
-def tables_digest(
-    model, policy, life, cfg, delta: float, seed_sequence, thresholds
-) -> str:
-    """Identify the draws behind a table set of the row ``thresholds`` of T.
+def tables_digest(model, T, Ms, life, cfg, delta: float, seed_sequence) -> str:
+    """Identify the draws behind the table set of the row ``Ms`` of T.
 
     A table set depends on its row's set of thresholds, so the digest holds
     them, sorted, along with the seed sequence the row's generator is built
     from: its entropy and spawn key.
     """
     payload = {
-        "format": 4,  # the version of the payload, so digests stay comparable
+        "format": 5,  # the version of the payload, so digests stay comparable
         "alpha": model.degradation.alpha,
         "beta": model.degradation.beta,
         "lambda1": model.shocks.lambda1,
         "lambda2": model.shocks.lambda2,
         "L": model.breakdown_threshold,
         "Ms": model.shock_threshold,
-        "T": policy.inspection_period,
-        "M": policy.preventive_threshold,
-        "row": sorted(float(M) for M in thresholds),
+        "T": T,
+        "row": sorted(float(M) for M in Ms),
         "tf": life.horizon,
         "n": cfg.n_samples,
         "delta": delta,
@@ -596,27 +616,21 @@ def tables_digest(
     return hashlib.sha256(blob).hexdigest()
 
 
+def row_seed(master_seed: int, value: float, *extra: int) -> np.random.SeedSequence:
+    """The seed sequence keyed by ``value`` in millionths, then by ``extra``.
+
+    ``value`` is an inspection period, or the swept value of a ``curves``
+    run.  The grid, the sensitivity sweeps and the ``curves`` command seed
+    their rows here, and ``curves`` its strict Monte Carlo chains too.
+    """
+    return np.random.SeedSequence(
+        entropy=master_seed, spawn_key=(int(round(value * 1e6)), *extra)
+    )
+
+
 def _block_split(n: int, streams: int) -> np.ndarray:
     base, extra = divmod(n, streams)
     return np.array([base + (1 if i < extra else 0) for i in range(streams)])
-
-
-def _passes(sizes, cap: int) -> list[list[int]]:
-    """Cell indices grouped, in order, into passes of at most cap paths.
-
-    Empty cells are left out; a cell larger than the cap runs alone.
-    """
-    passes: list[list[int]] = []
-    total = 0
-    for s, size in enumerate(sizes):
-        if size == 0:
-            continue
-        if not passes or total + size > cap:
-            passes.append([])
-            total = 0
-        passes[-1].append(s)
-        total += size
-    return passes
 
 
 def _chunks(n: int) -> list[tuple[int, int]]:
@@ -637,83 +651,61 @@ def estimate_row(
     life: LifeCycle,
     cfg: SimulationConfig,
     seed_sequence: np.random.SeedSequence,
-) -> Iterator[EstimateTables]:
-    """Tables of the policies (T, M) for every M in Ms, from one generator.
+) -> EstimateTables:
+    """The table set of the policies (T, M) for every M in Ms, from one generator.
 
-    The generator, ``np.random.default_rng(seed_sequence)``, draws the
-    cfg.n_samples paths of every threshold in ascending M, in passes of
-    consecutive thresholds of at most _PASS_PATHS paths (a threshold with
-    more is drawn alone, in the chunks of :func:`_chunks`), and each threshold
-    has paths of its own.  Worker block b of a threshold is the b-th range
-    of its paths in the split of :func:`_block_split`.  A table set
-    therefore depends on the row's set of thresholds, though not on their
-    order; :func:`estimate_tables` is the one-threshold row.  The policies
-    are checked at the call, and ``seed_sequence`` is left unchanged.  The
-    table sets are yielded in the order of Ms, each once the passes up to
-    its threshold have run.
+    Row r is Ms[r].  The generator, ``np.random.default_rng(seed_sequence)``,
+    draws the cfg.n_samples paths of every threshold in ascending M, in
+    passes of max(1, _PASS_PATHS // n_samples) consecutive thresholds (a
+    threshold of more paths is drawn alone, in the chunks of
+    :func:`_chunks`), and each threshold has paths of its own.  Worker block
+    b of a threshold is the b-th range of its paths in the split of
+    :func:`_block_split`, and a block split between chunks adds up its parts
+    in chunk order.  A row therefore depends on its set of thresholds,
+    though not on their order; :func:`estimate_tables` is the one-threshold
+    row.  The policies are checked at the call, and ``seed_sequence`` is
+    left unchanged.
     """
     policies = [
         MaintenancePolicy(inspection_period=T, preventive_threshold=M) for M in Ms
     ]
+    if not policies:
+        raise ValueError("a row needs at least one threshold")
     for policy in policies:
         _check_simulable(model, policy, life)
-    if not policies:
-        return iter(())
     delta = cfg.step_for(policies[0])
-    order = np.argsort([p.preventive_threshold for p in policies], kind="stable")
-    ascending = np.array([policies[j].preventive_threshold for j in order])
-    digests = [
-        tables_digest(model, policy, life, cfg, delta, seed_sequence, ascending)
-        for policy in policies
-    ]
-    rng = np.random.default_rng(seed_sequence)
-    return _row_tables(model, policies, life, cfg, delta, order, digests, rng)
-
-
-def _row_tables(model, policies, life, cfg, delta, order, digests, rng):
-    """The generator behind estimate_row: run the passes, yield the table sets.
-
-    Each chunk of a pass is summed by (threshold, block): the blocks' path
-    ranges are clipped to the chunk's, so a block split between chunks adds
-    up its parts.  Only a threshold alone in its pass has more than one chunk.
-    """
-    T = policies[0].inspection_period
     times = eval_times(policies[0], life)
+    Ms = np.array([policy.preventive_threshold for policy in policies])
     n, B = cfg.n_samples, cfg.worker_streams
     block = _block_split(n, B)
     starts = np.concatenate([[0], np.cumsum(block)])
-    ascending = np.array([policies[j].preventive_threshold for j in order])
-    finished: dict[int, EstimateTables] = {}
-    yielded = 0
-    for cells in _passes([n] * len(policies), _PASS_PATHS):
-        # The pass's (threshold, block, ...) arrays; empty blocks stay zero.
-        arrays: dict[str, np.ndarray] = {}
+    order = np.argsort(Ms, kind="stable")
+    per_pass = max(1, _PASS_PATHS // n)
+    rng = np.random.default_rng(seed_sequence)
+    sums: dict[str, np.ndarray] = {}
+    for first in range(0, len(Ms), per_pass):
+        cells = order[first : first + per_pass]
         for lo, hi in _chunks(n):
             sizes = np.diff(np.clip(starts, lo, hi))
-            sums = _block_accumulate(
-                model, T, life, delta, ascending[cells], sizes, rng, times
+            chunk = _block_accumulate(
+                model, T, life, delta, Ms[cells], sizes, rng, times
             )
-            for name, value in sums.items():
+            for name, value in chunk.items():
                 value = value.reshape(len(cells), B, *value.shape[1:])
-                arrays[name] = arrays[name] + value if name in arrays else value
-        _check_tables(n, arrays)
-        for i, j in enumerate(order[cells].tolist()):
-            finished[j] = EstimateTables(
-                T=T,
-                M=policies[j].preventive_threshold,
-                horizon=life.horizon,
-                delta=delta,
-                n=n,
-                master_seed=cfg.master_seed,
-                worker_streams=B,
-                digest=digests[j],
-                times=times,
-                block_sizes=block,
-                **{"b" + name: array[i] for name, array in arrays.items()},
-            )
-        while yielded in finished:
-            yield finished.pop(yielded)
-            yielded += 1
+                if name not in sums:  # empty blocks stay zero
+                    sums[name] = np.zeros((len(Ms), *value.shape[1:]))
+                sums[name][cells] += value
+    tables = EstimateTables(
+        lattice=Lattice(times, T),
+        Ms=Ms,
+        horizon=life.horizon,
+        delta=delta,
+        digest=tables_digest(model, T, Ms, life, cfg, delta, seed_sequence),
+        block_sizes=np.tile(block, (len(Ms), 1)),
+        **{"b" + name: value for name, value in sums.items()},
+    )
+    tables.validate()
+    return tables
 
 
 def estimate_tables(
@@ -731,11 +723,10 @@ def estimate_tables(
     """
     if seed_sequence is None:
         seed_sequence = np.random.SeedSequence(cfg.master_seed)
-    (tables,) = estimate_row(
+    return estimate_row(
         model, policy.inspection_period, [policy.preventive_threshold], life, cfg,
         seed_sequence,
     )
-    return tables
 
 
 def chain_statistics(

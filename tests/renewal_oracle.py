@@ -4,8 +4,9 @@ Each solver evaluates its recursion one lattice time at a time, recursing on
 t - kT through dicts keyed by the nanosecond lattice key, exactly as the
 equations read.  They share no code with the chain solver in
 :mod:`cbmlife.renewal`, which the tests compare against them to 1e-12.
-Every solver returns a dict from lattice key to value; :func:`on_lattice`
-lays it out over an array of times.
+Every solver reads row 0 of a one-threshold table set and returns a dict
+from lattice key to value; :func:`on_lattice` lays it out over an array of
+times.
 """
 
 from __future__ import annotations
@@ -43,14 +44,14 @@ def _cost_nonrenewal(tables, costs, idx, kf):
     g = 0.0
     mass = 0.0
     for k in range(1, kf + 1):
-        pp = tables.p_preventive[k]
-        pc = tables.p_corrective[k]
+        pp = tables.p_preventive[0, k]
+        pc = tables.p_corrective[0, k]
         g += (Cp + CI * (k - 1)) * pp
         g += (Cc + CI * (k - 1)) * pc
-        g += Cd * tables.joint_downtime[k]
+        g += Cd * tables.joint_downtime[0, k]
         mass += pp + pc
     g += kf * CI * (1.0 - mass)
-    g += Cd * tables.residual_downtime[idx]
+    g += Cd * tables.residual_downtime[0, idx]
     return g
 
 
@@ -66,11 +67,11 @@ def _solve_cost_memo(tables: EstimateTables, costs: CostStructure) -> dict:
         idx = tables.index_of(t)
         kf = _kf(t, T, tables.kmax)
         if kf == 0:
-            val = Cd * tables.residual_downtime[idx]
+            val = Cd * tables.residual_downtime[0, idx]
         else:
             val = sum(
                 solve(t - k * T)
-                * (tables.p_preventive[k] + tables.p_corrective[k])
+                * (tables.p_preventive[0, k] + tables.p_corrective[0, k])
                 for k in range(1, kf + 1)
             )
             val += _cost_nonrenewal(tables, costs, idx, kf)
@@ -103,9 +104,9 @@ def _solve_cost_sq_memo(tables: EstimateTables, costs: CostStructure) -> dict:
         val = 0.0
         mass = 0.0
         for k in range(1, kf + 1):
-            pp = tables.p_preventive[k]
-            pc = tables.p_corrective[k]
-            jw = tables.joint_downtime[k]
+            pp = tables.p_preventive[0, k]
+            pc = tables.p_corrective[0, k]
+            jw = tables.joint_downtime[0, k]
             # A replacement at kT costs c + D plus C(t - kT) of the next cycle.
             before = ec[_key(t - k * T)]
             cp = Cp + CI * (k - 1)
@@ -113,11 +114,11 @@ def _solve_cost_sq_memo(tables: EstimateTables, costs: CostStructure) -> dict:
             val += solve(t - k * T) * (pp + pc)
             val += (cp * cp + 2.0 * cp * before) * pp
             val += (cc * cc + 2.0 * cc * before) * pc
-            val += 2.0 * (cc + before) * Cd * jw + Cd * Cd * tables.joint_downtime_sq[k]
+            val += 2.0 * (cc + before) * Cd * jw + Cd * Cd * tables.joint_downtime_sq[0, k]
             mass += pp + pc
         val += (kf * CI) ** 2 * (1.0 - mass)
-        val += 2.0 * kf * CI * Cd * tables.residual_downtime[idx]
-        val += Cd * Cd * tables.residual_downtime_sq[idx]
+        val += 2.0 * kf * CI * Cd * tables.residual_downtime[0, idx]
+        val += Cd * Cd * tables.residual_downtime_sq[0, idx]
         memo[key] = val
         return val
 
@@ -136,11 +137,11 @@ def _solve_survival_memo(tables: EstimateTables, preventive_only: bool) -> dict:
             return memo[key]
         idx = tables.index_of(t)
         kf = _kf(t, T, tables.kmax)
-        val = float(tables.alive_no_replacement[idx])
+        val = float(tables.alive_no_replacement[0, idx])
         for k in range(1, kf + 1):
-            p = tables.p_preventive[k]
+            p = tables.p_preventive[0, k]
             if not preventive_only:
-                p += tables.p_corrective[k]
+                p += tables.p_corrective[0, k]
             val += solve(t - k * T) * p
         memo[key] = val
         return val
@@ -169,12 +170,12 @@ def _solve_interval_memo(tables: EstimateTables, s: float) -> dict:
         end = t + s
         kf_t = _kf(t, T, tables.kmax)
         kf_end = _kf(end, T, tables.kmax)
-        val = float(tables.alive_no_replacement[tables.index_of(end)])
+        val = float(tables.alive_no_replacement[0, tables.index_of(end)])
         for k in range(kf_t + 1, kf_end + 1):
-            val += rel[_key(end - k * T)] * tables.p_preventive[k]
+            val += rel[_key(end - k * T)] * tables.p_preventive[0, k]
         for k in range(1, kf_t + 1):
             val += solve(t - k * T) * (
-                tables.p_preventive[k] + tables.p_corrective[k]
+                tables.p_preventive[0, k] + tables.p_corrective[0, k]
             )
         memo[key] = val
         return val

@@ -51,7 +51,6 @@ from cbmlife.renewal import (
     interval_reliability,
     performance_curve,
     reliability,
-    stack_tables,
     std_dev,
 )
 from cbmlife.sensitivity import gamma_sensitivity, shock_sensitivity
@@ -196,9 +195,8 @@ def test_criterion_4_oracle_equivalence(ref_model, ref_costs, ref_life):
         policy = MaintenancePolicy(inspection_period=10.0, preventive_threshold=M)
         tables = estimate_tables(ref_model, policy, ref_life, cfg)
         recursive = expected_cost(tables, ref_costs, tf) / tf
-        # Rows 1.. of the stack are the worker blocks, one rate each.
-        stack = stack_tables([tables], blocks=True)
-        block_rates = list(expected_costs(stack, ref_costs, tf)[1:] / tf)
+        # The rows of tables.batches() are the worker blocks, one rate each.
+        block_rates = list(expected_costs(tables.batches(), ref_costs, tf) / tf)
         assert len(block_rates) == cfg.worker_streams
         se_rec = float(np.std(block_rates, ddof=1)) / math.sqrt(len(block_rates))
         _, totals = chain_statistics(ref_model, policy, ref_costs, ref_life, cfg)

@@ -8,7 +8,6 @@ from cbmlife.errors import InconsistencyError
 from cbmlife.model import CostStructure, LifeCycle, MaintenancePolicy
 from cbmlife.optimize import (
     PolicyGrid,
-    _row_seed,
     optimize_asymptotic,
     optimize_transient,
     write_matrix_csv,
@@ -17,13 +16,13 @@ from cbmlife.renewal import (
     asymptotic_cost_rate,
     expected_cost,
     expected_costs,
-    stack_tables,
 )
 from cbmlife.simulate import (
     SimulationConfig,
     chain_statistics,
     estimate_row,
     estimate_tables,
+    row_seed,
 )
 
 SEED = 31415
@@ -108,13 +107,13 @@ class TestOptimization:
         warned = 0
         for T in grid.T_values:
             row = estimate_row(ref_model, T, grid.M_values, ref_life, cfg,
-                               _row_seed(cfg.master_seed, T))
-            for M, tables in zip(grid.M_values, row):
+                               row_seed(cfg.master_seed, T))
+            for M, fraction in zip(grid.M_values, row.censored_fraction):
                 label = f"(T={T:g}, M={M:g}) "
                 cell = [m for m in result.warnings if m.startswith(label)]
-                if tables.censored_fraction >= 0.01:
+                if fraction >= 0.01:
                     assert len(cell) == 1
-                    assert f"censored mass {tables.censored_fraction:.3f} " in cell[0]
+                    assert f"censored mass {fraction:.3f} " in cell[0]
                     warned += 1
                 else:
                     assert cell == []
@@ -129,11 +128,11 @@ class TestOptimization:
         expected = []
         for T in grid.T_values:
             row = estimate_row(ref_model, T, grid.M_values, ref_life, cfg,
-                               _row_seed(cfg.master_seed, T))
-            for M, tables in zip(grid.M_values, row):
+                               row_seed(cfg.master_seed, T))
+            for i, M in enumerate(grid.M_values):
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
-                    asymptotic_cost_rate(tables, ref_costs)
+                    asymptotic_cost_rate(row.take(i), ref_costs)
                 expected += [f"(T={T:g}, M={M:g}) {w.message}" for w in caught]
         assert expected and list(result.warnings) == expected
 
@@ -148,14 +147,12 @@ class TestOptimization:
         result = optimize_transient(ref_model, ref_costs, ref_life, grid, cfg)
         tables = estimate_tables(
             ref_model, MaintenancePolicy(10.0, 14.0), ref_life, cfg,
-            seed_sequence=_row_seed(SEED, 10.0),
+            seed_sequence=row_seed(SEED, 10.0),
         )
         assert result.values[0, 0] == expected_cost(tables, ref_costs, 50.0) / 50.0
         assert np.isfinite(result.stderr[0, 0]) == finite
         if finite:
-            rates = expected_costs(
-                stack_tables([tables], blocks=True), ref_costs, 50.0
-            )[1:] / 50.0
+            rates = expected_costs(tables.batches(), ref_costs, 50.0) / 50.0
             assert len(rates) == min(n, 4)
             se = np.std(rates, ddof=1) / np.sqrt(len(rates))
             assert result.stderr[0, 0] == se

@@ -35,7 +35,6 @@ from cbmlife.renewal import (
     interval_reliability,
     performance_curve,
     reliability,
-    stack_tables,
     std_dev,
     write_cost_curve_csv,
     write_performance_curve_csv,
@@ -62,7 +61,7 @@ class TestExpectedCost:
         for t in (1.0, 5.0, 9.0):
             assert expected_cost(tables_small, ref_costs, t) == pytest.approx(
                 ref_costs.downtime_rate
-                * tables_small.residual_downtime[tables_small.index_of(t)],
+                * tables_small.residual_downtime[0, tables_small.index_of(t)],
                 rel=1e-12,
             )
 
@@ -99,7 +98,7 @@ class TestExpectedCost:
             tables_small, bresid2=np.zeros_like(tables_small.bresid2)
         )
         t = 9.0
-        assert broken.residual_downtime[broken.index_of(t)] > 0.0
+        assert broken.residual_downtime[0, broken.index_of(t)] > 0.0
         with pytest.raises(InconsistencyError):
             std_dev(broken, ref_costs, t)
 
@@ -116,7 +115,7 @@ class TestAsymptotic:
         tables = estimate_tables(
             ref_model, policy, life, SimulationConfig(n_samples=2_000, master_seed=SEED)
         )
-        assert tables.censored_fraction >= 0.01
+        assert tables.censored_fraction[0] >= 0.01
         with pytest.warns(TruncationWarning):
             asymptotic_cost_rate(tables, ref_costs)
 
@@ -134,8 +133,8 @@ class TestAsymptotic:
         mass_full = tables_small.p_preventive.sum() + tables_small.p_corrective.sum()
         truncated = dataclasses.replace(
             tables_small,
-            bp_p=tables_small.bp_p[:, :3].copy(),
-            bp_c=tables_small.bp_c[:, :3].copy(),
+            bp_p=tables_small.bp_p[..., :3].copy(),
+            bp_c=tables_small.bp_c[..., :3].copy(),
         )
         mass_trunc = truncated.p_preventive.sum() + truncated.p_corrective.sum()
         assert mass_trunc <= mass_full + 1e-15
@@ -143,18 +142,18 @@ class TestAsymptotic:
     def test_truncated_ratio_stops_at_kmax(self, tables_small, ref_costs):
         truncated = dataclasses.replace(
             tables_small,
-            bp_p=tables_small.bp_p[:, :3].copy(),
-            bp_c=tables_small.bp_c[:, :3].copy(),
+            bp_p=tables_small.bp_p[..., :3].copy(),
+            bp_c=tables_small.bp_c[..., :3].copy(),
         )
         assert truncated.kmax == 2
-        assert truncated.joint_downtime[3:].sum() > 0.0  # downtime past kmax
+        assert truncated.joint_downtime[0, 3:].sum() > 0.0  # downtime past kmax
         c = ref_costs
         numerator = denominator = 0.0
         for k in (1, 2):
-            pp, pc = truncated.p_preventive[k], truncated.p_corrective[k]
+            pp, pc = truncated.p_preventive[0, k], truncated.p_corrective[0, k]
             numerator += (c.corrective * pc + c.preventive * pp
                           + c.inspection * (k - 1) * (pp + pc)
-                          + c.downtime_rate * truncated.joint_downtime[k])
+                          + c.downtime_rate * truncated.joint_downtime[0, k])
             denominator += k * truncated.T * (pp + pc)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
@@ -252,12 +251,25 @@ class TestPerformanceMeasures:
         avail = performance_curve(tables, "availability").values
         rel = performance_curve(tables, "reliability").values
         first = tables.times < T - 1e-9
-        assert np.array_equal(avail[first], tables.alive_no_replacement[first])
+        assert np.array_equal(avail[first], tables.alive_no_replacement[0, first])
         assert np.all(rel <= avail + 1e-12)
         at_zero = performance_curve(tables, "interval_reliability", s=0.0)
         assert np.abs(at_zero.values - avail).max() <= 1e-12
         for t in (T, 2 * T, 50.0):
             assert abs(interval_reliability(tables, 0.0, t) - reliability(tables, t)) <= 1e-12
+
+
+# The measures of one policy, each on a table set and a cost vector.
+ONE_POLICY_MEASURES = {
+    "expected_cost": lambda tables, costs: expected_cost(tables, costs, 10.0),
+    "std_dev": lambda tables, costs: std_dev(tables, costs, 10.0),
+    "cost_curve": cost_curve,
+    "asymptotic_cost_rate": asymptotic_cost_rate,
+    "availability": lambda tables, costs: availability(tables, 10.0),
+    "reliability": lambda tables, costs: reliability(tables, 10.0),
+    "interval_reliability": lambda tables, costs: interval_reliability(tables, 10.0, 5.0),
+    "performance_curve": lambda tables, costs: performance_curve(tables, "availability"),
+}
 
 
 class TestQueryChecks:
@@ -278,6 +290,21 @@ class TestQueryChecks:
             performance_curve(tables_small, "interval_reliability", s=s)
         with pytest.raises(GridCoverageError, match="interval length"):
             interval_reliability(tables_small, 10.0, s)
+
+    @pytest.mark.parametrize(
+        "measure", ONE_POLICY_MEASURES.values(), ids=list(ONE_POLICY_MEASURES)
+    )
+    def test_one_policy_measures_refuse_a_row(
+        self, measure, ref_model, ref_costs, ref_life
+    ):
+        cfg = SimulationConfig(n_samples=200, master_seed=SEED)
+        tables = estimate_row(ref_model, 10.0, (8.0, 14.0, 20.0), ref_life, cfg,
+                              np.random.SeedSequence(SEED))
+        with pytest.raises(ValueError, match="R = 3"):
+            measure(tables, ref_costs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            measure(tables.take(1), ref_costs)  # one threshold of the row
 
 
 @st.composite
@@ -323,40 +350,48 @@ def random_estimates(rng, T, tf, kmax, times):
 
 
 def tables_of(T, tf, times, sizes, estimates):
-    """EstimateTables whose block b holds sizes[b] paths with estimates[b]."""
+    """EstimateTables whose row r holds estimates[r][b] in block b of sizes[b] paths."""
     sizes = np.asarray(sizes)
     return EstimateTables(
-        T=T, M=14.0, horizon=tf, delta=T / 100.0, n=int(sizes.sum()), master_seed=0,
-        worker_streams=len(sizes), digest="random", times=times, block_sizes=sizes,
+        lattice=Lattice(times, T), Ms=np.full(len(estimates), 14.0), horizon=tf,
+        delta=T / 100.0, digest="random", block_sizes=np.tile(sizes, (len(estimates), 1)),
         **{
-            name: np.array([n * e[name] for n, e in zip(sizes, estimates)])
-            for name in estimates[0]
+            name: np.array([[n * e[name] for n, e in zip(sizes, row)] for row in estimates])
+            for name in estimates[0][0]
         },
     )
 
 
 BLOCK_ARRAYS = (
-    "bp_p", "bp_c", "bjw", "bjw2", "balive", "bresid", "bresid2", "bcensored",
+    "block_sizes", "bp_p", "bp_c", "bjw", "bjw2", "balive", "bresid", "bresid2",
+    "bcensored",
 )
 
 
-def block_tables(tables, b):
-    """Worker block b of a table set, as a table set of its own."""
+def block_tables(tables, r, blocks=slice(None)):
+    """Threshold r of a table set, with only the worker blocks ``blocks``.
+
+    It is a one-threshold table set of its own, built without ``take`` or
+    ``batches``.
+    """
     return dataclasses.replace(
-        tables, n=int(tables.block_sizes[b]), worker_streams=1,
-        block_sizes=tables.block_sizes[b : b + 1],
-        **{name: getattr(tables, name)[b : b + 1] for name in BLOCK_ARRAYS},
+        tables, Ms=tables.Ms[r : r + 1],
+        **{name: getattr(tables, name)[r : r + 1, blocks] for name in BLOCK_ARRAYS},
     )
 
 
-def singles(row):
-    """The table sets of a stack with blocks, in its row order."""
-    return [
-        one
-        for tables in row
-        for one in (tables, *(block_tables(tables, b)
-                              for b in np.flatnonzero(tables.block_sizes)))
+def singles(tables):
+    """The one-threshold table sets of the rows of tables and of tables.batches().
+
+    Threshold r with all its blocks, in row order; then each nonempty block
+    b of threshold r alone, threshold-major.
+    """
+    pooled = [block_tables(tables, r) for r in range(len(tables.Ms))]
+    blocks = [
+        block_tables(tables, r, slice(b, b + 1))
+        for r, b in zip(*np.nonzero(tables.block_sizes))
     ]
+    return pooled, blocks
 
 
 @st.composite
@@ -366,21 +401,21 @@ def random_tables(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     times = lattice_times(T, tf)
     # One block of n = 1 whose sums are the pooled estimates themselves.
-    return tables_of(T, tf, times, [1], [random_estimates(rng, T, tf, kmax, times)])
+    return tables_of(T, tf, times, [1], [[random_estimates(rng, T, tf, kmax, times)]])
 
 
 @st.composite
 def random_row(draw):
-    """Table sets on one random lattice, of the same blocks, some maybe empty."""
+    """A table set of several thresholds on a random lattice, some blocks maybe empty."""
     T, tf, kmax = draw(random_lattice())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     times = lattice_times(T, tf)
     sizes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4).filter(any))
-    return [
-        tables_of(T, tf, times, sizes,
-                  [random_estimates(rng, T, tf, kmax, times) for _ in sizes])
-        for _ in range(draw(st.integers(1, 5)))
-    ]
+    return tables_of(
+        T, tf, times, sizes,
+        [[random_estimates(rng, T, tf, kmax, times) for _ in sizes]
+         for _ in range(draw(st.integers(1, 5)))],
+    )
 
 
 def one_solve(chains, g, p, v=None):
@@ -421,74 +456,47 @@ class TestBatchedSolve:
             alone = one_solve(chains, g[r], p[r], None if v is None else v[r])
             assert np.array_equal(batched[r], alone)
 
-    @given(row=random_row(), pick=st.integers(0, 10**6))
+    @given(tables=random_row(), pick=st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
-    def test_row_measures_equal_one_table_measures(self, row, pick, ref_costs):
-        stack = stack_tables(row, blocks=True)
-        tables = singles(row)
-        assert len(stack.censored_fraction) == len(tables)
-        t = float(row[0].times[pick % len(row[0].times)])
-        costs = expected_costs(stack, ref_costs, t)
-        rates = asymptotic_cost_rates(stack, ref_costs)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            for r, one in enumerate(tables):
-                assert stack.censored_fraction[r] == one.censored_fraction
-                assert costs[r] == expected_cost(one, ref_costs, t)
-                if np.isnan(rates[r]):
-                    with pytest.raises(InconsistencyError):
-                        asymptotic_cost_rate(one, ref_costs)
-                else:
-                    assert rates[r] == asymptotic_cost_rate(one, ref_costs)
-        try:
-            mean, sd = cost_moments(stack, ref_costs, t)
-        except InconsistencyError:
-            with pytest.raises(InconsistencyError):
-                for one in tables:
-                    std_dev(one, ref_costs, t)
-        else:
-            for r, one in enumerate(tables):
-                assert mean[r] == costs[r]
-                assert sd[r] == std_dev(one, ref_costs, t)
+    def test_row_measures_equal_one_table_measures(self, tables, pick, ref_costs):
+        t = float(tables.times[pick % len(tables.times)])
+        assert_row_measures_equal_one_table_measures(tables, ref_costs, t)
 
     def test_row_with_empty_blocks(self, ref_model, ref_costs, ref_life):
         cfg = SimulationConfig(n_samples=3, master_seed=SEED, worker_streams=4)
         seq = np.random.SeedSequence(SEED)
-        row = list(estimate_row(ref_model, 10.0, (8.0, 14.0), ref_life, cfg, seq))
-        assert list(row[0].block_sizes) == [1, 1, 1, 0]
-        stack = stack_tables(row, blocks=True)
-        tables = singles(row)
-        assert len(tables) == len(stack.censored_fraction) == 2 * (1 + 3)
+        tables = estimate_row(ref_model, 10.0, (8.0, 14.0), ref_life, cfg, seq)
+        assert tables.block_sizes.tolist() == [[1, 1, 1, 0], [1, 1, 1, 0]]
+        assert len(tables.batches().Ms) == 2 * 3
+        assert_row_measures_equal_one_table_measures(tables, ref_costs, 50.0)
+
+
+def assert_row_measures_equal_one_table_measures(tables, costs, t):
+    """Each row of tables and of tables.batches() is its one-threshold table set."""
+    for rows, ones in zip((tables, tables.batches()), singles(tables)):
+        assert len(rows.censored_fraction) == len(ones)
+        values = expected_costs(rows, costs, t)
+        rates = asymptotic_cost_rates(rows, costs)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
-            for r, one in enumerate(tables):
-                assert expected_costs(stack, ref_costs, 50.0)[r] == expected_cost(
-                    one, ref_costs, 50.0
-                )
-                rate = asymptotic_cost_rates(stack, ref_costs)[r]
-                if np.isnan(rate):
+            for r, one in enumerate(ones):
+                assert rows.censored_fraction[r] == one.censored_fraction[0]
+                assert values[r] == expected_cost(one, costs, t)
+                if np.isnan(rates[r]):
                     with pytest.raises(InconsistencyError):
-                        asymptotic_cost_rate(one, ref_costs)
+                        asymptotic_cost_rate(one, costs)
                 else:
-                    assert rate == asymptotic_cost_rate(one, ref_costs)
-
-    def test_pooled_rows_only_by_default(self, tables_small, ref_costs):
-        stack = stack_tables([tables_small, tables_small])
-        assert stack.p_preventive.shape == (2, tables_small.kmax + 1)
-        assert np.array_equal(stack.p_preventive[1], tables_small.p_preventive)
-        assert expected_costs(stack, ref_costs, 50.0)[1] == expected_cost(
-            tables_small, ref_costs, 50.0
-        )
-
-    def test_stack_needs_one_lattice(self, tables_small, ref_model, ref_life):
-        other = estimate_tables(
-            ref_model, MaintenancePolicy(5.0, 14.0), ref_life,
-            SimulationConfig(n_samples=200, master_seed=SEED),
-        )
-        with pytest.raises(ValueError, match="one lattice"):
-            stack_tables([tables_small, other])
-        with pytest.raises(ValueError):
-            stack_tables([])
+                    assert rates[r] == asymptotic_cost_rate(one, costs)
+        try:
+            mean, sd = cost_moments(rows, costs, t)
+        except InconsistencyError:
+            with pytest.raises(InconsistencyError):
+                for one in ones:
+                    std_dev(one, costs, t)
+        else:
+            for r, one in enumerate(ones):
+                assert mean[r] == values[r]
+                assert sd[r] == std_dev(one, costs, t)
 
 
 class TestRandomLattices:
@@ -498,7 +506,7 @@ class TestRandomLattices:
         tables.validate()
         times = tables.times
         mean = np.array([expected_cost(tables, ref_costs, t) for t in times])
-        mean_sq = _cost_moments(stack_tables([tables]), ref_costs)[1][0]
+        mean_sq = _cost_moments(tables, ref_costs)[1][0]
         for solved, memo in (
             (mean, _solve_cost_memo(tables, ref_costs)),
             (mean_sq, _solve_cost_sq_memo(tables, ref_costs)),

@@ -3,11 +3,13 @@
 The row's generator, default_rng of its seed sequence, draws the paths of
 every threshold in ascending M, in passes of consecutive thresholds (a
 threshold above the pass cap alone, in chunks), and each threshold has paths
-of its own.  Worker block b of a threshold is the b-th range of its paths.
-A table set therefore depends on its row's set of thresholds, though not on
-their order or the process count, its pooled counts not on the number of
-blocks, and estimate_tables is the one-threshold row.  A cell of a row is
-not bit for bit its one-threshold estimate_tables, but it has the same law:
+of its own; the row's table set holds them in the order given, one row
+each.  Worker block b of a threshold is the b-th range of its paths.  A
+threshold's estimates therefore depend on the row's set of thresholds,
+though not on their order or the process count, its pooled counts not on
+the number of blocks, and estimate_tables is the one-threshold row.  A cell
+of a row is not bit for bit its one-threshold estimate_tables, but it has
+the same law:
 the tests below check the layout against the reference reduction, the
 invariances, the agreement in law with each cell's own estimate, and the
 generators and sampler calls a row costs.
@@ -31,7 +33,6 @@ from cbmlife.model import (
 from cbmlife.optimize import PolicyGrid, optimize_transient
 from cbmlife.simulate import (
     SimulationConfig,
-    _passes,
     _simulate_kernel,
     _skeleton,
     estimate_row,
@@ -64,10 +65,10 @@ def row_seed():
 def by_path_ranges(model, T, Ms, life, cfg):
     """Each threshold's block sums, drawn as documented and reduced by the loop.
 
-    One generator draws the paths of every threshold, in ascending M, pass
-    by pass, and a threshold of more paths than the cap in the fewest even
-    chunks; block b of a threshold is the b-th range of its paths, reduced
-    on its own by the reference reduction.
+    One generator draws the paths of every threshold, in ascending M, in
+    passes of cap // n thresholds, and a threshold of more paths than the
+    cap alone, in the fewest even chunks; block b of a threshold is the b-th
+    range of its paths, reduced on its own by the reference reduction.
     """
     policy = MaintenancePolicy(T, min(Ms))
     delta, times = cfg.step_for(policy), eval_times(policy, life)
@@ -78,8 +79,9 @@ def by_path_ranges(model, T, Ms, life, cfg):
     ascending = sorted(Ms)
     rng = np.random.default_rng(row_seed())
     outputs = {}
-    for cells in _passes([n] * len(Ms), cap):
-        levels = [ascending[c] for c in cells]
+    per_pass = max(1, cap // n)
+    for first in range(0, len(Ms), per_pass):
+        levels = ascending[first : first + per_pass]
         chunks = math.ceil(n / cap)
         for c in range(chunks):
             size = (c + 1) * n // chunks - c * n // chunks
@@ -103,23 +105,23 @@ def by_path_ranges(model, T, Ms, life, cfg):
 
 
 def assert_row_follows_its_generator(model, T, Ms, life, cfg):
-    row = list(estimate_row(model, T, Ms, life, cfg, row_seed()))
+    tables = estimate_row(model, T, Ms, life, cfg, row_seed())
     expected, block = by_path_ranges(model, T, Ms, life, cfg)
-    assert [tables.M for tables in row] == list(Ms)
-    for tables in row:
+    assert tables.Ms.tolist() == list(Ms)
+    for r, M in enumerate(Ms):
         for b in range(cfg.worker_streams):
-            sums = expected[tables.M].get(b)
+            sums = expected[M].get(b)
             for name in COUNTS + SUMS:
-                got = getattr(tables, "b" + name)[b]
+                got = getattr(tables, "b" + name)[r, b]
                 if sums is None:  # an empty block keeps its zero row
-                    assert not np.any(got), (tables.M, b, name)
+                    assert not np.any(got), (M, b, name)
                 elif name in COUNTS:
-                    assert np.array_equal(got, sums[name]), (tables.M, b, name)
+                    assert np.array_equal(got, sums[name]), (M, b, name)
                 else:
                     # sums of block[b] nonnegative terms, in another order
                     np.testing.assert_allclose(
                         got, sums[name], rtol=block[b] * np.finfo(float).eps,
-                        atol=0.0, err_msg=f"M={tables.M} block {b} {name}",
+                        atol=0.0, err_msg=f"M={M} block {b} {name}",
                     )
 
 
@@ -166,7 +168,7 @@ def test_row_with_shock_threshold_at_or_above_L(Ms):
 def test_row_spanning_several_passes(model, monkeypatch, n, streams):
     monkeypatch.setattr(simulate, "_PASS_PATHS", 100)
     cfg = SimulationConfig(n_samples=n, master_seed=SEED, worker_streams=streams)
-    assert len(_passes([n] * len(THRESHOLDS), simulate._PASS_PATHS)) > 1
+    assert max(1, simulate._PASS_PATHS // n) < len(THRESHOLDS)  # several passes
     # Shuffled, so the passes must follow ascending M, not the order given.
     Ms = (25.0, 5.0, 30.0, 14.0, 20.0)
     assert_row_follows_its_generator(model, 10.0, Ms, LifeCycle(50.0), cfg)
@@ -178,38 +180,55 @@ def test_one_threshold_row_is_estimate_tables(model, monkeypatch):
     monkeypatch.setattr(simulate, "_PASS_PATHS", 100)
     life = LifeCycle(50.0)
     cfg = SimulationConfig(n_samples=404, master_seed=SEED, worker_streams=4)
-    row = list(estimate_row(model, 10.0, THRESHOLDS, life, cfg, row_seed()))
+    row = estimate_row(model, 10.0, THRESHOLDS, life, cfg, row_seed())
     alone = estimate_tables(model, MaintenancePolicy(10.0, 5.0), life, cfg,
                             seed_sequence=row_seed())
     for name in ("bp_p", "bp_c", "bjw", "bjw2", "balive", "bresid", "bresid2"):
-        assert np.array_equal(getattr(row[0], name), getattr(alone, name)), name
-    assert not np.array_equal(row[1].balive, alone.balive)
+        assert np.array_equal(getattr(row, name)[0], getattr(alone, name)[0]), name
+    assert not np.array_equal(row.balive[1], alone.balive[0])
 
 
 def test_thresholds_have_paths_of_their_own(model):
-    # A threshold given twice gets two table sets from disjoint paths.
+    # A threshold given twice gets two rows from disjoint paths.
     cfg = SimulationConfig(n_samples=400, master_seed=SEED)
-    first, second = estimate_row(model, 10.0, (14.0, 14.0), LifeCycle(50.0), cfg,
-                                 row_seed())
-    assert first.digest == second.digest
+    tables = estimate_row(model, 10.0, (14.0, 14.0), LifeCycle(50.0), cfg, row_seed())
+    first, second = tables.take(0), tables.take(1)
+    assert first.digest == second.digest == tables.digest
     assert not np.array_equal(first.balive, second.balive)
     assert not np.array_equal(first.bp_p, second.bp_p)
-
-
-def test_passes_group_in_order_and_never_split():
-    assert _passes([30, 120, 50, 50, 0, 10], 100) == [[0], [1], [2, 3], [5]]
-    assert _passes([0, 0], 100) == []
 
 
 def test_threshold_order_does_not_matter(model):
     life = LifeCycle(50.0)
     cfg = SimulationConfig(n_samples=250, master_seed=SEED)
-    row = list(estimate_row(model, 10.0, THRESHOLDS, life, cfg, row_seed()))
+    row = estimate_row(model, 10.0, THRESHOLDS, life, cfg, row_seed())
     permuted = (25.0, 5.0, 30.0, 14.0, 20.0)
-    other = list(estimate_row(model, 10.0, permuted, life, cfg, row_seed()))
-    by_M = {tables.M: tables for tables in other}
-    for tables in row:
-        assert tables.equals(by_M[tables.M])
+    other = estimate_row(model, 10.0, permuted, life, cfg, row_seed())
+    for i, M in enumerate(THRESHOLDS):
+        assert row.take(i).equals(other.take(permuted.index(M)))
+
+
+def test_a_row_keeps_the_order_given(model, monkeypatch):
+    # Drawn in ascending M over several passes, the rows follow Ms as
+    # given, and take(i) is threshold i alone: row i of every array.
+    monkeypatch.setattr(simulate, "_PASS_PATHS", 100)
+    life = LifeCycle(50.0)
+    cfg = SimulationConfig(n_samples=30, master_seed=SEED, worker_streams=4)
+    Ms = (25.0, 5.0, 30.0, 14.0, 20.0)
+    shuffled = estimate_row(model, 10.0, Ms, life, cfg, row_seed())
+    ascending = estimate_row(model, 10.0, sorted(Ms), life, cfg, row_seed())
+    assert shuffled.Ms.tolist() == list(Ms)
+    for i, M in enumerate(Ms):
+        one, j = shuffled.take(i), sorted(Ms).index(M)
+        assert one.Ms.tolist() == [M] and one.digest == shuffled.digest
+        for name in ("block_sizes", "bp_p", "bp_c", "bjw", "bjw2", "balive",
+                     "bresid", "bresid2", "bcensored"):
+            assert np.array_equal(getattr(one, name), getattr(shuffled, name)[i : i + 1])
+            assert np.array_equal(getattr(one, name)[0], getattr(ascending, name)[j])
+        for name in ("p_preventive", "p_corrective", "joint_downtime",
+                     "joint_downtime_sq", "alive_no_replacement", "residual_downtime",
+                     "residual_downtime_sq", "censored_fraction"):
+            assert np.array_equal(getattr(one, name)[0], getattr(shuffled, name)[i])
 
 
 def test_blocks_do_not_change_the_pooled_tables(model):
@@ -217,26 +236,26 @@ def test_blocks_do_not_change_the_pooled_tables(model):
     # and the pooled sums add the same terms in another order.
     life, n = LifeCycle(50.0), 803
     rows = {
-        streams: list(estimate_row(
+        streams: estimate_row(
             model, 10.0, THRESHOLDS, life,
             SimulationConfig(n_samples=n, master_seed=SEED, worker_streams=streams),
             row_seed(),
-        ))
+        )
         for streams in (1, 3, 4, 7)
     }
-    for streams, row in rows.items():
-        for tables, ref in zip(row, rows[1]):
-            assert len(tables.block_sizes) == streams
-            for name in ("p_preventive", "p_corrective", "alive_no_replacement",
-                         "censored_fraction"):
-                assert np.array_equal(getattr(tables, name), getattr(ref, name)), name
-            for name in ("joint_downtime", "joint_downtime_sq", "residual_downtime",
-                         "residual_downtime_sq"):
-                np.testing.assert_allclose(
-                    getattr(tables, name), getattr(ref, name),
-                    rtol=n * np.finfo(float).eps, atol=0.0,
-                    err_msg=f"{streams} blocks, M={ref.M} {name}",
-                )
+    ref = rows[1]
+    for streams, tables in rows.items():
+        assert tables.block_sizes.shape == (len(THRESHOLDS), streams)
+        for name in ("p_preventive", "p_corrective", "alive_no_replacement",
+                     "censored_fraction"):
+            assert np.array_equal(getattr(tables, name), getattr(ref, name)), name
+        for name in ("joint_downtime", "joint_downtime_sq", "residual_downtime",
+                     "residual_downtime_sq"):
+            np.testing.assert_allclose(
+                getattr(tables, name), getattr(ref, name),
+                rtol=n * np.finfo(float).eps, atol=0.0,
+                err_msg=f"{streams} blocks, {name}",
+            )
 
 
 def test_processes_do_not_matter(model):
@@ -257,7 +276,8 @@ def test_policies_checked_at_the_call(model):
     cfg = SimulationConfig(n_samples=10)
     with pytest.raises(ConfigurationError, match="must not exceed L"):
         estimate_row(model, 10.0, (14.0, 31.0), life, cfg, row_seed())
-    assert list(estimate_row(model, 10.0, (), life, cfg, row_seed())) == []
+    with pytest.raises(ValueError, match="at least one threshold"):
+        estimate_row(model, 10.0, (), life, cfg, row_seed())
 
 
 @pytest.mark.parametrize(
@@ -272,9 +292,11 @@ def test_policies_checked_at_the_call(model):
 def test_a_corrupted_cell_fails_the_row(
     model, monkeypatch, name, column, change, message
 ):
-    # The thresholds of a pass are checked at once; one bad cell in one
+    # A row is checked once, every threshold at once; one bad cell in one
     # block of the middle threshold fails the row.
-    accumulate, check, checks = simulate._block_accumulate, simulate._check_tables, []
+    accumulate, check, checks = (
+        simulate._block_accumulate, simulate.EstimateTables.validate, []
+    )
 
     def corrupted(model, T, life, delta, Ms, sizes, rng, times):
         sums = accumulate(model, T, life, delta, Ms, sizes, rng, times)
@@ -282,18 +304,18 @@ def test_a_corrupted_cell_fails_the_row(
             sums[name][list(Ms).index(20.0) * len(sizes) + 1, column] += change
         return sums
 
-    def counted(n, blocks):
-        checks.append(blocks["p_p"].shape)
-        return check(n, blocks)
+    def counted(tables):
+        checks.append(tables.bp_p.shape)
+        return check(tables)
 
-    monkeypatch.setattr(simulate, "_check_tables", counted)
+    monkeypatch.setattr(simulate.EstimateTables, "validate", counted)
     life = LifeCycle(50.0)
     cfg = SimulationConfig(n_samples=400, master_seed=SEED, worker_streams=4)
-    list(estimate_row(model, 10.0, THRESHOLDS, life, cfg, row_seed()))
-    assert checks == [(len(THRESHOLDS), 4, 6)]  # one pass holds the row
+    estimate_row(model, 10.0, THRESHOLDS, life, cfg, row_seed())
+    assert checks == [(len(THRESHOLDS), 4, 6)]  # one check of the whole row
     monkeypatch.setattr(simulate, "_block_accumulate", corrupted)
     with pytest.raises(ConfigurationError, match=message):
-        list(estimate_row(model, 10.0, THRESHOLDS, life, cfg, row_seed()))
+        estimate_row(model, 10.0, THRESHOLDS, life, cfg, row_seed())
 
 
 def counted_generators(monkeypatch, counting_rng):
@@ -313,9 +335,9 @@ def test_a_row_costs_one_generator(model, monkeypatch, counting_rng):
     life = LifeCycle(50.0)
     Ms = np.linspace(1.0, 30.0, 30)
     cfg = SimulationConfig(n_samples=800, master_seed=SEED, worker_streams=4)
-    list(estimate_row(model, 10.0, Ms, life, cfg, row_seed()))
+    estimate_row(model, 10.0, Ms, life, cfg, row_seed())
     (rng,) = made
-    passes = len(_passes([cfg.n_samples] * len(Ms), simulate._PASS_PATHS))
+    passes = math.ceil(len(Ms) / (simulate._PASS_PATHS // cfg.n_samples))
     assert passes == 3  # 10 thresholds of 800 paths a pass
     # A bracket of w grid steps is bisected in ceil(log2 w) rounds.
     grid = _skeleton(50.0, 10.0, 0.1)
@@ -331,7 +353,7 @@ def test_a_large_threshold_is_drawn_in_chunks(model, monkeypatch, counting_rng):
     # pass, and the chunks are even.
     made = counted_generators(monkeypatch, counting_rng)
     cfg = SimulationConfig(n_samples=50_000, master_seed=SEED, worker_streams=4)
-    list(estimate_row(model, 10.0, (14.0,), LifeCycle(50.0), cfg, row_seed()))
+    estimate_row(model, 10.0, (14.0,), LifeCycle(50.0), cfg, row_seed())
     (rng,) = made
     cap = simulate._PASS_PATHS
     assert rng.calls["exponential"] == math.ceil(cfg.n_samples / cap)
@@ -356,7 +378,7 @@ def law_rows(model):
     def row(T):
         if T not in rows:
             seed = np.random.SeedSequence(SEED, spawn_key=(1, int(T)))
-            rows[T] = dict(zip(Ms, estimate_row(model, T, Ms, life, cfg, seed)))
+            rows[T] = estimate_row(model, T, Ms, life, cfg, seed)
         return rows[T]
 
     return row, cfg, life
@@ -367,7 +389,7 @@ def law_rows(model):
 )
 def test_row_cells_agree_in_law_with_their_own_tables(model, law_rows, T, M):
     row, cfg, life = law_rows
-    cell = row(T)[M]
+    cell = row(T).take(row(T).Ms.tolist().index(M))
     seed = np.random.SeedSequence(SEED, spawn_key=(2, int(T), int(M)))
     own = estimate_tables(model, MaintenancePolicy(T, M), life, cfg, seed_sequence=seed)
     first = own.lattice.index_of(T)
@@ -375,7 +397,7 @@ def test_row_cells_agree_in_law_with_their_own_tables(model, law_rows, T, M):
     def proportions(tables):
         # Each is the fraction of paths with an event, so binomial.
         return np.array([tables.p_preventive.sum(), tables.p_corrective.sum(),
-                         tables.alive_no_replacement[first]])
+                         tables.alive_no_replacement[0, first]])
 
     a, b = proportions(cell), proportions(own)
     se = np.sqrt((a * (1 - a) + b * (1 - b)) / LAW_N)

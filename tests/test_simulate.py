@@ -131,13 +131,13 @@ class TestEstimateTables:
         total = (
             tables_small.p_preventive.sum()
             + tables_small.p_corrective.sum()
-            + tables_small.censored_fraction
+            + tables_small.censored_fraction[0]
         )
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_probability_ranges(self, tables_small):
         tables_small.validate()
-        assert tables_small.alive_no_replacement[0] == 1.0
+        assert tables_small.alive_no_replacement[0, 0] == 1.0
 
     def test_unreachable_failure_modes(self, ref_life):
         model = make_model(lam1=0.0, lam2=0.0, L=1e9, Ms=1e8)
@@ -282,7 +282,7 @@ class TestChaining:
             counts, _ = chain_statistics(ref_model, ref_policy, ref_costs, ref_life, cfg)
             assert np.array_equal(
                 [(block >= 1).sum() for block in np.split(counts, 4)],
-                tables.block_sizes - tables.bcensored,
+                tables.block_sizes[0] - tables.bcensored[0],
             ), cap
 
     def test_variance_identity(self, strict_full):
@@ -475,16 +475,17 @@ class TestPersistence:
         delta = cfg.step_for(ref_policy)
 
         def digest(cfg, seq, row=(ref_policy.preventive_threshold,)):
-            return tables_digest(ref_model, ref_policy, ref_life, cfg, delta, seq, row)
+            return tables_digest(ref_model, 10.0, row, ref_life, cfg, delta, seq)
 
         assert tables.digest == digest(cfg, np.random.SeedSequence(SEED))
-        # Format 4: the seed sequence names the row's one generator.
+        # Format 5: one digest a row, which names its sorted thresholds and
+        # the seed sequence of its one generator.
         deg, shocks = ref_model.degradation, ref_model.shocks
         payload = {
-            "format": 4, "alpha": deg.alpha, "beta": deg.beta,
+            "format": 5, "alpha": deg.alpha, "beta": deg.beta,
             "lambda1": shocks.lambda1, "lambda2": shocks.lambda2,
             "L": ref_model.breakdown_threshold, "Ms": ref_model.shock_threshold,
-            "T": 10.0, "M": 14.0, "row": [14.0], "tf": 50.0, "n": 200,
+            "T": 10.0, "row": [14.0], "tf": 50.0, "n": 200,
             "delta": delta, "entropy": SEED, "spawn_key": [], "streams": 2,
         }
         blob = json.dumps(payload, sort_keys=True).encode()
@@ -501,11 +502,11 @@ class TestPersistence:
         assert moved.digest == digest(cfg, keyed) != tables.digest
         assert not np.array_equal(moved.balive, tables.balive)
         # a row's cell depends on the row's thresholds, not on their order
-        row = list(estimate_row(ref_model, 10.0, (20.0, 14.0), ref_life, cfg,
-                                np.random.SeedSequence(SEED)))
-        assert row[1].digest == digest(cfg, np.random.SeedSequence(SEED), (14.0, 20.0))
-        assert row[1].digest != tables.digest
-        assert not np.array_equal(row[1].balive, tables.balive)
+        row = estimate_row(ref_model, 10.0, (20.0, 14.0), ref_life, cfg,
+                           np.random.SeedSequence(SEED))
+        assert row.digest == digest(cfg, np.random.SeedSequence(SEED), (14.0, 20.0))
+        assert row.digest != tables.digest
+        assert not np.array_equal(row.balive[1], tables.balive[0])
 
     def test_one_seed_sequence_object_twice(self, ref_model, ref_policy, ref_costs, ref_life):
         # The generator is built without spawning, so one object passed
