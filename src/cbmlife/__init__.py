@@ -4,7 +4,8 @@ Library layout:
 
 - :mod:`cbmlife.model`: validated parametric types.
 - :mod:`cbmlife.simulate`: Monte Carlo engine and estimate tables, one
-  table set per row of thresholds at one inspection period.
+  table set per row of thresholds at one inspection period, for one model
+  or a bundle of models that share their paths.
 - :mod:`cbmlife.renewal`: Markov renewal recursions (cost, variance,
   availability, reliability, interval reliability), of one policy or of
   every row of a table set.

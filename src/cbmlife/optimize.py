@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,11 +55,18 @@ class PolicyGrid:
             raise ValueError("all inspection periods must be positive")
         if any(M <= 0.0 for M in self.M_values):
             raise ValueError("all preventive thresholds must be positive")
+        if not all(math.isfinite(v) for v in (*self.T_values, *self.M_values)):
+            raise ValueError("grid values must be finite")
         # A repeated point would be simulated again from other paths, and
-        # the minimum over its copies is biased low.
+        # the minimum over its copies is biased low.  A row's seed sequence
+        # is keyed by its value in millionths (row_seed), so two values of
+        # one key count as a repeat: their rows would share one stream.
         for name, values in (("T", self.T_values), ("M", self.M_values)):
-            if len(set(values)) < len(values):
-                raise ValueError(f"grid {name} values must not repeat")
+            if len({int(round(v * 1e6)) for v in values}) < len(values):
+                raise ValueError(
+                    f"grid {name} values must not repeat or round to the same "
+                    "millionth"
+                )
 
 
 @dataclass(frozen=True)
@@ -138,6 +144,8 @@ def _run_grid(model, costs, life, grid, cfg, objective, processes):
         (model, costs, life, cfg, T, grid.M_values, objective) for T in grid.T_values
     ]
     if processes > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=processes) as pool:
             rows = list(pool.map(_evaluate_row, jobs))
     else:

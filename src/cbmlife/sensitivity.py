@@ -2,23 +2,30 @@
 
 One table perturbs the gamma-process pair (alpha, beta), the other the shock
 intensity pair (lambda1, lambda2), each entry by a percentage from the
-variation vector.  All cells of a table share the same master seed (common
-random numbers), so cell differences reflect parameters rather than Monte
-Carlo noise; the zero-variation cell is the baseline itself and is not
-simulated again.  Every cell re-optimizes over the swept policy dimension
-before comparing; with T fixed, the whole sweep of one model is one table
-set, from one :func:`~cbmlife.simulate.estimate_row` call, and one batched
-renewal solve over its rows.  Each row of thresholds is seeded by its T, and
-each threshold has paths of its own, drawn from the row's one generator: a
-threshold's estimates depend on the set of swept thresholds, though not on
-their order.  The perturbed models may run in a process pool; the tables do
-not depend on its size.
+variation vector.  Every cell re-optimizes over the swept policy dimension
+before comparing.  The models that share alpha form one bundle, whose
+members are evaluated on one set of paths by
+:func:`~cbmlife.simulate.estimate_row`: the shock table is one bundle, and
+the gamma table one bundle per alpha, whose members read the paths at levels
+scaled by their beta.  The cells of a bundle therefore share their noise
+(common random numbers), and their differences reflect the parameters
+rather than Monte Carlo noise: every cell of the shock table, and the beta
+perturbations of the gamma table.  The alpha perturbations are drawn on
+other paths, so they share no noise with the baseline: alpha rescales time,
+and a path drawn at one alpha cannot serve another on the same delta-grid.
+The baseline is a member of its own bundle, and the zero-variation cell is
+the baseline itself, not simulated again.  With T fixed, the whole sweep of
+a bundle is one table set of (member, threshold) rows, from one
+estimate_row call, and one batched renewal solve over its rows.  Each row of
+thresholds is seeded by its T, and each threshold has paths of its own,
+drawn from the row's one generator: a cell depends on the set of swept
+thresholds and on the betas of its bundle, though not on their order.  The
+bundles may run in a process pool; the tables do not depend on its size.
 """
 
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -75,14 +82,15 @@ def _rows(fixed: tuple[str, float], sweep_values) -> list[tuple[float, tuple]]:
     raise ValueError("fixed dimension must be 'T' or 'M'")
 
 
-def _min_transient_cost(model, costs, life, fixed, sweep_values, cfg) -> float:
-    """Minimal E[C(t_f)] over the swept policy dimension, rows keyed by T."""
-    best = np.inf
+def _min_transient_costs(members, costs, life, fixed, sweep_values, cfg):
+    """Minimal E[C(t_f)] of each member over the swept dimension, rows keyed by T."""
+    best = np.full(len(members), np.inf)
     for T, Ms in _rows(fixed, sweep_values):
-        if any(M > model.breakdown_threshold for M in Ms):
+        if any(M > members[0].breakdown_threshold for M in Ms):
             raise ValueError("swept preventive threshold exceeds L")
-        tables = estimate_row(model, T, Ms, life, cfg, row_seed(cfg.master_seed, T))
-        best = min(best, *expected_costs(tables, costs, life.horizon).tolist())
+        tables = estimate_row(members, T, Ms, life, cfg, row_seed(cfg.master_seed, T))
+        values = expected_costs(tables, costs, life.horizon)
+        best = np.minimum(best, values.reshape(len(members), len(Ms)).min(axis=1))
     return best
 
 
@@ -100,14 +108,12 @@ def _perturbed_model(model: SystemModel, target: str, vi: float, vj: float):
     return replace(model, shocks=shocks)
 
 
-def _cell_job(args) -> tuple[float, list[str]]:
-    model, costs, life, fixed, sweep_values, cfg, target, vi, vj = args
+def _bundle_job(args) -> tuple[np.ndarray, list[str]]:
+    members, costs, life, fixed, sweep_values, cfg = args
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        perturbed = _perturbed_model(model, target, vi, vj)
-        value = _min_transient_cost(perturbed, costs, life, fixed, sweep_values, cfg)
-    messages = [f"(vi={vi:g}%, vj={vj:g}%) {w.message}" for w in caught]
-    return value, messages
+        values = _min_transient_costs(members, costs, life, fixed, sweep_values, cfg)
+    return values, [str(w.message) for w in caught]
 
 
 def _sensitivity_table(
@@ -116,28 +122,45 @@ def _sensitivity_table(
     if any(v <= -100.0 for v in variations):
         raise ValueError("variations must keep parameters positive")
     cfg = cfg or SimulationConfig()
-    baseline = _min_transient_cost(model, costs, life, fixed, sweep_values, cfg)
     m = len(variations)
     perturbed = [
         (i, j) for i in range(m) for j in range(m) if variations[i] or variations[j]
     ]
+    # The baseline is member 0, then one member per perturbed cell; a
+    # perturbed model's warnings are labelled with its cell.
+    members = [model]
+    messages: list[str] = []
+    for i, j in perturbed:
+        vi, vj = variations[i], variations[j]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            members.append(_perturbed_model(model, target, vi, vj))
+        messages.extend(f"(vi={vi:g}%, vj={vj:g}%) {w.message}" for w in caught)
+    # One bundle per alpha: its members share the paths.
+    bundles: dict[float, list[int]] = {}
+    for k, member in enumerate(members):
+        bundles.setdefault(member.degradation.alpha, []).append(k)
     jobs = [
-        (model, costs, life, fixed, sweep_values, cfg, target,
-         variations[i], variations[j])
-        for i, j in perturbed
+        ([members[k] for k in group], costs, life, fixed, sweep_values, cfg)
+        for group in bundles.values()
     ]
     if processes > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            outcomes = list(pool.map(_cell_job, jobs))
+            outcomes = list(pool.map(_bundle_job, jobs))
     else:
-        outcomes = [_cell_job(j) for j in jobs]
-    min_costs = np.full((m, m), baseline)
-    messages: list[str] = []
-    for (i, j), (value, cell_messages) in zip(perturbed, outcomes):
-        min_costs[i, j] = value
-        messages.extend(cell_messages)
+        outcomes = [_bundle_job(j) for j in jobs]
+    values = np.empty(len(members))
+    for group, (bundle_values, bundle_messages) in zip(bundles.values(), outcomes):
+        values[group] = bundle_values
+        messages.extend(bundle_messages)
     for message in dict.fromkeys(messages):
         warnings.warn(message, UserWarning, stacklevel=3)
+    baseline = float(values[0])
+    min_costs = np.full((m, m), baseline)
+    for (i, j), value in zip(perturbed, values[1:]):
+        min_costs[i, j] = value
     variation = np.abs(baseline - min_costs) / baseline * 100.0
     table = VariationTable(
         target=target,

@@ -47,17 +47,27 @@ whose sums are the batch means of the standard errors; the pooled counts do
 not depend on the split.
 
 :func:`estimate_row` returns the table set of every threshold M of one
-inspection period, drawn from one generator built from one seed sequence.
-It draws the thresholds in ascending M, in passes of at most
-``_PASS_PATHS`` paths: a pass holds consecutive thresholds, and a threshold
-with more paths is drawn alone, in the fewest consecutive chunks of at most
-that many, of even sizes.  A pass is one sampler call over all its paths
-and one reduction by (threshold, block), whose sums are written at its
-thresholds' rows, which removes the fixed cost of a sampler call per
-threshold and block; the row is checked once, when every pass has run.
-Each threshold has paths of its own, so the rows of a table set are
-independent; each depends on the row's set of thresholds, though not on
-their order.  :func:`estimate_tables` is the one-threshold row.
+inspection period, drawn from one generator built from one seed sequence,
+for every member of a bundle: models that share alpha, M_s and L.  On the
+same delta-grid X_{alpha,beta}(t) = X_{alpha,beta_d}(t) * beta_d / beta, so
+one set of paths, drawn at alpha and at beta_d, the smallest beta of the
+members, serves them all: member j reads its crossings of M, M_s and L at
+those levels times beta_j / beta_d, three level rows per distinct scale,
+and its shock time from the path's one exponential with its own rates.  A
+bundle of one scale (its members differ only in lambda) draws exactly what
+one model draws.  The row draws the thresholds in ascending M, in passes of
+at most ``_PASS_PATHS // K`` paths for K distinct scales: a pass holds
+consecutive thresholds, and a threshold with more paths is drawn alone, in
+the fewest consecutive chunks of at most that many, of even sizes.  A pass
+is one sampler call over all its paths and one reduction by (member,
+threshold, block) per group of at most ``_PASS_PATHS`` member outcomes,
+whose sums are written at its rows, which removes the fixed cost of a
+sampler call per threshold, block and member; the table set is checked
+once, when every pass has run.  Each threshold has paths of its own, so the
+thresholds' rows are independent, while the members of a bundle share
+their noise; a member's rows depend on the row's set of thresholds and the
+bundle's set of scales, though not on their order.  :func:`estimate_tables`
+is the one-model, one-threshold row.
 """
 
 from __future__ import annotations
@@ -94,7 +104,10 @@ _EPS = 1e-9
 # Paths simulated together in one sampler pass.  A pass holds about 250
 # bytes a path (bisection state, bridge draws and reduction temporaries), so
 # the cap bounds its memory, at about 2 MB; a threshold with more paths is
-# drawn in the fewest even chunks of at most this many.
+# drawn in the fewest even chunks of at most this many.  A bundle of K
+# distinct scales draws three levels a path per scale, so its passes hold
+# at most _PASS_PATHS // K paths, and its members' outcomes are reduced in
+# groups of at most _PASS_PATHS, one group at a time.
 _PASS_PATHS = 8192
 # The most inspection periods t_f/T may hold.  A period adds 10 or 11 lattice
 # points to every table and a skeleton step to every pass, so a longer
@@ -274,52 +287,99 @@ def _bridge(draw, rng, shape_step, a, m, b, xa, xb):
     return x
 
 
-def _simulate_kernel(model, T, horizon, delta, Ms, rng):
-    """Vectorized first-cycle simulation of one pass of paths.
+def _bundle_scales(models):
+    """The rate the paths of a bundle are drawn at, its scales, each member's.
 
-    Path i has preventive threshold ``Ms[i]``; every path is drawn from
-    ``rng``: the skeleton increments, the bridge midpoints round by round,
-    then the exponentials.  Returns per-path arrays: replacement inspection
-    index (k_rep), corrective flag, censored flag, failure time D, crossing
-    time of L and shock time Y (np.inf when beyond the horizon).  Let k_p be
-    the inspection that finds M and end = min(k_p T, horizon): D, sigma_L
-    and Y are the path's own wherever they are at most end, and beyond end
-    they are only known to exceed it (sigma_L then reads np.inf).
+    The paths are drawn at beta_d, the smallest rate of the members; member
+    j reads them at the scale beta_j / beta_d, since on the same delta-grid
+    X_{alpha,beta_j}(t) = X_{alpha,beta_d}(t) * beta_d / beta_j.  Returns
+    beta_d, the distinct scales ascending (the first is 1.0), and the index
+    of each member's scale among them.
     """
-    alpha = model.degradation.alpha
-    beta = model.degradation.beta
-    lam1 = model.shocks.lambda1
-    lam2 = model.shocks.lambda2
-    grid = _skeleton(horizon, T, delta)
-    kmax = int(math.floor(horizon / T + _EPS))
+    rates = [model.degradation.beta for model in models]
+    beta_d = min(rates)
+    scales = sorted({rate / beta_d for rate in rates})
+    return beta_d, scales, [scales.index(rate / beta_d) for rate in rates]
 
-    # Each path's M, then M_s and L in ascending order.
-    low, high = sorted((model.shock_threshold, model.breakdown_threshold))
-    n = len(Ms)
-    levels = np.vstack([np.asarray(Ms, dtype=float), np.full(n, low), np.full(n, high)])
-    pos, xa, xb = _brackets(grid, levels, alpha * delta, 1.0 / beta, rng)
+
+def _simulate_bundle(models, T, horizon, delta, Ms, rng, group):
+    """Draw one pass of paths for a bundle, and its members' outcomes.
+
+    Path i has preventive threshold ``Ms[i]``.  The members share alpha, M_s
+    and L; the paths are drawn at alpha and beta_d (:func:`_bundle_scales`)
+    from ``rng``: the skeleton increments, the bridge midpoints round by
+    round, then one exponential per path.  At scale s a member crosses a
+    level z where the drawn path crosses z * s, so the levels are M, M_s and
+    L at each distinct scale, three rows per scale: one scale (a bundle whose
+    members differ only in lambda) draws what a single model draws.  Each
+    path is drawn until it reaches M at the largest scale.  Yields the
+    outcomes of :func:`_outcomes` for each run of at most ``group``
+    consecutive members, in order, after every draw is made: the outcomes
+    take about 26 bytes a member and path, so a caller that frees a run's
+    before it asks for the next holds one run's at a time.
+    """
+    first = models[0]
+    alpha = first.degradation.alpha
+    beta_d, scales, which = _bundle_scales(models)
+    grid = _skeleton(horizon, T, delta)
+    s, K, n = np.array(scales), len(scales), len(Ms)
+    # M at every scale, the largest first: _brackets stops each path at its
+    # row-0 level.  Then M_s and L at every scale, ascending, as _bisect
+    # takes them.
+    named = np.concatenate([first.shock_threshold * s, first.breakdown_threshold * s])
+    order = np.argsort(named, kind="stable")
+    Ms = np.asarray(Ms, dtype=float)
+    levels = np.vstack([*(Ms * f for f in s[::-1]),
+                        *(np.full(n, z) for z in named[order])])
+    pos, xa, xb = _brackets(grid, levels, alpha * delta, 1.0 / beta_d, rng)
     # Skeleton point k is inspection k for k <= kmax, so M's bracket ends at
     # the inspection k_p that finds it, or past the last one: M is never
-    # bisected.  A path is drawn only up to k_p, so M_s and L are bracketed,
-    # and bisected, only where their bracket opens before end = min(k_p T,
-    # horizon); an unresolved M_s gives v = horizon below, which changes Y
-    # only past end.
-    k_p = pos[0]
-    index = _bisect(grid, pos[1:], xa[1:], xb[1:], levels[1:], alpha * delta, rng)
+    # bisected.  A path is drawn only up to k_p at the largest scale, so M_s
+    # and L are bracketed, and bisected, only where their bracket opens
+    # before then; an unresolved M_s gives v = horizon in _outcomes, which
+    # changes Y only past the member's own end = min(k_p T, horizon).
+    index = _bisect(grid, pos[K:], xa[K:], xb[K:], levels[K:], alpha * delta, rng)
     sigma = np.where(index > 0, index * delta, np.inf)
-    if model.shock_threshold <= model.breakdown_threshold:
-        sigma_Ms, sigma_L = sigma
-    else:
-        sigma_L, sigma_Ms = sigma
+    # The skeleton index of M at each scale, ascending (len(grid) where the
+    # path stays below it), the crossing times in level order, the row of
+    # each level in them (M_s at each scale, then L), and one exponential a
+    # path.
+    rank = np.argsort(order)
+    paths = pos[K - 1 :: -1].copy(), len(grid), sigma, rank, rng.exponential(1.0, n)
+    # The draw's state is freed before any member's outcomes are reduced.
+    del Ms, levels, pos, xa, xb, index
+    for lo in range(0, len(models), group):
+        yield _outcomes(models[lo : lo + group], which[lo : lo + group], paths, T,
+                        horizon)
 
+
+def _outcomes(models, which, paths, T, horizon):
+    """First-cycle outcomes of the members ``models`` on one pass of paths.
+
+    ``paths`` is what :func:`_simulate_bundle` drew, and member m reads its
+    scale ``which[m]``.  Returns (members, paths) arrays: replacement
+    inspection index (k_rep), corrective flag, censored flag, failure time
+    D, crossing time of L and shock time Y (np.inf when beyond the horizon).
+    Let end = min(k_p T, horizon): D, sigma_L and Y are the path's own
+    wherever they are at most end, and beyond end they are only known to
+    exceed it (sigma_L then reads np.inf, or a later crossing that another
+    scale's k_p reached).
+    """
+    pos, unreached, sigma, rank, E = paths
+    rows = np.asarray(which)
+    k_p, sigma_Ms, sigma_L = pos[rows], sigma[rank[rows]], sigma[rank[len(pos) + rows]]
+    kmax = int(math.floor(horizon / T + _EPS))
+    lam1 = np.array([[model.shocks.lambda1] for model in models])
+    lam2 = np.array([[model.shocks.lambda2] for model in models])
     # Exact inverse-transform draw of the shock time given the (grid) time v
     # at which the path enters the high-intensity regime: the cumulative
     # hazard is lam1*t on [0, v] and lam1*v + lam2*(t - v) beyond.
-    E = rng.exponential(1.0, n)
     v = np.minimum(sigma_Ms, horizon)
     with np.errstate(divide="ignore", invalid="ignore"):
-        below = np.where(lam1 > 0.0, E / max(lam1, 1e-300), np.inf)
-        above = np.where(lam2 > 0.0, v + (E - lam1 * v) / max(lam2, 1e-300), np.inf)
+        below = np.where(lam1 > 0.0, E / np.maximum(lam1, 1e-300), np.inf)
+        above = np.where(
+            lam2 > 0.0, v + (E - lam1 * v) / np.maximum(lam2, 1e-300), np.inf
+        )
     Y = np.where(E <= lam1 * v, below, above)
     Y[Y > horizon] = np.inf
 
@@ -327,7 +387,7 @@ def _simulate_kernel(model, T, horizon, delta, Ms, rng):
     # A failure in (0, T] is found at the first inspection, however early.
     k_c = np.maximum(np.ceil(D / T - 1e-12), 1.0)
     k_c[~np.isfinite(k_c)] = kmax + 1_000_000
-    k_p = np.where(k_p < len(grid), k_p, kmax + 1_000_000)
+    k_p = np.where(k_p < unreached, k_p, kmax + 1_000_000)
     corrective = k_c <= k_p
     k_rep = np.where(corrective, k_c, k_p)
     k_rep = np.minimum(k_rep, kmax + 1).astype(np.int64)
@@ -335,24 +395,44 @@ def _simulate_kernel(model, T, horizon, delta, Ms, rng):
     return k_rep, corrective, censored, D, sigma_L, Y
 
 
+def _simulate_kernel(model, T, horizon, delta, Ms, rng):
+    """Vectorized first-cycle simulation of one pass of paths of one model.
+
+    The one-member bundle: the per-path arrays of :func:`_outcomes`.
+    """
+    (outcomes,) = _simulate_bundle([model], T, horizon, delta, Ms, rng, 1)
+    return tuple(v[0] for v in outcomes)
+
+
 def _table(index, rows, cols, weights=None):
     """Counts (or sums of weights) of flat bin indices, as a rows x cols table."""
     return np.bincount(index, weights, minlength=rows * cols).reshape(rows, cols)
 
 
-def _block_accumulate(model, T, life, delta, Ms, sizes, rng, times):
+def _block_accumulate(models, T, life, delta, Ms, sizes, rng, times):
     """Simulate the paths of each threshold in Ms in one pass, and sum them.
 
     A threshold's paths are its blocks' in turn, ``sizes[b]`` of block b.
-    The paths are drawn from ``rng``, those of Ms[0] first, and reduced by
-    :func:`_reduce` with one row per (threshold, block), threshold-major.
+    The paths are drawn from ``rng``, those of Ms[0] first, once for every
+    member of the bundle ``models``, and each member's outcomes are reduced
+    by :func:`_reduce`, members in groups of at most _PASS_PATHS outcomes
+    (at least one member), each group reduced and freed before the next is
+    computed, with one row per (member, threshold, block), member-major.
     """
     kmax = int(math.floor(life.horizon / T + _EPS))
-    k_rep, corrective, censored, D, *_ = _simulate_kernel(
-        model, T, life.horizon, delta, np.repeat(Ms, np.sum(sizes)), rng
-    )
-    bins = np.tile(sizes, len(Ms))
-    return _reduce(k_rep, corrective, censored, D, bins, T, kmax, times)
+    paths = len(Ms) * int(np.sum(sizes))
+    parts = []
+    for k_rep, corrective, censored, D, *_ in _simulate_bundle(
+        models, T, life.horizon, delta, np.repeat(Ms, np.sum(sizes)), rng,
+        max(1, _PASS_PATHS // paths),
+    ):
+        bins = np.tile(sizes, k_rep.size // paths * len(Ms))
+        parts.append(_reduce(k_rep.ravel(), corrective.ravel(), censored.ravel(),
+                             D.ravel(), bins, T, kmax, times))
+        del k_rep, corrective, censored, D, _  # before the next run is computed
+    if len(parts) == 1:
+        return parts[0]
+    return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
 
 
 def _reduce(k_rep, corrective, censored, D, sizes, T, kmax, times):
@@ -383,7 +463,8 @@ def _reduce(k_rep, corrective, censored, D, sizes, T, kmax, times):
     # Column c counts the prefixes longer than c: a reversed cumulative sum
     # of the prefix lengths' counts, from length C down to length 1.
     lengths = _table(owner * (C + 1) + n_alive, S, C + 1)
-    alive = np.cumsum(lengths[:, :0:-1], axis=1)[:, ::-1]
+    alive = np.cumsum(lengths[:, :0:-1], axis=1)[:, ::-1].astype(float)
+    del lengths
     # The (path, column) pairs of the open prefix from D on, path by path,
     # so each bin adds its terms in path order (a term at t = D is 0.0).
     width = n_open - n_alive
@@ -391,12 +472,13 @@ def _reduce(k_rep, corrective, censored, D, sizes, T, kmax, times):
     col = np.arange(len(path)) + np.repeat(n_alive - (np.cumsum(width) - width), width)
     down = times[col] - D[path]
     lattice_cell = owner[path] * C + col
+    del path, col
     return {
         "p_p": _table(cell[~corr], S, K).astype(float),
         "p_c": _table(cell[corr], S, K).astype(float),
         "jw": _table(cell, S, K, w),
         "jw2": _table(cell, S, K, w * w),
-        "alive": alive.astype(float),
+        "alive": alive,
         "resid": _table(lattice_cell, S, C, down),
         "resid2": _table(lattice_cell, S, C, down * down),
         "censored": np.bincount(owner[censored], minlength=S).astype(float),
@@ -481,8 +563,9 @@ def _pooled(blocks: str) -> cached_property:
 class EstimateTables:
     """Monte Carlo estimates feeding the Markov renewal recursions.
 
-    Row r holds the policy (T, Ms[r]).  Arrays prefixed ``b`` hold block
-    sums with axes (threshold, block, ...), and ``block_sizes`` (threshold,
+    Row r holds the policy (T, Ms[r]); the table set of a bundle holds each
+    member's rows in turn (:func:`estimate_row`).  Arrays prefixed ``b``
+    hold block sums with axes (row, block, ...), and ``block_sizes`` (row,
     block) the paths behind each; a pooled estimate is a row's block sums
     over its paths, of shape (R, kmax + 1) per inspection and (R, N) per
     lattice time, and ``censored_fraction`` is (R,).  Downtime moments are
@@ -588,21 +671,25 @@ class EstimateTables:
         )
 
 
-def tables_digest(model, T, Ms, life, cfg, delta: float, seed_sequence) -> str:
-    """Identify the draws behind the table set of the row ``Ms`` of T.
+def tables_digest(models, T, Ms, life, cfg, delta: float, seed_sequence) -> str:
+    """Identify the draws behind the table set of the bundle ``models`` at T.
 
-    A table set depends on its row's set of thresholds, so the digest holds
-    them, sorted, along with the seed sequence the row's generator is built
-    from: its entropy and spawn key.
+    A table set depends on its bundle's set of members and its row's set of
+    thresholds, so the digest holds them, sorted, along with the seed
+    sequence the row's generator is built from: its entropy and spawn key.
+    A member is (alpha, beta, lambda1, lambda2); the members share M_s and
+    L.
     """
+    members = _members(models)
     payload = {
-        "format": 5,  # the version of the payload, so digests stay comparable
-        "alpha": model.degradation.alpha,
-        "beta": model.degradation.beta,
-        "lambda1": model.shocks.lambda1,
-        "lambda2": model.shocks.lambda2,
-        "L": model.breakdown_threshold,
-        "Ms": model.shock_threshold,
+        "format": 6,  # the version of the payload, so digests stay comparable
+        "members": sorted(
+            [m.degradation.alpha, m.degradation.beta,
+             m.shocks.lambda1, m.shocks.lambda2]
+            for m in members
+        ),
+        "L": members[0].breakdown_threshold,
+        "Ms": members[0].shock_threshold,
         "T": T,
         "row": sorted(float(M) for M in Ms),
         "tf": life.horizon,
@@ -633,46 +720,74 @@ def _block_split(n: int, streams: int) -> np.ndarray:
     return np.array([base + (1 if i < extra else 0) for i in range(streams)])
 
 
-def _chunks(n: int) -> list[tuple[int, int]]:
-    """n paths cut into the fewest consecutive ranges of at most _PASS_PATHS.
+def _chunks(n: int, cap: int) -> list[tuple[int, int]]:
+    """n paths cut into the fewest consecutive ranges of at most cap.
 
     The ranges are of even sizes, so none is a small remainder that pays a
     whole pass's fixed cost.
     """
-    count = -(-n // _PASS_PATHS)
+    count = -(-n // cap)
     bounds = [i * n // count for i in range(count + 1)]
     return list(zip(bounds[:-1], bounds[1:]))
 
 
+def _members(models) -> tuple[SystemModel, ...]:
+    """The members of a bundle; one model is the one-member bundle.
+
+    The members must share alpha, M_s and L: their paths differ only in
+    the scale of the levels they read and in the shock rates.
+    """
+    members = (models,) if isinstance(models, SystemModel) else tuple(models)
+    if not members:
+        raise ValueError("a bundle needs at least one model")
+    shared = {
+        (m.degradation.alpha, m.shock_threshold, m.breakdown_threshold)
+        for m in members
+    }
+    if len(shared) > 1:
+        raise ValueError("the members of a bundle must share alpha, M_s and L")
+    return members
+
+
 def estimate_row(
-    model: SystemModel,
+    models,
     T: float,
     Ms,
     life: LifeCycle,
     cfg: SimulationConfig,
     seed_sequence: np.random.SeedSequence,
 ) -> EstimateTables:
-    """The table set of the policies (T, M) for every M in Ms, from one generator.
+    """The table set of the policies (T, M), M in Ms, of a bundle, from one generator.
 
-    Row r is Ms[r].  The generator, ``np.random.default_rng(seed_sequence)``,
-    draws the cfg.n_samples paths of every threshold in ascending M, in
-    passes of max(1, _PASS_PATHS // n_samples) consecutive thresholds (a
-    threshold of more paths is drawn alone, in the chunks of
-    :func:`_chunks`), and each threshold has paths of its own.  Worker block
-    b of a threshold is the b-th range of its paths in the split of
-    :func:`_block_split`, and a block split between chunks adds up its parts
-    in chunk order.  A row therefore depends on its set of thresholds,
-    though not on their order; :func:`estimate_tables` is the one-threshold
-    row.  The policies are checked at the call, and ``seed_sequence`` is
-    left unchanged.
+    ``models`` is one SystemModel, the one-member bundle, or a sequence of
+    members that share alpha, M_s and L.  Row r is member r // len(Ms) at
+    threshold Ms[r % len(Ms)]: the rows are (member, threshold),
+    member-major, in the orders given.  The generator,
+    ``np.random.default_rng(seed_sequence)``, draws the cfg.n_samples paths
+    of every threshold in ascending M, once for all members
+    (:func:`_simulate_bundle`), in passes of max(1, cap // n_samples)
+    consecutive thresholds, where cap = _PASS_PATHS // K and K is the
+    number of distinct scales beta_j / beta_d of the members (a threshold of
+    more paths is drawn alone, in the chunks of :func:`_chunks`); each
+    threshold has paths of its own.  Worker block b of a threshold is the
+    b-th range of its paths in the split of :func:`_block_split`, and a
+    block split between chunks adds up its parts in chunk order.  A member's
+    rows therefore depend on the row's set of thresholds and on the set of
+    scales of the bundle, though not on their order; the members of one
+    scale (a bundle whose members differ only in lambda) draw exactly the
+    paths of a one-member bundle, so their rows are its rows.
+    :func:`estimate_tables` is the one-model, one-threshold row.  The
+    policies are checked at the call, and ``seed_sequence`` is left
+    unchanged.
     """
+    members = _members(models)
     policies = [
         MaintenancePolicy(inspection_period=T, preventive_threshold=M) for M in Ms
     ]
     if not policies:
         raise ValueError("a row needs at least one threshold")
     for policy in policies:
-        _check_simulable(model, policy, life)
+        _check_simulable(members[0], policy, life)
     delta = cfg.step_for(policies[0])
     times = eval_times(policies[0], life)
     Ms = np.array([policy.preventive_threshold for policy in policies])
@@ -680,29 +795,34 @@ def estimate_row(
     block = _block_split(n, B)
     starts = np.concatenate([[0], np.cumsum(block)])
     order = np.argsort(Ms, kind="stable")
-    per_pass = max(1, _PASS_PATHS // n)
+    cap = _PASS_PATHS // len(_bundle_scales(members)[1])
+    per_pass = max(1, cap // n)
     rng = np.random.default_rng(seed_sequence)
     sums: dict[str, np.ndarray] = {}
     for first in range(0, len(Ms), per_pass):
         cells = order[first : first + per_pass]
-        for lo, hi in _chunks(n):
+        for lo, hi in _chunks(n, cap):
             sizes = np.diff(np.clip(starts, lo, hi))
             chunk = _block_accumulate(
-                model, T, life, delta, Ms[cells], sizes, rng, times
+                members, T, life, delta, Ms[cells], sizes, rng, times
             )
             for name, value in chunk.items():
-                value = value.reshape(len(cells), B, *value.shape[1:])
+                value = value.reshape(len(members), len(cells), B, *value.shape[1:])
                 if name not in sums:  # empty blocks stay zero
-                    sums[name] = np.zeros((len(Ms), *value.shape[1:]))
-                sums[name][cells] += value
+                    sums[name] = np.zeros((len(members), len(Ms), *value.shape[2:]))
+                sums[name][:, cells] += value
+    R = len(members) * len(Ms)
     tables = EstimateTables(
         lattice=Lattice(times, T),
-        Ms=Ms,
+        Ms=np.tile(Ms, len(members)),
         horizon=life.horizon,
         delta=delta,
-        digest=tables_digest(model, T, Ms, life, cfg, delta, seed_sequence),
-        block_sizes=np.tile(block, (len(Ms), 1)),
-        **{"b" + name: value for name, value in sums.items()},
+        digest=tables_digest(members, T, Ms, life, cfg, delta, seed_sequence),
+        block_sizes=np.tile(block, (R, 1)),
+        **{
+            "b" + name: value.reshape(R, *value.shape[2:])
+            for name, value in sums.items()
+        },
     )
     tables.validate()
     return tables
@@ -770,7 +890,7 @@ def chain_statistics(
         # Within the remaining horizon a cycle is replaced exactly when it is
         # not censored; a censored one is inspected k_limit times.
         k_limit = int(math.floor(remaining / T + _EPS))
-        for lo, hi in _chunks(len(group)):
+        for lo, hi in _chunks(len(group), _PASS_PATHS):
             idx = group[lo:hi]
             Ms = np.full(len(idx), policy.preventive_threshold)
             k_rep, corrective, censored, D, *_ = _simulate_kernel(

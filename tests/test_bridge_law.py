@@ -144,7 +144,7 @@ def test_one_pass_reduction_matches_loops(T, horizon, delta):
     n = 20_000
     seq = np.random.SeedSequence(SEED)
     sums = _block_accumulate(
-        model, T, life, delta, [14.0], [n], np.random.default_rng(seq), times
+        [model], T, life, delta, [14.0], [n], np.random.default_rng(seq), times
     )
     sums = {key: value[0] for key, value in sums.items()}
     outputs = _simulate_kernel(
@@ -173,7 +173,7 @@ def test_reduction_stops_at_the_last_open_inspection(T, horizon, delta, Ms):
     n, kmax = 5_000, int(horizon // T)
     seq = np.random.SeedSequence(SEED)
     sums = _block_accumulate(
-        model, T, life, delta, Ms, [n], np.random.default_rng(seq), times
+        [model], T, life, delta, Ms, [n], np.random.default_rng(seq), times
     )
     outputs = _simulate_kernel(
         model, T, horizon, delta, np.repeat(Ms, n), np.random.default_rng(seq)

@@ -1,4 +1,5 @@
 import inspect
+import math
 import warnings
 
 import numpy as np
@@ -45,6 +46,17 @@ class TestGrids:
             PolicyGrid(T_values=(10.0,), M_values=(14.0, 15.0, 14.0))
         with pytest.raises(ValueError, match="T values must not repeat"):
             PolicyGrid(T_values=(10.0, 10.0), M_values=(14.0,))
+
+    def test_values_of_one_seed_key_are_refused(self):
+        # Rows are seeded by their T in millionths, so T values that round
+        # to the same millionth would share one random stream.
+        with pytest.raises(ValueError, match="T values must not repeat"):
+            PolicyGrid(T_values=(10.0, 10.0000004), M_values=(14.0,))
+        with pytest.raises(ValueError, match="M values must not repeat"):
+            PolicyGrid(T_values=(10.0,), M_values=(14.0, 14.0000004))
+        with pytest.raises(ValueError, match="finite"):
+            PolicyGrid(T_values=(10.0, math.inf), M_values=(14.0,))
+        PolicyGrid(T_values=(10.0, 10.000001), M_values=(14.0,))
 
     def test_defaults_match_documented_ranges(self):
         grid = PolicyGrid()

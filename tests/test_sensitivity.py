@@ -124,28 +124,51 @@ class TestShockTable:
             breakdown_threshold=ref_model.breakdown_threshold,
             shock_threshold=ref_model.shock_threshold,
         )
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as record:
             shock_sensitivity(
                 thin, ref_costs, ref_life, ("T", 10.0), (14.0,), (-50.0, 0.0), cfg
             )
+        # Only lambda2 halved at lambda1 unperturbed breaks the ordering.
+        assert [str(w.message) for w in record] == [
+            "(vi=0%, vj=-50%) lambda1 > lambda2 violates the increasing-hazard "
+            "assumption"
+        ]
 
 
 def test_baseline_cell_is_not_recomputed(ref_model, ref_costs, ref_life, monkeypatch):
-    simulated = []
+    bundles, rows = [], []
     real = sensitivity.estimate_row
 
-    def counting(model, T, Ms, *args, **kwargs):
-        simulated.extend([model] * len(Ms))
-        return real(model, T, Ms, *args, **kwargs)
+    def counting(models, T, Ms, *args, **kwargs):
+        bundles.append(models)
+        rows.extend((model, M) for model in models for M in Ms)
+        return real(models, T, Ms, *args, **kwargs)
 
     monkeypatch.setattr(sensitivity, "estimate_row", counting)
     cfg = SimulationConfig(n_samples=200, master_seed=SEED, worker_streams=2)
     table = gamma_sensitivity(
         ref_model, ref_costs, ref_life, ("T", 10.0), (14.0,), (-5.0, 0.0, 5.0), cfg
     )
-    assert len(simulated) == 9  # the baseline and the eight perturbed cells
+    # One bundle per alpha, and nine member rows: the baseline, in the
+    # bundle of the unperturbed alpha, and the eight perturbed cells.
+    assert len(bundles) == 3
+    assert all(len({m.degradation.alpha for m in models}) == 1 for models in bundles)
+    assert len(rows) == len(set(rows)) == 9
+    assert (ref_model, 14.0) in rows
     assert table.min_costs[1, 1] == table.baseline_min
     assert table.variation[1, 1] == 0.0
+
+
+def test_processes_do_not_matter(ref_model, ref_costs, ref_life):
+    # The bundles are the pool's tasks; a table does not depend on its size.
+    cfg = SimulationConfig(n_samples=100, master_seed=SEED, worker_streams=2)
+    tables = [
+        gamma_sensitivity(ref_model, ref_costs, ref_life, ("T", 10.0), (12.0, 14.0),
+                          (-5.0, 0.0, 5.0), cfg, processes)
+        for processes in (1, 2)
+    ]
+    assert np.array_equal(tables[0].min_costs, tables[1].min_costs)
+    assert tables[0].baseline_min == tables[1].baseline_min
 
 
 class TestValidationAndExport:

@@ -404,19 +404,51 @@ class TestReduction:
                     atol=0.0, err_msg=key,
                 )
 
-    @pytest.mark.parametrize("tf", [50.0, 200.0])
-    def test_a_pass_holds_little_memory(self, ref_model, tf):
-        # One pass of _PASS_PATHS paths over 30 thresholds at T = 5.  It
-        # peaked at 1.9 MB (t_f = 50) and 2.0 MB (t_f = 200); with the
-        # reduction looping over inspections, at 2.9 and 3.1 MB.
-        T, Ms = 5.0, np.linspace(1.0, 30.0, 30)
+    @pytest.mark.parametrize(
+        "tf, rates, shocks, thresholds",
+        [
+            pytest.param(50.0, 1, 1, 30, id="50.0"),
+            pytest.param(200.0, 1, 1, 30, id="200.0"),
+            pytest.param(50.0, 7, 1, 4, id="50.0-7-rates"),
+            pytest.param(200.0, 7, 1, 4, id="200.0-7-rates"),
+            pytest.param(50.0, 1, 7, 1, id="50.0-49-shock-rates"),
+            pytest.param(200.0, 1, 7, 1, id="200.0-49-shock-rates"),
+        ],
+    )
+    def test_a_pass_holds_little_memory(self, ref_model, tf, rates, shocks, thresholds):
+        # One pass of _PASS_PATHS // K paths at T = 5, for a bundle of K
+        # distinct rates beta, each with shocks**2 pairs (lambda1, lambda2).
+        # With one rate it peaked at 1.8 MB (t_f = 50 and 200); with the
+        # reduction looping over inspections, at 2.9 and 3.1 MB.  With seven
+        # rates it peaked at 1.7 MB.  A pass returns one row of sums per
+        # (member, threshold), so the bundle's case keeps about the 30 rows
+        # of the one-model case: over 30 thresholds its 210 rows of 401
+        # lattice times alone take 2.0 MB at t_f = 200.  The 49 members of
+        # the shock table share one full pass of one threshold, reduced one
+        # member at a time.
+        T, Ms = 5.0, np.linspace(1.0, 30.0, thresholds)
+        variations = (0.0, -10.0, -5.0, -1.0, 1.0, 5.0, 10.0)
+        members = [
+            SystemModel(
+                degradation=GammaDegradation(alpha=0.1, beta=0.1 * (1.0 + v / 100.0)),
+                shocks=ShockIntensity(
+                    lambda1=ref_model.shocks.lambda1 * (1.0 + v1 / 100.0),
+                    lambda2=ref_model.shocks.lambda2 * (1.0 + v2 / 100.0),
+                ),
+                breakdown_threshold=ref_model.breakdown_threshold,
+                shock_threshold=ref_model.shock_threshold,
+            )
+            for v in variations[:rates]
+            for v1 in variations[:shocks]
+            for v2 in variations[:shocks]
+        ]
         life = LifeCycle(tf)
         times = eval_times(MaintenancePolicy(T, 1.0), life)
-        size = simulate._PASS_PATHS // len(Ms)
+        size = simulate._PASS_PATHS // rates // len(Ms)
         rng = np.random.default_rng(SEED)
         tracemalloc.start()
         try:
-            _block_accumulate(ref_model, T, life, T / 100.0, Ms, [size], rng, times)
+            _block_accumulate(members, T, life, T / 100.0, Ms, [size], rng, times)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -478,12 +510,12 @@ class TestPersistence:
             return tables_digest(ref_model, 10.0, row, ref_life, cfg, delta, seq)
 
         assert tables.digest == digest(cfg, np.random.SeedSequence(SEED))
-        # Format 5: one digest a row, which names its sorted thresholds and
-        # the seed sequence of its one generator.
+        # Format 6: one digest a row, which names its sorted members and
+        # thresholds and the seed sequence of its one generator.
         deg, shocks = ref_model.degradation, ref_model.shocks
         payload = {
-            "format": 5, "alpha": deg.alpha, "beta": deg.beta,
-            "lambda1": shocks.lambda1, "lambda2": shocks.lambda2,
+            "format": 6,
+            "members": [[deg.alpha, deg.beta, shocks.lambda1, shocks.lambda2]],
             "L": ref_model.breakdown_threshold, "Ms": ref_model.shock_threshold,
             "T": 10.0, "row": [14.0], "tf": 50.0, "n": 200,
             "delta": delta, "entropy": SEED, "spawn_key": [], "streams": 2,
