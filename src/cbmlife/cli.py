@@ -4,8 +4,11 @@ Reads a key-value config file (INI sections, ``schema = 1``), applies flag
 overrides, and runs one of three commands: ``optimize`` (grid search under
 either objective), ``curves`` (cost-rate sweep plus availability,
 reliability, and interval-reliability tables), or ``sensitivity`` (7x7
-parameter-perturbation tables).  All outputs are plot-ready CSV files plus a
-JSON run report; nothing is rendered.
+parameter-perturbation tables).  Each command draws the rows of its policy
+grid or sweep through :func:`cbmlife.optimize.estimate_grid`, in a process
+pool of ``--workers`` processes when there are more than one, one row a
+task; the outputs do not depend on the process count.  All outputs are
+plot-ready CSV files plus a JSON run report; nothing is rendered.
 """
 
 from __future__ import annotations
@@ -35,13 +38,7 @@ from .model import (
     ShockIntensity,
     SystemModel,
 )
-from .simulate import (
-    SimulationConfig,
-    chain_statistics,
-    estimate_row,
-    estimate_tables,
-    row_seed,
-)
+from .simulate import SimulationConfig, chain_statistics, estimate_tables, row_seed
 
 __all__ = ["RunConfig", "parse_config", "main"]
 
@@ -245,27 +242,22 @@ def cmd_curves(rc: RunConfig, args) -> int:
     files: list[Path] = []
     tf = rc.life.horizon
 
+    # The sweep is a grid of one row, at the policy's T, or of one
+    # threshold, at the policy's M, whose rows are drawn as the grid's are.
     sweep_dim = args.sweep
-    sweep_values = rc.grid.M_values if sweep_dim == "M" else rc.grid.T_values
+    if sweep_dim == "M":
+        grid = replace(rc.grid, T_values=(rc.policy.inspection_period,))
+        sweep_values = grid.M_values
+    else:
+        grid = replace(rc.grid, M_values=(rc.policy.preventive_threshold,))
+        sweep_values = grid.T_values
+    policies = [MaintenancePolicy(T, M) for T in grid.T_values for M in grid.M_values]
     sweep_path = rc.out_dir / f"cost_rate_vs_{sweep_dim}.csv"
     master_seed = rc.sim.master_seed
 
     with warnings.catch_warnings(record=True) as grabbed:
         warnings.simplefilter("always")
-        # The thresholds of an M sweep are one row, so one two-moment solve
-        # gives every rate and stddev; each T of a T sweep is a row of its own.
-        if sweep_dim == "M":
-            policies = [replace(rc.policy, preventive_threshold=v) for v in sweep_values]
-            T = rc.policy.inspection_period
-            swept = [estimate_row(rc.model, T, sweep_values, rc.life, rc.sim,
-                                  row_seed(master_seed, T))]
-        else:
-            policies = [replace(rc.policy, inspection_period=v) for v in sweep_values]
-            swept = [
-                estimate_tables(rc.model, policy, rc.life, rc.sim,
-                                seed_sequence=row_seed(master_seed, v))
-                for policy, v in zip(policies, sweep_values)
-            ]
+        swept = list(opt.estimate_grid([rc.model], grid, rc.life, rc.sim, rc.workers))
         moments = [renewal.cost_moments(tables, rc.costs, tf) for tables in swept]
         mean, sd = (np.concatenate(m) for m in zip(*moments))
         strict_rates = []
@@ -291,8 +283,8 @@ def cmd_curves(rc: RunConfig, args) -> int:
         # The curves of a policy the sweep contains come from its swept
         # tables, so the run reports one estimate per policy.
         if rc.policy in policies:
-            i = policies.index(rc.policy)
-            tables = swept[0].take(i) if sweep_dim == "M" else swept[i]
+            k, i = divmod(policies.index(rc.policy), len(grid.M_values))
+            tables = swept[k].take(i)
         else:
             tables = estimate_tables(rc.model, rc.policy, rc.life, rc.sim)
         curve = renewal.cost_curve(tables, rc.costs)
@@ -384,7 +376,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--delta", type=float, help="override the path step")
     sub.add_argument(
         "--workers", type=int,
-        help="worker processes of optimize and sensitivity (outputs do not change)",
+        help="worker processes; each draws one row of the grid or sweep at a time "
+        "(outputs do not change)",
     )
     sub.add_argument("--out-dir", help=f"output directory (env {OUTPUT_DIR_ENV})")
     sub.add_argument("--grid-T", help="T grid as start:end[:count]")

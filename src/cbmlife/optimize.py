@@ -1,14 +1,18 @@
-"""Grid search over maintenance policies.
+"""Grid search over maintenance policies, and the runner of every policy grid.
 
-The cells of one inspection period T are the rows of one table set, drawn
-by one :func:`~cbmlife.simulate.estimate_row` call from one generator built
-from a seed sequence keyed by the value of T, each cell from paths of its
-own.  One batched renewal solve evaluates the pooled rows, and one more the
-rows of ``tables.batches()``, each cell's worker blocks, contiguous ranges
-of its paths, whose values give the cell's batch-means standard error.  The
+:func:`estimate_grid` draws the rows of a grid: the cells of one inspection
+period T are the rows of one table set, drawn by one
+:func:`~cbmlife.simulate.estimate_row` call from one generator built from a
+seed sequence keyed by the value of T, each cell from paths of its own.
+The grid search, the ``curves`` sweeps and the sensitivity sweeps all draw
+their rows through it, one row a task when it runs a process pool.  One
+batched renewal solve evaluates the pooled rows, and one more the rows of
+``tables.batches()``, each cell's worker blocks, contiguous ranges of its
+paths, whose values give the cell's batch-means standard error.  The
 objective matrix is therefore reproducible and invariant to the enumeration
-order of the grid and to the number of worker processes that run its rows; a
-cell depends on the set of thresholds in its row, though not on their order.
+order of the grid and to the number of worker processes that draw its rows;
+a cell depends on the set of thresholds in its row, though not on their
+order.
 """
 
 from __future__ import annotations
@@ -22,10 +26,11 @@ import numpy as np
 from .errors import InconsistencyError
 from .model import CostStructure, LifeCycle, SystemModel
 from .renewal import asymptotic_cost_rates, expected_costs, truncation_note
-from .simulate import SimulationConfig, estimate_row, row_seed
+from .simulate import SimulationConfig, estimate_row, row_seed, seed_key
 
 __all__ = [
     "PolicyGrid",
+    "estimate_grid",
     "OptimizationResult",
     "optimize_asymptotic",
     "optimize_transient",
@@ -59,14 +64,39 @@ class PolicyGrid:
             raise ValueError("grid values must be finite")
         # A repeated point would be simulated again from other paths, and
         # the minimum over its copies is biased low.  A row's seed sequence
-        # is keyed by its value in millionths (row_seed), so two values of
+        # is keyed by its value in millionths (seed_key), so two values of
         # one key count as a repeat: their rows would share one stream.
         for name, values in (("T", self.T_values), ("M", self.M_values)):
-            if len({int(round(v * 1e6)) for v in values}) < len(values):
+            if len({seed_key(v) for v in values}) < len(values):
                 raise ValueError(
                     f"grid {name} values must not repeat or round to the same "
                     "millionth"
                 )
+
+
+def estimate_grid(bundles, grid: PolicyGrid, life: LifeCycle, cfg: SimulationConfig,
+                  processes: int = 1):
+    """Yield the table set of every (bundle, T) row of the grid.
+
+    Each of ``bundles`` is one SystemModel or members that share alpha, M_s
+    and L.  The rows come bundle-major, each bundle's in the grid's T order;
+    row (bundle, T) is ``estimate_row(bundle, T, grid.M_values, life, cfg,
+    row_seed(cfg.master_seed, T))``.  With ``processes`` > 1 the rows are
+    drawn in a process pool, one row a task; the tables do not depend on its
+    size.
+    """
+    args = zip(*[
+        (bundle, T, grid.M_values, life, cfg, row_seed(cfg.master_seed, T))
+        for bundle in bundles
+        for T in grid.T_values
+    ])
+    if processes > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=processes) as pool:
+            yield from pool.map(estimate_row, *args)
+    else:
+        yield from map(estimate_row, *args)
 
 
 @dataclass(frozen=True)
@@ -97,8 +127,8 @@ class OptimizationResult:
         }
 
 
-def _evaluate_row(args) -> list[tuple[float, float, list[str]]]:
-    """Every cell of one T row, from one simulation and two renewal solves.
+def _evaluate_row(tables, costs, life, objective) -> list[tuple[float, float, list]]:
+    """Every cell of one T row's table set, from two renewal solves.
 
     The pooled rows give the cells' values, and the rows of
     ``tables.batches()``, each cell's nonempty worker blocks, their
@@ -108,20 +138,18 @@ def _evaluate_row(args) -> list[tuple[float, float, list[str]]]:
     rate, and its cell no standard error; a cell whose pooled row holds none
     raises InconsistencyError.
     """
-    model, costs, life, cfg, T, Ms, objective = args
 
     def evaluate(rows):
         if objective == "asymptotic":
             return asymptotic_cost_rates(rows, costs)
         return expected_costs(rows, costs, life.horizon) / life.horizon
 
-    tables = estimate_row(model, T, Ms, life, cfg, row_seed(cfg.master_seed, T))
     # Every cell has the same worker blocks, so as many batch rows.
-    batches = evaluate(tables.batches()).reshape(len(Ms), -1)
-    cells = zip(Ms, evaluate(tables), batches, tables.censored_fraction)
+    batches = evaluate(tables.batches()).reshape(len(tables.Ms), -1)
+    cells = zip(tables.Ms, evaluate(tables), batches, tables.censored_fraction)
     outcomes = []
     for M, value, blocks, fraction in cells:
-        label = f"(T={T:g}, M={M:g})"
+        label = f"(T={tables.T:g}, M={M:g})"
         if math.isnan(value):
             raise InconsistencyError(
                 f"{label} no replacement mass observed; rate undefined"
@@ -137,29 +165,17 @@ def _evaluate_row(args) -> list[tuple[float, float, list[str]]]:
 
 
 def _run_grid(model, costs, life, grid, cfg, objective, processes):
-    if any(M > model.breakdown_threshold for M in grid.M_values):
-        raise ValueError("grid contains preventive thresholds above L")
     start = time.perf_counter()
-    jobs = [
-        (model, costs, life, cfg, T, grid.M_values, objective) for T in grid.T_values
+    outcomes = [
+        cell
+        for tables in estimate_grid([model], grid, life, cfg, processes)
+        for cell in _evaluate_row(tables, costs, life, objective)
     ]
-    if processes > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            rows = list(pool.map(_evaluate_row, jobs))
-    else:
-        rows = [_evaluate_row(j) for j in jobs]
-    outcomes = [cell for row in rows for cell in row]
     nT, nM = len(grid.T_values), len(grid.M_values)
-    values = np.zeros((nT, nM))
-    stderr = np.zeros((nT, nM))
-    messages: list[str] = []
-    for idx, (value, err, msgs) in enumerate(outcomes):
-        i, j = divmod(idx, nM)
-        values[i, j] = value
-        stderr[i, j] = err
-        messages.extend(msgs)
+    cell_values, cell_errors, cell_messages = zip(*outcomes)
+    values = np.reshape(cell_values, (nT, nM))
+    stderr = np.reshape(cell_errors, (nT, nM))
+    messages = [message for cell in cell_messages for message in cell]
     minimum = float(values.min())
     candidates = [
         (grid.M_values[j], grid.T_values[i])

@@ -14,13 +14,15 @@ perturbations of the gamma table.  The alpha perturbations are drawn on
 other paths, so they share no noise with the baseline: alpha rescales time,
 and a path drawn at one alpha cannot serve another on the same delta-grid.
 The baseline is a member of its own bundle, and the zero-variation cell is
-the baseline itself, not simulated again.  With T fixed, the whole sweep of
-a bundle is one table set of (member, threshold) rows, from one
-estimate_row call, and one batched renewal solve over its rows.  Each row of
-thresholds is seeded by its T, and each threshold has paths of its own,
-drawn from the row's one generator: a cell depends on the set of swept
-thresholds and on the betas of its bundle, though not on their order.  The
-bundles may run in a process pool; the tables do not depend on its size.
+the baseline itself, not simulated again.  A sweep is a policy grid of one
+T and the swept thresholds, or of the swept periods and one M, whose rows
+every bundle draws through :func:`~cbmlife.optimize.estimate_grid`: with T
+fixed, the whole sweep of a bundle is one table set of (member, threshold)
+rows and one batched renewal solve over its rows.  Each row of thresholds
+is seeded by its T, and each threshold has paths of its own, drawn from the
+row's one generator: a cell depends on the set of swept thresholds and on
+the betas of its bundle, though not on their order.  The rows may be drawn
+in a process pool; the tables do not depend on its size.
 """
 
 from __future__ import annotations
@@ -37,8 +39,9 @@ from .model import (
     ShockIntensity,
     SystemModel,
 )
+from .optimize import PolicyGrid, estimate_grid
 from .renewal import expected_costs
-from .simulate import SimulationConfig, estimate_row, row_seed
+from .simulate import SimulationConfig
 
 __all__ = [
     "VARIATIONS",
@@ -67,33 +70,6 @@ class VariationTable:
             raise ValueError("costs and variations must be nonnegative")
 
 
-def _rows(fixed: tuple[str, float], sweep_values) -> list[tuple[float, tuple]]:
-    """(T, thresholds) of each estimate_row call of the sweep.
-
-    A fixed T is one row holding every swept M; a fixed M is one row per
-    swept T.
-    """
-    name, fixed_value = fixed
-    sweep = tuple(sweep_values)
-    if name == "T":
-        return [(fixed_value, sweep)]
-    if name == "M":
-        return [(T, (fixed_value,)) for T in sweep]
-    raise ValueError("fixed dimension must be 'T' or 'M'")
-
-
-def _min_transient_costs(members, costs, life, fixed, sweep_values, cfg):
-    """Minimal E[C(t_f)] of each member over the swept dimension, rows keyed by T."""
-    best = np.full(len(members), np.inf)
-    for T, Ms in _rows(fixed, sweep_values):
-        if any(M > members[0].breakdown_threshold for M in Ms):
-            raise ValueError("swept preventive threshold exceeds L")
-        tables = estimate_row(members, T, Ms, life, cfg, row_seed(cfg.master_seed, T))
-        values = expected_costs(tables, costs, life.horizon)
-        best = np.minimum(best, values.reshape(len(members), len(Ms)).min(axis=1))
-    return best
-
-
 def _perturbed_model(model: SystemModel, target: str, vi: float, vj: float):
     fi = 1.0 + vi / 100.0
     fj = 1.0 + vj / 100.0
@@ -108,19 +84,19 @@ def _perturbed_model(model: SystemModel, target: str, vi: float, vj: float):
     return replace(model, shocks=shocks)
 
 
-def _bundle_job(args) -> tuple[np.ndarray, list[str]]:
-    members, costs, life, fixed, sweep_values, cfg = args
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        values = _min_transient_costs(members, costs, life, fixed, sweep_values, cfg)
-    return values, [str(w.message) for w in caught]
-
-
 def _sensitivity_table(
     model, costs, life, fixed, sweep_values, variations, cfg, processes, target
 ) -> VariationTable:
     if any(v <= -100.0 for v in variations):
         raise ValueError("variations must keep parameters positive")
+    name, fixed_value = fixed
+    sweep = tuple(sweep_values)
+    if name == "T":
+        grid = PolicyGrid((fixed_value,), sweep)
+    elif name == "M":
+        grid = PolicyGrid(sweep, (fixed_value,))
+    else:
+        raise ValueError("fixed dimension must be 'T' or 'M'")
     cfg = cfg or SimulationConfig()
     m = len(variations)
     perturbed = [
@@ -136,25 +112,20 @@ def _sensitivity_table(
             warnings.simplefilter("always")
             members.append(_perturbed_model(model, target, vi, vj))
         messages.extend(f"(vi={vi:g}%, vj={vj:g}%) {w.message}" for w in caught)
-    # One bundle per alpha: its members share the paths.
+    # One bundle per alpha: its members share the paths.  Each member's
+    # minimal E[C(t_f)] is taken over its cells of every row of its bundle.
     bundles: dict[float, list[int]] = {}
     for k, member in enumerate(members):
         bundles.setdefault(member.degradation.alpha, []).append(k)
-    jobs = [
-        ([members[k] for k in group], costs, life, fixed, sweep_values, cfg)
-        for group in bundles.values()
-    ]
-    if processes > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            outcomes = list(pool.map(_bundle_job, jobs))
-    else:
-        outcomes = [_bundle_job(j) for j in jobs]
-    values = np.empty(len(members))
-    for group, (bundle_values, bundle_messages) in zip(bundles.values(), outcomes):
-        values[group] = bundle_values
-        messages.extend(bundle_messages)
+    groups = [group for group in bundles.values() for _ in grid.T_values]
+    rows = estimate_grid(
+        [[members[k] for k in group] for group in bundles.values()],
+        grid, life, cfg, processes,
+    )
+    values = np.full(len(members), np.inf)
+    for tables, group in zip(rows, groups):
+        cells = expected_costs(tables, costs, life.horizon).reshape(len(group), -1)
+        values[group] = np.minimum(values[group], cells.min(axis=1))
     for message in dict.fromkeys(messages):
         warnings.warn(message, UserWarning, stacklevel=3)
     baseline = float(values[0])

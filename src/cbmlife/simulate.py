@@ -61,7 +61,7 @@ consecutive thresholds, and a threshold with more paths is drawn alone, in
 the fewest consecutive chunks of at most that many, of even sizes.  A pass
 is one sampler call over all its paths and one reduction by (member,
 threshold, block) per group of at most ``_PASS_PATHS`` member outcomes,
-whose sums are written at its rows, which removes the fixed cost of a
+whose sums are added into the row's arrays, which removes the fixed cost of a
 sampler call per threshold, block and member; the table set is checked
 once, when every pass has run.  Each threshold has paths of its own, so the
 thresholds' rows are independent, while the members of a bundle share
@@ -409,30 +409,32 @@ def _table(index, rows, cols, weights=None):
     return np.bincount(index, weights, minlength=rows * cols).reshape(rows, cols)
 
 
-def _block_accumulate(models, T, life, delta, Ms, sizes, rng, times):
-    """Simulate the paths of each threshold in Ms in one pass, and sum them.
+def _block_accumulate(models, T, life, delta, Ms, sizes, rng, times, sums, cells):
+    """Simulate the paths of each threshold in Ms in one pass, and add their sums.
 
     A threshold's paths are its blocks' in turn, ``sizes[b]`` of block b.
     The paths are drawn from ``rng``, those of Ms[0] first, once for every
     member of the bundle ``models``, and each member's outcomes are reduced
     by :func:`_reduce`, members in groups of at most _PASS_PATHS outcomes
-    (at least one member), each group reduced and freed before the next is
-    computed, with one row per (member, threshold, block), member-major.
+    (at least one member).  Each group's sums are added into ``sums``, the
+    arrays of :func:`_zero_sums`, at its members and the thresholds
+    ``cells``, and freed before the next group is computed.
     """
     kmax = int(math.floor(life.horizon / T + _EPS))
     paths = len(Ms) * int(np.sum(sizes))
-    parts = []
-    for k_rep, corrective, censored, D, *_ in _simulate_bundle(
-        models, T, life.horizon, delta, np.repeat(Ms, np.sum(sizes)), rng,
-        max(1, _PASS_PATHS // paths),
-    ):
+    group = max(1, _PASS_PATHS // paths)
+    runs = _simulate_bundle(
+        models, T, life.horizon, delta, np.repeat(Ms, np.sum(sizes)), rng, group
+    )
+    for i, (k_rep, corrective, censored, D, *_) in enumerate(runs):
         bins = np.tile(sizes, k_rep.size // paths * len(Ms))
-        parts.append(_reduce(k_rep.ravel(), corrective.ravel(), censored.ravel(),
-                             D.ravel(), bins, T, kmax, times))
-        del k_rep, corrective, censored, D, _  # before the next run is computed
-    if len(parts) == 1:
-        return parts[0]
-    return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
+        part = _reduce(k_rep.ravel(), corrective.ravel(), censored.ravel(),
+                       D.ravel(), bins, T, kmax, times)
+        members = slice(i * group, (i + 1) * group)
+        for name, value in part.items():
+            shape = (-1, len(Ms), len(sizes), *value.shape[1:])
+            sums[name][members, cells] += value.reshape(shape)
+        del k_rep, corrective, censored, D, _, part  # before the next run is drawn
 
 
 def _reduce(k_rep, corrective, censored, D, sizes, T, kmax, times):
@@ -483,6 +485,17 @@ def _reduce(k_rep, corrective, censored, D, sizes, T, kmax, times):
         "resid2": _table(lattice_cell, S, C, down * down),
         "censored": np.bincount(owner[censored], minlength=S).astype(float),
     }
+
+
+def _zero_sums(shape, kmax, times) -> dict[str, np.ndarray]:
+    """Zeroed sums of the tables of :func:`_reduce`, each ``shape`` by its cells.
+
+    ``shape`` is (members, thresholds, blocks); a table's cells are the
+    kmax + 1 inspections, the lattice ``times``, or none (the censored count).
+    """
+    K, C = (kmax + 1,), (len(times),)
+    cells = dict(p_p=K, p_c=K, jw=K, jw2=K, alive=C, resid=C, resid2=C, censored=())
+    return {name: np.zeros((*shape, *size)) for name, size in cells.items()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -703,15 +716,20 @@ def tables_digest(models, T, Ms, life, cfg, delta: float, seed_sequence) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def seed_key(value: float) -> int:
+    """The key of ``value`` in a row's seed sequence: its value in millionths."""
+    return int(round(value * 1e6))
+
+
 def row_seed(master_seed: int, value: float, *extra: int) -> np.random.SeedSequence:
-    """The seed sequence keyed by ``value`` in millionths, then by ``extra``.
+    """The seed sequence keyed by :func:`seed_key` of ``value``, then by ``extra``.
 
     ``value`` is an inspection period, or the swept value of a ``curves``
     run.  The grid, the sensitivity sweeps and the ``curves`` command seed
     their rows here, and ``curves`` its strict Monte Carlo chains too.
     """
     return np.random.SeedSequence(
-        entropy=master_seed, spawn_key=(int(round(value * 1e6)), *extra)
+        entropy=master_seed, spawn_key=(seed_key(value), *extra)
     )
 
 
@@ -798,19 +816,16 @@ def estimate_row(
     cap = _PASS_PATHS // len(_bundle_scales(members)[1])
     per_pass = max(1, cap // n)
     rng = np.random.default_rng(seed_sequence)
-    sums: dict[str, np.ndarray] = {}
+    kmax = int(math.floor(life.horizon / T + _EPS))
+    # Every pass adds its sums here; empty blocks stay zero.
+    sums = _zero_sums((len(members), len(Ms), B), kmax, times)
     for first in range(0, len(Ms), per_pass):
         cells = order[first : first + per_pass]
         for lo, hi in _chunks(n, cap):
             sizes = np.diff(np.clip(starts, lo, hi))
-            chunk = _block_accumulate(
-                members, T, life, delta, Ms[cells], sizes, rng, times
+            _block_accumulate(
+                members, T, life, delta, Ms[cells], sizes, rng, times, sums, cells
             )
-            for name, value in chunk.items():
-                value = value.reshape(len(members), len(cells), B, *value.shape[1:])
-                if name not in sums:  # empty blocks stay zero
-                    sums[name] = np.zeros((len(members), len(Ms), *value.shape[2:]))
-                sums[name][:, cells] += value
     R = len(members) * len(Ms)
     tables = EstimateTables(
         lattice=Lattice(times, T),

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from cbmlife import cli
+from cbmlife import cli, optimize
 from cbmlife.cli import main, parse_config, parse_grid_spec
 from cbmlife.errors import ConfigurationError
 
@@ -233,7 +233,7 @@ class TestCurvesCommand:
             simulated.append(args)
             raise AssertionError("a table set was simulated before --ir-s was checked")
 
-        monkeypatch.setattr(cli, "estimate_row", no_simulation)
+        monkeypatch.setattr(optimize, "estimate_row", no_simulation)
         monkeypatch.setattr(cli, "estimate_tables", no_simulation)
         for s in ("nan", "inf", "-3"):
             out = tmp_path / s

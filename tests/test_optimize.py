@@ -1,14 +1,16 @@
 import inspect
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cbmlife.errors import InconsistencyError
-from cbmlife.model import CostStructure, LifeCycle, MaintenancePolicy
+from cbmlife.model import CostStructure, GammaDegradation, LifeCycle, MaintenancePolicy
 from cbmlife.optimize import (
     PolicyGrid,
+    estimate_grid,
     optimize_asymptotic,
     optimize_transient,
     write_matrix_csv,
@@ -191,6 +193,25 @@ class TestOptimization:
         result = optimize_asymptotic(ref_model, ref_costs, ref_life, grid, cfg)
         # the middle threshold beats both extreme ones at T=10
         assert result.M_opt == 14.0
+
+
+@pytest.mark.parametrize("processes", [1, 2])
+def test_grid_rows_are_the_estimate_row_calls(ref_model, ref_life, processes):
+    # Bundle-major, each bundle's rows in the grid's T order, each seeded by
+    # its T, whether or not a pool draws them.
+    cfg = SimulationConfig(n_samples=60, master_seed=SEED, worker_streams=2)
+    steeper = replace(ref_model, degradation=GammaDegradation(alpha=0.1, beta=0.105))
+    bundles = [ref_model, [ref_model, steeper]]
+    grid = PolicyGrid(T_values=(15.0, 5.0), M_values=(14.0, 8.0))
+    rows = list(estimate_grid(bundles, grid, ref_life, cfg, processes))
+    expected = [
+        estimate_row(bundle, T, grid.M_values, ref_life, cfg,
+                     row_seed(cfg.master_seed, T))
+        for bundle in bundles
+        for T in grid.T_values
+    ]
+    assert len(rows) == len(expected) == 4
+    assert all(row.equals(other) for row, other in zip(rows, expected))
 
 
 def zero_costs():

@@ -298,11 +298,10 @@ def test_a_corrupted_cell_fails_the_row(
         simulate._block_accumulate, simulate.EstimateTables.validate, []
     )
 
-    def corrupted(model, T, life, delta, Ms, sizes, rng, times):
-        sums = accumulate(model, T, life, delta, Ms, sizes, rng, times)
-        if 20.0 in Ms:  # rows are (threshold, block), threshold-major
-            sums[name][list(Ms).index(20.0) * len(sizes) + 1, column] += change
-        return sums
+    def corrupted(model, T, life, delta, Ms, sizes, rng, times, sums, cells):
+        accumulate(model, T, life, delta, Ms, sizes, rng, times, sums, cells)
+        if 20.0 in Ms:  # sums are (member, threshold, block, ...)
+            sums[name][0, cells[list(Ms).index(20.0)], 1, column] += change
 
     def counted(tables):
         checks.append(tables.bp_p.shape)

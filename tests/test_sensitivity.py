@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cbmlife import sensitivity
+from cbmlife import optimize
 from cbmlife.model import CostStructure, ShockIntensity
 from cbmlife.sensitivity import (
     VARIATIONS,
@@ -137,14 +137,14 @@ class TestShockTable:
 
 def test_baseline_cell_is_not_recomputed(ref_model, ref_costs, ref_life, monkeypatch):
     bundles, rows = [], []
-    real = sensitivity.estimate_row
+    real = optimize.estimate_row
 
     def counting(models, T, Ms, *args, **kwargs):
         bundles.append(models)
         rows.extend((model, M) for model in models for M in Ms)
         return real(models, T, Ms, *args, **kwargs)
 
-    monkeypatch.setattr(sensitivity, "estimate_row", counting)
+    monkeypatch.setattr(optimize, "estimate_row", counting)
     cfg = SimulationConfig(n_samples=200, master_seed=SEED, worker_streams=2)
     table = gamma_sensitivity(
         ref_model, ref_costs, ref_life, ("T", 10.0), (14.0,), (-5.0, 0.0, 5.0), cfg
@@ -160,15 +160,34 @@ def test_baseline_cell_is_not_recomputed(ref_model, ref_costs, ref_life, monkeyp
 
 
 def test_processes_do_not_matter(ref_model, ref_costs, ref_life):
-    # The bundles are the pool's tasks; a table does not depend on its size.
+    # The (bundle, T) rows are the pool's tasks: one row a bundle at a fixed
+    # T, one a swept T at a fixed M.  A table does not depend on its size.
     cfg = SimulationConfig(n_samples=100, master_seed=SEED, worker_streams=2)
-    tables = [
-        gamma_sensitivity(ref_model, ref_costs, ref_life, ("T", 10.0), (12.0, 14.0),
-                          (-5.0, 0.0, 5.0), cfg, processes)
-        for processes in (1, 2)
-    ]
-    assert np.array_equal(tables[0].min_costs, tables[1].min_costs)
-    assert tables[0].baseline_min == tables[1].baseline_min
+    for fixed, sweep in ((("T", 10.0), (12.0, 14.0)), (("M", 14.0), (5.0, 10.0, 15.0))):
+        tables = [
+            gamma_sensitivity(ref_model, ref_costs, ref_life, fixed, sweep,
+                              (-5.0, 0.0, 5.0), cfg, processes)
+            for processes in (1, 2)
+        ]
+        assert np.array_equal(tables[0].min_costs, tables[1].min_costs), fixed
+        assert tables[0].baseline_min == tables[1].baseline_min, fixed
+
+
+@pytest.mark.parametrize(
+    "fixed, sweep", [(("M", 14.0), (10.0, 10.0000004)), (("T", 10.0), (14.0, 14.0))]
+)
+def test_sweep_values_of_one_seed_key_are_refused(
+    ref_model, ref_costs, ref_life, monkeypatch, fixed, sweep
+):
+    # Two swept values of one millionth would key their rows' seed sequences
+    # alike; the sweep is refused before any row is drawn.
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a row was drawn")
+
+    monkeypatch.setattr(optimize, "estimate_row", no_rows)
+    cfg = SimulationConfig(n_samples=100, master_seed=SEED, worker_streams=2)
+    with pytest.raises(ValueError, match="same millionth"):
+        gamma_sensitivity(ref_model, ref_costs, ref_life, fixed, sweep, cfg=cfg)
 
 
 class TestValidationAndExport:

@@ -29,6 +29,7 @@ from cbmlife.simulate import (
     _reduce,
     _simulate_kernel,
     _skeleton,
+    _zero_sums,
     chain_statistics,
     estimate_row,
     estimate_tables,
@@ -417,12 +418,13 @@ class TestReduction:
     )
     def test_a_pass_holds_little_memory(self, ref_model, tf, rates, shocks, thresholds):
         # One pass of _PASS_PATHS // K paths at T = 5, for a bundle of K
-        # distinct rates beta, each with shocks**2 pairs (lambda1, lambda2).
-        # With one rate it peaked at 1.8 MB (t_f = 50 and 200); with the
-        # reduction looping over inspections, at 2.9 and 3.1 MB.  With seven
-        # rates it peaked at 1.7 MB.  A pass returns one row of sums per
-        # (member, threshold), so the bundle's case keeps about the 30 rows
-        # of the one-model case: over 30 thresholds its 210 rows of 401
+        # distinct rates beta, each with shocks**2 pairs (lambda1, lambda2),
+        # and the row's sums it adds into.  It peaked at 2.1 MB with one rate
+        # (t_f = 200), at 2.0 MB with seven and at 2.1 MB for the shock
+        # table; without the row's sums, at 1.8 MB, and with the reduction
+        # looping over inspections, at 3.1 MB.  A pass adds one row of sums
+        # per (member, threshold), so the bundle's case keeps about the 30
+        # rows of the one-model case: over 30 thresholds its 210 rows of 401
         # lattice times alone take 2.0 MB at t_f = 200.  The 49 members of
         # the shock table share one full pass of one threshold, reduced one
         # member at a time.
@@ -448,7 +450,9 @@ class TestReduction:
         rng = np.random.default_rng(SEED)
         tracemalloc.start()
         try:
-            _block_accumulate(members, T, life, T / 100.0, Ms, [size], rng, times)
+            sums = _zero_sums((len(members), len(Ms), 1), int(tf // T), times)
+            _block_accumulate(members, T, life, T / 100.0, Ms, [size], rng, times,
+                              sums, np.arange(len(Ms)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
