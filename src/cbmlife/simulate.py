@@ -55,15 +55,16 @@ members, serves them all: member j reads its crossings of M, M_s and L at
 those levels times beta_j / beta_d, three level rows per distinct scale,
 and its shock time from the path's one exponential with its own rates.  A
 bundle of one scale (its members differ only in lambda) draws exactly what
-one model draws.  The row draws the thresholds in ascending M, in passes of
-at most ``_PASS_PATHS // K`` paths for K distinct scales: a pass holds
-consecutive thresholds, and a threshold with more paths is drawn alone, in
-the fewest consecutive chunks of at most that many, of even sizes.  A pass
-is one sampler call over all its paths and one reduction by (member,
-threshold, block) per group of at most ``_PASS_PATHS`` member outcomes,
-whose sums are added into the row's arrays, which removes the fixed cost of a
-sampler call per threshold, block and member; the table set is checked
-once, when every pass has run.  Each threshold has paths of its own, so the
+one model draws.  The row lays its paths out threshold-major in ascending
+M and cuts them into the fewest passes of even sizes of at most
+``_PASS_PATHS // K`` paths for K distinct scales, so a pass boundary may
+fall inside a threshold and inside a block; each path adds into the
+(threshold, block) row its index in the row names.  A pass is one sampler
+call over all its paths and one reduction per group of at most
+``_PASS_PATHS`` member outcomes, which adds each table into the row's sums
+as soon as it is counted; this removes the fixed cost of a sampler call per
+threshold, block and member, and the table set is checked once, when every
+pass has run.  Each threshold has paths of its own, so the
 thresholds' rows are independent, while the members of a bundle share
 their noise; a member's rows depend on the row's set of thresholds and the
 bundle's set of scales, though not on their order.  :func:`estimate_tables`
@@ -103,11 +104,11 @@ __all__ = [
 _EPS = 1e-9
 # Paths simulated together in one sampler pass.  A pass holds about 250
 # bytes a path (bisection state, bridge draws and reduction temporaries), so
-# the cap bounds its memory, at about 2 MB; a threshold with more paths is
-# drawn in the fewest even chunks of at most this many.  A bundle of K
-# distinct scales draws three levels a path per scale, so its passes hold
-# at most _PASS_PATHS // K paths, and its members' outcomes are reduced in
-# groups of at most _PASS_PATHS, one group at a time.
+# the cap bounds its memory, at about 2 MB.  A bundle of K distinct scales
+# draws three levels a path per scale, so a row's paths are cut into the
+# fewest even passes of at most _PASS_PATHS // K (:func:`_chunks`), and its
+# members' outcomes are reduced in groups of at most _PASS_PATHS, one group
+# at a time.
 _PASS_PATHS = 8192
 # The most inspection periods t_f/T may hold.  A period adds 10 or 11 lattice
 # points to every table and a skeleton step to every pass, so a longer
@@ -274,10 +275,11 @@ def _bridge(draw, rng, shape_step, a, m, b, xa, xb):
 
     The beta variates come from ``rng`` in one call, in the order of ``draw``.
     """
-    mid = m[draw]
-    p = shape_step * (mid - a[draw])
-    q = shape_step * (b[draw] - mid)
-    del mid
+    p, q = m[draw], b[draw]  # at most three arrays of the draw's size at once
+    q -= p
+    p -= a[draw]
+    p = shape_step * p
+    q = shape_step * q
     p = rng.beta(p, q)
     x_lo = np.take(xa, draw)
     x = np.take(xb, draw, out=q)
@@ -328,9 +330,9 @@ def _simulate_bundle(models, T, horizon, delta, Ms, rng, group):
     # takes them.
     named = np.concatenate([first.shock_threshold * s, first.breakdown_threshold * s])
     order = np.argsort(named, kind="stable")
-    Ms = np.asarray(Ms, dtype=float)
-    levels = np.vstack([*(Ms * f for f in s[::-1]),
+    levels = np.vstack([*(np.asarray(Ms, dtype=float) * f for f in s[::-1]),
                         *(np.full(n, z) for z in named[order])])
+    del Ms
     pos, xa, xb = _brackets(grid, levels, alpha * delta, 1.0 / beta_d, rng)
     # Skeleton point k is inspection k for k <= kmax, so M's bracket ends at
     # the inspection k_p that finds it, or past the last one: M is never
@@ -347,7 +349,7 @@ def _simulate_bundle(models, T, horizon, delta, Ms, rng, group):
     rank = np.argsort(order)
     paths = pos[K - 1 :: -1].copy(), len(grid), sigma, rank, rng.exponential(1.0, n)
     # The draw's state is freed before any member's outcomes are reduced.
-    del Ms, levels, pos, xa, xb, index
+    del levels, pos, xa, xb, index
     for lo in range(0, len(models), group):
         yield _outcomes(models[lo : lo + group], which[lo : lo + group], paths, T,
                         horizon)
@@ -404,55 +406,58 @@ def _simulate_kernel(model, T, horizon, delta, Ms, rng):
     return tuple(v[0] for v in outcomes)
 
 
-def _table(index, rows, cols, weights=None):
-    """Counts (or sums of weights) of flat bin indices, as a rows x cols table."""
-    return np.bincount(index, weights, minlength=rows * cols).reshape(rows, cols)
+def _block_accumulate(models, T, life, delta, Ms, bins, rng, times, sums):
+    """Simulate one pass of paths, path i in row bins[i], and add their sums.
 
-
-def _block_accumulate(models, T, life, delta, Ms, sizes, rng, times, sums, cells):
-    """Simulate the paths of each threshold in Ms in one pass, and add their sums.
-
-    A threshold's paths are its blocks' in turn, ``sizes[b]`` of block b.
-    The paths are drawn from ``rng``, those of Ms[0] first, once for every
-    member of the bundle ``models``, and each member's outcomes are reduced
-    by :func:`_reduce`, members in groups of at most _PASS_PATHS outcomes
-    (at least one member).  Each group's sums are added into ``sums``, the
-    arrays of :func:`_zero_sums`, at its members and the thresholds
-    ``cells``, and freed before the next group is computed.
+    ``sums`` are the arrays of :func:`_zero_sums`, one run of len(Ms) rows
+    per member of the bundle ``models``, in member order, and row r of a
+    run has threshold Ms[r].  The paths are drawn from ``rng`` once for
+    every member, and path i adds into row bins[i] of each member's run.
+    The members' outcomes are reduced by :func:`_reduce` in groups of at
+    most _PASS_PATHS outcomes (at least one member), each group's freed
+    before the next is computed.
     """
     kmax = int(math.floor(life.horizon / T + _EPS))
-    paths = len(Ms) * int(np.sum(sizes))
-    group = max(1, _PASS_PATHS // paths)
-    runs = _simulate_bundle(
-        models, T, life.horizon, delta, np.repeat(Ms, np.sum(sizes)), rng, group
-    )
-    for i, (k_rep, corrective, censored, D, *_) in enumerate(runs):
-        bins = np.tile(sizes, k_rep.size // paths * len(Ms))
-        part = _reduce(k_rep.ravel(), corrective.ravel(), censored.ravel(),
-                       D.ravel(), bins, T, kmax, times)
-        members = slice(i * group, (i + 1) * group)
-        for name, value in part.items():
-            shape = (-1, len(Ms), len(sizes), *value.shape[1:])
-            sums[name][members, cells] += value.reshape(shape)
-        del k_rep, corrective, censored, D, _, part  # before the next run is drawn
+    group = max(1, _PASS_PATHS // len(bins))
+    runs = _simulate_bundle(models, T, life.horizon, delta, Ms[bins], rng, group)
+    first = 0
+    for k_rep, corrective, censored, D, *_ in runs:
+        del _  # the crossing and shock times, which no table reads
+        owner = np.arange(first, first + len(k_rep))[:, None] * len(Ms) + bins
+        first += len(k_rep)
+        _reduce(k_rep.ravel(), corrective.ravel(), censored.ravel(), D.ravel(),
+                owner.ravel(), T, kmax, times, sums)
+        del k_rep, corrective, censored, D, owner  # before the next run is drawn
 
 
-def _reduce(k_rep, corrective, censored, D, sizes, T, kmax, times):
-    """The table sums of the bins of one pass's kernel outputs.
+def _reduce(k_rep, corrective, censored, D, owner, T, kmax, times, sums):
+    """Add the table sums of one run of kernel outputs into ``sums``.
 
-    The paths are the bins' in turn, ``sizes[i]`` of bin i.  Every returned
-    array has one row per bin.  Each sum is one ``np.bincount`` over (bin,
-    table cell), which adds a bin's paths in path order.
+    Output i is added into row owner[i] of every array of ``sums``
+    (:func:`_zero_sums`).  Each table is one ``np.bincount`` over (row,
+    table cell), which adds a row's outputs in their order, over the rows
+    the run reaches, and is added into ``sums`` before the next is computed.
     """
-    S = len(sizes)
-    owner = np.repeat(np.arange(S), sizes)
+    rows = np.flatnonzero(np.bincount(owner))
+    owner, S = np.searchsorted(rows, owner), len(rows)
+
+    def add(name, index, weights=None):
+        target = sums[name]
+        table = np.bincount(index, weights, minlength=S * target[0].size)
+        target[rows] += table.reshape(S, *target.shape[1:])
+
     # Per inspection k: replacements by kind and the downtime kT - D of
     # corrective ones (k_rep <= kmax exactly when the cycle is not censored).
     k = k_rep[~censored]
     corr = corrective[~censored]
     w = np.where(corr, k * T - D[~censored], 0.0)
-    K = kmax + 1
-    cell = owner[~censored] * K + k
+    cell = owner[~censored] * (kmax + 1) + k
+    add("p_p", cell[~corr])
+    add("p_c", cell[corr])
+    add("jw", cell, w)
+    add("jw2", cell, w * w)
+    add("censored", owner[censored])
+    del k, corr, w, cell
     # Per lattice time t, over the cycles not replaced by its last inspection
     # kf(t): alive at t, and the downtime accrued since D.  kf grows with t,
     # so a cycle is open (kf < k_rep) on a prefix of the lattice, alive on
@@ -464,38 +469,31 @@ def _reduce(k_rep, corrective, censored, D, sizes, T, kmax, times):
     n_alive = np.minimum(n_open, np.searchsorted(times, D))
     # Column c counts the prefixes longer than c: a reversed cumulative sum
     # of the prefix lengths' counts, from length C down to length 1.
-    lengths = _table(owner * (C + 1) + n_alive, S, C + 1)
-    alive = np.cumsum(lengths[:, :0:-1], axis=1)[:, ::-1].astype(float)
+    lengths = np.bincount(owner * (C + 1) + n_alive, minlength=S * (C + 1))
+    lengths = lengths.reshape(S, C + 1)
+    sums["alive"][rows] += np.cumsum(lengths[:, :0:-1], axis=1)[:, ::-1]
     del lengths
     # The (path, column) pairs of the open prefix from D on, path by path,
-    # so each bin adds its terms in path order (a term at t = D is 0.0).
+    # so each row adds its terms in path order (a term at t = D is 0.0).
     width = n_open - n_alive
     path = np.repeat(np.arange(len(D)), width)
     col = np.arange(len(path)) + np.repeat(n_alive - (np.cumsum(width) - width), width)
     down = times[col] - D[path]
     lattice_cell = owner[path] * C + col
     del path, col
-    return {
-        "p_p": _table(cell[~corr], S, K).astype(float),
-        "p_c": _table(cell[corr], S, K).astype(float),
-        "jw": _table(cell, S, K, w),
-        "jw2": _table(cell, S, K, w * w),
-        "alive": alive,
-        "resid": _table(lattice_cell, S, C, down),
-        "resid2": _table(lattice_cell, S, C, down * down),
-        "censored": np.bincount(owner[censored], minlength=S).astype(float),
-    }
+    add("resid", lattice_cell, down)
+    add("resid2", lattice_cell, down * down)
 
 
-def _zero_sums(shape, kmax, times) -> dict[str, np.ndarray]:
-    """Zeroed sums of the tables of :func:`_reduce`, each ``shape`` by its cells.
+def _zero_sums(rows, kmax, times) -> dict[str, np.ndarray]:
+    """Zeroed sums of the tables of :func:`_reduce`, ``rows`` by their cells.
 
-    ``shape`` is (members, thresholds, blocks); a table's cells are the
-    kmax + 1 inspections, the lattice ``times``, or none (the censored count).
+    A table's cells are the kmax + 1 inspections, the lattice ``times``, or
+    none (the censored count).
     """
     K, C = (kmax + 1,), (len(times),)
     cells = dict(p_p=K, p_c=K, jw=K, jw2=K, alive=C, resid=C, resid2=C, censored=())
-    return {name: np.zeros((*shape, *size)) for name, size in cells.items()}
+    return {name: np.zeros((rows, *size)) for name, size in cells.items()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -672,6 +670,10 @@ class EstimateTables:
         if (np.abs(alive[:, 0] - 1.0) > 1e-12).any():
             raise ConfigurationError("alive_no_replacement(0) must be 1")
 
+    def __getstate__(self) -> dict:
+        """The fields alone: the cached pooled estimates are not pickled."""
+        return {name: self.__dict__[name] for name in self.__dataclass_fields__}
+
     def equals(self, other: "EstimateTables") -> bool:
         if not isinstance(other, EstimateTables):
             return False
@@ -742,7 +744,8 @@ def _chunks(n: int, cap: int) -> list[tuple[int, int]]:
     """n paths cut into the fewest consecutive ranges of at most cap.
 
     The ranges are of even sizes, so none is a small remainder that pays a
-    whole pass's fixed cost.
+    whole pass's fixed cost.  They are the passes of a row's paths and the
+    kernel calls of a clock's realizations in :func:`chain_statistics`.
     """
     count = -(-n // cap)
     bounds = [i * n // count for i in range(count + 1)]
@@ -781,15 +784,15 @@ def estimate_row(
     members that share alpha, M_s and L.  Row r is member r // len(Ms) at
     threshold Ms[r % len(Ms)]: the rows are (member, threshold),
     member-major, in the orders given.  The generator,
-    ``np.random.default_rng(seed_sequence)``, draws the cfg.n_samples paths
-    of every threshold in ascending M, once for all members
-    (:func:`_simulate_bundle`), in passes of max(1, cap // n_samples)
-    consecutive thresholds, where cap = _PASS_PATHS // K and K is the
-    number of distinct scales beta_j / beta_d of the members (a threshold of
-    more paths is drawn alone, in the chunks of :func:`_chunks`); each
-    threshold has paths of its own.  Worker block b of a threshold is the
-    b-th range of its paths in the split of :func:`_block_split`, and a
-    block split between chunks adds up its parts in chunk order.  A member's
+    ``np.random.default_rng(seed_sequence)``, draws the row's len(Ms) * n
+    paths, n = cfg.n_samples, once for all members
+    (:func:`_simulate_bundle`), in the passes :func:`_chunks` cuts them
+    into, of at most cap = _PASS_PATHS // K paths, where K is the number of
+    distinct scales beta_j / beta_d of the members.  Path i of the row is
+    path i % n of threshold i // n in ascending M, so each threshold has
+    paths of its own, and worker block b of a threshold is the b-th range
+    of its paths in the split of :func:`_block_split`; a threshold or block
+    split between passes adds up its parts in pass order.  A member's
     rows therefore depend on the row's set of thresholds and on the set of
     scales of the bundle, though not on their order; the members of one
     scale (a bundle whose members differ only in lambda) draw exactly the
@@ -811,22 +814,18 @@ def estimate_row(
     Ms = np.array([policy.preventive_threshold for policy in policies])
     n, B = cfg.n_samples, cfg.worker_streams
     block = _block_split(n, B)
-    starts = np.concatenate([[0], np.cumsum(block)])
     order = np.argsort(Ms, kind="stable")
     cap = _PASS_PATHS // len(_bundle_scales(members)[1])
-    per_pass = max(1, cap // n)
     rng = np.random.default_rng(seed_sequence)
     kmax = int(math.floor(life.horizon / T + _EPS))
-    # Every pass adds its sums here; empty blocks stay zero.
-    sums = _zero_sums((len(members), len(Ms), B), kmax, times)
-    for first in range(0, len(Ms), per_pass):
-        cells = order[first : first + per_pass]
-        for lo, hi in _chunks(n, cap):
-            sizes = np.diff(np.clip(starts, lo, hi))
-            _block_accumulate(
-                members, T, life, delta, Ms[cells], sizes, rng, times, sums, cells
-            )
+    # Rows (member, threshold, block): path i of the row adds into threshold
+    # order[i // n] and the block of path i % n, and empty blocks stay zero.
     R = len(members) * len(Ms)
+    sums = _zero_sums(R * B, kmax, times)
+    for lo, hi in _chunks(len(Ms) * n, cap):
+        bins = np.divmod(np.arange(lo, hi), n)
+        bins = order[bins[0]] * B + np.searchsorted(block.cumsum(), bins[1], side="right")
+        _block_accumulate(members, T, life, delta, Ms.repeat(B), bins, rng, times, sums)
     tables = EstimateTables(
         lattice=Lattice(times, T),
         Ms=np.tile(Ms, len(members)),
@@ -835,7 +834,7 @@ def estimate_row(
         digest=tables_digest(members, T, Ms, life, cfg, delta, seed_sequence),
         block_sizes=np.tile(block, (R, 1)),
         **{
-            "b" + name: value.reshape(R, *value.shape[2:])
+            "b" + name: value.reshape(R, B, *value.shape[1:])
             for name, value in sums.items()
         },
     )

@@ -143,12 +143,12 @@ def test_one_pass_reduction_matches_loops(T, horizon, delta):
     times = eval_times(policy, life)
     n = 20_000
     seq = np.random.SeedSequence(SEED)
-    sums = _zero_sums((1, 1, 1), int(horizon // T), times)
+    sums = _zero_sums(1, int(horizon // T), times)
     _block_accumulate(
-        [model], T, life, delta, [14.0], [n], np.random.default_rng(seq), times,
-        sums, [0],
+        [model], T, life, delta, np.array([14.0]), np.zeros(n, dtype=int),
+        np.random.default_rng(seq), times, sums,
     )
-    sums = {key: value[0, 0, 0] for key, value in sums.items()}
+    sums = {key: value[0] for key, value in sums.items()}
     outputs = _simulate_kernel(
         model, T, horizon, delta, np.full(n, 14.0), np.random.default_rng(seq)
     )
@@ -174,12 +174,11 @@ def test_reduction_stops_at_the_last_open_inspection(T, horizon, delta, Ms):
     times = eval_times(MaintenancePolicy(T, min(Ms)), life)
     n, kmax = 5_000, int(horizon // T)
     seq = np.random.SeedSequence(SEED)
-    sums = _zero_sums((1, len(Ms), 1), kmax, times)
+    sums = _zero_sums(len(Ms), kmax, times)
     _block_accumulate(
-        [model], T, life, delta, Ms, [n], np.random.default_rng(seq), times,
-        sums, np.arange(len(Ms)),
+        [model], T, life, delta, np.array(Ms), np.arange(len(Ms)).repeat(n),
+        np.random.default_rng(seq), times, sums,
     )
-    sums = {key: value[0, :, 0] for key, value in sums.items()}
     outputs = _simulate_kernel(
         model, T, horizon, delta, np.repeat(Ms, n), np.random.default_rng(seq)
     )

@@ -10,7 +10,6 @@ its own law, which the z-tests check against the member's own independent
 estimate.  A member's rows do not depend on the order of the members.
 """
 
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -69,9 +68,10 @@ def member_rows(tables, j, count):
     "n, cap",
     [
         pytest.param(803, None, id="one-pass"),
-        # Passes of 3 thresholds of 30 paths, members reduced one at a time.
+        # 150 paths in two passes of 75, members reduced one at a time.
         pytest.param(30, 100, id="passes-and-member-groups"),
-        # Thresholds of 404 paths drawn in chunks of at most 100.
+        # 2,020 paths in 21 passes of at most 100, each within a threshold
+        # or across two.
         pytest.param(404, 100, id="chunks"),
     ],
 )
@@ -131,8 +131,9 @@ def test_members_must_share_alpha_and_thresholds(model):
 
 
 def test_a_bundle_pass_holds_a_share_of_the_cap(model, monkeypatch, counting_rng):
-    # K distinct rates: a pass holds at most _PASS_PATHS // K paths, one
-    # exponential per path and one exponential call per pass.
+    # K distinct rates: the row's paths are cut into the fewest even passes
+    # of at most _PASS_PATHS // K, with one exponential per path and one
+    # exponential call per pass.
     made = []
 
     def default_rng(seed):
@@ -147,10 +148,11 @@ def test_a_bundle_pass_holds_a_share_of_the_cap(model, monkeypatch, counting_rng
     estimate_row(members, 10.0, Ms, life, cfg, row_seed())
     (rng,) = made
     cap = simulate._PASS_PATHS // len(members)
-    per_pass = cap // cfg.n_samples
-    assert rng.calls["exponential"] == math.ceil(len(Ms) / per_pass)
+    passes = simulate._chunks(len(Ms) * cfg.n_samples, cap)
+    assert passes == [(0, 1100), (1100, 2200)]
+    assert rng.calls["exponential"] == len(passes)
     assert rng.counts["exponential"] == len(Ms) * cfg.n_samples
-    assert rng.largest["exponential"] == per_pass * cfg.n_samples <= cap
+    assert rng.largest["exponential"] == 1100 <= cap
     assert rng.largest["gamma"] <= cap
 
 

@@ -1,21 +1,22 @@
 """estimate_row: one generator serves a whole row of thresholds.
 
-The row's generator, default_rng of its seed sequence, draws the paths of
-every threshold in ascending M, in passes of consecutive thresholds (a
-threshold above the pass cap alone, in chunks), and each threshold has paths
-of its own; the row's table set holds them in the order given, one row
-each.  Worker block b of a threshold is the b-th range of its paths.  A
-threshold's estimates therefore depend on the row's set of thresholds,
-though not on their order or the process count, its pooled counts not on
-the number of blocks, and estimate_tables is the one-threshold row.  A cell
-of a row is not bit for bit its one-threshold estimate_tables, but it has
-the same law:
+The row's generator, default_rng of its seed sequence, draws the row's
+len(Ms) * n paths threshold-major in ascending M, cut into the fewest passes
+of even sizes, and each threshold has paths of its own; the row's table set
+holds them in the order given, one row each.  Worker block b of a threshold
+is the b-th range of its paths, and a pass boundary may fall inside a
+threshold and inside a block.  A threshold's estimates therefore depend on
+the row's set of thresholds, though not on their order or the process
+count, its pooled counts not on the number of blocks, and estimate_tables
+is the one-threshold row.  A cell of a row is not bit for bit its
+one-threshold estimate_tables, but it has the same law:
 the tests below check the layout against the reference reduction, the
 invariances, the agreement in law with each cell's own estimate, and the
 generators and sampler calls a row costs.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,9 +32,10 @@ from cbmlife.model import (
     SystemModel,
 )
 from cbmlife.optimize import PolicyGrid, optimize_transient
+from cbmlife.sensitivity import VARIATIONS
 from cbmlife.simulate import (
     SimulationConfig,
-    _simulate_kernel,
+    _simulate_bundle,
     _skeleton,
     estimate_row,
     estimate_tables,
@@ -62,66 +64,69 @@ def row_seed():
     return np.random.SeedSequence(SEED, spawn_key=(10_000_000,))
 
 
-def by_path_ranges(model, T, Ms, life, cfg):
-    """Each threshold's block sums, drawn as documented and reduced by the loop.
+def by_path_ranges(models, T, Ms, life, cfg):
+    """Each (member, threshold) row's block sums, drawn as documented and
+    reduced by the loop.
 
-    One generator draws the paths of every threshold, in ascending M, in
-    passes of cap // n thresholds, and a threshold of more paths than the
-    cap alone, in the fewest even chunks; block b of a threshold is the b-th
-    range of its paths, reduced on its own by the reference reduction.
+    One generator draws the row's len(Ms) * n paths, threshold-major in
+    ascending M, once for every member, in the fewest passes of even sizes
+    of at most _PASS_PATHS // K paths for K distinct betas; block b of a
+    threshold is the b-th range of its paths, reduced on its own by the
+    reference reduction.
     """
+    members = [models] if isinstance(models, SystemModel) else list(models)
     policy = MaintenancePolicy(T, min(Ms))
     delta, times = cfg.step_for(policy), eval_times(policy, life)
     kmax = int(math.floor(life.horizon / T + 1e-9))
-    n, cap = cfg.n_samples, simulate._PASS_PATHS
+    n = cfg.n_samples
+    cap = simulate._PASS_PATHS // len({m.degradation.beta for m in members})
     block = simulate._block_split(n, cfg.worker_streams)
     starts = np.concatenate([[0], np.cumsum(block)])
     ascending = sorted(Ms)
+    levels = np.repeat(ascending, n)
+    passes = math.ceil(len(levels) / cap)
+    bounds = [p * len(levels) // passes for p in range(passes + 1)]
     rng = np.random.default_rng(row_seed())
-    outputs = {}
-    per_pass = max(1, cap // n)
-    for first in range(0, len(Ms), per_pass):
-        levels = ascending[first : first + per_pass]
-        chunks = math.ceil(n / cap)
-        for c in range(chunks):
-            size = (c + 1) * n // chunks - c * n // chunks
-            out = _simulate_kernel(
-                model, T, life.horizon, delta, np.repeat(levels, size), rng
-            )
-            for i, M in enumerate(levels):
-                chunk = [o[i * size:(i + 1) * size] for o in out[:4]]
-                if M in outputs:
-                    chunk = [np.concatenate(pair) for pair in zip(outputs[M], chunk)]
-                outputs[M] = chunk
+    drawn = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        (out,) = _simulate_bundle(members, T, life.horizon, delta, levels[lo:hi],
+                                  rng, len(members))
+        drawn.append(out[:4])
+    # (member, path) arrays of the whole row's paths.
+    out = [np.concatenate(parts, axis=1) for parts in zip(*drawn)]
     expected = {
-        M: {
-            b: loop_accumulate(*(o[starts[b]:starts[b + 1]] for o in out), T, kmax,
-                               times)
+        (j, M): {
+            b: loop_accumulate(
+                *(o[j, i * n + starts[b] : i * n + starts[b + 1]] for o in out),
+                T, kmax, times,
+            )
             for b in np.flatnonzero(block)
         }
-        for M, out in outputs.items()
+        for j in range(len(members))
+        for i, M in enumerate(ascending)
     }
     return expected, block
 
 
-def assert_row_follows_its_generator(model, T, Ms, life, cfg):
-    tables = estimate_row(model, T, Ms, life, cfg, row_seed())
-    expected, block = by_path_ranges(model, T, Ms, life, cfg)
-    assert tables.Ms.tolist() == list(Ms)
-    for r, M in enumerate(Ms):
+def assert_row_follows_its_generator(models, T, Ms, life, cfg):
+    tables = estimate_row(models, T, Ms, life, cfg, row_seed())
+    expected, block = by_path_ranges(models, T, Ms, life, cfg)
+    members = len(tables.Ms) // len(Ms)
+    assert tables.Ms.tolist() == list(Ms) * members
+    for r, M in enumerate(tables.Ms):
         for b in range(cfg.worker_streams):
-            sums = expected[M].get(b)
+            sums = expected[r // len(Ms), M].get(b)
             for name in COUNTS + SUMS:
                 got = getattr(tables, "b" + name)[r, b]
                 if sums is None:  # an empty block keeps its zero row
-                    assert not np.any(got), (M, b, name)
+                    assert not np.any(got), (r, M, b, name)
                 elif name in COUNTS:
-                    assert np.array_equal(got, sums[name]), (M, b, name)
+                    assert np.array_equal(got, sums[name]), (r, M, b, name)
                 else:
                     # sums of block[b] nonnegative terms, in another order
                     np.testing.assert_allclose(
                         got, sums[name], rtol=block[b] * np.finfo(float).eps,
-                        atol=0.0, err_msg=f"M={M} block {b} {name}",
+                        atol=0.0, err_msg=f"row {r} M={M} block {b} {name}",
                     )
 
 
@@ -159,25 +164,42 @@ def test_row_with_shock_threshold_at_or_above_L(Ms):
 @pytest.mark.parametrize(
     "n, streams",
     [
-        pytest.param(30, 4, id="passes-across-thresholds"),  # 3 thresholds a pass
-        # Thresholds of 404 paths drawn in chunks of 80 or 81, blocks of 101
-        # split between chunks.
+        # 150 paths in two passes of 75: the boundary splits the third
+        # threshold at its path 15, inside its block 1 (paths 8-15).
+        pytest.param(30, 4, id="passes-across-thresholds"),
+        # 2,020 paths in 21 passes of 96 or 97, blocks of 101 split between
+        # passes.
         pytest.param(404, 4, id="blocks-above-the-cap"),
     ],
 )
 def test_row_spanning_several_passes(model, monkeypatch, n, streams):
     monkeypatch.setattr(simulate, "_PASS_PATHS", 100)
     cfg = SimulationConfig(n_samples=n, master_seed=SEED, worker_streams=streams)
-    assert max(1, simulate._PASS_PATHS // n) < len(THRESHOLDS)  # several passes
+    assert len(THRESHOLDS) * n > simulate._PASS_PATHS  # several passes
     # Shuffled, so the passes must follow ascending M, not the order given.
     Ms = (25.0, 5.0, 30.0, 14.0, 20.0)
     assert_row_follows_its_generator(model, 10.0, Ms, LifeCycle(50.0), cfg)
 
 
+def test_bundle_pass_boundary_inside_a_threshold_and_a_block(model):
+    # 7 betas cap a pass at 8192 // 7 = 1,170 paths, so the 2,310 paths of
+    # 11 thresholds of 210 take two passes of 1,155.  The boundary falls at
+    # path 105 of the sixth threshold, inside its block 1 (paths 53-105).
+    members = [
+        replace(model, degradation=GammaDegradation(alpha=0.1, beta=0.1 * (1 + v / 100)))
+        for v in VARIATIONS
+    ]
+    Ms = tuple(np.linspace(6.0, 26.0, 11))
+    cfg = SimulationConfig(n_samples=210, master_seed=SEED, worker_streams=4)
+    cap = simulate._PASS_PATHS // len(members)
+    assert simulate._chunks(len(Ms) * cfg.n_samples, cap) == [(0, 1155), (1155, 2310)]
+    assert_row_follows_its_generator(members, 10.0, Ms, LifeCycle(50.0), cfg)
+
+
 def test_one_threshold_row_is_estimate_tables(model, monkeypatch):
-    # With every threshold in passes of its own, the lowest is drawn first,
-    # in the chunks its one-threshold row draws.
-    monkeypatch.setattr(simulate, "_PASS_PATHS", 100)
+    # With passes of one threshold each, the lowest is drawn first, in the
+    # one pass its one-threshold row draws.
+    monkeypatch.setattr(simulate, "_PASS_PATHS", 404)
     life = LifeCycle(50.0)
     cfg = SimulationConfig(n_samples=404, master_seed=SEED, worker_streams=4)
     row = estimate_row(model, 10.0, THRESHOLDS, life, cfg, row_seed())
@@ -298,10 +320,11 @@ def test_a_corrupted_cell_fails_the_row(
         simulate._block_accumulate, simulate.EstimateTables.validate, []
     )
 
-    def corrupted(model, T, life, delta, Ms, sizes, rng, times, sums, cells):
-        accumulate(model, T, life, delta, Ms, sizes, rng, times, sums, cells)
-        if 20.0 in Ms:  # sums are (member, threshold, block, ...)
-            sums[name][0, cells[list(Ms).index(20.0)], 1, column] += change
+    def corrupted(model, T, life, delta, Ms, bins, rng, times, sums):
+        accumulate(model, T, life, delta, Ms, bins, rng, times, sums)
+        row = THRESHOLDS.index(20.0) * 4 + 1  # rows are (member, threshold, block)
+        if (bins == row).any():
+            sums[name][row, column] += change
 
     def counted(tables):
         checks.append(tables.bp_p.shape)
@@ -336,7 +359,7 @@ def test_a_row_costs_one_generator(model, monkeypatch, counting_rng):
     cfg = SimulationConfig(n_samples=800, master_seed=SEED, worker_streams=4)
     estimate_row(model, 10.0, Ms, life, cfg, row_seed())
     (rng,) = made
-    passes = math.ceil(len(Ms) / (simulate._PASS_PATHS // cfg.n_samples))
+    passes = len(simulate._chunks(len(Ms) * cfg.n_samples, simulate._PASS_PATHS))
     assert passes == 3  # 10 thresholds of 800 paths a pass
     # A bracket of w grid steps is bisected in ceil(log2 w) rounds.
     grid = _skeleton(50.0, 10.0, 0.1)

@@ -1,7 +1,9 @@
 import hashlib
 import json
 import math
+import pickle
 import tracemalloc
+from dataclasses import replace
 import warnings
 
 import numpy as np
@@ -391,7 +393,8 @@ class TestReduction:
         # a failure after k_max T is censored where the horizon is past it
         assert (censored & np.isfinite(failure)).any() == (tf > kmax * T)
         size = len(order) // 3
-        sums = _reduce(*outputs, np.full(3, size), T, kmax, times)
+        sums = _zero_sums(3, kmax, times)
+        _reduce(*outputs, np.arange(3).repeat(size), T, kmax, times, sums)
         for i in range(3):
             paths = slice(i * size, (i + 1) * size)
             ref = loop_accumulate(*(o[paths] for o in outputs), T, kmax, times)
@@ -419,15 +422,16 @@ class TestReduction:
     def test_a_pass_holds_little_memory(self, ref_model, tf, rates, shocks, thresholds):
         # One pass of _PASS_PATHS // K paths at T = 5, for a bundle of K
         # distinct rates beta, each with shocks**2 pairs (lambda1, lambda2),
-        # and the row's sums it adds into.  It peaked at 2.1 MB with one rate
-        # (t_f = 200), at 2.0 MB with seven and at 2.1 MB for the shock
-        # table; without the row's sums, at 1.8 MB, and with the reduction
-        # looping over inspections, at 3.1 MB.  A pass adds one row of sums
-        # per (member, threshold), so the bundle's case keeps about the 30
-        # rows of the one-model case: over 30 thresholds its 210 rows of 401
-        # lattice times alone take 2.0 MB at t_f = 200.  The 49 members of
-        # the shock table share one full pass of one threshold, reduced one
-        # member at a time.
+        # and the row's sums it adds into, one table at a time.  It peaked
+        # at 2.07 MB with one rate (t_f = 200), at 1.91 MB with seven and at
+        # 2.14 MB for the shock table; with every table of a run held until
+        # the last was counted, at 2.12, 2.03 and 2.14 MB, and with the
+        # reduction looping over inspections, at 3.1 MB.  A pass adds into
+        # one row of sums per (member, threshold), so the bundle's case keeps
+        # about the 30 rows of the one-model case: over 30 thresholds its
+        # 210 rows of 401 lattice times alone take 2.3 MB at t_f = 200, and
+        # that pass peaks at 5.0 MB.  The 49 members of the shock table share
+        # one full pass of one threshold, reduced one member at a time.
         T, Ms = 5.0, np.linspace(1.0, 30.0, thresholds)
         variations = (0.0, -10.0, -5.0, -1.0, 1.0, 5.0, 10.0)
         members = [
@@ -450,9 +454,9 @@ class TestReduction:
         rng = np.random.default_rng(SEED)
         tracemalloc.start()
         try:
-            sums = _zero_sums((len(members), len(Ms), 1), int(tf // T), times)
-            _block_accumulate(members, T, life, T / 100.0, Ms, [size], rng, times,
-                              sums, np.arange(len(Ms)))
+            sums = _zero_sums(len(members) * len(Ms), int(tf // T), times)
+            _block_accumulate(members, T, life, T / 100.0, Ms,
+                              np.arange(len(Ms)).repeat(size), rng, times, sums)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -543,6 +547,24 @@ class TestPersistence:
         assert row.digest == digest(cfg, np.random.SeedSequence(SEED), (14.0, 20.0))
         assert row.digest != tables.digest
         assert not np.array_equal(row.balive[1], tables.balive[0])
+
+    def test_pickled_tables_leave_the_cache_behind(self, ref_model, ref_life):
+        # validate() caches the pooled estimates; a pickled table set (a
+        # pool task's result) holds the fields alone, and the copy computes
+        # the same estimates again.
+        cfg = SimulationConfig(n_samples=800, master_seed=SEED)
+        tables = estimate_row(ref_model, 5.0, np.linspace(1.0, 30.0, 30), ref_life,
+                              cfg, np.random.SeedSequence(SEED))
+        cached = {"p_preventive", "alive_no_replacement", "residual_downtime_sq",
+                  "_paths"}
+        assert cached <= tables.__dict__.keys()
+        blob = pickle.dumps(tables)
+        copy = pickle.loads(blob)
+        assert copy.equals(tables)
+        assert copy.__dict__.keys() == tables.__dataclass_fields__.keys()
+        assert np.array_equal(copy.p_preventive, tables.p_preventive)
+        cache_free = replace(tables)
+        assert len(blob) == len(pickle.dumps(cache_free))
 
     def test_one_seed_sequence_object_twice(self, ref_model, ref_policy, ref_costs, ref_life):
         # The generator is built without spawning, so one object passed
