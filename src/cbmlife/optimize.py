@@ -3,16 +3,17 @@
 :func:`estimate_grid` draws the rows of a grid: the cells of one inspection
 period T are the rows of one table set, drawn by one
 :func:`~cbmlife.simulate.estimate_row` call from one generator built from a
-seed sequence keyed by the value of T, each cell from paths of its own.
-The grid search, the ``curves`` sweeps and the sensitivity sweeps all draw
-their rows through it, one row a task when it runs a process pool.  One
-batched renewal solve evaluates the pooled rows, and one more the rows of
-``tables.batches()``, each cell's worker blocks, contiguous ranges of its
-paths, whose values give the cell's batch-means standard error.  The
-objective matrix is therefore reproducible and invariant to the enumeration
-order of the grid and to the number of worker processes that draw its rows;
-a cell depends on the set of thresholds in its row, though not on their
-order.
+seed sequence keyed by the value of T.  The grid search and the ``curves``
+sweeps draw each cell from paths of its own; the sensitivity sweeps pass
+``paired=True``, so every cell of a row reads the row's one set of paths.
+All of them draw their rows through it, one row a task when it runs a
+process pool.  One batched renewal solve evaluates the pooled rows, and one
+more the rows of ``tables.batches()``, each cell's worker blocks,
+contiguous ranges of its paths, whose values give the cell's batch-means
+standard error.  The objective matrix is therefore reproducible and
+invariant to the enumeration order of the grid and to the number of worker
+processes that draw its rows; a cell depends on the set of thresholds in
+its row, though not on their order.
 """
 
 from __future__ import annotations
@@ -75,28 +76,30 @@ class PolicyGrid:
 
 
 def estimate_grid(bundles, grid: PolicyGrid, life: LifeCycle, cfg: SimulationConfig,
-                  processes: int = 1):
+                  processes: int = 1, paired: bool = False):
     """Yield the table set of every (bundle, T) row of the grid.
 
     Each of ``bundles`` is one SystemModel or members that share alpha, M_s
     and L.  The rows come bundle-major, each bundle's in the grid's T order;
     row (bundle, T) is ``estimate_row(bundle, T, grid.M_values, life, cfg,
-    row_seed(cfg.master_seed, T))``.  With ``processes`` > 1 the rows are
-    drawn in a process pool, one row a task; the tables do not depend on its
-    size.
+    row_seed(cfg.master_seed, T), paired)``, so with ``paired`` every
+    threshold of a row reads the same paths.  With ``processes`` > 1 the
+    rows are drawn in a process pool, one row a task, of at most one
+    process a row; the tables do not depend on its size.
     """
-    args = zip(*[
-        (bundle, T, grid.M_values, life, cfg, row_seed(cfg.master_seed, T))
+    tasks = [
+        (bundle, T, grid.M_values, life, cfg, row_seed(cfg.master_seed, T), paired)
         for bundle in bundles
         for T in grid.T_values
-    ])
+    ]
     if processes > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            yield from pool.map(estimate_row, *args)
+        # The pool starts all its processes at the first task.
+        with ProcessPoolExecutor(max_workers=min(processes, len(tasks))) as pool:
+            yield from pool.map(estimate_row, *zip(*tasks))
     else:
-        yield from map(estimate_row, *args)
+        yield from map(estimate_row, *zip(*tasks))
 
 
 @dataclass(frozen=True)

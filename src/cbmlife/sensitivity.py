@@ -16,13 +16,14 @@ and a path drawn at one alpha cannot serve another on the same delta-grid.
 The baseline is a member of its own bundle, and the zero-variation cell is
 the baseline itself, not simulated again.  A sweep is a policy grid of one
 T and the swept thresholds, or of the swept periods and one M, whose rows
-every bundle draws through :func:`~cbmlife.optimize.estimate_grid`: with T
-fixed, the whole sweep of a bundle is one table set of (member, threshold)
-rows and one batched renewal solve over its rows.  Each row of thresholds
-is seeded by its T, and each threshold has paths of its own, drawn from the
-row's one generator: a cell depends on the set of swept thresholds and on
-the betas of its bundle, though not on their order.  The rows may be drawn
-in a process pool; the tables do not depend on its size.
+every bundle draws through :func:`~cbmlife.optimize.estimate_grid`, paired:
+with T fixed, the whole sweep of a bundle is one table set of (member,
+threshold) rows, drawn from n paths that every swept threshold reads, and
+one batched renewal solve over its rows.  Each row of thresholds is seeded
+by its T, so a cell depends on the set of swept thresholds and on the betas
+of its bundle, though not on their order.  With M fixed a row has one
+threshold, which pairing leaves as it is.  The rows may be drawn in a
+process pool; the tables do not depend on its size.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ def _sensitivity_table(
     groups = [group for group in bundles.values() for _ in grid.T_values]
     rows = estimate_grid(
         [[members[k] for k in group] for group in bundles.values()],
-        grid, life, cfg, processes,
+        grid, life, cfg, processes, paired=True,
     )
     values = np.full(len(members), np.inf)
     for tables, group in zip(rows, groups):

@@ -52,23 +52,29 @@ for every member of a bundle: models that share alpha, M_s and L.  On the
 same delta-grid X_{alpha,beta}(t) = X_{alpha,beta_d}(t) * beta_d / beta, so
 one set of paths, drawn at alpha and at beta_d, the smallest beta of the
 members, serves them all: member j reads its crossings of M, M_s and L at
-those levels times beta_j / beta_d, three level rows per distinct scale,
-and its shock time from the path's one exponential with its own rates.  A
-bundle of one scale (its members differ only in lambda) draws exactly what
-one model draws.  The row lays its paths out threshold-major in ascending
-M and cuts them into the fewest passes of even sizes of at most
-``_PASS_PATHS // K`` paths for K distinct scales, so a pass boundary may
-fall inside a threshold and inside a block; each path adds into the
-(threshold, block) row its index in the row names.  A pass is one sampler
-call over all its paths and one reduction per group of at most
+those levels times beta_j / beta_d, R + 2 level rows per distinct scale for
+R thresholds a path, and its shock time from the path's one exponential
+with its own rates.  A bundle of one scale (its members differ only in
+lambda) draws exactly what one model draws.  An unpaired row (the default)
+reads each path at one threshold (R = 1): it lays its paths out
+threshold-major in ascending M, so each threshold has paths of its own and
+the thresholds' rows are independent.  A paired row draws n paths and reads
+each at every threshold of the row (R = len(Ms)), the largest first, so its
+thresholds share their paths: a path's replacement inspection
+min(k_c, k_p(M)) grows with M, and the cells' differences lose the noise
+of independent estimates.  Either way the row cuts its paths into the
+fewest passes of even sizes of at most ``3 * _PASS_PATHS // (K * (R + 2))``
+paths for K distinct scales, ``_PASS_PATHS // K`` at R = 1, so a pass
+boundary may fall inside a threshold and inside a block; each outcome adds
+into the (threshold, block) row its index in the row names.  A pass is one
+sampler call over all its paths and one reduction per group of at most
 ``_PASS_PATHS`` member outcomes, which adds each table into the row's sums
 as soon as it is counted; this removes the fixed cost of a sampler call per
 threshold, block and member, and the table set is checked once, when every
-pass has run.  Each threshold has paths of its own, so the
-thresholds' rows are independent, while the members of a bundle share
-their noise; a member's rows depend on the row's set of thresholds and the
-bundle's set of scales, though not on their order.  :func:`estimate_tables`
-is the one-model, one-threshold row.
+pass has run.  The members of a bundle share their noise; a member's rows
+depend on the row's set of thresholds and the bundle's set of scales,
+though not on their order.  :func:`estimate_tables` is the one-model,
+one-threshold row.
 """
 
 from __future__ import annotations
@@ -105,10 +111,11 @@ _EPS = 1e-9
 # Paths simulated together in one sampler pass.  A pass holds about 250
 # bytes a path (bisection state, bridge draws and reduction temporaries), so
 # the cap bounds its memory, at about 2 MB.  A bundle of K distinct scales
-# draws three levels a path per scale, so a row's paths are cut into the
-# fewest even passes of at most _PASS_PATHS // K (:func:`_chunks`), and its
-# members' outcomes are reduced in groups of at most _PASS_PATHS, one group
-# at a time.
+# whose paths are read at R thresholds each (R = 1 unpaired) draws R + 2
+# levels a path per scale, so a row's paths are cut into the fewest even
+# passes of at most 3 * _PASS_PATHS // (K * (R + 2)) (:func:`_chunks`),
+# _PASS_PATHS // K at R = 1, and its members' outcomes, R a path, are
+# reduced in groups of at most _PASS_PATHS, one group at a time.
 _PASS_PATHS = 8192
 # The most inspection periods t_f/T may hold.  A period adds 10 or 11 lattice
 # points to every table and a skeleton step to every pass, so a longer
@@ -307,27 +314,30 @@ def _bundle_scales(models):
 def _simulate_bundle(models, T, horizon, delta, Ms, rng, group):
     """Draw one pass of paths for a bundle, and its members' outcomes.
 
-    Path i has preventive threshold ``Ms[i]``.  The members share alpha, M_s
-    and L; the paths are drawn at alpha and beta_d (:func:`_bundle_scales`)
-    from ``rng``: the skeleton increments, the bridge midpoints round by
-    round, then one exponential per path.  At scale s a member crosses a
-    level z where the drawn path crosses z * s, so the levels are M, M_s and
-    L at each distinct scale, three rows per scale: one scale (a bundle whose
-    members differ only in lambda) draws what a single model draws.  Each
-    path is drawn until it reaches M at the largest scale.  Yields the
-    outcomes of :func:`_outcomes` for each run of at most ``group``
-    consecutive members, in order, after every draw is made: the outcomes
-    take about 26 bytes a member and path, so a caller that frees a run's
-    before it asks for the next holds one run's at a time.
+    ``Ms`` is (R, paths): column i holds the R preventive thresholds path i
+    is read at, its largest in row 0.  An unpaired row gives each path one
+    threshold (R = 1); a paired row gives every path all its thresholds.
+    The members share alpha, M_s and L; the paths are drawn at alpha and
+    beta_d (:func:`_bundle_scales`) from ``rng``: the skeleton increments,
+    the bridge midpoints round by round, then one exponential per path.  At
+    scale s a member crosses a level z where the drawn path crosses z * s,
+    so the levels are the R thresholds, M_s and L at each distinct scale,
+    R + 2 rows per scale: one scale (a bundle whose members differ only in
+    lambda) draws what a single model draws.  Each path is drawn until it
+    reaches its largest M at the largest scale.  Yields the outcomes of
+    :func:`_outcomes` for each run of at most ``group`` consecutive members,
+    in order, after every draw is made: the outcomes take about 10 bytes a
+    member, threshold and path and 24 a member and path, so a caller that
+    frees a run's before it asks for the next holds one run's at a time.
     """
     first = models[0]
     alpha = first.degradation.alpha
     beta_d, scales, which = _bundle_scales(models)
     grid = _skeleton(horizon, T, delta)
-    s, K, n = np.array(scales), len(scales), len(Ms)
-    # M at every scale, the largest first: _brackets stops each path at its
-    # row-0 level.  Then M_s and L at every scale, ascending, as _bisect
-    # takes them.
+    s, K, (R, n) = np.array(scales), len(scales), np.shape(Ms)
+    # Every threshold at every scale, the largest scale first, so row 0 is
+    # the largest: _brackets stops each path at its row-0 level.  Then M_s
+    # and L at every scale, ascending, as _bisect takes them.
     named = np.concatenate([first.shock_threshold * s, first.breakdown_threshold * s])
     order = np.argsort(named, kind="stable")
     levels = np.vstack([*(np.asarray(Ms, dtype=float) * f for f in s[::-1]),
@@ -336,18 +346,21 @@ def _simulate_bundle(models, T, horizon, delta, Ms, rng, group):
     pos, xa, xb = _brackets(grid, levels, alpha * delta, 1.0 / beta_d, rng)
     # Skeleton point k is inspection k for k <= kmax, so M's bracket ends at
     # the inspection k_p that finds it, or past the last one: M is never
-    # bisected.  A path is drawn only up to k_p at the largest scale, so M_s
-    # and L are bracketed, and bisected, only where their bracket opens
-    # before then; an unresolved M_s gives v = horizon in _outcomes, which
-    # changes Y only past the member's own end = min(k_p T, horizon).
-    index = _bisect(grid, pos[K:], xa[K:], xb[K:], levels[K:], alpha * delta, rng)
+    # bisected.  A path is drawn only up to k_p of its largest M at the
+    # largest scale, so M_s and L are bracketed, and bisected, only where
+    # their bracket opens before then; an unresolved M_s gives v = horizon
+    # in _outcomes, which changes Y only past the member's own end =
+    # min(k_p T, horizon).
+    KR = K * R
+    index = _bisect(grid, pos[KR:], xa[KR:], xb[KR:], levels[KR:], alpha * delta, rng)
     sigma = np.where(index > 0, index * delta, np.inf)
-    # The skeleton index of M at each scale, ascending (len(grid) where the
-    # path stays below it), the crossing times in level order, the row of
-    # each level in them (M_s at each scale, then L), and one exponential a
-    # path.
+    # The skeleton index of each threshold at each scale, (scale, threshold,
+    # path) with the scales ascending (len(grid) where the path stays below
+    # it), the crossing times in level order, the row of each level in them
+    # (M_s at each scale, then L), and one exponential a path.
     rank = np.argsort(order)
-    paths = pos[K - 1 :: -1].copy(), len(grid), sigma, rank, rng.exponential(1.0, n)
+    paths = (pos[:KR].reshape(K, R, n)[::-1].copy(), len(grid), sigma, rank,
+             rng.exponential(1.0, n))
     # The draw's state is freed before any member's outcomes are reduced.
     del levels, pos, xa, xb, index
     for lo in range(0, len(models), group):
@@ -359,20 +372,25 @@ def _outcomes(models, which, paths, T, horizon):
     """First-cycle outcomes of the members ``models`` on one pass of paths.
 
     ``paths`` is what :func:`_simulate_bundle` drew, and member m reads its
-    scale ``which[m]``.  Returns (members, paths) arrays: replacement
-    inspection index (k_rep), corrective flag, censored flag, failure time
-    D, crossing time of L and shock time Y (np.inf when beyond the horizon).
-    Let end = min(k_p T, horizon): D, sigma_L and Y are the path's own
+    scale ``which[m]``.  Returns one outcome per (member, threshold, path):
+    replacement inspection index (k_rep), corrective flag and censored flag
+    of shape (members, R, paths), then failure time D, crossing time of L
+    and shock time Y (np.inf when beyond the horizon) of shape (members, 1,
+    paths), which no threshold changes.  Let end = min(k_p T, horizon) at
+    the path's largest threshold: D, sigma_L and Y are the path's own
     wherever they are at most end, and beyond end they are only known to
     exceed it (sigma_L then reads np.inf, or a later crossing that another
-    scale's k_p reached).
+    scale's k_p reached).  Path by path k_rep = min(k_c, k_p(M)), and k_p
+    grows with M, so on shared paths k_rep grows with M.
     """
     pos, unreached, sigma, rank, E = paths
     rows = np.asarray(which)
-    k_p, sigma_Ms, sigma_L = pos[rows], sigma[rank[rows]], sigma[rank[len(pos) + rows]]
+    k_p = pos[rows]
+    sigma_Ms = sigma[rank[rows]][:, None]
+    sigma_L = sigma[rank[len(pos) + rows]][:, None]
     kmax = int(math.floor(horizon / T + _EPS))
-    lam1 = np.array([[model.shocks.lambda1] for model in models])
-    lam2 = np.array([[model.shocks.lambda2] for model in models])
+    lam1 = np.array([[[model.shocks.lambda1]] for model in models])
+    lam2 = np.array([[[model.shocks.lambda2]] for model in models])
     # Exact inverse-transform draw of the shock time given the (grid) time v
     # at which the path enters the high-intensity regime: the cumulative
     # hazard is lam1*t on [0, v] and lam1*v + lam2*(t - v) beyond.
@@ -400,33 +418,38 @@ def _outcomes(models, which, paths, T, horizon):
 def _simulate_kernel(model, T, horizon, delta, Ms, rng):
     """Vectorized first-cycle simulation of one pass of paths of one model.
 
-    The one-member bundle: the per-path arrays of :func:`_outcomes`.
+    The one-member bundle, each path at its one threshold ``Ms[i]``: the
+    per-path arrays of :func:`_outcomes`.
     """
-    (outcomes,) = _simulate_bundle([model], T, horizon, delta, Ms, rng, 1)
-    return tuple(v[0] for v in outcomes)
+    (outcomes,) = _simulate_bundle([model], T, horizon, delta, np.asarray(Ms)[None],
+                                   rng, 1)
+    return tuple(v[0, 0] for v in outcomes)
 
 
 def _block_accumulate(models, T, life, delta, Ms, bins, rng, times, sums):
-    """Simulate one pass of paths, path i in row bins[i], and add their sums.
+    """Simulate one pass of paths, path i read into rows bins[:, i], and add sums.
 
     ``sums`` are the arrays of :func:`_zero_sums`, one run of len(Ms) rows
     per member of the bundle ``models``, in member order, and row r of a
-    run has threshold Ms[r].  The paths are drawn from ``rng`` once for
-    every member, and path i adds into row bins[i] of each member's run.
-    The members' outcomes are reduced by :func:`_reduce` in groups of at
-    most _PASS_PATHS outcomes (at least one member), each group's freed
-    before the next is computed.
+    run has threshold Ms[r].  ``bins`` is (R, paths): path i is read at the
+    thresholds Ms[bins[:, i]], its largest in row 0
+    (:func:`_simulate_bundle`), and its outcome at Ms[bins[j, i]] adds into
+    row bins[j, i] of each member's run.  The paths are drawn from ``rng``
+    once for every member.  The members' outcomes are reduced by
+    :func:`_reduce` in groups of at most _PASS_PATHS outcomes (at least one
+    member), each group's freed before the next is computed.
     """
     kmax = int(math.floor(life.horizon / T + _EPS))
-    group = max(1, _PASS_PATHS // len(bins))
+    group = max(1, _PASS_PATHS // bins.size)
     runs = _simulate_bundle(models, T, life.horizon, delta, Ms[bins], rng, group)
     first = 0
     for k_rep, corrective, censored, D, *_ in runs:
         del _  # the crossing and shock times, which no table reads
-        owner = np.arange(first, first + len(k_rep))[:, None] * len(Ms) + bins
+        owner = np.arange(first, first + len(k_rep))[:, None, None] * len(Ms) + bins
         first += len(k_rep)
-        _reduce(k_rep.ravel(), corrective.ravel(), censored.ravel(), D.ravel(),
-                owner.ravel(), T, kmax, times, sums)
+        _reduce(k_rep.ravel(), corrective.ravel(), censored.ravel(),
+                np.broadcast_to(D, k_rep.shape).ravel(), owner.ravel(), T, kmax,
+                times, sums)
         del k_rep, corrective, censored, D, owner  # before the next run is drawn
 
 
@@ -435,16 +458,18 @@ def _reduce(k_rep, corrective, censored, D, owner, T, kmax, times, sums):
 
     Output i is added into row owner[i] of every array of ``sums``
     (:func:`_zero_sums`).  Each table is one ``np.bincount`` over (row,
-    table cell), which adds a row's outputs in their order, over the rows
-    the run reaches, and is added into ``sums`` before the next is computed.
+    table cell), which adds a row's outputs in their order, over the span
+    of rows from the run's lowest to its highest, and is added in place
+    into that slice of ``sums`` before the next is computed; a row of the
+    span the run does not reach adds zeros.
     """
-    rows = np.flatnonzero(np.bincount(owner))
-    owner, S = np.searchsorted(rows, owner), len(rows)
+    lo, hi = owner.min(), owner.max() + 1
+    owner, S = owner - lo, hi - lo
 
     def add(name, index, weights=None):
         target = sums[name]
         table = np.bincount(index, weights, minlength=S * target[0].size)
-        target[rows] += table.reshape(S, *target.shape[1:])
+        target[lo:hi] += table.reshape(S, *target.shape[1:])
 
     # Per inspection k: replacements by kind and the downtime kT - D of
     # corrective ones (k_rep <= kmax exactly when the cycle is not censored).
@@ -471,7 +496,7 @@ def _reduce(k_rep, corrective, censored, D, owner, T, kmax, times, sums):
     # of the prefix lengths' counts, from length C down to length 1.
     lengths = np.bincount(owner * (C + 1) + n_alive, minlength=S * (C + 1))
     lengths = lengths.reshape(S, C + 1)
-    sums["alive"][rows] += np.cumsum(lengths[:, :0:-1], axis=1)[:, ::-1]
+    sums["alive"][lo:hi] += np.cumsum(lengths[:, :0:-1], axis=1)[:, ::-1]
     del lengths
     # The (path, column) pairs of the open prefix from D on, path by path,
     # so each row adds its terms in path order (a term at t = D is 0.0).
@@ -686,18 +711,20 @@ class EstimateTables:
         )
 
 
-def tables_digest(models, T, Ms, life, cfg, delta: float, seed_sequence) -> str:
+def tables_digest(models, T, Ms, life, cfg, delta: float, seed_sequence,
+                  paired: bool = False) -> str:
     """Identify the draws behind the table set of the bundle ``models`` at T.
 
     A table set depends on its bundle's set of members and its row's set of
     thresholds, so the digest holds them, sorted, along with the seed
     sequence the row's generator is built from: its entropy and spawn key.
     A member is (alpha, beta, lambda1, lambda2); the members share M_s and
-    L.
+    L.  ``paired`` is :func:`estimate_row`'s, and the payload names it true
+    only where it changes the draws: in a row of more than one threshold.
     """
     members = _members(models)
     payload = {
-        "format": 6,  # the version of the payload, so digests stay comparable
+        "format": 7,  # the version of the payload, so digests stay comparable
         "members": sorted(
             [m.degradation.alpha, m.degradation.beta,
              m.shocks.lambda1, m.shocks.lambda2]
@@ -713,6 +740,7 @@ def tables_digest(models, T, Ms, life, cfg, delta: float, seed_sequence) -> str:
         "entropy": np.asarray(seed_sequence.entropy, dtype=object).tolist(),
         "spawn_key": list(seed_sequence.spawn_key),
         "streams": cfg.worker_streams,
+        "paired": bool(paired and len(Ms) > 1),
     }
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
@@ -777,6 +805,7 @@ def estimate_row(
     life: LifeCycle,
     cfg: SimulationConfig,
     seed_sequence: np.random.SeedSequence,
+    paired: bool = False,
 ) -> EstimateTables:
     """The table set of the policies (T, M), M in Ms, of a bundle, from one generator.
 
@@ -784,22 +813,30 @@ def estimate_row(
     members that share alpha, M_s and L.  Row r is member r // len(Ms) at
     threshold Ms[r % len(Ms)]: the rows are (member, threshold),
     member-major, in the orders given.  The generator,
-    ``np.random.default_rng(seed_sequence)``, draws the row's len(Ms) * n
-    paths, n = cfg.n_samples, once for all members
-    (:func:`_simulate_bundle`), in the passes :func:`_chunks` cuts them
-    into, of at most cap = _PASS_PATHS // K paths, where K is the number of
-    distinct scales beta_j / beta_d of the members.  Path i of the row is
-    path i % n of threshold i // n in ascending M, so each threshold has
-    paths of its own, and worker block b of a threshold is the b-th range
-    of its paths in the split of :func:`_block_split`; a threshold or block
-    split between passes adds up its parts in pass order.  A member's
-    rows therefore depend on the row's set of thresholds and on the set of
-    scales of the bundle, though not on their order; the members of one
-    scale (a bundle whose members differ only in lambda) draw exactly the
-    paths of a one-member bundle, so their rows are its rows.
-    :func:`estimate_tables` is the one-model, one-threshold row.  The
-    policies are checked at the call, and ``seed_sequence`` is left
-    unchanged.
+    ``np.random.default_rng(seed_sequence)``, draws the row's paths once
+    for all members (:func:`_simulate_bundle`), in the passes
+    :func:`_chunks` cuts them into, of at most cap = 3 * _PASS_PATHS // (K
+    * (R + 2)) paths, where K is the number of distinct scales beta_j /
+    beta_d of the members and R the thresholds a path is read at.  Worker
+    block b of a threshold is the b-th range of its paths in the split of
+    :func:`_block_split`; a threshold or block split between passes adds up
+    its parts in pass order.
+
+    Unpaired (the default), the row draws len(Ms) * n paths, n =
+    cfg.n_samples, each read at one threshold (R = 1, cap = _PASS_PATHS //
+    K): path i of the row is path i % n of threshold i // n in ascending M,
+    so each threshold has paths of its own and the thresholds' cells are
+    independent.  Paired, the row draws n paths and reads every path at
+    every threshold (R = len(Ms)): the cells share their paths, so a
+    path's replacement inspection k_rep = min(k_c, k_p(M)) grows with M and
+    the cells' differences carry little noise.  A paired row of one
+    threshold is the unpaired row.  A member's rows depend on the row's set
+    of thresholds and on the set of scales of the bundle, though not on
+    their order; the members of one scale (a bundle whose members differ
+    only in lambda) draw exactly the paths of a one-member bundle, so their
+    rows are its rows.  :func:`estimate_tables` is the one-model,
+    one-threshold row.  The policies are checked at the call, and
+    ``seed_sequence`` is left unchanged.
     """
     members = _members(models)
     policies = [
@@ -815,23 +852,28 @@ def estimate_row(
     n, B = cfg.n_samples, cfg.worker_streams
     block = _block_split(n, B)
     order = np.argsort(Ms, kind="stable")
-    cap = _PASS_PATHS // len(_bundle_scales(members)[1])
+    # A paired path is read at every threshold, the largest first.
+    reads, paths = (len(Ms), n) if paired else (1, len(Ms) * n)
+    cap = 3 * _PASS_PATHS // (len(_bundle_scales(members)[1]) * (reads + 2))
     rng = np.random.default_rng(seed_sequence)
     kmax = int(math.floor(life.horizon / T + _EPS))
-    # Rows (member, threshold, block): path i of the row adds into threshold
-    # order[i // n] and the block of path i % n, and empty blocks stay zero.
-    R = len(members) * len(Ms)
-    sums = _zero_sums(R * B, kmax, times)
-    for lo, hi in _chunks(len(Ms) * n, cap):
-        bins = np.divmod(np.arange(lo, hi), n)
-        bins = order[bins[0]] * B + np.searchsorted(block.cumsum(), bins[1], side="right")
+    # Rows (member, threshold, block): path i of the row is path i % n of
+    # threshold order[i // n], or of every threshold when paired, and adds
+    # into the block of i % n; empty blocks stay zero.
+    sums = _zero_sums(len(members) * len(Ms) * B, kmax, times)
+    for lo, hi in _chunks(paths, cap):
+        threshold, path = np.divmod(np.arange(lo, hi), n)
+        which = order[::-1, None] if paired else order[threshold][None]
+        bins = which * B + np.searchsorted(block.cumsum(), path, side="right")
+        del threshold, path, which  # a pass's size each, freed before it is drawn
         _block_accumulate(members, T, life, delta, Ms.repeat(B), bins, rng, times, sums)
+    R = len(members) * len(Ms)
     tables = EstimateTables(
         lattice=Lattice(times, T),
         Ms=np.tile(Ms, len(members)),
         horizon=life.horizon,
         delta=delta,
-        digest=tables_digest(members, T, Ms, life, cfg, delta, seed_sequence),
+        digest=tables_digest(members, T, Ms, life, cfg, delta, seed_sequence, paired),
         block_sizes=np.tile(block, (R, 1)),
         **{
             "b" + name: value.reshape(R, B, *value.shape[1:])

@@ -145,7 +145,7 @@ def test_one_pass_reduction_matches_loops(T, horizon, delta):
     seq = np.random.SeedSequence(SEED)
     sums = _zero_sums(1, int(horizon // T), times)
     _block_accumulate(
-        [model], T, life, delta, np.array([14.0]), np.zeros(n, dtype=int),
+        [model], T, life, delta, np.array([14.0]), np.zeros((1, n), dtype=int),
         np.random.default_rng(seq), times, sums,
     )
     sums = {key: value[0] for key, value in sums.items()}
@@ -176,7 +176,7 @@ def test_reduction_stops_at_the_last_open_inspection(T, horizon, delta, Ms):
     seq = np.random.SeedSequence(SEED)
     sums = _zero_sums(len(Ms), kmax, times)
     _block_accumulate(
-        [model], T, life, delta, np.array(Ms), np.arange(len(Ms)).repeat(n),
+        [model], T, life, delta, np.array(Ms), np.arange(len(Ms)).repeat(n)[None],
         np.random.default_rng(seq), times, sums,
     )
     outputs = _simulate_kernel(

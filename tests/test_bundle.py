@@ -7,7 +7,9 @@ time from the path's one exponential with its own rates.  A bundle whose
 members differ only in lambda draws exactly the paths of one model, so its
 rows are that model's rows bit for bit; with several rates each member keeps
 its own law, which the z-tests check against the member's own independent
-estimate.  A member's rows do not depend on the order of the members.
+estimate.  A member's rows do not depend on the order of the members.  A
+paired row reads every path at every threshold, so it draws its paths once
+for all thresholds, and each threshold keeps its law.
 """
 
 from dataclasses import replace
@@ -156,6 +158,29 @@ def test_a_bundle_pass_holds_a_share_of_the_cap(model, monkeypatch, counting_rng
     assert rng.largest["gamma"] <= cap
 
 
+def test_a_paired_row_draws_its_paths_once(model, monkeypatch, counting_rng):
+    # The sensitivity row: 7 rates at 11 thresholds, paired.  A pass holds
+    # at most 3 * _PASS_PATHS // (7 * 13) = 270 paths, so its 200 paths are
+    # one pass with one exponential a path, not one a path and threshold.
+    made = []
+
+    def default_rng(seed):
+        made.append(counting_rng(seed))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    members = [with_rates(model, beta=1.0 + v / 100.0) for v in VARIATIONS]
+    Ms = np.linspace(6.0, 26.0, 11)
+    cfg = SimulationConfig(n_samples=200, master_seed=SEED, worker_streams=4)
+    estimate_row(members, 10.0, Ms, LifeCycle(50.0), cfg, row_seed(), paired=True)
+    (rng,) = made
+    cap = 3 * simulate._PASS_PATHS // (len(members) * (len(Ms) + 2))
+    assert cap == 270 and simulate._chunks(cfg.n_samples, cap) == [(0, 200)]
+    assert rng.calls["exponential"] == 1
+    assert rng.counts["exponential"] == cfg.n_samples
+    assert rng.largest["gamma"] <= cfg.n_samples
+
+
 # Each member of a 7-rate bundle against its own one-model estimate, drawn
 # from another seed sequence: the two are independent with one law.
 LAW_N = 4_000
@@ -178,6 +203,40 @@ def test_bundle_members_agree_in_law_with_their_own_rows(law_bundle, j):
     cell = member_rows(bundle, j, len(Ms))
     own = estimate_row(members[j], 10.0, Ms, life, cfg,
                        np.random.SeedSequence(SEED, spawn_key=(2, j)))
+    first = own.lattice.index_of(10.0)
+
+    def proportions(tables):
+        # Each is the fraction of paths with an event, so binomial.
+        return np.stack([tables.p_preventive.sum(axis=1),
+                         tables.p_corrective.sum(axis=1),
+                         tables.alive_no_replacement[:, first]])
+
+    a, b = proportions(cell), proportions(own)
+    se = np.sqrt((a * (1 - a) + b * (1 - b)) / LAW_N)
+    assert np.all(se > 0.0)
+    z = (a - b) / se
+    assert np.all(np.abs(z) <= Z), z
+
+
+@pytest.fixture(scope="module")
+def paired_law_bundle(model):
+    members = [with_rates(model, beta=1.0 + v / 100.0) for v in VARIATIONS]
+    cfg = SimulationConfig(n_samples=LAW_N, master_seed=SEED)
+    life = LifeCycle(50.0)
+    Ms = (6.0, 14.0, 20.0, 25.0)
+    bundle = estimate_row(members, 10.0, Ms, life, cfg,
+                          np.random.SeedSequence(SEED, spawn_key=(3,)), paired=True)
+    return members, bundle, Ms, cfg, life
+
+
+@pytest.mark.parametrize("j", range(len(VARIATIONS)))
+def test_paired_thresholds_agree_in_law_with_their_own_rows(paired_law_bundle, j):
+    # Every threshold of a paired row reads the same paths; each keeps the
+    # law of the member's own unpaired row, drawn from another seed sequence.
+    members, bundle, Ms, cfg, life = paired_law_bundle
+    cell = member_rows(bundle, j, len(Ms))
+    own = estimate_row(members[j], 10.0, Ms, life, cfg,
+                       np.random.SeedSequence(SEED, spawn_key=(4, j)))
     first = own.lattice.index_of(10.0)
 
     def proportions(tables):

@@ -195,23 +195,65 @@ class TestOptimization:
         assert result.M_opt == 14.0
 
 
-@pytest.mark.parametrize("processes", [1, 2])
-def test_grid_rows_are_the_estimate_row_calls(ref_model, ref_life, processes):
+@pytest.mark.parametrize(
+    "processes, paired",
+    [
+        pytest.param(1, False, id="1"),
+        pytest.param(2, False, id="2"),
+        pytest.param(1, True, id="1-paired"),
+        pytest.param(2, True, id="2-paired"),
+    ],
+)
+def test_grid_rows_are_the_estimate_row_calls(ref_model, ref_life, processes, paired):
     # Bundle-major, each bundle's rows in the grid's T order, each seeded by
     # its T, whether or not a pool draws them.
     cfg = SimulationConfig(n_samples=60, master_seed=SEED, worker_streams=2)
     steeper = replace(ref_model, degradation=GammaDegradation(alpha=0.1, beta=0.105))
     bundles = [ref_model, [ref_model, steeper]]
     grid = PolicyGrid(T_values=(15.0, 5.0), M_values=(14.0, 8.0))
-    rows = list(estimate_grid(bundles, grid, ref_life, cfg, processes))
+    rows = list(estimate_grid(bundles, grid, ref_life, cfg, processes, paired))
     expected = [
         estimate_row(bundle, T, grid.M_values, ref_life, cfg,
-                     row_seed(cfg.master_seed, T))
+                     row_seed(cfg.master_seed, T), paired=paired)
         for bundle in bundles
         for T in grid.T_values
     ]
     assert len(rows) == len(expected) == 4
     assert all(row.equals(other) for row, other in zip(rows, expected))
+
+
+@pytest.mark.parametrize("processes, size", [(3, 3), (5_000, 4)])
+def test_a_pool_holds_at_most_one_process_a_row(
+    ref_model, ref_life, monkeypatch, processes, size
+):
+    # A ProcessPoolExecutor starts all its processes at the first task, so
+    # the pool is sized at the row count.  The recording executor starts
+    # none: it maps the tasks in this process.
+    import concurrent.futures
+
+    sizes = []
+
+    class Recording:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    cfg = SimulationConfig(n_samples=20, master_seed=SEED, worker_streams=2)
+    grid = PolicyGrid(T_values=(15.0, 5.0), M_values=(14.0, 8.0))
+    bundles = [ref_model, ref_model]
+    rows = list(estimate_grid(bundles, grid, ref_life, cfg, processes))
+    assert sizes == [size]
+    serial = estimate_grid(bundles, grid, ref_life, cfg)
+    assert all(row.equals(other) for row, other in zip(rows, serial, strict=True))
 
 
 def zero_costs():

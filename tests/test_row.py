@@ -12,7 +12,10 @@ is the one-threshold row.  A cell of a row is not bit for bit its
 one-threshold estimate_tables, but it has the same law:
 the tests below check the layout against the reference reduction, the
 invariances, the agreement in law with each cell's own estimate, and the
-generators and sampler calls a row costs.
+generators and sampler calls a row costs.  A paired row draws n paths and
+reads each at every threshold, cut into passes as well; its layout is
+checked the same way, and on its shared paths the count of paths replaced
+by each inspection never rises with M.
 """
 
 import math
@@ -64,42 +67,61 @@ def row_seed():
     return np.random.SeedSequence(SEED, spawn_key=(10_000_000,))
 
 
-def by_path_ranges(models, T, Ms, life, cfg):
+def betas(model, variations=VARIATIONS):
+    """The model at beta scaled by 1 + v/100 for each v: a bundle of rates."""
+    return [
+        replace(model, degradation=GammaDegradation(alpha=0.1, beta=0.1 * (1 + v / 100)))
+        for v in variations
+    ]
+
+
+def by_path_ranges(models, T, Ms, life, cfg, paired=False):
     """Each (member, threshold) row's block sums, drawn as documented and
     reduced by the loop.
 
-    One generator draws the row's len(Ms) * n paths, threshold-major in
-    ascending M, once for every member, in the fewest passes of even sizes
-    of at most _PASS_PATHS // K paths for K distinct betas; block b of a
-    threshold is the b-th range of its paths, reduced on its own by the
-    reference reduction.
+    One generator draws the row's paths once for every member, in the
+    fewest passes of even sizes of at most 3 * _PASS_PATHS // (K * (R + 2))
+    paths for K distinct betas and R thresholds a path.  Unpaired, the row
+    draws len(Ms) * n paths, threshold-major in ascending M, one threshold
+    a path (R = 1); paired, it draws n paths, each at every threshold, the
+    largest first.  Block b of a threshold is the b-th range of its paths,
+    reduced on its own by the reference reduction.
     """
     members = [models] if isinstance(models, SystemModel) else list(models)
     policy = MaintenancePolicy(T, min(Ms))
     delta, times = cfg.step_for(policy), eval_times(policy, life)
     kmax = int(math.floor(life.horizon / T + 1e-9))
     n = cfg.n_samples
-    cap = simulate._PASS_PATHS // len({m.degradation.beta for m in members})
+    R = len(Ms) if paired else 1
+    K = len({m.degradation.beta for m in members})
+    cap = 3 * simulate._PASS_PATHS // (K * (R + 2))
     block = simulate._block_split(n, cfg.worker_streams)
     starts = np.concatenate([[0], np.cumsum(block)])
     ascending = sorted(Ms)
-    levels = np.repeat(ascending, n)
-    passes = math.ceil(len(levels) / cap)
-    bounds = [p * len(levels) // passes for p in range(passes + 1)]
+    if paired:
+        levels = np.repeat(np.array(ascending[::-1])[:, None], n, axis=1)
+    else:
+        levels = np.repeat(ascending, n)[None]
+    passes = math.ceil(levels.shape[1] / cap)
+    bounds = [p * levels.shape[1] // passes for p in range(passes + 1)]
     rng = np.random.default_rng(row_seed())
     drawn = []
     for lo, hi in zip(bounds, bounds[1:]):
-        (out,) = _simulate_bundle(members, T, life.horizon, delta, levels[lo:hi],
+        (out,) = _simulate_bundle(members, T, life.horizon, delta, levels[:, lo:hi],
                                   rng, len(members))
-        drawn.append(out[:4])
-    # (member, path) arrays of the whole row's paths.
-    out = [np.concatenate(parts, axis=1) for parts in zip(*drawn)]
+        drawn.append([np.broadcast_to(o, out[0].shape) for o in out[:4]])
+    # (member, threshold, path) arrays of the whole row's paths.
+    out = [np.concatenate(parts, axis=2) for parts in zip(*drawn)]
+
+    def paths(o, j, i, b):
+        """Member j's outcomes at ascending threshold i in block b."""
+        if paired:
+            return o[j, R - 1 - i, starts[b] : starts[b + 1]]
+        return o[j, 0, i * n + starts[b] : i * n + starts[b + 1]]
+
     expected = {
         (j, M): {
-            b: loop_accumulate(
-                *(o[j, i * n + starts[b] : i * n + starts[b + 1]] for o in out),
-                T, kmax, times,
-            )
+            b: loop_accumulate(*(paths(o, j, i, b) for o in out), T, kmax, times)
             for b in np.flatnonzero(block)
         }
         for j in range(len(members))
@@ -108,9 +130,9 @@ def by_path_ranges(models, T, Ms, life, cfg):
     return expected, block
 
 
-def assert_row_follows_its_generator(models, T, Ms, life, cfg):
-    tables = estimate_row(models, T, Ms, life, cfg, row_seed())
-    expected, block = by_path_ranges(models, T, Ms, life, cfg)
+def assert_row_follows_its_generator(models, T, Ms, life, cfg, paired=False):
+    tables = estimate_row(models, T, Ms, life, cfg, row_seed(), paired=paired)
+    expected, block = by_path_ranges(models, T, Ms, life, cfg, paired)
     members = len(tables.Ms) // len(Ms)
     assert tables.Ms.tolist() == list(Ms) * members
     for r, M in enumerate(tables.Ms):
@@ -185,15 +207,67 @@ def test_bundle_pass_boundary_inside_a_threshold_and_a_block(model):
     # 7 betas cap a pass at 8192 // 7 = 1,170 paths, so the 2,310 paths of
     # 11 thresholds of 210 take two passes of 1,155.  The boundary falls at
     # path 105 of the sixth threshold, inside its block 1 (paths 53-105).
-    members = [
-        replace(model, degradation=GammaDegradation(alpha=0.1, beta=0.1 * (1 + v / 100)))
-        for v in VARIATIONS
-    ]
+    members = betas(model)
     Ms = tuple(np.linspace(6.0, 26.0, 11))
     cfg = SimulationConfig(n_samples=210, master_seed=SEED, worker_streams=4)
     cap = simulate._PASS_PATHS // len(members)
     assert simulate._chunks(len(Ms) * cfg.n_samples, cap) == [(0, 1155), (1155, 2310)]
     assert_row_follows_its_generator(members, 10.0, Ms, LifeCycle(50.0), cfg)
+
+
+@pytest.mark.parametrize(
+    "rates, Ms, n, cap",
+    [
+        # Five thresholds a path, in the one pass of 3 * 8192 // 7 = 3,510.
+        pytest.param(1, (25.0, 5.0, 30.0, 14.0, 20.0), 803, None, id="one-pass"),
+        # 7 betas at 11 thresholds cap a pass at 3 * 8192 // (7 * 13) =
+        # 270 paths, so 600 take three passes of 200, which split the
+        # blocks of 150.
+        pytest.param(7, tuple(np.linspace(6.0, 26.0, 11)), 600, None,
+                     id="7-betas-passes-split-blocks"),
+        # A threshold given twice reads the same paths twice; passes of
+        # 3 * 100 // 5 = 60 cut 90 paths into two of 45.
+        pytest.param(1, (14.0, 20.0, 14.0), 90, 100, id="repeated-threshold"),
+    ],
+)
+def test_paired_row_follows_its_generator(model, monkeypatch, rates, Ms, n, cap):
+    # Paired, the row draws n paths, each read at every threshold; block b
+    # of every threshold is the b-th range of the same paths.
+    if cap is not None:
+        monkeypatch.setattr(simulate, "_PASS_PATHS", cap)
+    cfg = SimulationConfig(n_samples=n, master_seed=SEED, worker_streams=4)
+    members = betas(model, VARIATIONS[:rates])
+    assert_row_follows_its_generator(members, 10.0, Ms, LifeCycle(50.0), cfg,
+                                     paired=True)
+
+
+def test_paired_replacements_by_inspection_fall_with_M(model, monkeypatch):
+    # Path by path k_rep = min(k_c, k_p(M)), and k_p grows with M, so for
+    # every member and block the count of paths replaced by inspection k,
+    # k <= kmax, never rises with M.  Cells drawn from paths of their own
+    # break this by their noise.
+    monkeypatch.setattr(simulate, "_PASS_PATHS", 300)  # 9 passes of 22 or 23
+    members = betas(model, (-10.0, 0.0, 10.0))
+    faster = ShockIntensity(lambda1=0.02, lambda2=0.2)
+    members.append(replace(members[1], shocks=faster))
+    Ms = (14.0, 6.0, 26.0, 14.5, 8.0, 20.0, 10.0, 22.0, 16.0, 12.0, 18.0, 24.0)
+    cfg = SimulationConfig(n_samples=200, master_seed=SEED, worker_streams=4)
+    tables = estimate_row(members, 10.0, Ms, LifeCycle(50.0), cfg, row_seed(),
+                          paired=True)
+    replaced = (tables.bp_p + tables.bp_c).cumsum(axis=-1)
+    replaced = replaced.reshape(len(members), len(Ms), 4, -1)[:, np.argsort(Ms)]
+    steps = np.diff(replaced, axis=1)
+    assert np.all(steps <= 0.0)
+    assert np.any(steps < 0.0)
+
+
+def test_one_threshold_paired_row_is_the_row(model):
+    # One threshold a path either way: the same passes, draws and digest.
+    life = LifeCycle(50.0)
+    cfg = SimulationConfig(n_samples=1_803, master_seed=SEED, worker_streams=4)
+    members = betas(model)
+    paired = estimate_row(members, 10.0, (14.0,), life, cfg, row_seed(), paired=True)
+    assert paired.equals(estimate_row(members, 10.0, (14.0,), life, cfg, row_seed()))
 
 
 def test_one_threshold_row_is_estimate_tables(model, monkeypatch):

@@ -409,17 +409,21 @@ class TestReduction:
                 )
 
     @pytest.mark.parametrize(
-        "tf, rates, shocks, thresholds",
+        "tf, rates, shocks, thresholds, paired",
         [
-            pytest.param(50.0, 1, 1, 30, id="50.0"),
-            pytest.param(200.0, 1, 1, 30, id="200.0"),
-            pytest.param(50.0, 7, 1, 4, id="50.0-7-rates"),
-            pytest.param(200.0, 7, 1, 4, id="200.0-7-rates"),
-            pytest.param(50.0, 1, 7, 1, id="50.0-49-shock-rates"),
-            pytest.param(200.0, 1, 7, 1, id="200.0-49-shock-rates"),
+            pytest.param(50.0, 1, 1, 30, False, id="50.0"),
+            pytest.param(200.0, 1, 1, 30, False, id="200.0"),
+            pytest.param(50.0, 7, 1, 4, False, id="50.0-7-rates"),
+            pytest.param(200.0, 7, 1, 4, False, id="200.0-7-rates"),
+            pytest.param(50.0, 1, 7, 1, False, id="50.0-49-shock-rates"),
+            pytest.param(200.0, 1, 7, 1, False, id="200.0-49-shock-rates"),
+            pytest.param(50.0, 7, 1, 11, True, id="50.0-7-rates-paired"),
+            pytest.param(200.0, 7, 1, 11, True, id="200.0-7-rates-paired"),
         ],
     )
-    def test_a_pass_holds_little_memory(self, ref_model, tf, rates, shocks, thresholds):
+    def test_a_pass_holds_little_memory(
+        self, ref_model, tf, rates, shocks, thresholds, paired
+    ):
         # One pass of _PASS_PATHS // K paths at T = 5, for a bundle of K
         # distinct rates beta, each with shocks**2 pairs (lambda1, lambda2),
         # and the row's sums it adds into, one table at a time.  It peaked
@@ -431,7 +435,10 @@ class TestReduction:
         # about the 30 rows of the one-model case: over 30 thresholds its
         # 210 rows of 401 lattice times alone take 2.3 MB at t_f = 200, and
         # that pass peaks at 5.0 MB.  The 49 members of the shock table share
-        # one full pass of one threshold, reduced one member at a time.
+        # one full pass of one threshold, reduced one member at a time.  A
+        # paired pass reads every path at every threshold, so 7 rates at 11
+        # thresholds cap it at 3 * _PASS_PATHS // (7 * 13) = 270 paths; it
+        # peaked at 1.49 MB (t_f = 50) and 2.12 MB (t_f = 200).
         T, Ms = 5.0, np.linspace(1.0, 30.0, thresholds)
         variations = (0.0, -10.0, -5.0, -1.0, 1.0, 5.0, 10.0)
         members = [
@@ -450,13 +457,17 @@ class TestReduction:
         ]
         life = LifeCycle(tf)
         times = eval_times(MaintenancePolicy(T, 1.0), life)
-        size = simulate._PASS_PATHS // rates // len(Ms)
+        if paired:  # every path at every threshold, the largest first
+            size = 3 * simulate._PASS_PATHS // (rates * (len(Ms) + 2))
+            bins = np.tile(np.arange(len(Ms))[::-1, None], size)
+        else:
+            size = simulate._PASS_PATHS // rates // len(Ms)
+            bins = np.arange(len(Ms)).repeat(size)[None]
         rng = np.random.default_rng(SEED)
         tracemalloc.start()
         try:
             sums = _zero_sums(len(members) * len(Ms), int(tf // T), times)
-            _block_accumulate(members, T, life, T / 100.0, Ms,
-                              np.arange(len(Ms)).repeat(size), rng, times, sums)
+            _block_accumulate(members, T, life, T / 100.0, Ms, bins, rng, times, sums)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -518,18 +529,30 @@ class TestPersistence:
             return tables_digest(ref_model, 10.0, row, ref_life, cfg, delta, seq)
 
         assert tables.digest == digest(cfg, np.random.SeedSequence(SEED))
-        # Format 6: one digest a row, which names its sorted members and
-        # thresholds and the seed sequence of its one generator.
+        # Format 7: one digest a row, which names its sorted members and
+        # thresholds, the seed sequence of its one generator, and whether
+        # its paths are paired, which only a row of several thresholds is.
         deg, shocks = ref_model.degradation, ref_model.shocks
         payload = {
-            "format": 6,
+            "format": 7,
             "members": [[deg.alpha, deg.beta, shocks.lambda1, shocks.lambda2]],
             "L": ref_model.breakdown_threshold, "Ms": ref_model.shock_threshold,
             "T": 10.0, "row": [14.0], "tf": 50.0, "n": 200,
             "delta": delta, "entropy": SEED, "spawn_key": [], "streams": 2,
+            "paired": False,
         }
-        blob = json.dumps(payload, sort_keys=True).encode()
-        assert tables.digest == hashlib.sha256(blob).hexdigest()
+
+        def sha(payload):
+            blob = json.dumps(payload, sort_keys=True).encode()
+            return hashlib.sha256(blob).hexdigest()
+
+        assert tables.digest == sha(payload)
+        one = estimate_row(ref_model, 10.0, (14.0,), ref_life, cfg,
+                           np.random.SeedSequence(SEED), paired=True)
+        assert one.digest == tables.digest
+        pair = estimate_row(ref_model, 10.0, (20.0, 14.0), ref_life, cfg,
+                            np.random.SeedSequence(SEED), paired=True)
+        assert pair.digest == sha({**payload, "row": [14.0, 20.0], "paired": True})
         assert estimate_tables(ref_model, ref_policy, ref_life, cfg).equals(tables)
         other_cfg = SimulationConfig(n_samples=200, master_seed=SEED + 1, worker_streams=2)
         other = estimate_tables(ref_model, ref_policy, ref_life, other_cfg)
@@ -545,7 +568,8 @@ class TestPersistence:
         row = estimate_row(ref_model, 10.0, (20.0, 14.0), ref_life, cfg,
                            np.random.SeedSequence(SEED))
         assert row.digest == digest(cfg, np.random.SeedSequence(SEED), (14.0, 20.0))
-        assert row.digest != tables.digest
+        assert row.digest == sha({**payload, "row": [14.0, 20.0]})
+        assert row.digest not in (tables.digest, pair.digest)
         assert not np.array_equal(row.balive[1], tables.balive[0])
 
     def test_pickled_tables_leave_the_cache_behind(self, ref_model, ref_life):
