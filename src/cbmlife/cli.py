@@ -1,14 +1,25 @@
 """Command-line front end.
 
-Reads a key-value config file (INI sections, ``schema = 1``), applies flag
-overrides, and runs one of three commands: ``optimize`` (grid search under
+Reads a key-value config file (INI sections, ``schema = 1``), writes each
+given override flag into its config key, builds and validates the effective
+config once, and runs one of three commands: ``optimize`` (grid search under
 either objective), ``curves`` (cost-rate sweep plus availability,
 reliability, and interval-reliability tables), or ``sensitivity`` (7x7
 parameter-perturbation tables).  Each command draws the rows of its policy
 grid or sweep through :func:`cbmlife.optimize.estimate_grid`, in a process
 pool of ``--workers`` processes when there are more than one, one row a
 task; the outputs do not depend on the process count.  All outputs are
-plot-ready CSV files plus a JSON run report; nothing is rendered.
+plot-ready CSV files plus a JSON run report, written by one runner for
+every command; nothing is rendered.
+
+Since a flag is only a config key, a config that is invalid on its own runs
+once a flag mends it (``curves --T 10`` over ``inspection_period = 0``), and
+a flag is refused with the message of its key.  The output directory is
+``--out-dir``, else the ``[output] directory`` key, else the
+``CBMLIFE_OUTDIR`` environment variable, else ``out``.  Besides each value's
+own checks, the build refuses a horizon below every inspection period of the
+policy and the grid, and a cost whose total over the horizon, or its square,
+overflows, before anything is drawn.
 """
 
 from __future__ import annotations
@@ -44,6 +55,25 @@ __all__ = ["RunConfig", "parse_config", "main"]
 
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "CBMLIFE_OUTDIR"
+COMMANDS = ("optimize", "curves", "sensitivity")
+
+# Each override flag, declared once: the [section] key it writes before the
+# config is built, the commands that take it, and its help.
+OVERRIDES = (
+    ("--seed", "simulation", "seed", COMMANDS, "master seed (nonnegative)"),
+    ("--samples", "simulation", "n_samples", COMMANDS, "paths per threshold"),
+    ("--delta", "simulation", "path_step", COMMANDS, "path step (default T/100)"),
+    ("--workers", "simulation", "workers", COMMANDS,
+     "worker processes; each draws one row of the grid or sweep at a time "
+     "(outputs do not change)"),
+    ("--out-dir", "output", "directory", COMMANDS,
+     f"output directory (else the config key, then env {OUTPUT_DIR_ENV})"),
+    ("--grid-T", "grid", "T", COMMANDS, "T grid as start:end[:count]"),
+    ("--grid-M", "grid", "M", COMMANDS, "M grid as start:end[:count]"),
+    ("--T", "policy", "inspection_period", ("curves",),
+     "the policy's inspection period"),
+    ("--M", "policy", "preventive_threshold", ("curves",), "the policy's threshold"),
+)
 
 log = logging.getLogger("cbmlife")
 
@@ -64,6 +94,27 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ConfigurationError(f"workers must be at least 1, not {self.workers}")
+        tf = self.life.horizon
+        T_min = float(min(self.policy.inspection_period, *self.grid.T_values))
+        if tf < T_min:
+            raise ConfigurationError(
+                f"[life] horizon {tf:g} is below every inspection period "
+                f"(the smallest is {T_min:g})"
+            )
+        # The costs of a horizon, and their squares in the variance
+        # recursion, must be finite.
+        c, inspections = self.costs, tf / T_min + 1.0
+        for name, total in (
+            ("corrective", c.corrective * inspections),
+            ("preventive", c.preventive * inspections),
+            ("inspection", c.inspection * inspections),
+            ("downtime_rate", c.downtime_rate * tf),
+        ):
+            if not math.isfinite(total * total):
+                raise ConfigurationError(
+                    f"[costs] {name} = {getattr(c, name):g} overflows: its total "
+                    f"over the horizon {tf:g}, or that total squared, is not finite"
+                )
 
 
 def _get(parser_section, section: str, key: str, conv=float):
@@ -105,10 +156,9 @@ def parse_grid_spec(spec: str) -> tuple[float, ...]:
     return tuple(np.linspace(start, end, count))
 
 
-def parse_config(path) -> RunConfig:
+def _read_config(path) -> configparser.ConfigParser:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ConfigurationError(f"config file not found: {path}")
     if "meta" not in parser or parser["meta"].get("schema") != str(SCHEMA_VERSION):
         raise ConfigurationError(
@@ -117,6 +167,10 @@ def parse_config(path) -> RunConfig:
     for section in ("model", "costs", "life", "policy", "grid", "simulation"):
         if section not in parser:
             raise ConfigurationError(f"config missing [{section}] section")
+    return parser
+
+
+def _build_config(parser: configparser.ConfigParser) -> RunConfig:
     m = parser["model"]
     model = SystemModel(
         degradation=GammaDegradation(
@@ -171,75 +225,57 @@ def parse_config(path) -> RunConfig:
     )
 
 
-def _apply_overrides(rc: RunConfig, args) -> RunConfig:
-    sim = rc.sim
-    if getattr(args, "samples", None) is not None:
-        sim = replace(sim, n_samples=args.samples)
-    if getattr(args, "seed", None) is not None:
-        sim = replace(sim, master_seed=args.seed)
-    if getattr(args, "delta", None) is not None:
-        sim = replace(sim, path_step=args.delta)
-    rc = replace(rc, sim=sim)
-    if getattr(args, "workers", None) is not None:
-        rc = replace(rc, workers=args.workers)
-    if getattr(args, "out_dir", None) is not None:
-        rc = replace(rc, out_dir=Path(args.out_dir))
-    if getattr(args, "grid_T", None) is not None:
-        rc = replace(rc, grid=replace(rc.grid, T_values=parse_grid_spec(args.grid_T)))
-    if getattr(args, "grid_M", None) is not None:
-        rc = replace(rc, grid=replace(rc.grid, M_values=parse_grid_spec(args.grid_M)))
-    policy = rc.policy
-    if getattr(args, "T", None) is not None:
-        policy = replace(policy, inspection_period=args.T)
-    if getattr(args, "M", None) is not None:
-        policy = replace(policy, preventive_threshold=args.M)
-    return replace(rc, policy=policy)
+def parse_config(path) -> RunConfig:
+    return _build_config(_read_config(path))
 
 
-def _write_report(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
+def _run_command(command, parser: configparser.ConfigParser, args) -> int:
+    """Build the effective config, run one command, write its report.
+
+    ``command(rc, args)`` writes its outputs into ``rc.out_dir`` and returns
+    the report's name, the files it wrote, its payload, and its own
+    warnings.  The report ``<name>_report.json`` lists every warning raised
+    while the config was built and the command ran, then the command's own.
+    """
+    started = time.perf_counter()
+    with warnings.catch_warnings(record=True) as grabbed:
+        warnings.simplefilter("always")
+        rc = _build_config(parser)
+        rc.out_dir.mkdir(parents=True, exist_ok=True)
+        name, files, payload, messages = command(rc, args)
+    messages = [*(str(w.message) for w in grabbed), *messages]
+    report_path = rc.out_dir / f"{name}_report.json"
+    payload.update(
+        seed=rc.sim.master_seed,
+        n_samples=rc.sim.n_samples,
+        worker_streams=rc.sim.worker_streams,
+        wall_clock_seconds=round(time.perf_counter() - started, 3),
+        files=[str(f) for f in (*files, report_path)],
+        warnings=messages,
+    )
+    with open(report_path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _base_report(rc: RunConfig, started: float, files, warnings_list) -> dict:
-    return {
-        "seed": rc.sim.master_seed,
-        "n_samples": rc.sim.n_samples,
-        "worker_streams": rc.sim.worker_streams,
-        "wall_clock_seconds": round(time.perf_counter() - started, 3),
-        "files": [str(f) for f in files],
-        "warnings": list(warnings_list),
-    }
-
-
-def cmd_optimize(rc: RunConfig, args) -> int:
-    started = time.perf_counter()
-    rc.out_dir.mkdir(parents=True, exist_ok=True)
-    optimize = getattr(opt, f"optimize_{args.objective}")
-    result = optimize(rc.model, rc.costs, rc.life, rc.grid, rc.sim, rc.workers)
-    matrix_path = rc.out_dir / f"{args.objective}_matrix.csv"
-    report_path = rc.out_dir / f"{args.objective}_report.json"
-    opt.write_matrix_csv(result, matrix_path)
-    payload = result.to_dict()
-    payload.update(_base_report(rc, started, [matrix_path, report_path], result.warnings))
-    _write_report(report_path, payload)
-    log.info(
-        "optimize %s: T_opt=%g M_opt=%g minimum=%.4f",
-        args.objective, result.T_opt, result.M_opt, result.minimum,
-    )
-    for message in result.warnings:
+    for message in messages:
         log.warning("%s", message)
     return 0
 
 
-def cmd_curves(rc: RunConfig, args) -> int:
-    started = time.perf_counter()
+def cmd_optimize(rc: RunConfig, args):
+    optimize = getattr(opt, f"optimize_{args.objective}")
+    result = optimize(rc.model, rc.costs, rc.life, rc.grid, rc.sim, rc.workers)
+    matrix_path = rc.out_dir / f"{args.objective}_matrix.csv"
+    opt.write_matrix_csv(result, matrix_path)
+    log.info(
+        "optimize %s: T_opt=%g M_opt=%g minimum=%.4f",
+        args.objective, result.T_opt, result.M_opt, result.minimum,
+    )
+    return args.objective, [matrix_path], result.to_dict(), result.warnings
+
+
+def cmd_curves(rc: RunConfig, args):
     if not (math.isfinite(args.ir_s) and args.ir_s >= 0.0):
         raise ConfigurationError(f"--ir-s {args.ir_s} must be finite and nonnegative")
-    rc.out_dir.mkdir(parents=True, exist_ok=True)
-    caught: list[str] = []
-    files: list[Path] = []
     tf = rc.life.horizon
 
     # The sweep is a grid of one row, at the policy's T, or of one
@@ -253,63 +289,51 @@ def cmd_curves(rc: RunConfig, args) -> int:
         sweep_values = grid.T_values
     policies = [MaintenancePolicy(T, M) for T in grid.T_values for M in grid.M_values]
     sweep_path = rc.out_dir / f"cost_rate_vs_{sweep_dim}.csv"
-    master_seed = rc.sim.master_seed
 
-    with warnings.catch_warnings(record=True) as grabbed:
-        warnings.simplefilter("always")
-        swept = list(opt.estimate_grid([rc.model], grid, rc.life, rc.sim, rc.workers))
-        moments = [renewal.cost_moments(tables, rc.costs, tf) for tables in swept]
-        mean, sd = (np.concatenate(m) for m in zip(*moments))
-        strict_rates = []
-        if args.strict_mc:
-            for policy, v in zip(policies, sweep_values):
-                _, totals = chain_statistics(
-                    rc.model, policy, rc.costs, rc.life, rc.sim,
-                    seed_sequence=row_seed(master_seed, v, 1),
-                )
-                strict_rates.append(float(totals.mean()) / tf)
-        strict = [strict_rates] if args.strict_mc else []
-        rows = list(zip(sweep_values, mean / tf, sd, *strict))
+    swept = list(opt.estimate_grid([rc.model], grid, rc.life, rc.sim, rc.workers))
+    moments = [renewal.cost_moments(tables, rc.costs, tf) for tables in swept]
+    mean, sd = (np.concatenate(m) for m in zip(*moments))
+    columns = {sweep_dim: sweep_values, "cost_rate": mean / tf, "stddev": sd}
+    if args.strict_mc:
+        strict = columns["strict_mc_rate"] = []
+        for policy, v in zip(policies, sweep_values):
+            _, totals = chain_statistics(
+                rc.model, policy, rc.costs, rc.life, rc.sim,
+                seed_sequence=row_seed(rc.sim.master_seed, v, 1),
+            )
+            strict.append(float(totals.mean()) / tf)
+    with open(sweep_path, "w", newline="") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in zip(*columns.values()):
+            fh.write(",".join(f"{x:.6f}" for x in row) + "\n")
 
-        header = [sweep_dim, "cost_rate", "stddev"] + (
-            ["strict_mc_rate"] if args.strict_mc else []
-        )
-        with open(sweep_path, "w", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(f"{x:.6f}" for x in row) + "\n")
-        files.append(sweep_path)
+    # The curves of a policy the sweep contains come from its swept
+    # tables, so the run reports one estimate per policy.
+    if rc.policy in policies:
+        k, i = divmod(policies.index(rc.policy), len(grid.M_values))
+        tables = swept[k].take(i)
+    else:
+        tables = estimate_tables(rc.model, rc.policy, rc.life, rc.sim)
+    curve = renewal.cost_curve(tables, rc.costs)
+    cost_path = rc.out_dir / "cost_curve.csv"
+    renewal.write_cost_curve_csv(curve, cost_path)
 
-        # The curves of a policy the sweep contains come from its swept
-        # tables, so the run reports one estimate per policy.
-        if rc.policy in policies:
-            k, i = divmod(policies.index(rc.policy), len(grid.M_values))
-            tables = swept[k].take(i)
-        else:
-            tables = estimate_tables(rc.model, rc.policy, rc.life, rc.sim)
-        curve = renewal.cost_curve(tables, rc.costs)
-        cost_path = rc.out_dir / "cost_curve.csv"
-        renewal.write_cost_curve_csv(curve, cost_path)
-        files.append(cost_path)
+    avail = renewal.performance_curve(tables, "availability")
+    rel = renewal.performance_curve(tables, "reliability")
+    ir = renewal.performance_curve(tables, "interval_reliability", s=args.ir_s)
+    mask = (ir.times >= args.ir_lo - 1e-9) & (ir.times <= args.ir_hi + 1e-9)
+    ir = renewal.PerformanceCurve(
+        times=ir.times[mask], values=ir.values[mask], kind=ir.kind
+    )
+    files = [sweep_path, cost_path]
+    for curve_obj, name in (
+        (avail, "availability"),
+        (rel, "reliability"),
+        (ir, "interval_reliability"),
+    ):
+        files.append(rc.out_dir / f"{name}.csv")
+        renewal.write_performance_curve_csv(curve_obj, files[-1])
 
-        avail = renewal.performance_curve(tables, "availability")
-        rel = renewal.performance_curve(tables, "reliability")
-        ir = renewal.performance_curve(tables, "interval_reliability", s=args.ir_s)
-        mask = (ir.times >= args.ir_lo - 1e-9) & (ir.times <= args.ir_hi + 1e-9)
-        ir = renewal.PerformanceCurve(
-            times=ir.times[mask], values=ir.values[mask], kind=ir.kind
-        )
-        for curve_obj, name in (
-            (avail, "availability"),
-            (rel, "reliability"),
-            (ir, "interval_reliability"),
-        ):
-            path = rc.out_dir / f"{name}.csv"
-            renewal.write_performance_curve_csv(curve_obj, path)
-            files.append(path)
-    caught.extend(str(w.message) for w in grabbed)
-
-    report_path = rc.out_dir / "curves_report.json"
     payload = {
         "policy": {
             "T": rc.policy.inspection_period,
@@ -322,16 +346,10 @@ def cmd_curves(rc: RunConfig, args) -> int:
         "interval_reliability_min": float(ir.values.min()) if len(ir.values) else None,
         "interval_s": args.ir_s,
     }
-    payload.update(_base_report(rc, started, files + [report_path], caught))
-    _write_report(report_path, payload)
-    for message in caught:
-        log.warning("%s", message)
-    return 0
+    return "curves", files, payload, []
 
 
-def cmd_sensitivity(rc: RunConfig, args) -> int:
-    started = time.perf_counter()
-    rc.out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_sensitivity(rc: RunConfig, args):
     try:
         name, raw = args.fixed.split("=")
         fixed = (name.strip(), float(raw))
@@ -341,50 +359,22 @@ def cmd_sensitivity(rc: RunConfig, args) -> int:
         raise ConfigurationError("--fixed dimension must be T or M")
     sweep = rc.grid.M_values if fixed[0] == "T" else rc.grid.T_values
 
-    caught: list[str] = []
-    with warnings.catch_warnings(record=True) as grabbed:
-        warnings.simplefilter("always")
-        table_of = (
-            sensitivity.gamma_sensitivity if args.target == "gamma"
-            else sensitivity.shock_sensitivity
-        )
-        table = table_of(
-            rc.model, rc.costs, rc.life, fixed, sweep, cfg=rc.sim, processes=rc.workers
-        )
-    caught.extend(str(w.message) for w in grabbed)
-
+    table_of = (
+        sensitivity.gamma_sensitivity if args.target == "gamma"
+        else sensitivity.shock_sensitivity
+    )
+    table = table_of(
+        rc.model, rc.costs, rc.life, fixed, sweep, cfg=rc.sim, processes=rc.workers
+    )
     csv_path = rc.out_dir / f"sensitivity_{args.target}.csv"
     sensitivity.write_variation_csv(table, csv_path)
-    report_path = rc.out_dir / f"sensitivity_{args.target}_report.json"
     payload = {
         "target": table.target,
         "fixed": args.fixed,
         "baseline_min_cost": table.baseline_min,
         "max_variation_percent": float(table.variation.max()),
     }
-    payload.update(_base_report(rc, started, [csv_path, report_path], caught))
-    _write_report(report_path, payload)
-    for message in caught:
-        log.warning("%s", message)
-    return 0
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", required=True, help="path to the run config file")
-    sub.add_argument("--seed", type=int, help="override the master seed")
-    sub.add_argument("--samples", type=int, help="override n_samples")
-    sub.add_argument("--delta", type=float, help="override the path step")
-    sub.add_argument(
-        "--workers", type=int,
-        help="worker processes; each draws one row of the grid or sweep at a time "
-        "(outputs do not change)",
-    )
-    sub.add_argument("--out-dir", help=f"output directory (env {OUTPUT_DIR_ENV})")
-    sub.add_argument("--grid-T", help="T grid as start:end[:count]")
-    sub.add_argument("--grid-M", help="M grid as start:end[:count]")
-    level = sub.add_mutually_exclusive_group()
-    level.add_argument("--quiet", action="store_true")
-    level.add_argument("--verbose", action="store_true")
+    return f"sensitivity_{args.target}", [csv_path], payload, []
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -393,30 +383,36 @@ def build_parser() -> argparse.ArgumentParser:
         description="Condition-based maintenance policy evaluation and optimization",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    subs = {}
+    for name, command, help in (
+        ("optimize", cmd_optimize, "grid search over (T, M)"),
+        ("curves", cmd_curves, "cost and performance curves"),
+        ("sensitivity", cmd_sensitivity, "parameter perturbation tables"),
+    ):
+        p = subs[name] = sub.add_parser(name, help=help)
+        p.add_argument("--config", required=True, help="path to the run config file")
+        for flag, section, key, commands, flag_help in OVERRIDES:
+            if name in commands:
+                p.add_argument(
+                    flag, dest=f"{section}.{key}", metavar=key.upper(), help=flag_help
+                )
+        level = p.add_mutually_exclusive_group()
+        level.add_argument("--quiet", action="store_true")
+        level.add_argument("--verbose", action="store_true")
+        p.set_defaults(func=command)
 
-    p_opt = sub.add_parser("optimize", help="grid search over (T, M)")
-    _add_common(p_opt)
-    p_opt.add_argument(
+    subs["optimize"].add_argument(
         "--objective", choices=("asymptotic", "transient"), default="asymptotic"
     )
-    p_opt.set_defaults(func=cmd_optimize)
-
-    p_cur = sub.add_parser("curves", help="cost and performance curves")
-    _add_common(p_cur)
-    p_cur.add_argument("--T", type=float, help="override the fixed inspection period")
-    p_cur.add_argument("--M", type=float, help="override the fixed threshold")
+    p_cur = subs["curves"]
     p_cur.add_argument("--sweep", choices=("M", "T"), default="M")
     p_cur.add_argument("--strict-mc", action="store_true")
     p_cur.add_argument("--ir-s", type=float, default=5.0)
     p_cur.add_argument("--ir-lo", type=float, default=10.0)
     p_cur.add_argument("--ir-hi", type=float, default=30.0)
-    p_cur.set_defaults(func=cmd_curves)
-
-    p_sen = sub.add_parser("sensitivity", help="parameter perturbation tables")
-    _add_common(p_sen)
+    p_sen = subs["sensitivity"]
     p_sen.add_argument("--target", choices=("gamma", "shocks"), required=True)
     p_sen.add_argument("--fixed", required=True, help="T=<value> or M=<value>")
-    p_sen.set_defaults(func=cmd_sensitivity)
     return parser
 
 
@@ -429,8 +425,13 @@ def main(argv=None) -> int:
         level = logging.DEBUG
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     try:
-        rc = _apply_overrides(parse_config(args.config), args)
-        return args.func(rc, args)
+        parser = _read_config(args.config)
+        for _, section, key, _, _ in OVERRIDES:
+            value = getattr(args, f"{section}.{key}", None)
+            if value is not None:
+                # Verbatim under the parser's %-interpolation.
+                parser.read_dict({section: {key: value.replace("%", "%%")}})
+        return _run_command(args.func, parser, args)
     except (ConfigurationError, InconsistencyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -147,11 +147,17 @@ def _evaluate_row(tables, costs, life, objective) -> list[tuple[float, float, li
             return asymptotic_cost_rates(rows, costs)
         return expected_costs(rows, costs, life.horizon) / life.horizon
 
-    # Every cell has the same worker blocks, so as many batch rows.
+    # Every cell has the same worker blocks, so as many batch rows.  A block
+    # without a rate (NaN) leaves its cell without a standard error.
     batches = evaluate(tables.batches()).reshape(len(tables.Ms), -1)
-    cells = zip(tables.Ms, evaluate(tables), batches, tables.censored_fraction)
+    n_blocks = batches.shape[1]
+    if n_blocks > 1:
+        stderrs = np.std(batches, axis=1, ddof=1) / math.sqrt(n_blocks)
+    else:
+        stderrs = np.full(len(tables.Ms), np.nan)
+    cells = zip(tables.Ms, evaluate(tables), stderrs, tables.censored_fraction)
     outcomes = []
-    for M, value, blocks, fraction in cells:
+    for M, value, stderr, fraction in cells:
         label = f"(T={tables.T:g}, M={M:g})"
         if math.isnan(value):
             raise InconsistencyError(
@@ -159,11 +165,7 @@ def _evaluate_row(tables, costs, life, objective) -> list[tuple[float, float, li
             )
         note = truncation_note(fraction) if objective == "asymptotic" else None
         messages = [] if note is None else [f"{label} {note}"]
-        if len(blocks) > 1:  # a block without a rate (NaN) leaves it NaN
-            stderr = float(np.std(blocks, ddof=1) / math.sqrt(len(blocks)))
-        else:
-            stderr = float("nan")
-        outcomes.append((float(value), stderr, messages))
+        outcomes.append((float(value), float(stderr), messages))
     return outcomes
 
 

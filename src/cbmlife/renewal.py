@@ -357,7 +357,7 @@ def performance_curve(
 
 def write_cost_curve_csv(curve: CostCurve, path) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["t", "value", "stddev"])
         for t, v, s in zip(curve.times, curve.mean, curve.std):
             writer.writerow([f"{t:.6f}", f"{v:.6f}", f"{s:.6f}"])
@@ -365,7 +365,7 @@ def write_cost_curve_csv(curve: CostCurve, path) -> None:
 
 def write_performance_curve_csv(curve: PerformanceCurve, path) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["t", "value"])
         for t, v in zip(curve.times, curve.values):
             writer.writerow([f"{t:.6f}", f"{v:.6f}"])

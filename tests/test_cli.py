@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -17,6 +18,27 @@ def small_config(tmp_path):
     text = CONFIG.read_text().replace("n_samples = 50000", "n_samples = 800")
     path = tmp_path / "small.cfg"
     path.write_text(text)
+    return path
+
+
+@pytest.fixture()
+def no_draws(monkeypatch):
+    """Fail any table draw or strict Monte Carlo chain."""
+
+    def draw(*args, **kwargs):
+        raise AssertionError("a table was drawn before the config was refused")
+
+    monkeypatch.setattr(optimize, "estimate_row", draw)
+    monkeypatch.setattr(cli, "estimate_tables", draw)
+    monkeypatch.setattr(cli, "chain_statistics", draw)
+
+
+def edited(tmp_path, old, new):
+    """The shipped config with one line replaced."""
+    text = CONFIG.read_text()
+    assert old in text
+    path = tmp_path / "edited.cfg"
+    path.write_text(text.replace(old, new))
     return path
 
 
@@ -119,6 +141,139 @@ class TestConfig:
         assert main(argv) == 1
         assert "seed" in capsys.readouterr().err
         assert not (tmp_path / "curves_report.json").exists()
+
+
+class TestParseTimeChecks:
+    @pytest.mark.parametrize("command", ["optimize", "curves"])
+    @pytest.mark.parametrize("old, new, named", [
+        ("downtime_rate = 25", "downtime_rate = 1e308", "[costs] downtime_rate = 1e+308"),
+        # Finite over the horizon, but not once squared.
+        ("downtime_rate = 25", "downtime_rate = 1e160", "[costs] downtime_rate = 1e+160"),
+        ("corrective = 300", "corrective = 1e160", "[costs] corrective = 1e+160"),
+    ], ids=["downtime", "downtime-squared", "corrective-squared"])
+    def test_overflowing_cost(
+        self, tmp_path, capsys, no_draws, command, old, new, named
+    ):
+        bad = edited(tmp_path, old, new)
+        with pytest.raises(ConfigurationError, match=re.escape(named)):
+            parse_config(bad)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(bad), "--out-dir", str(out), "--quiet"]) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_large_finite_cost_is_accepted(self, tmp_path):
+        rc = parse_config(edited(tmp_path, "downtime_rate = 25", "downtime_rate = 1e150"))
+        assert rc.costs.downtime_rate == 1e150
+
+    @pytest.mark.parametrize("command", ["optimize", "curves"])
+    def test_horizon_below_every_period(self, tmp_path, capsys, no_draws, command):
+        bad = edited(tmp_path, "horizon = 50", "horizon = 1e-9")
+        named = "[life] horizon 1e-09 is below every inspection period (the smallest is 5)"
+        with pytest.raises(ConfigurationError, match=re.escape(named)):
+            parse_config(bad)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(bad), "--out-dir", str(out), "--quiet"]) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestOverrides:
+    def test_flag_mends_the_config_it_overrides(self, small_config, tmp_path):
+        # The effective config is validated once, after the flags are in.
+        bad = small_config.parent / "zero.cfg"
+        bad.write_text(small_config.read_text().replace(
+            "inspection_period = 10", "inspection_period = 0"
+        ))
+        out = tmp_path / "out"
+        argv = [
+            "curves", "--config", str(bad), "--grid-M", "14:14",
+            "--out-dir", str(out), "--quiet",
+        ]
+        assert main(argv) == 1
+        assert main(argv + ["--T", "10"]) == 0
+        report = json.loads((out / "curves_report.json").read_text())
+        assert report["policy"] == {"T": 10.0, "M": 14.0}
+
+    @pytest.mark.parametrize("argv, named", [
+        (["optimize", "--seed", "abc"], "[simulation] seed: cannot parse 'abc'"),
+        (["curves", "--T", "x"], "[policy] inspection_period: cannot parse 'x'"),
+        (["curves", "--delta", "0"], "path_step must be positive"),
+    ])
+    def test_flag_is_refused_as_its_key(self, small_config, tmp_path, capsys, argv, named):
+        out = tmp_path / "out"
+        argv = argv + ["--config", str(small_config), "--out-dir", str(out), "--quiet"]
+        assert main(argv) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_dir_reaches_its_key_verbatim(self, small_config, tmp_path):
+        out = tmp_path / "100% %(x)s %%"
+        argv = [
+            "optimize", "--config", str(small_config), "--objective", "transient",
+            "--grid-T", "10:10", "--grid-M", "14:14", "--out-dir", str(out), "--quiet",
+        ]
+        assert main(argv) == 0
+        report = json.loads((out / "transient_report.json").read_text())
+        assert report["files"] == [
+            str(out / "transient_matrix.csv"), str(out / "transient_report.json")
+        ]
+
+    def test_output_dir_precedence(self, small_config, tmp_path, monkeypatch):
+        # The flag, then [output] directory, then CBMLIFE_OUTDIR, then out.
+        monkeypatch.setenv("CBMLIFE_OUTDIR", str(tmp_path / "env"))
+        text = small_config.read_text()
+        assert parse_config(small_config).out_dir == Path("out")
+        keyed = small_config.parent / "keyed.cfg"
+        keyed.write_text(text.replace("directory = out", f"directory = {tmp_path / 'key'}"))
+        assert parse_config(keyed).out_dir == tmp_path / "key"
+        unset = small_config.parent / "unset.cfg"
+        unset.write_text(text.replace("directory = out", "directory ="))
+        assert parse_config(unset).out_dir == tmp_path / "env"
+        monkeypatch.delenv("CBMLIFE_OUTDIR")
+        assert parse_config(unset).out_dir == Path("out")
+        argv = [
+            "optimize", "--config", str(keyed), "--objective", "transient",
+            "--grid-T", "10:10", "--grid-M", "14:14", "--quiet",
+        ]
+        assert main(argv + ["--out-dir", str(tmp_path / "flag")]) == 0
+        assert (tmp_path / "flag" / "transient_matrix.csv").exists()
+        assert not (tmp_path / "key").exists()
+
+
+class TestRunner:
+    @pytest.mark.parametrize("argv, name", [
+        (["optimize", "--objective", "transient", "--grid-T", "10:10",
+          "--grid-M", "14:14"], "transient"),
+        (["curves", "--grid-M", "14:14"], "curves"),
+        (["sensitivity", "--target", "shocks", "--fixed", "M=14", "--grid-T", "10:20:2",
+          "--samples", "50"], "sensitivity_shocks"),
+    ], ids=["optimize", "curves", "sensitivity"])
+    def test_every_command_reports_alike(self, small_config, tmp_path, argv, name):
+        out = tmp_path / "out"
+        assert main(argv + ["--config", str(small_config), "--out-dir", str(out),
+                            "--quiet"]) == 0
+        report = json.loads((out / f"{name}_report.json").read_text())
+        assert {"seed", "n_samples", "worker_streams", "wall_clock_seconds",
+                "warnings"} <= report.keys()
+        assert report["seed"] == 20260824
+        assert report["files"][-1] == str(out / f"{name}_report.json")
+        assert sorted(report["files"]) == sorted(str(p) for p in out.iterdir())
+
+
+    def test_report_holds_the_warnings_of_the_build(self, small_config, tmp_path):
+        cfg = small_config.parent / "hazard.cfg"
+        cfg.write_text(small_config.read_text().replace("lambda1 = 0.01", "lambda1 = 0.2"))
+        out = tmp_path / "out"
+        argv = [
+            "curves", "--config", str(cfg), "--grid-M", "14:14",
+            "--out-dir", str(out), "--quiet",
+        ]
+        assert main(argv) == 0
+        report = json.loads((out / "curves_report.json").read_text())
+        assert report["warnings"] == [
+            "lambda1 > lambda2 violates the increasing-hazard assumption"
+        ]
 
 
 class TestOptimizeCommand:
@@ -225,6 +380,18 @@ class TestCurvesCommand:
             (out / "interval_reliability.csv").read_text().strip().splitlines()[1:]
         )
         assert ir == {t: v for t, v in avail.items() if t in ir}
+
+    def test_every_csv_ends_lines_with_newline(self, small_config, tmp_path):
+        out = tmp_path / "strict"
+        argv = [
+            "curves", "--strict-mc", "--config", str(small_config), "--grid-M", "12:16:3",
+            "--samples", "50", "--out-dir", str(out), "--quiet",
+        ]
+        assert main(argv) == 0
+        csvs = sorted(out.glob("*.csv"))
+        assert len(csvs) == 5
+        for path in csvs:
+            assert b"\r" not in path.read_bytes(), path.name
 
     def test_non_finite_interval_length(self, small_config, tmp_path, monkeypatch):
         simulated = []

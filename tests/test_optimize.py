@@ -17,6 +17,7 @@ from cbmlife.optimize import (
 )
 from cbmlife.renewal import (
     asymptotic_cost_rate,
+    asymptotic_cost_rates,
     expected_cost,
     expected_costs,
 )
@@ -170,6 +171,21 @@ class TestOptimization:
             assert len(rates) == min(n, 4)
             se = np.std(rates, ddof=1) / np.sqrt(len(rates))
             assert result.stderr[0, 0] == se
+
+    def test_row_stderrs_are_each_cells_own_batch_means(
+        self, ref_model, ref_costs, ref_life
+    ):
+        # The row's standard errors, taken along its batches at once, are
+        # each cell's own np.std call, NaN where a block has no rate.
+        cfg = SimulationConfig(n_samples=32, master_seed=SEED, worker_streams=16)
+        Ms = (4.0, 10.0, 18.0, 26.0)
+        grid = PolicyGrid(T_values=(30.0,), M_values=Ms)
+        result = optimize_asymptotic(ref_model, ref_costs, ref_life, grid, cfg)
+        tables = estimate_row(ref_model, 30.0, Ms, ref_life, cfg, row_seed(SEED, 30.0))
+        rates = asymptotic_cost_rates(tables.batches(), ref_costs).reshape(len(Ms), -1)
+        expected = [np.std(r, ddof=1) / np.sqrt(len(r)) for r in rates]
+        np.testing.assert_array_equal(result.stderr[0], expected)
+        assert 0 < np.isnan(expected).sum() < len(Ms)
 
     def test_block_without_replacement_mass_leaves_no_stderr(
         self, ref_model, ref_costs, ref_life
