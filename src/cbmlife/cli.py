@@ -8,9 +8,12 @@ reliability, and interval-reliability tables), or ``sensitivity`` (7x7
 parameter-perturbation tables).  Each command draws the rows of its policy
 grid or sweep through :func:`cbmlife.optimize.estimate_grid`, in a process
 pool of ``--workers`` processes when there are more than one, one row a
-task; the outputs do not depend on the process count.  All outputs are
-plot-ready CSV files plus a JSON run report, written by one runner for
-every command; nothing is rendered.
+task; the outputs do not depend on the process count.  A command writes
+nothing: it returns its tables, each a header and rows under a file name,
+and its report's payload.  The runner then makes the output directory and
+writes every table as a plot-ready CSV file, numbers to six decimals and
+lines ended by ``\n``, plus a JSON run report; nothing is rendered.  A
+command that refuses its own flags therefore leaves no directory behind.
 
 Since a flag is only a config key, a config that is invalid on its own runs
 once a flag mends it (``curves --T 10`` over ``inspection_period = 0``), and
@@ -229,33 +232,41 @@ def parse_config(path) -> RunConfig:
     return _build_config(_read_config(path))
 
 
-def _run_command(command, parser: configparser.ConfigParser, args) -> int:
-    """Build the effective config, run one command, write its report.
+def _csv_line(cells) -> str:
+    """One CSV line: a string cell as it is, a number to six decimals."""
+    return ",".join(c if isinstance(c, str) else f"{c:.6f}" for c in cells) + "\n"
 
-    ``command(rc, args)`` writes its outputs into ``rc.out_dir`` and returns
-    the report's name, the files it wrote, its payload, and its own
-    warnings.  The report ``<name>_report.json`` lists every warning raised
-    while the config was built and the command ran, then the command's own.
+
+def _run_command(command, parser: configparser.ConfigParser, args) -> int:
+    """Build the effective config, run one command, write its tables and report.
+
+    ``command(rc, args)`` writes nothing; it returns the report's name, its
+    tables as ``{file name: (header, rows)}``, its payload, and its own
+    warnings.  Only then is the output directory made and each table
+    written into it.  The report ``<name>_report.json`` lists every warning
+    raised while the config was built and the command ran, then the
+    command's own.
     """
     started = time.perf_counter()
     with warnings.catch_warnings(record=True) as grabbed:
         warnings.simplefilter("always")
         rc = _build_config(parser)
-        rc.out_dir.mkdir(parents=True, exist_ok=True)
-        name, files, payload, messages = command(rc, args)
+        name, tables, payload, messages = command(rc, args)
     messages = [*(str(w.message) for w in grabbed), *messages]
-    report_path = rc.out_dir / f"{name}_report.json"
+    rc.out_dir.mkdir(parents=True, exist_ok=True)
+    for file_name, (header, rows) in tables.items():
+        lines = map(_csv_line, [header, *rows])
+        (rc.out_dir / file_name).write_text("".join(lines), newline="")
+    files = [rc.out_dir / f for f in (*tables, f"{name}_report.json")]
     payload.update(
         seed=rc.sim.master_seed,
         n_samples=rc.sim.n_samples,
         worker_streams=rc.sim.worker_streams,
         wall_clock_seconds=round(time.perf_counter() - started, 3),
-        files=[str(f) for f in (*files, report_path)],
+        files=[str(f) for f in files],
         warnings=messages,
     )
-    with open(report_path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    files[-1].write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     for message in messages:
         log.warning("%s", message)
     return 0
@@ -264,18 +275,33 @@ def _run_command(command, parser: configparser.ConfigParser, args) -> int:
 def cmd_optimize(rc: RunConfig, args):
     optimize = getattr(opt, f"optimize_{args.objective}")
     result = optimize(rc.model, rc.costs, rc.life, rc.grid, rc.sim, rc.workers)
-    matrix_path = rc.out_dir / f"{args.objective}_matrix.csv"
-    opt.write_matrix_csv(result, matrix_path)
     log.info(
         "optimize %s: T_opt=%g M_opt=%g minimum=%.4f",
         args.objective, result.T_opt, result.M_opt, result.minimum,
     )
-    return args.objective, [matrix_path], result.to_dict(), result.warnings
+    cells = [
+        (T, M, result.values[i, j], result.stderr[i, j])
+        for i, T in enumerate(result.T_values)
+        for j, M in enumerate(result.M_values)
+    ]
+    payload = {
+        "objective": result.objective,
+        "T_opt": result.T_opt,
+        "M_opt": result.M_opt,
+        "minimum": result.minimum,
+        "grid_T": list(result.T_values),
+        "grid_M": list(result.M_values),
+    }
+    tables = {f"{args.objective}_matrix.csv": (["T", "M", "value", "stderr"], cells)}
+    return args.objective, tables, payload, result.warnings
 
 
 def cmd_curves(rc: RunConfig, args):
     if not (math.isfinite(args.ir_s) and args.ir_s >= 0.0):
         raise ConfigurationError(f"--ir-s {args.ir_s} must be finite and nonnegative")
+    lo, hi = args.ir_lo, args.ir_hi
+    if not lo <= hi:  # also when either is NaN
+        raise ConfigurationError(f"--ir-lo {lo} must be at most --ir-hi {hi}")
     tf = rc.life.horizon
 
     # The sweep is a grid of one row, at the policy's T, or of one
@@ -288,7 +314,6 @@ def cmd_curves(rc: RunConfig, args):
         grid = replace(rc.grid, M_values=(rc.policy.preventive_threshold,))
         sweep_values = grid.T_values
     policies = [MaintenancePolicy(T, M) for T in grid.T_values for M in grid.M_values]
-    sweep_path = rc.out_dir / f"cost_rate_vs_{sweep_dim}.csv"
 
     swept = list(opt.estimate_grid([rc.model], grid, rc.life, rc.sim, rc.workers))
     moments = [renewal.cost_moments(tables, rc.costs, tf) for tables in swept]
@@ -302,10 +327,6 @@ def cmd_curves(rc: RunConfig, args):
                 seed_sequence=row_seed(rc.sim.master_seed, v, 1),
             )
             strict.append(float(totals.mean()) / tf)
-    with open(sweep_path, "w", newline="") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in zip(*columns.values()):
-            fh.write(",".join(f"{x:.6f}" for x in row) + "\n")
 
     # The curves of a policy the sweep contains come from its swept
     # tables, so the run reports one estimate per policy.
@@ -315,24 +336,11 @@ def cmd_curves(rc: RunConfig, args):
     else:
         tables = estimate_tables(rc.model, rc.policy, rc.life, rc.sim)
     curve = renewal.cost_curve(tables, rc.costs)
-    cost_path = rc.out_dir / "cost_curve.csv"
-    renewal.write_cost_curve_csv(curve, cost_path)
-
     avail = renewal.performance_curve(tables, "availability")
     rel = renewal.performance_curve(tables, "reliability")
     ir = renewal.performance_curve(tables, "interval_reliability", s=args.ir_s)
-    mask = (ir.times >= args.ir_lo - 1e-9) & (ir.times <= args.ir_hi + 1e-9)
-    ir = renewal.PerformanceCurve(
-        times=ir.times[mask], values=ir.values[mask], kind=ir.kind
-    )
-    files = [sweep_path, cost_path]
-    for curve_obj, name in (
-        (avail, "availability"),
-        (rel, "reliability"),
-        (ir, "interval_reliability"),
-    ):
-        files.append(rc.out_dir / f"{name}.csv")
-        renewal.write_performance_curve_csv(curve_obj, files[-1])
+    window = (ir.times >= lo - 1e-9) & (ir.times <= hi + 1e-9)
+    ir_values = ir.values[window]
 
     payload = {
         "policy": {
@@ -343,10 +351,18 @@ def cmd_curves(rc: RunConfig, args):
         "stddev_at_horizon": float(curve.std[-1]),
         "availability_min": float(avail.values[avail.times > 0].min()),
         "reliability_at_horizon": float(rel.values[-1]),
-        "interval_reliability_min": float(ir.values.min()) if len(ir.values) else None,
+        "interval_reliability_min": float(ir_values.min()) if len(ir_values) else None,
         "interval_s": args.ir_s,
     }
-    return "curves", files, payload, []
+    point = ["t", "value"]
+    outputs = {
+        f"cost_rate_vs_{sweep_dim}.csv": (list(columns), zip(*columns.values())),
+        "cost_curve.csv": (point + ["stddev"], zip(curve.times, curve.mean, curve.std)),
+        "availability.csv": (point, zip(avail.times, avail.values)),
+        "reliability.csv": (point, zip(rel.times, rel.values)),
+        "interval_reliability.csv": (point, zip(ir.times[window], ir_values)),
+    }
+    return "curves", outputs, payload, []
 
 
 def cmd_sensitivity(rc: RunConfig, args):
@@ -366,15 +382,20 @@ def cmd_sensitivity(rc: RunConfig, args):
     table = table_of(
         rc.model, rc.costs, rc.life, fixed, sweep, cfg=rc.sim, processes=rc.workers
     )
-    csv_path = rc.out_dir / f"sensitivity_{args.target}.csv"
-    sensitivity.write_variation_csv(table, csv_path)
     payload = {
         "target": table.target,
         "fixed": args.fixed,
         "baseline_min_cost": table.baseline_min,
         "max_variation_percent": float(table.variation.max()),
     }
-    return f"sensitivity_{args.target}", [csv_path], payload, []
+    # The 7x7 variation table in percent, the variation vector on both axes.
+    labels = [f"{v:g}%" for v in table.variations]
+    rows = [
+        [label, *(f"{x:.4f}" for x in row)]
+        for label, row in zip(labels, table.variation)
+    ]
+    tables = {f"sensitivity_{args.target}.csv": (["vi\\vj", *labels], rows)}
+    return f"sensitivity_{args.target}", tables, payload, []
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -19,7 +19,6 @@ its row, though not on their order.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +34,6 @@ __all__ = [
     "OptimizationResult",
     "optimize_asymptotic",
     "optimize_transient",
-    "write_matrix_csv",
 ]
 
 
@@ -115,19 +113,6 @@ class OptimizationResult:
     M_opt: float
     minimum: float
     warnings: tuple[str, ...]
-    elapsed_seconds: float
-
-    def to_dict(self) -> dict:
-        return {
-            "objective": self.objective,
-            "T_opt": self.T_opt,
-            "M_opt": self.M_opt,
-            "minimum": self.minimum,
-            "grid_T": list(self.T_values),
-            "grid_M": list(self.M_values),
-            "elapsed_seconds": self.elapsed_seconds,
-            "warnings": list(self.warnings),
-        }
 
 
 def _evaluate_row(tables, costs, life, objective) -> list[tuple[float, float, list]]:
@@ -170,7 +155,6 @@ def _evaluate_row(tables, costs, life, objective) -> list[tuple[float, float, li
 
 
 def _run_grid(model, costs, life, grid, cfg, objective, processes):
-    start = time.perf_counter()
     outcomes = [
         cell
         for tables in estimate_grid([model], grid, life, cfg, processes)
@@ -199,7 +183,6 @@ def _run_grid(model, costs, life, grid, cfg, objective, processes):
         M_opt=float(M_opt),
         minimum=minimum,
         warnings=tuple(messages),
-        elapsed_seconds=time.perf_counter() - start,
     )
 
 
@@ -230,15 +213,3 @@ def optimize_transient(
 ) -> OptimizationResult:
     """Minimize the expected transient cost rate E[C(t_f)] / t_f."""
     return _run_grid(model, costs, life, grid, cfg, "transient", processes)
-
-
-def write_matrix_csv(result: OptimizationResult, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("T,M,value,stderr\n")
-        for i, T in enumerate(result.T_values):
-            for j, M in enumerate(result.M_values):
-                fh.write(
-                    f"{T:.6f},{M:.6f},{result.values[i, j]:.6f},"
-                    f"{result.stderr[i, j]:.6f}\n"
-                )
-

@@ -22,12 +22,13 @@ substitution.  The row measures (:func:`expected_costs`,
 row r bit for bit as the one-policy measure of ``tables.take(r)``; on
 ``tables.batches()`` they give the batch means of each threshold's worker
 blocks.  The one-policy measures take a table set of one row (R = 1), and
-raise ValueError on more.
+raise ValueError on more.  Every measure returns numbers or arrays, a whole
+curve as a :class:`CostCurve` or :class:`PerformanceCurve`; nothing here
+writes a file (the command line writes the curves as CSV).
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -53,8 +54,6 @@ __all__ = [
     "interval_reliability",
     "cost_curve",
     "performance_curve",
-    "write_cost_curve_csv",
-    "write_performance_curve_csv",
 ]
 
 
@@ -66,12 +65,6 @@ class CostCurve:
     mean: np.ndarray
     mean_sq: np.ndarray
     std: np.ndarray
-
-    @property
-    def rate(self) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(self.times > 0.0, self.mean / self.times, 0.0)
-        return out
 
     def validate(self) -> None:
         if self.mean[0] != 0.0:
@@ -351,21 +344,3 @@ def performance_curve(
     curve = PerformanceCurve(times=times, values=values, kind=kind)
     curve.validate()
     return curve
-
-
-# -- exports -----------------------------------------------------------------
-
-def write_cost_curve_csv(curve: CostCurve, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "value", "stddev"])
-        for t, v, s in zip(curve.times, curve.mean, curve.std):
-            writer.writerow([f"{t:.6f}", f"{v:.6f}", f"{s:.6f}"])
-
-
-def write_performance_curve_csv(curve: PerformanceCurve, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "value"])
-        for t, v in zip(curve.times, curve.values):
-            writer.writerow([f"{t:.6f}", f"{v:.6f}"])

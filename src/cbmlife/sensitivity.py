@@ -49,7 +49,6 @@ __all__ = [
     "VariationTable",
     "gamma_sensitivity",
     "shock_sensitivity",
-    "write_variation_csv",
 ]
 
 # Percentage perturbations applied to each parameter of a pair.
@@ -177,15 +176,3 @@ def shock_sensitivity(
         model, costs, life, fixed, sweep_values, variations, cfg, processes,
         "shock_params",
     )
-
-
-def write_variation_csv(table: VariationTable, path) -> None:
-    """7x7 layout mirroring the variation vector on both axes (percent)."""
-    with open(path, "w", newline="") as fh:
-        header = ["vi\\vj"] + [f"{v:g}%" for v in table.variations]
-        fh.write(",".join(header) + "\n")
-        for i, vi in enumerate(table.variations):
-            row = [f"{vi:g}%"] + [
-                f"{table.variation[i, j]:.4f}" for j in range(len(table.variations))
-            ]
-            fh.write(",".join(row) + "\n")

@@ -18,6 +18,7 @@ times that stays within every tolerance.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -74,11 +75,14 @@ def report(num: int, name: str, checks: list[tuple[str, bool]]) -> None:
 
 @pytest.fixture(scope="module")
 def grids_full(ref_model, ref_costs, ref_life):
+    """Both full grids, and the wall clock of the asymptotic one in seconds."""
     cfg = SimulationConfig(n_samples=50_000, master_seed=SEED, worker_streams=4)
     grid = PolicyGrid()
+    start = time.perf_counter()
     asym = optimize_asymptotic(ref_model, ref_costs, ref_life, grid, cfg)
+    asym_seconds = time.perf_counter() - start
     trans = optimize_transient(ref_model, ref_costs, ref_life, grid, cfg)
-    return asym, trans
+    return asym, trans, asym_seconds
 
 
 def test_criterion_1_failure_laws(ref_model):
@@ -135,11 +139,13 @@ def optimum_checks(result, oracle_min, model, costs, life):
 
 @pytest.mark.slow
 def test_criterion_2_asymptotic_optimum(ref_model, ref_costs, ref_life, grids_full):
-    asym, _ = grids_full
+    asym, _, asym_seconds = grids_full
+    start = time.perf_counter()
     smoke = optimize_asymptotic(
         ref_model, ref_costs, ref_life, PolicyGrid(),
         SimulationConfig(n_samples=5_000, master_seed=SEED, worker_streams=4),
     )
+    smoke_seconds = time.perf_counter() - start
     ref = ASYMPTOTIC_MIN[2]
     checks = optimum_checks(asym, ASYMPTOTIC_MIN, ref_model, ref_costs, ref_life) + [
         (
@@ -147,16 +153,16 @@ def test_criterion_2_asymptotic_optimum(ref_model, ref_costs, ref_life, grids_fu
             abs(asym.minimum - ref) <= 0.03 * ref,
         ),
         (
-            f"full grid wall clock {asym.elapsed_seconds:.1f}s < 900s",
-            asym.elapsed_seconds < 900.0,
+            f"full grid wall clock {asym_seconds:.1f}s < 900s",
+            asym_seconds < 900.0,
         ),
         (
             f"smoke minimum={smoke.minimum:.4f} vs oracle {ref:.4f} +/- 8%",
             abs(smoke.minimum - ref) <= 0.08 * ref,
         ),
         (
-            f"smoke wall clock {smoke.elapsed_seconds:.1f}s < 120s",
-            smoke.elapsed_seconds < 120.0,
+            f"smoke wall clock {smoke_seconds:.1f}s < 120s",
+            smoke_seconds < 120.0,
         ),
     ]
     report(2, "asymptotic optimum", checks)
@@ -164,7 +170,7 @@ def test_criterion_2_asymptotic_optimum(ref_model, ref_costs, ref_life, grids_fu
 
 @pytest.mark.slow
 def test_criterion_3_transient_optimum(ref_model, ref_costs, ref_life, grids_full):
-    _, trans = grids_full
+    _, trans, _ = grids_full
     T_row, M_ref, row_ref = TRANSIENT_T10_MIN
     row = trans.values[trans.T_values.index(T_row)]
     j_best = int(row.argmin())

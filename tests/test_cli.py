@@ -8,6 +8,7 @@ import pytest
 from cbmlife import cli, optimize
 from cbmlife.cli import main, parse_config, parse_grid_spec
 from cbmlife.errors import ConfigurationError
+from cbmlife.simulate import eval_times
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
 
@@ -275,6 +276,16 @@ class TestRunner:
             "lambda1 > lambda2 violates the increasing-hazard assumption"
         ]
 
+    @pytest.mark.parametrize("argv", [
+        ["curves", "--ir-s", "nan"],
+        ["sensitivity", "--target", "gamma", "--fixed", "X=1"],
+    ], ids=["curves", "sensitivity"])
+    def test_refused_flag_makes_no_directory(self, small_config, tmp_path, no_draws, argv):
+        out = tmp_path / "new"
+        assert main(argv + ["--config", str(small_config), "--out-dir", str(out),
+                            "--quiet"]) == 1
+        assert not out.exists()
+
 
 class TestOptimizeCommand:
     def test_single_cell_and_determinism(self, small_config, tmp_path):
@@ -295,6 +306,23 @@ class TestOptimizeCommand:
         cell_value = float(lines[1].split(",")[2])
         assert report["minimum"] == pytest.approx(cell_value, abs=5e-7)
         assert (report["T_opt"], report["M_opt"]) == (10.0, 14.0)
+
+    def test_matrix_csv_and_report(self, small_config, tmp_path):
+        argv = [
+            "optimize", "--config", str(small_config), "--objective", "transient",
+            "--grid-T", "10:10", "--grid-M", "12:14:2", "--out-dir", str(tmp_path),
+            "--quiet",
+        ]
+        assert main(argv) == 0
+        lines = (tmp_path / "transient_matrix.csv").read_text().splitlines()
+        assert lines[0] == "T,M,value,stderr"
+        rows = [line.split(",") for line in lines[1:]]
+        assert len(rows) == 2
+        assert all(len(cell.split(".")[1]) == 6 for row in rows for cell in row)
+        report = json.loads((tmp_path / "transient_report.json").read_text())
+        assert report["objective"] == "transient"
+        best = min(rows, key=lambda row: float(row[2]))
+        assert (report["T_opt"], report["M_opt"]) == (float(best[0]), float(best[1]))
 
     def test_seed_changes_output(self, small_config, tmp_path):
         argv = [
@@ -349,6 +377,59 @@ class TestCurvesCommand:
         report = json.loads((out / "curves_report.json").read_text())
         assert 0.0 <= report["availability_min"] <= 1.0
         assert 0.0 <= report["reliability_at_horizon"] <= 1.0
+
+    def test_cost_curve_csv(self, small_config, tmp_path):
+        argv = [
+            "curves", "--config", str(small_config), "--grid-M", "14:14",
+            "--out-dir", str(tmp_path), "--quiet",
+        ]
+        assert main(argv) == 0
+        lines = (tmp_path / "cost_curve.csv").read_text().splitlines()
+        assert lines[0] == "t,value,stddev"
+        rows = [line.split(",") for line in lines[1:]]
+        assert all(len(row) == 3 for row in rows)
+        assert all(len(cell.split(".")[1]) == 6 for row in rows for cell in row)
+
+    def test_performance_curve_csv(self, small_config, tmp_path):
+        argv = [
+            "curves", "--config", str(small_config), "--grid-M", "14:14",
+            "--out-dir", str(tmp_path), "--quiet",
+        ]
+        assert main(argv) == 0
+        rc = parse_config(small_config)
+        times = [f"{t:.6f}" for t in eval_times(rc.policy, rc.life)]
+        for name in ("availability", "reliability"):
+            lines = (tmp_path / f"{name}.csv").read_text().splitlines()
+            assert lines[0] == "t,value"
+            rows = [line.split(",") for line in lines[1:]]
+            assert [row[0] for row in rows] == times
+            assert all(len(cell.split(".")[1]) == 6 for row in rows for cell in row)
+
+    @pytest.mark.parametrize("lo, hi", [("nan", "30"), ("10", "nan"), ("30", "10")])
+    def test_bad_interval_window(self, small_config, tmp_path, capsys, no_draws, lo, hi):
+        out = tmp_path / "out"
+        argv = [
+            "curves", "--config", str(small_config), "--ir-lo", lo, "--ir-hi", hi,
+            "--out-dir", str(out), "--quiet",
+        ]
+        assert main(argv) == 1
+        assert "error: --ir-lo" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_interval_window(self, small_config, tmp_path):
+        argv = [
+            "curves", "--config", str(small_config), "--grid-M", "14:14",
+            "--ir-lo=-inf", "--ir-hi=inf", "--out-dir", str(tmp_path), "--quiet",
+        ]
+        assert main(argv) == 0
+        lines = (tmp_path / "interval_reliability.csv").read_text().splitlines()
+        # Every t whose t + s (s = 5) is on the lattice up to the horizon 50.
+        assert (lines[1].split(",")[0], lines[-1].split(",")[0]) == (
+            "0.000000", "45.000000"
+        )
+        report = json.loads((tmp_path / "curves_report.json").read_text())
+        values = [float(line.split(",")[1]) for line in lines[1:]]
+        assert report["interval_reliability_min"] == pytest.approx(min(values), abs=5e-7)
 
     def test_reference_policy_reuses_swept_tables(self, small_config, tmp_path):
         out = tmp_path / "reuse"
@@ -427,6 +508,20 @@ class TestSensitivityCommand:
         zero_col = header.index("0%")
         zero_row = next(line for line in lines[1:] if line.startswith("0%,"))
         assert float(zero_row.split(",")[zero_col]) == 0.0
+
+    def test_csv_layout(self, small_config, tmp_path):
+        argv = [
+            "sensitivity", "--config", str(small_config), "--target", "gamma",
+            "--fixed", "T=10", "--grid-M", "14:14", "--samples", "100",
+            "--out-dir", str(tmp_path), "--quiet",
+        ]
+        assert main(argv) == 0
+        lines = (tmp_path / "sensitivity_gamma.csv").read_text().splitlines()
+        assert lines[0] == "vi\\vj,-10%,-5%,-1%,0%,1%,5%,10%"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [row[0] for row in rows] == lines[0].split(",")[1:]
+        assert all(len(row) == 8 for row in rows)
+        assert all(len(cell.split(".")[1]) == 4 for row in rows for cell in row[1:])
 
     def test_bad_fixed_argument(self, small_config):
         assert main([

@@ -13,7 +13,6 @@ from cbmlife.optimize import (
     estimate_grid,
     optimize_asymptotic,
     optimize_transient,
-    write_matrix_csv,
 )
 from cbmlife.renewal import (
     asymptotic_cost_rate,
@@ -308,17 +307,3 @@ def test_optimizers_share_one_signature():
     assert list(asymptotic) == list(transient)
     assert list(asymptotic) == ["model", "costs", "life", "grid", "cfg", "processes"]
     assert asymptotic["processes"].default == transient["processes"].default == 1
-
-
-class TestExports:
-    def test_matrix_csv_and_report(self, ref_model, ref_costs, ref_life, cfg, tmp_path):
-        grid = PolicyGrid(T_values=(10.0,), M_values=(12.0, 14.0))
-        result = optimize_transient(ref_model, ref_costs, ref_life, grid, cfg)
-        csv_path = tmp_path / "matrix.csv"
-        write_matrix_csv(result, csv_path)
-        lines = csv_path.read_text().strip().splitlines()
-        assert lines[0] == "T,M,value,stderr"
-        assert len(lines) == 3
-        report = result.to_dict()
-        assert report["objective"] == "transient"
-        assert (report["T_opt"], report["M_opt"]) == (result.T_opt, result.M_opt)

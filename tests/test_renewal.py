@@ -36,8 +36,6 @@ from cbmlife.renewal import (
     performance_curve,
     reliability,
     std_dev,
-    write_cost_curve_csv,
-    write_performance_curve_csv,
 )
 from cbmlife.simulate import (
     EstimateTables,
@@ -536,22 +534,3 @@ class TestRandomLattices:
             expected_cost(tables, ref_costs, off)
         with pytest.raises(GridCoverageError):
             interval_reliability(tables, off, 0.0)
-
-
-class TestExports:
-    def test_cost_curve_csv(self, tables_small, ref_costs, tmp_path):
-        curve = cost_curve(tables_small, ref_costs)
-        path = tmp_path / "cost.csv"
-        write_cost_curve_csv(curve, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "t,value,stddev"
-        cells = lines[1].split(",")
-        assert all(len(c.split(".")[1]) == 6 for c in cells)
-
-    def test_performance_curve_csv(self, tables_small, tmp_path):
-        curve = performance_curve(tables_small, "availability")
-        path = tmp_path / "avail.csv"
-        write_performance_curve_csv(curve, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "t,value"
-        assert len(lines) == len(curve.times) + 1

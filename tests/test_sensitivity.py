@@ -7,7 +7,6 @@ from cbmlife.sensitivity import (
     VARIATIONS,
     gamma_sensitivity,
     shock_sensitivity,
-    write_variation_csv,
 )
 from cbmlife.simulate import SimulationConfig, _simulate_kernel
 
@@ -203,13 +202,3 @@ class TestValidationAndExport:
             gamma_sensitivity(
                 ref_model, ref_costs, ref_life, ("T", 10.0), (40.0,), cfg=cfg
             )
-
-    def test_csv_layout(self, gamma_table, tmp_path):
-        path = tmp_path / "var.csv"
-        write_variation_csv(gamma_table, path)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == len(gamma_table.variations) + 1
-        assert lines[0].startswith("vi\\vj,")
-        first_row = lines[1].split(",")
-        assert len(first_row) == len(gamma_table.variations) + 1
-        assert all(len(x.split(".")[1]) == 4 for x in first_row[1:])
