@@ -52,7 +52,8 @@ from .model import (
     ShockIntensity,
     SystemModel,
 )
-from .simulate import SimulationConfig, chain_statistics, estimate_tables, row_seed
+from .simulate import (Lattice, SimulationConfig, chain_statistics, estimate_tables,
+                       eval_times, row_seed)
 
 __all__ = ["RunConfig", "parse_config", "main"]
 
@@ -302,6 +303,13 @@ def cmd_curves(rc: RunConfig, args):
     lo, hi = args.ir_lo, args.ir_hi
     if not lo <= hi:  # also when either is NaN
         raise ConfigurationError(f"--ir-lo {lo} must be at most --ir-hi {hi}")
+    # IR(t, t + s) is reported at each lattice time t in the window whose
+    # t + s is on the lattice too; the lattice draws nothing.
+    times = eval_times(rc.policy, rc.life)
+    ends = Lattice(times, rc.policy.inspection_period).indices_of(times + args.ir_s)
+    if not ((times >= lo - 1e-9) & (times <= hi + 1e-9) & (ends >= 0)).any():
+        raise ConfigurationError(f"--ir-lo {lo} to --ir-hi {hi} holds no lattice time "
+                                 f"t with t + {args.ir_s:g} on the lattice")
     tf = rc.life.horizon
 
     # The sweep is a grid of one row, at the policy's T, or of one
@@ -351,7 +359,7 @@ def cmd_curves(rc: RunConfig, args):
         "stddev_at_horizon": float(curve.std[-1]),
         "availability_min": float(avail.values[avail.times > 0].min()),
         "reliability_at_horizon": float(rel.values[-1]),
-        "interval_reliability_min": float(ir_values.min()) if len(ir_values) else None,
+        "interval_reliability_min": float(ir_values.min()),
         "interval_s": args.ir_s,
     }
     point = ["t", "value"]

@@ -44,7 +44,9 @@ cumulative sum of the prefix lengths, and the residual downtime sums run
 over the (path, time) pairs past the failure only.  Each threshold's paths
 are split into ``worker_streams`` blocks, contiguous ranges of its paths
 whose sums are the batch means of the standard errors; the pooled counts do
-not depend on the split.
+not depend on the split.  A table set is its lattice, its thresholds and
+these block sums alone: every pooled estimate is computed from the block
+sums when it is read, and nothing in it names the draws behind it.
 
 :func:`estimate_row` returns the table set of every threshold M of one
 inspection period, drawn from one generator built from one seed sequence,
@@ -79,8 +81,6 @@ one-threshold row.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -102,7 +102,6 @@ __all__ = [
     "estimate_tables",
     "estimate_row",
     "chain_statistics",
-    "tables_digest",
     "eval_times",
     "row_seed",
 ]
@@ -589,8 +588,8 @@ _BLOCK_SUMS = (
 )
 
 
-def _pooled(blocks: str) -> cached_property:
-    return cached_property(
+def _pooled(blocks: str) -> property:
+    return property(
         lambda self: getattr(self, blocks).sum(axis=1) / self._paths[:, None]
     )
 
@@ -604,18 +603,15 @@ class EstimateTables:
     hold block sums with axes (row, block, ...), and ``block_sizes`` (row,
     block) the paths behind each; a pooled estimate is a row's block sums
     over its paths, of shape (R, kmax + 1) per inspection and (R, N) per
-    lattice time, and ``censored_fraction`` is (R,).  Downtime moments are
-    stored cost-free (time units); the recursion base cases are recovered by
-    scaling with the downtime cost rate.  :attr:`lattice` holds the
-    evaluation times and their chain map, which every row shares, and
-    ``digest`` identifies the draws behind the row.
+    lattice time, and ``censored_fraction`` is (R,), each computed from the
+    block sums when it is read.  Downtime moments are stored cost-free (time
+    units); the recursion base cases are recovered by scaling with the
+    downtime cost rate.  :attr:`lattice` holds the evaluation times and
+    their chain map, which every row shares.
     """
 
     lattice: Lattice
     Ms: np.ndarray
-    horizon: float
-    delta: float
-    digest: str
     block_sizes: np.ndarray
     bp_p: np.ndarray
     bp_c: np.ndarray
@@ -635,11 +631,11 @@ class EstimateTables:
     residual_downtime = _pooled("bresid")
     residual_downtime_sq = _pooled("bresid2")
 
-    @cached_property
+    @property
     def censored_fraction(self) -> np.ndarray:
         return self.bcensored.sum(axis=1) / self._paths
 
-    @cached_property
+    @property
     def _paths(self) -> np.ndarray:
         return self.block_sizes.sum(axis=1)
 
@@ -695,55 +691,13 @@ class EstimateTables:
         if (np.abs(alive[:, 0] - 1.0) > 1e-12).any():
             raise ConfigurationError("alive_no_replacement(0) must be 1")
 
-    def __getstate__(self) -> dict:
-        """The fields alone: the cached pooled estimates are not pickled."""
-        return {name: self.__dict__[name] for name in self.__dataclass_fields__}
-
     def equals(self, other: "EstimateTables") -> bool:
-        if not isinstance(other, EstimateTables):
-            return False
-        scalars = ("T", "horizon", "delta", "digest")
-        if any(getattr(self, f) != getattr(other, f) for f in scalars):
+        if not isinstance(other, EstimateTables) or self.T != other.T:
             return False
         arrays = ("times", "Ms", "block_sizes", *_BLOCK_SUMS)
         return all(
             np.array_equal(getattr(self, f), getattr(other, f)) for f in arrays
         )
-
-
-def tables_digest(models, T, Ms, life, cfg, delta: float, seed_sequence,
-                  paired: bool = False) -> str:
-    """Identify the draws behind the table set of the bundle ``models`` at T.
-
-    A table set depends on its bundle's set of members and its row's set of
-    thresholds, so the digest holds them, sorted, along with the seed
-    sequence the row's generator is built from: its entropy and spawn key.
-    A member is (alpha, beta, lambda1, lambda2); the members share M_s and
-    L.  ``paired`` is :func:`estimate_row`'s, and the payload names it true
-    only where it changes the draws: in a row of more than one threshold.
-    """
-    members = _members(models)
-    payload = {
-        "format": 7,  # the version of the payload, so digests stay comparable
-        "members": sorted(
-            [m.degradation.alpha, m.degradation.beta,
-             m.shocks.lambda1, m.shocks.lambda2]
-            for m in members
-        ),
-        "L": members[0].breakdown_threshold,
-        "Ms": members[0].shock_threshold,
-        "T": T,
-        "row": sorted(float(M) for M in Ms),
-        "tf": life.horizon,
-        "n": cfg.n_samples,
-        "delta": delta,
-        "entropy": np.asarray(seed_sequence.entropy, dtype=object).tolist(),
-        "spawn_key": list(seed_sequence.spawn_key),
-        "streams": cfg.worker_streams,
-        "paired": bool(paired and len(Ms) > 1),
-    }
-    blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
 
 
 def seed_key(value: float) -> int:
@@ -836,7 +790,10 @@ def estimate_row(
     only in lambda) draw exactly the paths of a one-member bundle, so their
     rows are its rows.  :func:`estimate_tables` is the one-model,
     one-threshold row.  The policies are checked at the call, and
-    ``seed_sequence`` is left unchanged.
+    ``seed_sequence`` is left unchanged.  The table set holds the lattice,
+    the thresholds and the block sums, and no record of the members, the
+    config or the seed sequence, so two table sets are compared by their
+    contents (:meth:`EstimateTables.equals`).
     """
     members = _members(models)
     policies = [
@@ -871,9 +828,6 @@ def estimate_row(
     tables = EstimateTables(
         lattice=Lattice(times, T),
         Ms=np.tile(Ms, len(members)),
-        horizon=life.horizon,
-        delta=delta,
-        digest=tables_digest(members, T, Ms, life, cfg, delta, seed_sequence, paired),
         block_sizes=np.tile(block, (R, 1)),
         **{
             "b" + name: value.reshape(R, B, *value.shape[1:])

@@ -90,7 +90,6 @@ def test_lambda_bundle_rows_are_the_models_rows(model, monkeypatch, n, cap):
     assert bundle.Ms.tolist() == list(THRESHOLDS) * len(members)
     for j, member in enumerate(members):
         alone = estimate_row(member, 10.0, THRESHOLDS, life, cfg, row_seed())
-        assert alone.digest != bundle.digest
         rows = member_rows(bundle, j, len(THRESHOLDS))
         for name in ARRAYS:
             assert np.array_equal(getattr(rows, name), getattr(alone, name)), (j, name)
@@ -106,7 +105,6 @@ def test_bundle_rows_do_not_depend_on_member_order(model, monkeypatch):
     order = [3, 7, 0, 6, 1, 5, 2, 4]
     permuted = estimate_row([members[k] for k in order], 10.0, THRESHOLDS, life,
                             cfg, row_seed())
-    assert permuted.digest == given.digest
     R = len(THRESHOLDS)
     for position, k in enumerate(order):
         assert member_rows(permuted, position, R).equals(member_rows(given, k, R)), k

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import shutil
 from pathlib import Path
@@ -416,6 +417,21 @@ class TestCurvesCommand:
         assert "error: --ir-lo" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [
+        # Between the lattice times 10 and 11 (T = 10, step 1).
+        ["--ir-lo", "10.55", "--ir-hi", "10.58"],
+        # No t + 0.55 lies on the lattice.
+        ["--ir-s", "0.55"],
+    ], ids=["between-times", "off-lattice-s"])
+    def test_interval_window_without_a_point(self, small_config, tmp_path, capsys,
+                                             no_draws, flags):
+        out = tmp_path / "out"
+        argv = ["curves", "--config", str(small_config), "--grid-M", "14:14", *flags,
+                "--out-dir", str(out), "--quiet"]
+        assert main(argv) == 1
+        assert "holds no lattice time" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_infinite_interval_window(self, small_config, tmp_path):
         argv = [
             "curves", "--config", str(small_config), "--grid-M", "14:14",
@@ -544,3 +560,83 @@ class TestEnvironment:
         assert main(argv) == 0
         assert (target / "transient_matrix.csv").exists()
         shutil.rmtree(target)
+
+
+def rows_of(path):
+    """The cells of a CSV's rows, its header left out."""
+    return [line.split(",") for line in path.read_text().splitlines()[1:]]
+
+
+@pytest.fixture()
+def instant_failure(tmp_path):
+    """The shipped config at alpha = 1e300 without shocks.
+
+    Every path is past L at the first grid point delta = T/100 and no shock
+    comes earlier, so every cycle fails at delta and is replaced at the
+    first inspection, down for T - delta.
+    """
+    text = CONFIG.read_text()
+    for old, new in (("alpha = 0.1", "alpha = 1e300"), ("lambda1 = 0.01", "lambda1 = 0"),
+                     ("lambda2 = 0.1", "lambda2 = 0")):
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / "instant.cfg"
+    path.write_text(text)
+    return path
+
+
+class TestExtremeInputs:
+    def test_instant_failure_asymptotic_grid(self, instant_failure, tmp_path):
+        # Each cycle costs C_c + C_d (T - delta) and lasts T, in every cell
+        # and every worker block.
+        out = tmp_path / "out"
+        assert main(["optimize", "--objective", "asymptotic", "--config",
+                     str(instant_failure), "--samples", "20", "--out-dir", str(out),
+                     "--quiet"]) == 0
+        rows = rows_of(out / "asymptotic_matrix.csv")
+        assert len(rows) == 300
+        for T, _, value, stderr in rows:
+            T = float(T)
+            assert value == f"{(300.0 + 25.0 * (T - T / 100.0)) / T:.6f}"
+            assert stderr == "0.000000"
+
+    def test_instant_failure_curves(self, instant_failure, tmp_path):
+        # At T = 10: (300 + 25 * 9.9) / 10 = 54.75 a unit of time, the same
+        # in every realization.  The system is up only at the inspection
+        # epochs, where it has just been replaced, and never survives past 0.
+        out = tmp_path / "out"
+        assert main(["curves", "--config", str(instant_failure), "--samples", "20",
+                     "--grid-M", "14:14:1", "--out-dir", str(out), "--quiet"]) == 0
+        assert rows_of(out / "cost_rate_vs_M.csv") == [["14.000000", "54.750000",
+                                                        "0.000000"]]
+        report = json.loads((out / "curves_report.json").read_text())
+        assert report["cost_rate_at_horizon"] == pytest.approx(54.75, rel=1e-12)
+        assert report["stddev_at_horizon"] == pytest.approx(0.0, abs=1e-6)
+        availability = rows_of(out / "availability.csv")
+        reliability = rows_of(out / "reliability.csv")
+        assert [t for t, _ in availability] == [f"{t:.6f}" for t in range(51)]
+        for t, value in availability:
+            assert value == ("1.000000" if float(t) % 10.0 == 0.0 else "0.000000"), t
+        assert reliability[0] == ["0.000000", "1.000000"]
+        assert {value for _, value in reliability[1:]} == {"0.000000"}
+
+    @pytest.mark.parametrize("old, new", [
+        ("alpha = 0.1", "alpha = 1e-300"),
+        ("beta = 0.1", "beta = 1e300"),
+        ("lambda2 = 0.1", "lambda2 = 1e300"),
+        ("breakdown_threshold = 30", "breakdown_threshold = 1e300"),
+        ("shock_threshold = 20", "shock_threshold = 1e-300"),
+        ("seed = 20260824", f"seed = {2**70}"),
+    ], ids=["alpha-tiny", "beta-huge", "lambda2-huge", "L-huge", "Ms-tiny", "seed-2^70"])
+    def test_extreme_input_runs(self, tmp_path, old, new):
+        out = tmp_path / "out"
+        assert main(["curves", "--config", str(edited(tmp_path, old, new)), "--samples",
+                     "20", "--grid-M", "14:14", "--out-dir", str(out), "--quiet"]) == 0
+        report = json.loads((out / "curves_report.json").read_text())
+        assert math.isfinite(report["cost_rate_at_horizon"])
+        assert math.isfinite(report["stddev_at_horizon"])
+        for _, rate, stddev in rows_of(out / "cost_rate_vs_M.csv"):
+            assert math.isfinite(float(rate)) and math.isfinite(float(stddev))
+        for name in ("availability", "reliability", "interval_reliability"):
+            values = [float(value) for _, value in rows_of(out / f"{name}.csv")]
+            assert values and all(0.0 <= v <= 1.0 for v in values), name

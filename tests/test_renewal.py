@@ -347,12 +347,12 @@ def random_estimates(rng, T, tf, kmax, times):
     }
 
 
-def tables_of(T, tf, times, sizes, estimates):
+def tables_of(T, times, sizes, estimates):
     """EstimateTables whose row r holds estimates[r][b] in block b of sizes[b] paths."""
     sizes = np.asarray(sizes)
     return EstimateTables(
-        lattice=Lattice(times, T), Ms=np.full(len(estimates), 14.0), horizon=tf,
-        delta=T / 100.0, digest="random", block_sizes=np.tile(sizes, (len(estimates), 1)),
+        lattice=Lattice(times, T), Ms=np.full(len(estimates), 14.0),
+        block_sizes=np.tile(sizes, (len(estimates), 1)),
         **{
             name: np.array([[n * e[name] for n, e in zip(sizes, row)] for row in estimates])
             for name in estimates[0][0]
@@ -399,7 +399,7 @@ def random_tables(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     times = lattice_times(T, tf)
     # One block of n = 1 whose sums are the pooled estimates themselves.
-    return tables_of(T, tf, times, [1], [[random_estimates(rng, T, tf, kmax, times)]])
+    return tables_of(T, times, [1], [[random_estimates(rng, T, tf, kmax, times)]])
 
 
 @st.composite
@@ -410,7 +410,7 @@ def random_row(draw):
     times = lattice_times(T, tf)
     sizes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4).filter(any))
     return tables_of(
-        T, tf, times, sizes,
+        T, times, sizes,
         [[random_estimates(rng, T, tf, kmax, times) for _ in sizes]
          for _ in range(draw(st.integers(1, 5)))],
     )

@@ -262,7 +262,7 @@ def test_paired_replacements_by_inspection_fall_with_M(model, monkeypatch):
 
 
 def test_one_threshold_paired_row_is_the_row(model):
-    # One threshold a path either way: the same passes, draws and digest.
+    # One threshold a path either way: the same passes and draws.
     life = LifeCycle(50.0)
     cfg = SimulationConfig(n_samples=1_803, master_seed=SEED, worker_streams=4)
     members = betas(model)
@@ -289,7 +289,7 @@ def test_thresholds_have_paths_of_their_own(model):
     cfg = SimulationConfig(n_samples=400, master_seed=SEED)
     tables = estimate_row(model, 10.0, (14.0, 14.0), LifeCycle(50.0), cfg, row_seed())
     first, second = tables.take(0), tables.take(1)
-    assert first.digest == second.digest == tables.digest
+    assert first.Ms.tolist() == second.Ms.tolist() == [14.0]
     assert not np.array_equal(first.balive, second.balive)
     assert not np.array_equal(first.bp_p, second.bp_p)
 
@@ -316,7 +316,7 @@ def test_a_row_keeps_the_order_given(model, monkeypatch):
     assert shuffled.Ms.tolist() == list(Ms)
     for i, M in enumerate(Ms):
         one, j = shuffled.take(i), sorted(Ms).index(M)
-        assert one.Ms.tolist() == [M] and one.digest == shuffled.digest
+        assert one.Ms.tolist() == [M] and one.lattice is shuffled.lattice
         for name in ("block_sizes", "bp_p", "bp_c", "bjw", "bjw2", "balive",
                      "bresid", "bresid2", "bcensored"):
             assert np.array_equal(getattr(one, name), getattr(shuffled, name)[i : i + 1])

@@ -1,9 +1,6 @@
-import hashlib
-import json
 import math
 import pickle
 import tracemalloc
-from dataclasses import replace
 import warnings
 
 import numpy as np
@@ -36,7 +33,6 @@ from cbmlife.simulate import (
     estimate_row,
     estimate_tables,
     eval_times,
-    tables_digest,
 )
 
 SEED = 1234
@@ -518,77 +514,55 @@ class TestLattice:
 
 
 class TestPersistence:
-    def test_digest_mismatch(self, ref_model, ref_policy, ref_life):
-        # a table set carries the digest of the draws behind it: another
-        # seed, seed sequence or row gives another digest and other tables
+    def test_other_draws_give_other_tables(self, ref_model, ref_policy, ref_life):
+        # A table set is its block sums: the same call gives the same tables,
+        # and another seed, seed sequence or row gives other tables.
         cfg = SimulationConfig(n_samples=200, master_seed=SEED, worker_streams=2)
         tables = estimate_tables(ref_model, ref_policy, ref_life, cfg)
-        delta = cfg.step_for(ref_policy)
-
-        def digest(cfg, seq, row=(ref_policy.preventive_threshold,)):
-            return tables_digest(ref_model, 10.0, row, ref_life, cfg, delta, seq)
-
-        assert tables.digest == digest(cfg, np.random.SeedSequence(SEED))
-        # Format 7: one digest a row, which names its sorted members and
-        # thresholds, the seed sequence of its one generator, and whether
-        # its paths are paired, which only a row of several thresholds is.
-        deg, shocks = ref_model.degradation, ref_model.shocks
-        payload = {
-            "format": 7,
-            "members": [[deg.alpha, deg.beta, shocks.lambda1, shocks.lambda2]],
-            "L": ref_model.breakdown_threshold, "Ms": ref_model.shock_threshold,
-            "T": 10.0, "row": [14.0], "tf": 50.0, "n": 200,
-            "delta": delta, "entropy": SEED, "spawn_key": [], "streams": 2,
-            "paired": False,
-        }
-
-        def sha(payload):
-            blob = json.dumps(payload, sort_keys=True).encode()
-            return hashlib.sha256(blob).hexdigest()
-
-        assert tables.digest == sha(payload)
+        assert estimate_tables(ref_model, ref_policy, ref_life, cfg).equals(tables)
+        # A paired row of one threshold is the row.
         one = estimate_row(ref_model, 10.0, (14.0,), ref_life, cfg,
                            np.random.SeedSequence(SEED), paired=True)
-        assert one.digest == tables.digest
-        pair = estimate_row(ref_model, 10.0, (20.0, 14.0), ref_life, cfg,
-                            np.random.SeedSequence(SEED), paired=True)
-        assert pair.digest == sha({**payload, "row": [14.0, 20.0], "paired": True})
-        assert estimate_tables(ref_model, ref_policy, ref_life, cfg).equals(tables)
+        assert one.equals(tables)
         other_cfg = SimulationConfig(n_samples=200, master_seed=SEED + 1, worker_streams=2)
         other = estimate_tables(ref_model, ref_policy, ref_life, other_cfg)
-        assert other.digest != tables.digest
-        assert other.digest == digest(other_cfg, np.random.SeedSequence(SEED + 1))
         assert not other.equals(tables)
+        assert not np.array_equal(other.balive, tables.balive)
         # the same master seed with a spawn key
         keyed = np.random.SeedSequence(SEED, spawn_key=(14_000_000,))
         moved = estimate_tables(ref_model, ref_policy, ref_life, cfg, seed_sequence=keyed)
-        assert moved.digest == digest(cfg, keyed) != tables.digest
+        assert not moved.equals(tables)
         assert not np.array_equal(moved.balive, tables.balive)
         # a row's cell depends on the row's thresholds, not on their order
         row = estimate_row(ref_model, 10.0, (20.0, 14.0), ref_life, cfg,
                            np.random.SeedSequence(SEED))
-        assert row.digest == digest(cfg, np.random.SeedSequence(SEED), (14.0, 20.0))
-        assert row.digest == sha({**payload, "row": [14.0, 20.0]})
-        assert row.digest not in (tables.digest, pair.digest)
+        ascending = estimate_row(ref_model, 10.0, (14.0, 20.0), ref_life, cfg,
+                                 np.random.SeedSequence(SEED))
+        assert row.take(0).equals(ascending.take(1))
+        assert row.take(1).equals(ascending.take(0))
         assert not np.array_equal(row.balive[1], tables.balive[0])
+        # a paired row of two thresholds reads other paths than the row
+        pair = estimate_row(ref_model, 10.0, (20.0, 14.0), ref_life, cfg,
+                            np.random.SeedSequence(SEED), paired=True)
+        for r in range(2):
+            assert not pair.take(r).equals(row.take(r))
+            assert not np.array_equal(pair.balive[r], row.balive[r])
 
-    def test_pickled_tables_leave_the_cache_behind(self, ref_model, ref_life):
-        # validate() caches the pooled estimates; a pickled table set (a
-        # pool task's result) holds the fields alone, and the copy computes
-        # the same estimates again.
+    def test_pickled_tables_are_their_fields(self, ref_model, ref_life):
+        # A table set holds its fields alone, validated or not: a pickled one
+        # (a pool task's result) is its fields, and the copy computes the
+        # same pooled estimates from them.
         cfg = SimulationConfig(n_samples=800, master_seed=SEED)
         tables = estimate_row(ref_model, 5.0, np.linspace(1.0, 30.0, 30), ref_life,
                               cfg, np.random.SeedSequence(SEED))
-        cached = {"p_preventive", "alive_no_replacement", "residual_downtime_sq",
-                  "_paths"}
-        assert cached <= tables.__dict__.keys()
-        blob = pickle.dumps(tables)
-        copy = pickle.loads(blob)
+        assert tables.__dict__.keys() == tables.__dataclass_fields__.keys()
+        copy = pickle.loads(pickle.dumps(tables))
         assert copy.equals(tables)
         assert copy.__dict__.keys() == tables.__dataclass_fields__.keys()
-        assert np.array_equal(copy.p_preventive, tables.p_preventive)
-        cache_free = replace(tables)
-        assert len(blob) == len(pickle.dumps(cache_free))
+        for name in ("p_preventive", "p_corrective", "joint_downtime",
+                     "joint_downtime_sq", "alive_no_replacement", "residual_downtime",
+                     "residual_downtime_sq", "censored_fraction"):
+            assert np.array_equal(getattr(copy, name), getattr(tables, name)), name
 
     def test_one_seed_sequence_object_twice(self, ref_model, ref_policy, ref_costs, ref_life):
         # The generator is built without spawning, so one object passed
@@ -598,7 +572,7 @@ class TestPersistence:
         seq = np.random.SeedSequence(SEED, spawn_key=(7,))
         first = estimate_tables(ref_model, ref_policy, ref_life, cfg, seed_sequence=seq)
         again = estimate_tables(ref_model, ref_policy, ref_life, cfg, seed_sequence=seq)
-        assert again.equals(first) and again.digest == first.digest
+        assert again.equals(first)
         chains = [
             chain_statistics(ref_model, ref_policy, ref_costs, ref_life, cfg,
                              seed_sequence=seq)
