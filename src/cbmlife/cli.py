@@ -36,7 +36,7 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -174,58 +174,47 @@ def _read_config(path) -> configparser.ConfigParser:
     return parser
 
 
+def _section(parser: configparser.ConfigParser, section: str, cls, **given):
+    """``cls`` of ``given`` and, in field order, the float key of each other field."""
+    keys = [f.name for f in fields(cls) if f.name not in given]
+    return cls(**given, **{key: _get(parser[section], section, key) for key in keys})
+
+
 def _build_config(parser: configparser.ConfigParser) -> RunConfig:
-    m = parser["model"]
-    model = SystemModel(
-        degradation=GammaDegradation(
-            alpha=_get(m, "model", "alpha"), beta=_get(m, "model", "beta")
-        ),
-        shocks=ShockIntensity(
-            lambda1=_get(m, "model", "lambda1"), lambda2=_get(m, "model", "lambda2")
-        ),
-        breakdown_threshold=_get(m, "model", "breakdown_threshold"),
-        shock_threshold=_get(m, "model", "shock_threshold"),
-    )
-    c = parser["costs"]
-    costs = CostStructure(
-        corrective=_get(c, "costs", "corrective"),
-        preventive=_get(c, "costs", "preventive"),
-        inspection=_get(c, "costs", "inspection"),
-        downtime_rate=_get(c, "costs", "downtime_rate"),
-    )
-    life = LifeCycle(horizon=_get(parser["life"], "life", "horizon"))
-    p = parser["policy"]
-    policy = MaintenancePolicy(
-        inspection_period=_get(p, "policy", "inspection_period"),
-        preventive_threshold=_get(p, "policy", "preventive_threshold"),
-    )
-    g = parser["grid"]
-    grid = opt.PolicyGrid(
-        T_values=parse_grid_spec(_get(g, "grid", "T", str)),
-        M_values=parse_grid_spec(_get(g, "grid", "M", str)),
-    )
-    s = parser["simulation"]
-    path_step = _get(s, "simulation", "path_step") if s.get("path_step") else None
-    sim = SimulationConfig(
-        n_samples=_get(s, "simulation", "n_samples", int),
-        path_step=path_step,
-        master_seed=_get(s, "simulation", "seed", int),
-        worker_streams=_get(s, "simulation", "worker_streams", int),
-    )
-    out_dir = Path(
-        parser.get("output", "directory", fallback="")
-        or os.environ.get(OUTPUT_DIR_ENV, "out")
-    )
-    workers = _get(s, "simulation", "workers", int) if "workers" in s else 1
+    """The run config of a config file's sections, each checked as it is built.
+
+    The keys of ``[model]``, ``[costs]``, ``[life]`` and ``[policy]`` are the
+    fields of their dataclasses (:func:`_section`); ``[grid]``,
+    ``[simulation]`` and ``[output]`` are read key by key.  The sections
+    are built in that order, so the first missing, unparsable or invalid
+    key is the one reported.
+    """
+    g, s = parser["grid"], parser["simulation"]
+    step = s.get("path_step")
     return RunConfig(
-        model=model,
-        costs=costs,
-        life=life,
-        policy=policy,
-        grid=grid,
-        sim=sim,
-        out_dir=out_dir,
-        workers=workers,
+        model=_section(
+            parser, "model", SystemModel,
+            degradation=_section(parser, "model", GammaDegradation),
+            shocks=_section(parser, "model", ShockIntensity),
+        ),
+        costs=_section(parser, "costs", CostStructure),
+        life=_section(parser, "life", LifeCycle),
+        policy=_section(parser, "policy", MaintenancePolicy),
+        grid=opt.PolicyGrid(
+            T_values=parse_grid_spec(_get(g, "grid", "T", str)),
+            M_values=parse_grid_spec(_get(g, "grid", "M", str)),
+        ),
+        sim=SimulationConfig(
+            path_step=_get(s, "simulation", "path_step") if step else None,
+            n_samples=_get(s, "simulation", "n_samples", int),
+            master_seed=_get(s, "simulation", "seed", int),
+            worker_streams=_get(s, "simulation", "worker_streams", int),
+        ),
+        out_dir=Path(
+            parser.get("output", "directory", fallback="")
+            or os.environ.get(OUTPUT_DIR_ENV, "out")
+        ),
+        workers=_get(s, "simulation", "workers", int) if "workers" in s else 1,
     )
 
 
@@ -375,20 +364,21 @@ def cmd_curves(rc: RunConfig, args):
 
 def cmd_sensitivity(rc: RunConfig, args):
     try:
-        name, raw = args.fixed.split("=")
-        fixed = (name.strip(), float(raw))
+        axis, raw = args.fixed.split("=")
+        axis, value = axis.strip(), float(raw)
     except ValueError:
         raise ConfigurationError("--fixed must look like T=10 or M=14")
-    if fixed[0] not in ("T", "M"):
+    if axis not in ("T", "M"):
         raise ConfigurationError("--fixed dimension must be T or M")
-    sweep = rc.grid.M_values if fixed[0] == "T" else rc.grid.T_values
+    # The sweep is the grid with the fixed axis at its one value.
+    grid = replace(rc.grid, **{f"{axis}_values": (value,)})
 
     table_of = (
         sensitivity.gamma_sensitivity if args.target == "gamma"
         else sensitivity.shock_sensitivity
     )
     table = table_of(
-        rc.model, rc.costs, rc.life, fixed, sweep, cfg=rc.sim, processes=rc.workers
+        rc.model, rc.costs, rc.life, grid, cfg=rc.sim, processes=rc.workers
     )
     payload = {
         "target": table.target,

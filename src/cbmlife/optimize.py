@@ -143,7 +143,7 @@ def _evaluate_row(tables, costs, life, objective) -> list[tuple[float, float, li
     cells = zip(tables.Ms, evaluate(tables), stderrs, tables.censored_fraction)
     outcomes = []
     for M, value, stderr, fraction in cells:
-        label = f"(T={tables.T:g}, M={M:g})"
+        label = f"(T={tables.lattice.T:g}, M={M:g})"
         if math.isnan(value):
             raise InconsistencyError(
                 f"{label} no replacement mass observed; rate undefined"

@@ -203,9 +203,7 @@ def cost_curve(tables: EstimateTables, costs: CostStructure) -> CostCurve:
     """Full transient cost curve on the evaluation grid."""
     _check_one_policy(tables)
     mean, mean_sq = (m[0] for m in _cost_moments(tables, costs))
-    curve = CostCurve(
-        times=tables.times, mean=mean, mean_sq=mean_sq, std=_std(mean, mean_sq)
-    )
+    curve = CostCurve(tables.lattice.times, mean, mean_sq, _std(mean, mean_sq))
     curve.validate()
     return curve
 
@@ -267,14 +265,14 @@ def _survival(tables: EstimateTables, preventive_only: bool) -> np.ndarray:
 def availability(tables: EstimateTables, t: float) -> float:
     """P[system working at t]."""
     _check_one_policy(tables)
-    i = tables.index_of(t)
+    i = tables.lattice.index_of(t)
     return float(_survival(tables, preventive_only=False)[0, i])
 
 
 def reliability(tables: EstimateTables, t: float) -> float:
     """P[no failure in (0, t]]; only preventive replacements renew it."""
     _check_one_policy(tables)
-    i = tables.index_of(t)
+    i = tables.lattice.index_of(t)
     return float(_survival(tables, preventive_only=True)[0, i])
 
 
@@ -318,7 +316,7 @@ def interval_reliability(tables: EstimateTables, t: float, s: float) -> float:
     """P[system works throughout (t, t+s]]."""
     _check_one_policy(tables)
     _check_length(s)
-    value = _interval(tables, s)[0, tables.index_of(t)]
+    value = _interval(tables, s)[0, tables.lattice.index_of(t)]
     if math.isnan(value):
         raise GridCoverageError(f"t + s = {t + s} is not on the evaluation grid")
     return float(value)
@@ -330,7 +328,7 @@ def performance_curve(
     """Availability, reliability, or interval-reliability curve."""
     _check_one_policy(tables)
     _check_length(s)
-    times = tables.times
+    times = tables.lattice.times
     if kind == "availability":
         values = _survival(tables, preventive_only=False)[0]
     elif kind == "reliability":

@@ -14,12 +14,13 @@ perturbations of the gamma table.  The alpha perturbations are drawn on
 other paths, so they share no noise with the baseline: alpha rescales time,
 and a path drawn at one alpha cannot serve another on the same delta-grid.
 The baseline is a member of its own bundle, and the zero-variation cell is
-the baseline itself, not simulated again.  A sweep is a policy grid of one
-T and the swept thresholds, or of the swept periods and one M, whose rows
-every bundle draws through :func:`~cbmlife.optimize.estimate_grid`, paired:
-with T fixed, the whole sweep of a bundle is one table set of (member,
-threshold) rows, drawn from n paths that every swept threshold reads, and
-one batched renewal solve over its rows.  Each row of thresholds is seeded
+the baseline itself, not simulated again.  Each table takes the
+:class:`~cbmlife.optimize.PolicyGrid` it sweeps, of one T and the swept
+thresholds or of the swept periods and one M, whose rows every bundle
+draws through :func:`~cbmlife.optimize.estimate_grid`, paired: with T
+fixed, the whole sweep of a bundle is one table set of (member, threshold)
+rows, drawn from n paths that every swept threshold reads, and one batched
+renewal solve over its rows.  Each row of thresholds is seeded
 by its T, so a cell depends on the set of swept thresholds and on the betas
 of its bundle, though not on their order.  With M fixed a row has one
 threshold, which pairing leaves as it is.  The rows may be drawn in a
@@ -85,18 +86,10 @@ def _perturbed_model(model: SystemModel, target: str, vi: float, vj: float):
 
 
 def _sensitivity_table(
-    model, costs, life, fixed, sweep_values, variations, cfg, processes, target
+    model, costs, life, grid, variations, cfg, processes, target
 ) -> VariationTable:
     if any(v <= -100.0 for v in variations):
         raise ValueError("variations must keep parameters positive")
-    name, fixed_value = fixed
-    sweep = tuple(sweep_values)
-    if name == "T":
-        grid = PolicyGrid((fixed_value,), sweep)
-    elif name == "M":
-        grid = PolicyGrid(sweep, (fixed_value,))
-    else:
-        raise ValueError("fixed dimension must be 'T' or 'M'")
     cfg = cfg or SimulationConfig()
     m = len(variations)
     perturbed = [
@@ -148,16 +141,19 @@ def gamma_sensitivity(
     model: SystemModel,
     costs: CostStructure,
     life: LifeCycle,
-    fixed: tuple[str, float],
-    sweep_values: tuple[float, ...],
+    grid: PolicyGrid,
     variations: tuple[float, ...] = VARIATIONS,
     cfg: SimulationConfig | None = None,
     processes: int = 1,
 ) -> VariationTable:
-    """Variation table for (alpha, beta) perturbations."""
+    """Variation table for (alpha, beta) perturbations.
+
+    ``grid`` is the policy sweep: one T and the swept thresholds, or the
+    swept periods and one M.  Each cell's cost is minimized over its
+    policies.
+    """
     return _sensitivity_table(
-        model, costs, life, fixed, sweep_values, variations, cfg, processes,
-        "gamma_params",
+        model, costs, life, grid, variations, cfg, processes, "gamma_params"
     )
 
 
@@ -165,14 +161,17 @@ def shock_sensitivity(
     model: SystemModel,
     costs: CostStructure,
     life: LifeCycle,
-    fixed: tuple[str, float],
-    sweep_values: tuple[float, ...],
+    grid: PolicyGrid,
     variations: tuple[float, ...] = VARIATIONS,
     cfg: SimulationConfig | None = None,
     processes: int = 1,
 ) -> VariationTable:
-    """Variation table for (lambda1, lambda2) perturbations."""
+    """Variation table for (lambda1, lambda2) perturbations.
+
+    ``grid`` is the policy sweep: one T and the swept thresholds, or the
+    swept periods and one M.  Each cell's cost is minimized over its
+    policies.
+    """
     return _sensitivity_table(
-        model, costs, life, fixed, sweep_values, variations, cfg, processes,
-        "shock_params",
+        model, costs, life, grid, variations, cfg, processes, "shock_params"
     )

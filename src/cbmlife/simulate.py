@@ -69,14 +69,16 @@ fewest passes of even sizes of at most ``3 * _PASS_PATHS // (K * (R + 2))``
 paths for K distinct scales, ``_PASS_PATHS // K`` at R = 1, so a pass
 boundary may fall inside a threshold and inside a block; each outcome adds
 into the (threshold, block) row its index in the row names.  A pass is one
-sampler call over all its paths and one reduction per group of at most
+draw over all its paths (:func:`_draw_pass`), which leaves a pass state of
+a few numbers a path, then one read and reduction per group of at most
 ``_PASS_PATHS`` member outcomes, which adds each table into the row's sums
 as soon as it is counted; this removes the fixed cost of a sampler call per
-threshold, block and member, and the table set is checked once, when every
-pass has run.  The members of a bundle share their noise; a member's rows
-depend on the row's set of thresholds and the bundle's set of scales,
-though not on their order.  :func:`estimate_tables` is the one-model,
-one-threshold row.
+threshold, block and member.  The table set is checked once, on its block
+sums, when every pass has run: a count adds 1.0 a path, so each block's
+replaced and censored paths add up to its size exactly.  The members of
+a bundle share their noise; a member's rows depend on the row's set of
+thresholds and the bundle's set of scales, though not on their order.
+:func:`estimate_tables` is the one-model, one-threshold row.
 """
 
 from __future__ import annotations
@@ -120,6 +122,14 @@ _PASS_PATHS = 8192
 # points to every table and a skeleton step to every pass, so a longer
 # horizon (T = 0.001 at t_f = 50: 500,001 points) is refused up front.
 _MAX_PERIODS = 10_000
+# The block sums of a table set, each with axes (threshold, block, cell),
+# and the axis of their cells: the kmax + 1 inspections, the lattice times,
+# or none (the censored count).  :func:`_reduce` adds into them by name.
+_BLOCK_SUMS = {
+    "bp_p": "inspection", "bp_c": "inspection", "bjw": "inspection",
+    "bjw2": "inspection", "balive": "time", "bresid": "time", "bresid2": "time",
+    "bcensored": None,
+}
 
 
 @dataclass(frozen=True)
@@ -162,6 +172,11 @@ class SimulationConfig:
         return delta
 
 
+def _inspections(T: float, horizon: float) -> int:
+    """The inspections of period T up to the horizon: floor(horizon/T + eps)."""
+    return int(math.floor(horizon / T + _EPS))
+
+
 def _check_periods(T: float, horizon: float) -> None:
     if horizon / T > _MAX_PERIODS:
         raise ConfigurationError(f"t_f/T exceeds {_MAX_PERIODS} inspection periods")
@@ -181,8 +196,7 @@ def eval_times(policy: MaintenancePolicy, life: LifeCycle) -> np.ndarray:
     # Every tf - j*dg above -_EPS, and some below that clamp to the point 0;
     # times are keyed by rounding to the nanosecond.
     down = np.maximum(tf - np.arange(int((tf + _EPS) / dg) + 2) * dg, 0.0)
-    kmax = int(math.floor(tf / T + _EPS))
-    epochs = np.arange(kmax + 1) * T
+    epochs = np.arange(_inspections(T, tf) + 1) * T
     keys = np.round(np.concatenate([down, epochs]) * 1e9).astype(np.int64)
     keys.sort()  # np.unique would import numpy.ma, 1.6 MB of resident memory
     return keys[np.diff(keys, prepend=-1) != 0] / 1e9
@@ -198,7 +212,7 @@ def _check_simulable(model: SystemModel, policy: MaintenancePolicy, life) -> Non
 def _skeleton(horizon: float, T: float, delta: float) -> np.ndarray:
     """Grid indices at which paths are drawn: 0, the inspection epochs, K."""
     K = int(math.ceil(horizon / delta - _EPS))
-    kmax = int(math.floor(horizon / T + _EPS))
+    kmax = _inspections(T, horizon)
     epochs = {int(math.floor(k * T / delta + _EPS)) for k in range(1, kmax + 1)}
     return np.array(sorted({0, K, *(min(j, K) for j in epochs)}), dtype=np.int64)
 
@@ -310,8 +324,8 @@ def _bundle_scales(models):
     return beta_d, scales, [scales.index(rate / beta_d) for rate in rates]
 
 
-def _simulate_bundle(models, T, horizon, delta, Ms, rng, group):
-    """Draw one pass of paths for a bundle, and its members' outcomes.
+def _draw_pass(models, T, horizon, delta, Ms, rng):
+    """Draw one pass of paths for a bundle: each member's scale, and the pass state.
 
     ``Ms`` is (R, paths): column i holds the R preventive thresholds path i
     is read at, its largest in row 0.  An unpaired row gives each path one
@@ -323,11 +337,13 @@ def _simulate_bundle(models, T, horizon, delta, Ms, rng, group):
     so the levels are the R thresholds, M_s and L at each distinct scale,
     R + 2 rows per scale: one scale (a bundle whose members differ only in
     lambda) draws what a single model draws.  Each path is drawn until it
-    reaches its largest M at the largest scale.  Yields the outcomes of
-    :func:`_outcomes` for each run of at most ``group`` consecutive members,
-    in order, after every draw is made: the outcomes take about 10 bytes a
-    member, threshold and path and 24 a member and path, so a caller that
-    frees a run's before it asks for the next holds one run's at a time.
+    reaches its largest M at the largest scale.  Returns the index of each
+    member's scale and the pass state in the order :func:`_outcomes` reads
+    it: the inspection k_p that finds each threshold at each scale, of shape
+    (scale, threshold, path) with the scales ascending, and kmax + 1,000,000
+    where the path never reaches it; the crossing times of M_s at each
+    scale, then of L at each scale, np.inf where unresolved; and one
+    exponential a path.  The draw's own state is freed on return.
     """
     first = models[0]
     alpha = first.degradation.alpha
@@ -341,7 +357,6 @@ def _simulate_bundle(models, T, horizon, delta, Ms, rng, group):
     order = np.argsort(named, kind="stable")
     levels = np.vstack([*(np.asarray(Ms, dtype=float) * f for f in s[::-1]),
                         *(np.full(n, z) for z in named[order])])
-    del Ms
     pos, xa, xb = _brackets(grid, levels, alpha * delta, 1.0 / beta_d, rng)
     # Skeleton point k is inspection k for k <= kmax, so M's bracket ends at
     # the inspection k_p that finds it, or past the last one: M is never
@@ -352,42 +367,33 @@ def _simulate_bundle(models, T, horizon, delta, Ms, rng, group):
     # min(k_p T, horizon).
     KR = K * R
     index = _bisect(grid, pos[KR:], xa[KR:], xb[KR:], levels[KR:], alpha * delta, rng)
-    sigma = np.where(index > 0, index * delta, np.inf)
-    # The skeleton index of each threshold at each scale, (scale, threshold,
-    # path) with the scales ascending (len(grid) where the path stays below
-    # it), the crossing times in level order, the row of each level in them
-    # (M_s at each scale, then L), and one exponential a path.
-    rank = np.argsort(order)
-    paths = (pos[:KR].reshape(K, R, n)[::-1].copy(), len(grid), sigma, rank,
-             rng.exponential(1.0, n))
-    # The draw's state is freed before any member's outcomes are reduced.
-    del levels, pos, xa, xb, index
-    for lo in range(0, len(models), group):
-        yield _outcomes(models[lo : lo + group], which[lo : lo + group], paths, T,
-                        horizon)
+    k_p = pos[:KR].reshape(K, R, n)[::-1]
+    k_p = np.where(k_p < len(grid), k_p, _inspections(T, horizon) + 1_000_000)
+    sigma = np.where(index > 0, index * delta, np.inf)[np.argsort(order)]
+    return which, (k_p, sigma, rng.exponential(1.0, n))
 
 
-def _outcomes(models, which, paths, T, horizon):
+def _outcomes(models, which, state, T, horizon):
     """First-cycle outcomes of the members ``models`` on one pass of paths.
 
-    ``paths`` is what :func:`_simulate_bundle` drew, and member m reads its
-    scale ``which[m]``.  Returns one outcome per (member, threshold, path):
-    replacement inspection index (k_rep), corrective flag and censored flag
-    of shape (members, R, paths), then failure time D, crossing time of L
-    and shock time Y (np.inf when beyond the horizon) of shape (members, 1,
-    paths), which no threshold changes.  Let end = min(k_p T, horizon) at
-    the path's largest threshold: D, sigma_L and Y are the path's own
-    wherever they are at most end, and beyond end they are only known to
-    exceed it (sigma_L then reads np.inf, or a later crossing that another
-    scale's k_p reached).  Path by path k_rep = min(k_c, k_p(M)), and k_p
-    grows with M, so on shared paths k_rep grows with M.
+    ``state`` is the pass state of :func:`_draw_pass`, and member m reads
+    its scale ``which[m]``.  Returns one outcome per (member, threshold,
+    path): replacement inspection index (k_rep), corrective flag and
+    censored flag of shape (members, R, paths), then failure time D,
+    crossing time of L and shock time Y (np.inf when beyond the horizon) of
+    shape (members, 1, paths), which no threshold changes.  Let end =
+    min(k_p T, horizon) at the path's largest threshold: D, sigma_L and Y
+    are the path's own wherever they are at most end, and beyond end they
+    are only known to exceed it (sigma_L then reads np.inf, or a later
+    crossing that another scale's k_p reached).  Path by path k_rep =
+    min(k_c, k_p(M)), and k_p grows with M, so on shared paths k_rep grows
+    with M.
     """
-    pos, unreached, sigma, rank, E = paths
+    k_p, sigma, E = state
     rows = np.asarray(which)
-    k_p = pos[rows]
-    sigma_Ms = sigma[rank[rows]][:, None]
-    sigma_L = sigma[rank[len(pos) + rows]][:, None]
-    kmax = int(math.floor(horizon / T + _EPS))
+    sigma_Ms, sigma_L = sigma[rows][:, None], sigma[len(k_p) + rows][:, None]
+    k_p = k_p[rows]
+    kmax = _inspections(T, horizon)
     lam1 = np.array([[[model.shocks.lambda1]] for model in models])
     lam2 = np.array([[[model.shocks.lambda2]] for model in models])
     # Exact inverse-transform draw of the shock time given the (grid) time v
@@ -406,7 +412,6 @@ def _outcomes(models, which, paths, T, horizon):
     # A failure in (0, T] is found at the first inspection, however early.
     k_c = np.maximum(np.ceil(D / T - 1e-12), 1.0)
     k_c[~np.isfinite(k_c)] = kmax + 1_000_000
-    k_p = np.where(k_p < unreached, k_p, kmax + 1_000_000)
     corrective = k_c <= k_p
     k_rep = np.where(corrective, k_c, k_p)
     k_rep = np.minimum(k_rep, kmax + 1).astype(np.int64)
@@ -420,9 +425,8 @@ def _simulate_kernel(model, T, horizon, delta, Ms, rng):
     The one-member bundle, each path at its one threshold ``Ms[i]``: the
     per-path arrays of :func:`_outcomes`.
     """
-    (outcomes,) = _simulate_bundle([model], T, horizon, delta, np.asarray(Ms)[None],
-                                   rng, 1)
-    return tuple(v[0, 0] for v in outcomes)
+    which, state = _draw_pass([model], T, horizon, delta, np.asarray(Ms)[None], rng)
+    return tuple(v[0, 0] for v in _outcomes([model], which, state, T, horizon))
 
 
 def _block_accumulate(models, T, life, delta, Ms, bins, rng, times, sums):
@@ -431,25 +435,27 @@ def _block_accumulate(models, T, life, delta, Ms, bins, rng, times, sums):
     ``sums`` are the arrays of :func:`_zero_sums`, one run of len(Ms) rows
     per member of the bundle ``models``, in member order, and row r of a
     run has threshold Ms[r].  ``bins`` is (R, paths): path i is read at the
-    thresholds Ms[bins[:, i]], its largest in row 0
-    (:func:`_simulate_bundle`), and its outcome at Ms[bins[j, i]] adds into
-    row bins[j, i] of each member's run.  The paths are drawn from ``rng``
-    once for every member.  The members' outcomes are reduced by
-    :func:`_reduce` in groups of at most _PASS_PATHS outcomes (at least one
-    member), each group's freed before the next is computed.
+    thresholds Ms[bins[:, i]], its largest in row 0 (:func:`_draw_pass`),
+    and its outcome at Ms[bins[j, i]] adds into row bins[j, i] of each
+    member's run.  The paths are drawn from ``rng`` once for every member.
+    The outcomes take about 10 bytes a member, threshold and path and 24 a
+    member and path, so the members are read and reduced by :func:`_reduce`
+    in groups of at most _PASS_PATHS outcomes (at least one member), each
+    group's outcomes freed before the next group's are computed.
     """
-    kmax = int(math.floor(life.horizon / T + _EPS))
+    which, state = _draw_pass(models, T, life.horizon, delta, Ms[bins], rng)
+    kmax = _inspections(T, life.horizon)
     group = max(1, _PASS_PATHS // bins.size)
-    runs = _simulate_bundle(models, T, life.horizon, delta, Ms[bins], rng, group)
-    first = 0
-    for k_rep, corrective, censored, D, *_ in runs:
+    for lo in range(0, len(models), group):
+        k_rep, corrective, censored, D, *_ = _outcomes(
+            models[lo : lo + group], which[lo : lo + group], state, T, life.horizon
+        )
         del _  # the crossing and shock times, which no table reads
-        owner = np.arange(first, first + len(k_rep))[:, None, None] * len(Ms) + bins
-        first += len(k_rep)
+        owner = np.arange(lo, lo + len(k_rep))[:, None, None] * len(Ms) + bins
         _reduce(k_rep.ravel(), corrective.ravel(), censored.ravel(),
                 np.broadcast_to(D, k_rep.shape).ravel(), owner.ravel(), T, kmax,
                 times, sums)
-        del k_rep, corrective, censored, D, owner  # before the next run is drawn
+        del k_rep, corrective, censored, D, owner  # before the next group's
 
 
 def _reduce(k_rep, corrective, censored, D, owner, T, kmax, times, sums):
@@ -476,11 +482,11 @@ def _reduce(k_rep, corrective, censored, D, owner, T, kmax, times, sums):
     corr = corrective[~censored]
     w = np.where(corr, k * T - D[~censored], 0.0)
     cell = owner[~censored] * (kmax + 1) + k
-    add("p_p", cell[~corr])
-    add("p_c", cell[corr])
-    add("jw", cell, w)
-    add("jw2", cell, w * w)
-    add("censored", owner[censored])
+    add("bp_p", cell[~corr])
+    add("bp_c", cell[corr])
+    add("bjw", cell, w)
+    add("bjw2", cell, w * w)
+    add("bcensored", owner[censored])
     del k, corr, w, cell
     # Per lattice time t, over the cycles not replaced by its last inspection
     # kf(t): alive at t, and the downtime accrued since D.  kf grows with t,
@@ -495,7 +501,7 @@ def _reduce(k_rep, corrective, censored, D, owner, T, kmax, times, sums):
     # of the prefix lengths' counts, from length C down to length 1.
     lengths = np.bincount(owner * (C + 1) + n_alive, minlength=S * (C + 1))
     lengths = lengths.reshape(S, C + 1)
-    sums["alive"][lo:hi] += np.cumsum(lengths[:, :0:-1], axis=1)[:, ::-1]
+    sums["balive"][lo:hi] += np.cumsum(lengths[:, :0:-1], axis=1)[:, ::-1]
     del lengths
     # The (path, column) pairs of the open prefix from D on, path by path,
     # so each row adds its terms in path order (a term at t = D is 0.0).
@@ -505,19 +511,14 @@ def _reduce(k_rep, corrective, censored, D, owner, T, kmax, times, sums):
     down = times[col] - D[path]
     lattice_cell = owner[path] * C + col
     del path, col
-    add("resid", lattice_cell, down)
-    add("resid2", lattice_cell, down * down)
+    add("bresid", lattice_cell, down)
+    add("bresid2", lattice_cell, down * down)
 
 
 def _zero_sums(rows, kmax, times) -> dict[str, np.ndarray]:
-    """Zeroed sums of the tables of :func:`_reduce`, ``rows`` by their cells.
-
-    A table's cells are the kmax + 1 inspections, the lattice ``times``, or
-    none (the censored count).
-    """
-    K, C = (kmax + 1,), (len(times),)
-    cells = dict(p_p=K, p_c=K, jw=K, jw2=K, alive=C, resid=C, resid2=C, censored=())
-    return {name: np.zeros((rows, *size)) for name, size in cells.items()}
+    """Zeroed block sums of :data:`_BLOCK_SUMS`, ``rows`` by their cells."""
+    cells = {"inspection": (kmax + 1,), "time": (len(times),), None: ()}
+    return {name: np.zeros((rows, *cells[axis])) for name, axis in _BLOCK_SUMS.items()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -582,12 +583,6 @@ class Lattice:
         return row, level
 
 
-# The block sums of a table set, each with axes (threshold, block, ...).
-_BLOCK_SUMS = (
-    "bp_p", "bp_c", "bjw", "bjw2", "balive", "bresid", "bresid2", "bcensored"
-)
-
-
 def _pooled(blocks: str) -> property:
     return property(
         lambda self: getattr(self, blocks).sum(axis=1) / self._paths[:, None]
@@ -641,19 +636,8 @@ class EstimateTables:
 
     # -- structure ---------------------------------------------------------
     @property
-    def T(self) -> float:
-        return self.lattice.T
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.lattice.times
-
-    @property
     def kmax(self) -> int:
         return self.bp_p.shape[-1] - 1
-
-    def index_of(self, t: float) -> int:
-        return self.lattice.index_of(t)
 
     def take(self, i: int) -> "EstimateTables":
         """Threshold i alone: the table set of its one row."""
@@ -673,29 +657,34 @@ class EstimateTables:
         return replace(self, Ms=Ms, **{n: getattr(self, n)[index] for n in names})
 
     def validate(self) -> None:
-        """Raise ConfigurationError unless every row's estimates are valid.
+        """Raise ConfigurationError unless every block's sums are valid.
 
-        Column 0 of alive is time 0, where every cycle is alive.
+        A count adds 1.0 a path, so it is exact.  Each path of a block is
+        replaced at one inspection or censored, so in every (row, block) the
+        replacement counts and the censored count add up to the block's
+        size, and every path is alive at time 0, column 0 of alive.  A
+        row's summed downtime moments must not fall below -1e-15 a path.
         """
-        p_p, p_c = self.p_preventive, self.p_corrective
-        alive = self.alive_no_replacement
-        if (p_p.sum(axis=-1) + p_c.sum(axis=-1) > 1.0 + 1e-12).any():
+        sizes = self.block_sizes
+        paths = self.bp_p.sum(axis=-1) + self.bp_c.sum(axis=-1) + self.bcensored
+        if (paths > sizes).any():
             raise ConfigurationError("replacement probabilities exceed one")
-        for arr in (p_p, p_c, alive):
-            if (arr < -1e-15).any() or (arr > 1.0 + 1e-12).any():
+        for arr in (self.bp_p, self.bp_c, self.balive):
+            if (arr < 0.0).any() or (arr > sizes[..., None]).any():
                 raise ConfigurationError("probability entry outside [0, 1]")
-        for arr in (self.joint_downtime, self.joint_downtime_sq,
-                    self.residual_downtime, self.residual_downtime_sq):
-            if (arr < -1e-15).any():
+        if (paths != sizes).any():
+            raise ConfigurationError("a path is neither replaced nor censored")
+        for arr in (self.bjw, self.bjw2, self.bresid, self.bresid2):
+            if (arr.sum(axis=1) < -1e-15 * self._paths[:, None]).any():
                 raise ConfigurationError("negative downtime moment")
-        if (np.abs(alive[:, 0] - 1.0) > 1e-12).any():
+        if (self.balive[..., 0] != sizes).any():
             raise ConfigurationError("alive_no_replacement(0) must be 1")
 
     def equals(self, other: "EstimateTables") -> bool:
-        if not isinstance(other, EstimateTables) or self.T != other.T:
+        if not isinstance(other, EstimateTables) or self.lattice.T != other.lattice.T:
             return False
-        arrays = ("times", "Ms", "block_sizes", *_BLOCK_SUMS)
-        return all(
+        arrays = ("Ms", "block_sizes", *_BLOCK_SUMS)
+        return np.array_equal(self.lattice.times, other.lattice.times) and all(
             np.array_equal(getattr(self, f), getattr(other, f)) for f in arrays
         )
 
@@ -768,7 +757,7 @@ def estimate_row(
     threshold Ms[r % len(Ms)]: the rows are (member, threshold),
     member-major, in the orders given.  The generator,
     ``np.random.default_rng(seed_sequence)``, draws the row's paths once
-    for all members (:func:`_simulate_bundle`), in the passes
+    for all members (:func:`_draw_pass`), in the passes
     :func:`_chunks` cuts them into, of at most cap = 3 * _PASS_PATHS // (K
     * (R + 2)) paths, where K is the number of distinct scales beta_j /
     beta_d of the members and R the thresholds a path is read at.  Worker
@@ -813,7 +802,7 @@ def estimate_row(
     reads, paths = (len(Ms), n) if paired else (1, len(Ms) * n)
     cap = 3 * _PASS_PATHS // (len(_bundle_scales(members)[1]) * (reads + 2))
     rng = np.random.default_rng(seed_sequence)
-    kmax = int(math.floor(life.horizon / T + _EPS))
+    kmax = _inspections(T, life.horizon)
     # Rows (member, threshold, block): path i of the row is path i % n of
     # threshold order[i // n], or of every threshold when paired, and adds
     # into the block of i % n; empty blocks stay zero.
@@ -829,10 +818,7 @@ def estimate_row(
         lattice=Lattice(times, T),
         Ms=np.tile(Ms, len(members)),
         block_sizes=np.tile(block, (R, 1)),
-        **{
-            "b" + name: value.reshape(R, B, *value.shape[1:])
-            for name, value in sums.items()
-        },
+        **{name: value.reshape(R, B, *value.shape[1:]) for name, value in sums.items()},
     )
     tables.validate()
     return tables
@@ -899,7 +885,7 @@ def chain_statistics(
         remaining = tf - j * T
         # Within the remaining horizon a cycle is replaced exactly when it is
         # not censored; a censored one is inspected k_limit times.
-        k_limit = int(math.floor(remaining / T + _EPS))
+        k_limit = _inspections(T, remaining)
         for lo, hi in _chunks(len(group), _PASS_PATHS):
             idx = group[lo:hi]
             Ms = np.full(len(idx), policy.preventive_threshold)

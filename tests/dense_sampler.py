@@ -66,31 +66,32 @@ def loop_accumulate(k_rep, corrective, censored, D, T, kmax, times):
     """Table sums by one masked pass per inspection and per lattice time.
 
     The reduction that ``cbmlife.simulate._reduce`` replaced with one
-    ``np.bincount`` per table.
+    ``np.bincount`` per table; the sums are named as the block sums of
+    ``EstimateTables``.
     """
     sums = {
-        "p_p": np.zeros(kmax + 1),
-        "p_c": np.zeros(kmax + 1),
-        "jw": np.zeros(kmax + 1),
-        "jw2": np.zeros(kmax + 1),
-        "alive": np.zeros(len(times)),
-        "resid": np.zeros(len(times)),
-        "resid2": np.zeros(len(times)),
-        "censored": float(censored.sum()),
+        "bp_p": np.zeros(kmax + 1),
+        "bp_c": np.zeros(kmax + 1),
+        "bjw": np.zeros(kmax + 1),
+        "bjw2": np.zeros(kmax + 1),
+        "balive": np.zeros(len(times)),
+        "bresid": np.zeros(len(times)),
+        "bresid2": np.zeros(len(times)),
+        "bcensored": float(censored.sum()),
     }
     for k in range(1, kmax + 1):
         at_k = (k_rep == k) & ~censored
         corr_k = at_k & corrective
-        sums["p_c"][k] = float(corr_k.sum())
-        sums["p_p"][k] = float((at_k & ~corrective).sum())
+        sums["bp_c"][k] = float(corr_k.sum())
+        sums["bp_p"][k] = float((at_k & ~corrective).sum())
         w = np.where(corr_k, k * T - D, 0.0)
-        sums["jw"][k] = float(w.sum())
-        sums["jw2"][k] = float((w * w).sum())
+        sums["bjw"][k] = float(w.sum())
+        sums["bjw2"][k] = float((w * w).sum())
     for i, t in enumerate(times):
         kf = min(int(math.floor(t / T + _EPS)), kmax)
         no_rep = k_rep > kf
-        sums["alive"][i] = float((no_rep & (D > t)).sum())
+        sums["balive"][i] = float((no_rep & (D > t)).sum())
         w = np.where(no_rep, np.maximum(0.0, t - np.maximum(D, kf * T)), 0.0)
-        sums["resid"][i] = float(w.sum())
-        sums["resid2"][i] = float((w * w).sum())
+        sums["bresid"][i] = float(w.sum())
+        sums["bresid2"][i] = float((w * w).sum())
     return sums

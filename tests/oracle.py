@@ -147,6 +147,24 @@ class Oracle:
             (self.c * np.exp(-self.c * (s - v)) * crossed) @ self.w
         )
 
+    def alive(self, T: float, M: float, times) -> np.ndarray:
+        """alive(t) = P[no replacement by inspection kf T, D > t] at each time t.
+
+        kf = floor(t/T) is the last inspection at or before t: at an
+        inspection epoch alive(t) is S(t) = running(t, M), and between two
+        it is surviving(kf T, M, t - kf T).
+        """
+        times = np.asarray(times, dtype=float)
+        kf = np.floor(times / T + _EPS).astype(int)
+        r = times - kf * T
+        out = np.empty(len(times))
+        for k in np.unique(kf):
+            epoch, rest = (kf == k) & (np.abs(r) <= _EPS), (kf == k) & (r > _EPS)
+            out[epoch] = self.running(k * T, M)
+            if rest.any():
+                out[rest] = self.surviving(k * T, M, r[rest])
+        return out
+
     # -- failure laws --------------------------------------------------------
     def mean_degradation_failure_time(self) -> float:
         """E[sigma_L] = int_0^inf P[X(t) < L] dt."""

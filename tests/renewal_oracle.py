@@ -56,7 +56,7 @@ def _cost_nonrenewal(tables, costs, idx, kf):
 
 
 def _solve_cost_memo(tables: EstimateTables, costs: CostStructure) -> dict:
-    T = tables.T
+    T = tables.lattice.T
     Cd = costs.downtime_rate
     memo: dict[int, float] = {}
 
@@ -64,7 +64,7 @@ def _solve_cost_memo(tables: EstimateTables, costs: CostStructure) -> dict:
         key = int(round(t * 1e9))
         if key in memo:
             return memo[key]
-        idx = tables.index_of(t)
+        idx = tables.lattice.index_of(t)
         kf = _kf(t, T, tables.kmax)
         if kf == 0:
             val = Cd * tables.residual_downtime[0, idx]
@@ -78,14 +78,14 @@ def _solve_cost_memo(tables: EstimateTables, costs: CostStructure) -> dict:
         memo[key] = val
         return val
 
-    for t in tables.times:
+    for t in tables.lattice.times:
         solve(float(t))
     return memo
 
 
 def _solve_cost_sq_memo(tables: EstimateTables, costs: CostStructure) -> dict:
     """E[C(t)^2]: the cost recursion squared, with its cross terms."""
-    T = tables.T
+    T = tables.lattice.T
     Cc, Cp, CI, Cd = (
         costs.corrective,
         costs.preventive,
@@ -99,7 +99,7 @@ def _solve_cost_sq_memo(tables: EstimateTables, costs: CostStructure) -> dict:
         key = _key(t)
         if key in memo:
             return memo[key]
-        idx = tables.index_of(t)
+        idx = tables.lattice.index_of(t)
         kf = _kf(t, T, tables.kmax)
         val = 0.0
         mass = 0.0
@@ -122,20 +122,20 @@ def _solve_cost_sq_memo(tables: EstimateTables, costs: CostStructure) -> dict:
         memo[key] = val
         return val
 
-    for t in tables.times:
+    for t in tables.lattice.times:
         solve(float(t))
     return memo
 
 
 def _solve_survival_memo(tables: EstimateTables, preventive_only: bool) -> dict:
-    T = tables.T
+    T = tables.lattice.T
     memo: dict[int, float] = {}
 
     def solve(t: float) -> float:
         key = int(round(t * 1e9))
         if key in memo:
             return memo[key]
-        idx = tables.index_of(t)
+        idx = tables.lattice.index_of(t)
         kf = _kf(t, T, tables.kmax)
         val = float(tables.alive_no_replacement[0, idx])
         for k in range(1, kf + 1):
@@ -146,7 +146,7 @@ def _solve_survival_memo(tables: EstimateTables, preventive_only: bool) -> dict:
         memo[key] = val
         return val
 
-    for t in tables.times:
+    for t in tables.lattice.times:
         solve(float(t))
     return memo
 
@@ -158,9 +158,9 @@ def _solve_interval_memo(tables: EstimateTables, s: float) -> dict:
     interval; between kf(t) and kf(t+s) only a preventive renewal at kT
     keeps the system working, which must then survive to t+s.
     """
-    T = tables.T
+    T = tables.lattice.T
     rel = _solve_survival_memo(tables, preventive_only=True)
-    lattice = {_key(t) for t in tables.times}
+    lattice = {_key(t) for t in tables.lattice.times}
     memo: dict[int, float] = {}
 
     def solve(t: float) -> float:
@@ -170,7 +170,7 @@ def _solve_interval_memo(tables: EstimateTables, s: float) -> dict:
         end = t + s
         kf_t = _kf(t, T, tables.kmax)
         kf_end = _kf(end, T, tables.kmax)
-        val = float(tables.alive_no_replacement[0, tables.index_of(end)])
+        val = float(tables.alive_no_replacement[0, tables.lattice.index_of(end)])
         for k in range(kf_t + 1, kf_end + 1):
             val += rel[_key(end - k * T)] * tables.p_preventive[0, k]
         for k in range(1, kf_t + 1):
@@ -180,7 +180,7 @@ def _solve_interval_memo(tables: EstimateTables, s: float) -> dict:
         memo[key] = val
         return val
 
-    for t in tables.times:
+    for t in tables.lattice.times:
         if _key(t + s) in lattice:
             solve(float(t))
     return memo

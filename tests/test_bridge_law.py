@@ -191,4 +191,4 @@ def test_reduction_stops_at_the_last_open_inspection(T, horizon, delta, Ms):
                 sums[key][i], ref[key], rtol=n * np.finfo(float).eps, atol=0.0,
                 err_msg=f"M={Ms[i]} {key}",
             )
-        assert not sums["alive"][i, times > outputs[0][paths].max() * T].any()
+        assert not sums["balive"][i, times > outputs[0][paths].max() * T].any()

@@ -1,3 +1,4 @@
+import configparser
 import json
 import math
 import re
@@ -33,6 +34,19 @@ def no_draws(monkeypatch):
     monkeypatch.setattr(optimize, "estimate_row", draw)
     monkeypatch.setattr(cli, "estimate_tables", draw)
     monkeypatch.setattr(cli, "chain_statistics", draw)
+
+
+def required_keys():
+    """(section, key) of each key of the shipped config that the build requires."""
+    parser = configparser.ConfigParser()
+    parser.optionxform = str  # the keys as written
+    parser.read(CONFIG)
+    keys = [(s, k) for s in ("model", "costs", "life", "policy", "grid") for k in parser[s]]
+    return keys + [("simulation", k) for k in ("n_samples", "seed", "worker_streams")]
+
+
+REQUIRED_KEYS = required_keys()
+NUMERIC_KEYS = [(s, k) for s, k in REQUIRED_KEYS if s != "grid"]
 
 
 def edited(tmp_path, old, new):
@@ -134,6 +148,23 @@ class TestConfig:
         assert main(argv) == 1
         assert key in capsys.readouterr().err
         assert not (tmp_path / "curves_report.json").exists()
+
+    @pytest.mark.parametrize("section, key", REQUIRED_KEYS,
+                             ids=[f"{s}.{k}" for s, k in REQUIRED_KEYS])
+    def test_missing_key_is_named(self, tmp_path, capsys, section, key):
+        line = re.search(rf"^{key} = .*\n", CONFIG.read_text(), re.M).group()
+        bad = edited(tmp_path, line, "")
+        assert main(["curves", "--config", str(bad), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: [{section}] missing required key '{key}'\n"
+
+    @pytest.mark.parametrize("section, key", NUMERIC_KEYS,
+                             ids=[f"{s}.{k}" for s, k in NUMERIC_KEYS])
+    def test_unparsable_key_is_named(self, tmp_path, capsys, section, key):
+        line = re.search(rf"^{key} = .*$", CONFIG.read_text(), re.M).group()
+        bad = edited(tmp_path, line, f"{key} = x")
+        assert main(["curves", "--config", str(bad), "--quiet"]) == 1
+        assert capsys.readouterr().err == f"error: [{section}] {key}: cannot parse 'x'\n"
 
     def test_negative_seed_flag(self, small_config, tmp_path, capsys):
         argv = [

@@ -59,7 +59,7 @@ class TestExpectedCost:
         for t in (1.0, 5.0, 9.0):
             assert expected_cost(tables_small, ref_costs, t) == pytest.approx(
                 ref_costs.downtime_rate
-                * tables_small.residual_downtime[0, tables_small.index_of(t)],
+                * tables_small.residual_downtime[0, tables_small.lattice.index_of(t)],
                 rel=1e-12,
             )
 
@@ -69,7 +69,7 @@ class TestExpectedCost:
             (curve.mean, _solve_cost_memo(tables_small, ref_costs)),
             (curve.mean_sq, _solve_cost_sq_memo(tables_small, ref_costs)),
         ):
-            ref = on_lattice(memo, tables_small.times)
+            ref = on_lattice(memo, tables_small.lattice.times)
             assert np.abs(staged - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_cost_scaling_homogeneity(self, tables_small, ref_costs):
@@ -96,7 +96,7 @@ class TestExpectedCost:
             tables_small, bresid2=np.zeros_like(tables_small.bresid2)
         )
         t = 9.0
-        assert broken.residual_downtime[0, broken.index_of(t)] > 0.0
+        assert broken.residual_downtime[0, broken.lattice.index_of(t)] > 0.0
         with pytest.raises(InconsistencyError):
             std_dev(broken, ref_costs, t)
 
@@ -152,7 +152,7 @@ class TestAsymptotic:
             numerator += (c.corrective * pc + c.preventive * pp
                           + c.inspection * (k - 1) * (pp + pc)
                           + c.downtime_rate * truncated.joint_downtime[0, k])
-            denominator += k * truncated.T * (pp + pc)
+            denominator += k * truncated.lattice.T * (pp + pc)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
             rate = asymptotic_cost_rate(truncated, ref_costs)
@@ -168,7 +168,7 @@ class TestPerformanceMeasures:
         for kind, preventive_only in (("availability", False), ("reliability", True)):
             staged = performance_curve(tables_small, kind).values
             memo = _solve_survival_memo(tables_small, preventive_only)
-            assert np.abs(staged - on_lattice(memo, tables_small.times)).max() <= 1e-12
+            assert np.abs(staged - on_lattice(memo, tables_small.lattice.times)).max() <= 1e-12
         for s in (0.0, 5.0, 13.0, 50.0):
             curve = performance_curve(tables_small, "interval_reliability", s=s)
             memo = _solve_interval_memo(tables_small, s)
@@ -248,7 +248,7 @@ class TestPerformanceMeasures:
         cost_curve(tables, ref_costs).validate()
         avail = performance_curve(tables, "availability").values
         rel = performance_curve(tables, "reliability").values
-        first = tables.times < T - 1e-9
+        first = tables.lattice.times < T - 1e-9
         assert np.array_equal(avail[first], tables.alive_no_replacement[0, first])
         assert np.all(rel <= avail + 1e-12)
         at_zero = performance_curve(tables, "interval_reliability", s=0.0)
@@ -274,7 +274,7 @@ class TestQueryChecks:
     @pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
     def test_non_finite_time(self, tables_small, ref_costs, t):
         with pytest.raises(GridCoverageError):
-            tables_small.index_of(t)
+            tables_small.lattice.index_of(t)
         with pytest.raises(GridCoverageError):
             availability(tables_small, t)
         with pytest.raises(GridCoverageError):
@@ -328,9 +328,14 @@ def lattice_times(T, tf):
 
 
 def random_estimates(rng, T, tf, kmax, times):
-    """Random but consistent pooled estimates, keyed by their block array."""
+    """Random but consistent pooled estimates, keyed by their block array.
+
+    The replacement masses are multiples of 2**-30, so a block's counts,
+    these times its size, add up to its size exactly with the censored count.
+    """
     full = int(np.floor(tf / T + 1e-9))
     mass = rng.dirichlet(np.ones(2 * kmax + 1)) * rng.uniform(0.2, 1.0)
+    mass = np.floor(mass * 2.0**30) / 2.0**30
     pp = np.concatenate(([0.0], mass[:kmax]))
     pc = np.concatenate(([0.0], mass[kmax : 2 * kmax]))
     jw = np.concatenate(([0.0], rng.uniform(0.0, T, full)))
@@ -457,7 +462,7 @@ class TestBatchedSolve:
     @given(tables=random_row(), pick=st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
     def test_row_measures_equal_one_table_measures(self, tables, pick, ref_costs):
-        t = float(tables.times[pick % len(tables.times)])
+        t = float(tables.lattice.times[pick % len(tables.lattice.times)])
         assert_row_measures_equal_one_table_measures(tables, ref_costs, t)
 
     def test_row_with_empty_blocks(self, ref_model, ref_costs, ref_life):
@@ -502,7 +507,7 @@ class TestRandomLattices:
     @settings(max_examples=60, deadline=None)
     def test_measures_equal_oracle(self, tables, pick, ref_costs):
         tables.validate()
-        times = tables.times
+        times = tables.lattice.times
         mean = np.array([expected_cost(tables, ref_costs, t) for t in times])
         mean_sq = _cost_moments(tables, ref_costs)[1][0]
         for solved, memo in (
@@ -518,7 +523,7 @@ class TestRandomLattices:
             memo = _solve_survival_memo(tables, preventive_only)
             assert np.abs(solved - on_lattice(memo, times)).max() <= 1e-12
         assert np.all(rel <= avail + 1e-12)
-        for s in (0.0, tables.T / 2, tables.T, float(times[pick % len(times)])):
+        for s in (0.0, tables.lattice.T / 2, tables.lattice.T, float(times[pick % len(times)])):
             curve = performance_curve(tables, "interval_reliability", s=s)
             memo = _solve_interval_memo(tables, s)
             assert len(curve.times) == len(memo)

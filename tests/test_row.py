@@ -38,7 +38,8 @@ from cbmlife.optimize import PolicyGrid, optimize_transient
 from cbmlife.sensitivity import VARIATIONS
 from cbmlife.simulate import (
     SimulationConfig,
-    _simulate_bundle,
+    _draw_pass,
+    _outcomes,
     _skeleton,
     estimate_row,
     estimate_tables,
@@ -49,8 +50,8 @@ from dense_sampler import loop_accumulate
 SEED = 8642
 # Below M_s = 20, between M_s and L = 30, at M_s and at L.
 THRESHOLDS = (5.0, 14.0, 20.0, 25.0, 30.0)
-COUNTS = ("p_p", "p_c", "alive", "censored")
-SUMS = ("jw", "jw2", "resid", "resid2")
+COUNTS = ("bp_p", "bp_c", "balive", "bcensored")
+SUMS = ("bjw", "bjw2", "bresid", "bresid2")
 
 
 @pytest.fixture(scope="module")
@@ -107,8 +108,8 @@ def by_path_ranges(models, T, Ms, life, cfg, paired=False):
     rng = np.random.default_rng(row_seed())
     drawn = []
     for lo, hi in zip(bounds, bounds[1:]):
-        (out,) = _simulate_bundle(members, T, life.horizon, delta, levels[:, lo:hi],
-                                  rng, len(members))
+        which, state = _draw_pass(members, T, life.horizon, delta, levels[:, lo:hi], rng)
+        out = _outcomes(members, which, state, T, life.horizon)
         drawn.append([np.broadcast_to(o, out[0].shape) for o in out[:4]])
     # (member, threshold, path) arrays of the whole row's paths.
     out = [np.concatenate(parts, axis=2) for parts in zip(*drawn)]
@@ -139,7 +140,7 @@ def assert_row_follows_its_generator(models, T, Ms, life, cfg, paired=False):
         for b in range(cfg.worker_streams):
             sums = expected[r // len(Ms), M].get(b)
             for name in COUNTS + SUMS:
-                got = getattr(tables, "b" + name)[r, b]
+                got = getattr(tables, name)[r, b]
                 if sums is None:  # an empty block keeps its zero row
                     assert not np.any(got), (r, M, b, name)
                 elif name in COUNTS:
@@ -398,7 +399,7 @@ def test_a_corrupted_cell_fails_the_row(
         accumulate(model, T, life, delta, Ms, bins, rng, times, sums)
         row = THRESHOLDS.index(20.0) * 4 + 1  # rows are (member, threshold, block)
         if (bins == row).any():
-            sums[name][row, column] += change
+            sums[f"b{name}"][row, column] += change  # the table's block sums
 
     def counted(tables):
         checks.append(tables.bp_p.shape)

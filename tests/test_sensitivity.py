@@ -3,6 +3,7 @@ import pytest
 
 from cbmlife import optimize
 from cbmlife.model import CostStructure, ShockIntensity
+from cbmlife.optimize import PolicyGrid
 from cbmlife.sensitivity import (
     VARIATIONS,
     gamma_sensitivity,
@@ -11,7 +12,13 @@ from cbmlife.sensitivity import (
 from cbmlife.simulate import SimulationConfig, _simulate_kernel
 
 SEED = 2024
-SWEEP = (12.0, 14.0, 16.0)
+SWEEP = PolicyGrid((10.0,), (12.0, 14.0, 16.0))
+
+
+def sweep_grid(fixed, sweep):
+    """The policy grid of the (axis, value) ``fixed`` and the swept values."""
+    axis, value = fixed
+    return PolicyGrid((value,), sweep) if axis == "T" else PolicyGrid(sweep, (value,))
 
 
 @pytest.fixture(scope="module")
@@ -21,23 +28,19 @@ def cfg():
 
 @pytest.fixture(scope="module")
 def gamma_table(ref_model, ref_costs, ref_life, cfg):
-    return gamma_sensitivity(
-        ref_model, ref_costs, ref_life, ("T", 10.0), SWEEP, cfg=cfg
-    )
+    return gamma_sensitivity(ref_model, ref_costs, ref_life, SWEEP, cfg=cfg)
 
 
 @pytest.fixture(scope="module")
 def shock_table(ref_model, ref_costs, ref_life, cfg):
-    return shock_sensitivity(
-        ref_model, ref_costs, ref_life, ("T", 10.0), SWEEP, cfg=cfg
-    )
+    return shock_sensitivity(ref_model, ref_costs, ref_life, SWEEP, cfg=cfg)
 
 
 class TestSchemes:
     def test_target_validation(self, ref_model, ref_costs, ref_life, cfg):
         with pytest.raises(ValueError, match="positive"):
             gamma_sensitivity(
-                ref_model, ref_costs, ref_life, ("T", 10.0), SWEEP,
+                ref_model, ref_costs, ref_life, SWEEP,
                 variations=(-100.0, 0.0), cfg=cfg,
             )
 
@@ -66,9 +69,7 @@ class TestGammaTable:
 
     def test_cost_rescaling_invariance(self, ref_model, ref_costs, ref_life, cfg, gamma_table):
         doubled_costs = CostStructure(600.0, 300.0, 90.0, 50.0)
-        doubled = gamma_sensitivity(
-            ref_model, doubled_costs, ref_life, ("T", 10.0), SWEEP, cfg=cfg
-        )
+        doubled = gamma_sensitivity(ref_model, doubled_costs, ref_life, SWEEP, cfg=cfg)
         assert np.allclose(doubled.variation, gamma_table.variation, atol=1e-9)
 
 
@@ -125,7 +126,8 @@ class TestShockTable:
         )
         with pytest.warns(UserWarning) as record:
             shock_sensitivity(
-                thin, ref_costs, ref_life, ("T", 10.0), (14.0,), (-50.0, 0.0), cfg
+                thin, ref_costs, ref_life, PolicyGrid((10.0,), (14.0,)), (-50.0, 0.0),
+                cfg,
             )
         # Only lambda2 halved at lambda1 unperturbed breaks the ordering.
         assert [str(w.message) for w in record] == [
@@ -146,7 +148,8 @@ def test_baseline_cell_is_not_recomputed(ref_model, ref_costs, ref_life, monkeyp
     monkeypatch.setattr(optimize, "estimate_row", counting)
     cfg = SimulationConfig(n_samples=200, master_seed=SEED, worker_streams=2)
     table = gamma_sensitivity(
-        ref_model, ref_costs, ref_life, ("T", 10.0), (14.0,), (-5.0, 0.0, 5.0), cfg
+        ref_model, ref_costs, ref_life, PolicyGrid((10.0,), (14.0,)), (-5.0, 0.0, 5.0),
+        cfg,
     )
     # One bundle per alpha, and nine member rows: the baseline, in the
     # bundle of the unperturbed alpha, and the eight perturbed cells.
@@ -164,7 +167,7 @@ def test_processes_do_not_matter(ref_model, ref_costs, ref_life):
     cfg = SimulationConfig(n_samples=100, master_seed=SEED, worker_streams=2)
     for fixed, sweep in ((("T", 10.0), (12.0, 14.0)), (("M", 14.0), (5.0, 10.0, 15.0))):
         tables = [
-            gamma_sensitivity(ref_model, ref_costs, ref_life, fixed, sweep,
+            gamma_sensitivity(ref_model, ref_costs, ref_life, sweep_grid(fixed, sweep),
                               (-5.0, 0.0, 5.0), cfg, processes)
             for processes in (1, 2)
         ]
@@ -179,26 +182,27 @@ def test_sweep_values_of_one_seed_key_are_refused(
     ref_model, ref_costs, ref_life, monkeypatch, fixed, sweep
 ):
     # Two swept values of one millionth would key their rows' seed sequences
-    # alike; the sweep is refused before any row is drawn.
+    # alike; the sweep's grid is refused, so no row is drawn.
     def no_rows(*args, **kwargs):
         raise AssertionError("a row was drawn")
 
     monkeypatch.setattr(optimize, "estimate_row", no_rows)
     cfg = SimulationConfig(n_samples=100, master_seed=SEED, worker_streams=2)
     with pytest.raises(ValueError, match="same millionth"):
-        gamma_sensitivity(ref_model, ref_costs, ref_life, fixed, sweep, cfg=cfg)
+        gamma_sensitivity(ref_model, ref_costs, ref_life, sweep_grid(fixed, sweep),
+                          cfg=cfg)
 
 
 class TestValidationAndExport:
     def test_positivity_violation(self, ref_model, ref_costs, ref_life, cfg):
         with pytest.raises(ValueError, match="positive"):
             shock_sensitivity(
-                ref_model, ref_costs, ref_life, ("T", 10.0), SWEEP,
+                ref_model, ref_costs, ref_life, SWEEP,
                 variations=(0.0, -110.0), cfg=cfg,
             )
 
     def test_sweep_above_L_rejected(self, ref_model, ref_costs, ref_life, cfg):
         with pytest.raises(ValueError):
             gamma_sensitivity(
-                ref_model, ref_costs, ref_life, ("T", 10.0), (40.0,), cfg=cfg
+                ref_model, ref_costs, ref_life, PolicyGrid((10.0,), (40.0,)), cfg=cfg
             )

@@ -138,6 +138,19 @@ class TestEstimateTables:
         tables_small.validate()
         assert tables_small.alive_no_replacement[0, 0] == 1.0
 
+    def test_a_path_counted_twice_is_refused(self, ref_model, ref_life):
+        # With censored paths the pooled replacement mass stays below one
+        # after a bp_p cell is raised by one path, so only the block's exact
+        # count of replaced and censored paths finds it.
+        cfg = SimulationConfig(n_samples=400, master_seed=SEED, worker_streams=2)
+        policy = MaintenancePolicy(inspection_period=10.0, preventive_threshold=25.0)
+        tables = estimate_tables(ref_model, policy, ref_life, cfg)
+        tables.bp_p[0, 0, 1] += 1.0
+        assert tables.bcensored[0, 0] >= 1.0
+        assert tables.p_preventive.sum() + tables.p_corrective.sum() <= 1.0
+        with pytest.raises(ConfigurationError, match="replacement probabilities exceed"):
+            tables.validate()
+
     def test_unreachable_failure_modes(self, ref_life):
         model = make_model(lam1=0.0, lam2=0.0, L=1e9, Ms=1e8)
         policy = MaintenancePolicy(inspection_period=10.0, preventive_threshold=1e8)
@@ -395,10 +408,10 @@ class TestReduction:
             paths = slice(i * size, (i + 1) * size)
             ref = loop_accumulate(*(o[paths] for o in outputs), T, kmax, times)
             assert sums.keys() == ref.keys()
-            for key in ("p_p", "p_c", "alive", "censored"):
+            for key in ("bp_p", "bp_c", "balive", "bcensored"):
                 assert np.array_equal(sums[key][i], ref[key]), key
             # sums of size nonnegative terms, added in another order
-            for key in ("jw", "jw2", "resid", "resid2"):
+            for key in ("bjw", "bjw2", "bresid", "bresid2"):
                 np.testing.assert_allclose(
                     sums[key][i], ref[key], rtol=size * np.finfo(float).eps,
                     atol=0.0, err_msg=key,
