@@ -6,11 +6,15 @@ as a path advanced step by step on that grid, but without drawing the whole
 path.  Each path is drawn only at a skeleton of grid points, the inspection
 epochs and the last grid point, one epoch at a time: skeleton step j extends
 every path still below the preventive threshold M by one gamma increment, in
-one call over those paths.  A path therefore stops at the inspection k_p that
-first finds it at or above M, where its first cycle ends, and M is never
-bisected.  The first grid point at or above M_s and at or above L is found by
-bisecting the skeleton interval that brackets it with the gamma bridge: given
-X(a) and X(b), the midpoint m satisfies
+one call over those paths, and records the levels the step crosses.  Each
+path's levels are compared with its old and new value; in a paired pass,
+whose paths all share one column of levels, the column is sorted once and
+one ``np.searchsorted`` a step finds each path's crossed levels, with the
+same draws.  A path therefore stops at the inspection k_p that first finds
+it at or above M, where its first cycle ends, and M is never bisected.  The
+first grid point at or above M_s and at or above L is found by bisecting the
+skeleton interval that brackets it with the gamma bridge: given X(a) and
+X(b), the midpoint m satisfies
 
     X(m) = X(a) + (X(b) - X(a)) * Beta(alpha*delta*(m - a), alpha*delta*(b - m)).
 
@@ -41,7 +45,14 @@ per table, with no loop over inspections: a cycle is open (not yet
 replaced) on a prefix of the lattice, alive on the part of it before its
 failure time and down on the rest, so the alive counts are a reversed
 cumulative sum of the prefix lengths, and the residual downtime sums run
-over the (path, time) pairs past the failure only.  Each threshold's paths
+over the (path, time) pairs past the failure only.  A path read at several
+thresholds, the largest first, keeps k_rep = min(k_c, k_p(M)) on runs of
+reads, so each run adds once, in prefix form (an entry at read j stands for
+reads 0..j): the failure prefix, the reads with k_c <= k_p(M), adds the
+path's full outcome, and each later run, preventive or censored by the
+horizon, only its counts, so float sums receive nonnegative terms alone and
+the counts stay exact; one reversed cumulative sum along the reads gives
+each threshold its sums when the row's passes have run.  Each threshold's paths
 are split into ``worker_streams`` blocks, contiguous ranges of its paths
 whose sums are the batch means of the standard errors; the pooled counts do
 not depend on the split.  A table set is its lattice, its thresholds and
@@ -66,9 +77,10 @@ thresholds share their paths: a path's replacement inspection
 min(k_c, k_p(M)) grows with M, and the cells' differences lose the noise
 of independent estimates.  Either way the row cuts its paths into the
 fewest passes of even sizes of at most ``3 * _PASS_PATHS // (K * (R + 2))``
-paths for K distinct scales, ``_PASS_PATHS // K`` at R = 1, so a pass
-boundary may fall inside a threshold and inside a block; each outcome adds
-into the (threshold, block) row its index in the row names.  A pass is one
+paths for K distinct scales, ``_PASS_PATHS // K`` at R = 1, and at least
+one, so a pass boundary may fall inside a threshold and inside a block;
+each outcome adds into the (threshold, block) row its index in the row
+names, or, paired, into its (read, block) row in prefix form.  A pass is one
 draw over all its paths (:func:`_draw_pass`), which leaves a pass state of
 a few numbers a path, then one read and reduction per group of at most
 ``_PASS_PATHS`` member outcomes, which adds each table into the row's sums
@@ -115,7 +127,8 @@ _EPS = 1e-9
 # whose paths are read at R thresholds each (R = 1 unpaired) draws R + 2
 # levels a path per scale, so a row's paths are cut into the fewest even
 # passes of at most 3 * _PASS_PATHS // (K * (R + 2)) (:func:`_chunks`),
-# _PASS_PATHS // K at R = 1, and its members' outcomes, R a path, are
+# _PASS_PATHS // K at R = 1, and at least one, and its members' outcomes, R
+# a path, are
 # reduced in groups of at most _PASS_PATHS, one group at a time.
 _PASS_PATHS = 8192
 # The most inspection periods t_f/T may hold.  A period adds 10 or 11 lattice
@@ -217,40 +230,66 @@ def _skeleton(horizon: float, T: float, delta: float) -> np.ndarray:
     return np.array(sorted({0, K, *(min(j, K) for j in epochs)}), dtype=np.int64)
 
 
-def _brackets(grid, levels, shape_step, scale, rng):
+def _brackets(grid, levels, shape_step, scale, rng, paths=None):
     """Draw the paths at the skeleton, each until it reaches its first level.
 
-    ``levels`` is (r, n), the r levels of each of n paths.  Skeleton step j
+    ``levels`` is (r, n), the r levels of each of n paths, or (r,), the
+    levels that all ``paths`` paths of a paired pass share.  Skeleton step j
     extends the paths still below their level in row 0 by one gamma
     increment each, drawn from ``rng`` in one call, and records the
     brackets of the levels that the step crosses (prev < level <= new, the
-    paths being nondecreasing).  Returns ``pos``, the index in ``grid`` of
-    the first skeleton point at or above each level (len(grid) where the
-    path stays below it up to the last point, or up to its row-0 crossing),
-    and the path's values ``xa`` and ``xb`` at grid[pos - 1] and grid[pos],
-    the ends of that bracket.
+    paths being nondecreasing).  Per-path levels are compared row by row;
+    shared levels are sorted once, and one ``np.searchsorted`` a step finds
+    each path's crossed levels, those in (prev, new], so only the crossings
+    are written.  Either way the draws are the same.  Returns ``pos``, the
+    index in ``grid`` of the first skeleton point at or above each level
+    (len(grid) where the path stays below it up to the last point, or up to
+    its row-0 crossing), and the path's values ``xa`` and ``xb`` at
+    grid[pos - 1] and grid[pos], the ends of that bracket, each (r, n).
     """
-    pos = np.full(levels.shape, len(grid))
-    xa, xb = np.zeros(levels.shape), np.zeros(levels.shape)
-    live, x, below = np.arange(levels.shape[1]), np.zeros(levels.shape[1]), levels
+    shared = levels.ndim == 1
+    n = paths if shared else levels.shape[1]
+    pos = np.full((len(levels), n), len(grid))
+    xa, xb = np.zeros(pos.shape), np.zeros(pos.shape)
+    live, x, below = np.arange(n), np.zeros(n), levels
+    if shared:
+        order = np.argsort(levels, kind="stable")
+        ascending = levels[order]
+        # Each path's count of levels at or below its value: those it has
+        # crossed, or at or below 0, which no path crosses.
+        crossed = np.full(n, np.searchsorted(ascending, 0.0, side="right"))
     for j, shape in enumerate(shape_step * np.diff(grid), start=1):
         new = x + rng.gamma(shape, scale, len(live))
-        row, col = np.nonzero((x < below) & (below <= new))
-        paths = live[col]
-        pos[row, paths] = j
-        xa[row, paths], xb[row, paths] = x[col], new[col]
-        keep = new < below[0]
+        if shared:
+            # The step crosses ascending[crossed:reached], the levels in (x, new].
+            reached = np.searchsorted(ascending, new, side="right")
+            count = reached - crossed
+            col = np.repeat(np.arange(len(live)), count)
+            start = np.cumsum(count) - count
+            row = order[np.arange(len(col)) + np.repeat(crossed - start, count)]
+            keep = new < levels[0]
+        else:
+            row, col = np.nonzero((x < below) & (below <= new))
+            keep = new < below[0]
+        paths_hit = live[col]
+        pos[row, paths_hit] = j
+        xa[row, paths_hit], xb[row, paths_hit] = x[col], new[col]
         if not keep.any():
             break
-        live, x, below = live[keep], new[keep], below[:, keep]
+        live, x = live[keep], new[keep]
+        if shared:
+            crossed = reached[keep]
+        else:
+            below = below[:, keep]
     return pos, xa, xb
 
 
 def _bisect(grid, pos, xa, xb, levels, shape_step, rng):
     """First grid index at or above each bracketed level, by bridge bisection.
 
-    ``pos``, ``xa`` and ``xb`` are the brackets that :func:`_brackets` found
-    for the (r, n) ``levels``, each path's levels ascending; a level whose
+    ``pos``, ``xa`` and ``xb`` are the (r, n) brackets that :func:`_brackets`
+    found for ``levels``, (r, n) or a column (r, 1) that every path shares,
+    each path's levels ascending; a level whose
     ``pos`` is len(grid) is left out, and a path's levels left out must be
     its highest.  Each bracket is bisected with gamma-bridge midpoints drawn
     from ``rng``; a level whose bracket is the previous level's takes that
@@ -329,7 +368,9 @@ def _draw_pass(models, T, horizon, delta, Ms, rng):
 
     ``Ms`` is (R, paths): column i holds the R preventive thresholds path i
     is read at, its largest in row 0.  An unpaired row gives each path one
-    threshold (R = 1); a paired row gives every path all its thresholds.
+    threshold (R = 1); a paired row gives every path all its thresholds, so
+    a pass of R > 1 has one column of levels, which :func:`_brackets`
+    searches once a step for all its paths.
     The members share alpha, M_s and L; the paths are drawn at alpha and
     beta_d (:func:`_bundle_scales`) from ``rng``: the skeleton increments,
     the bridge midpoints round by round, then one exponential per path.  At
@@ -355,9 +396,13 @@ def _draw_pass(models, T, horizon, delta, Ms, rng):
     # and L at every scale, ascending, as _bisect takes them.
     named = np.concatenate([first.shock_threshold * s, first.breakdown_threshold * s])
     order = np.argsort(named, kind="stable")
-    levels = np.vstack([*(np.asarray(Ms, dtype=float) * f for f in s[::-1]),
-                        *(np.full(n, z) for z in named[order])])
-    pos, xa, xb = _brackets(grid, levels, alpha * delta, 1.0 / beta_d, rng)
+    Ms = np.asarray(Ms, dtype=float)
+    if R > 1:  # paired: every path has the same column of levels
+        levels = np.concatenate([*(Ms[:, 0] * f for f in s[::-1]), named[order]])
+    else:
+        levels = np.vstack([*(Ms * f for f in s[::-1]),
+                            *(np.full(n, z) for z in named[order])])
+    pos, xa, xb = _brackets(grid, levels, alpha * delta, 1.0 / beta_d, rng, n)
     # Skeleton point k is inspection k for k <= kmax, so M's bracket ends at
     # the inspection k_p that finds it, or past the last one: M is never
     # bisected.  A path is drawn only up to k_p of its largest M at the
@@ -366,7 +411,8 @@ def _draw_pass(models, T, horizon, delta, Ms, rng):
     # in _outcomes, which changes Y only past the member's own end =
     # min(k_p T, horizon).
     KR = K * R
-    index = _bisect(grid, pos[KR:], xa[KR:], xb[KR:], levels[KR:], alpha * delta, rng)
+    index = _bisect(grid, pos[KR:], xa[KR:], xb[KR:], named[order][:, None],
+                    alpha * delta, rng)
     k_p = pos[:KR].reshape(K, R, n)[::-1]
     k_p = np.where(k_p < len(grid), k_p, _inspections(T, horizon) + 1_000_000)
     sigma = np.where(index > 0, index * delta, np.inf)[np.argsort(order)]
@@ -436,12 +482,16 @@ def _block_accumulate(models, T, life, delta, Ms, bins, rng, times, sums):
     per member of the bundle ``models``, in member order, and row r of a
     run has threshold Ms[r].  ``bins`` is (R, paths): path i is read at the
     thresholds Ms[bins[:, i]], its largest in row 0 (:func:`_draw_pass`),
-    and its outcome at Ms[bins[j, i]] adds into row bins[j, i] of each
-    member's run.  The paths are drawn from ``rng`` once for every member.
-    The outcomes take about 10 bytes a member, threshold and path and 24 a
-    member and path, so the members are read and reduced by :func:`_reduce`
-    in groups of at most _PASS_PATHS outcomes (at least one member), each
-    group's outcomes freed before the next group's are computed.
+    and its reads add into rows bins[:, i] of each member's run in the
+    prefix form of :func:`_reduce`, which at R = 1 is the outcome itself.
+    A paired pass (R > 1) reads every path at every threshold, so row
+    bins[j, i] is read j's row of the block of path i, and the caller turns
+    the prefix form into each read's sums.  The paths are drawn from ``rng``
+    once for every member.  The outcomes take about 10 bytes a member,
+    threshold and path and 24 a member and path, so the members are read
+    and reduced in groups of at most _PASS_PATHS outcomes (at least one
+    member), each group's outcomes freed before the next group's are
+    computed.
     """
     which, state = _draw_pass(models, T, life.horizon, delta, Ms[bins], rng)
     kmax = _inspections(T, life.horizon)
@@ -452,21 +502,32 @@ def _block_accumulate(models, T, life, delta, Ms, bins, rng, times, sums):
         )
         del _  # the crossing and shock times, which no table reads
         owner = np.arange(lo, lo + len(k_rep))[:, None, None] * len(Ms) + bins
-        _reduce(k_rep.ravel(), corrective.ravel(), censored.ravel(),
-                np.broadcast_to(D, k_rep.shape).ravel(), owner.ravel(), T, kmax,
-                times, sums)
+        _reduce(k_rep, corrective, censored, D, owner, T, kmax, times, sums)
         del k_rep, corrective, censored, D, owner  # before the next group's
 
 
 def _reduce(k_rep, corrective, censored, D, owner, T, kmax, times, sums):
-    """Add the table sums of one run of kernel outputs into ``sums``.
+    """Add the table sums of one group of outcomes into ``sums``, by run.
 
-    Output i is added into row owner[i] of every array of ``sums``
-    (:func:`_zero_sums`).  Each table is one ``np.bincount`` over (row,
-    table cell), which adds a row's outputs in their order, over the span
-    of rows from the run's lowest to its highest, and is added in place
-    into that slice of ``sums`` before the next is computed; a row of the
-    span the run does not reach adds zeros.
+    The outcomes are of shape (member, read, path), D (member, 1, path),
+    and read j of a path adds into row owner[:, j] of every array of
+    ``sums`` (:func:`_zero_sums`), in prefix form: an entry in the row of
+    read j stands for reads 0..j, so a reversed cumulative sum along the
+    reads gives each read its sums; with one read a path it is the read's
+    sums.  A path's reads run from its largest M down, so k_p(M) does not
+    increase along them and k_rep = min(k_c, k_p(M)) is constant on runs.
+    The first run, the failure prefix of the reads with k_c <= k_p(M) (it
+    may be empty), is corrective (or censored past kmax) and adds its full
+    outcome once, at its last read.  Each later run is preventive at
+    k_p(M), or censored with no failure by the horizon: its cycle is alive
+    wherever it is open, so it adds only counts, at its last read, and takes
+    them off at the read before its first.  Counts are sums of +-1.0, so
+    they are exact, and the downtime sums receive only the failure prefix's
+    terms.  Each table is one ``np.bincount`` over (row, table cell), which
+    adds a row's entries in path order, over the span of rows from the
+    group's lowest to its highest, and is added in place into that slice of
+    ``sums`` before the next is computed; a row of the span the group does
+    not reach adds zeros.
     """
     lo, hi = owner.min(), owner.max() + 1
     owner, S = owner - lo, hi - lo
@@ -476,18 +537,43 @@ def _reduce(k_rep, corrective, censored, D, owner, T, kmax, times, sums):
         table = np.bincount(index, weights, minlength=S * target[0].size)
         target[lo:hi] += table.reshape(S, *target.shape[1:])
 
+    # Read j ends a run where read j + 1 has another k_rep, or j = R - 1.
+    # The failure prefix adds its outcome at its end, a corrective read.  A
+    # later run adds its counts at its end and takes them off at the read
+    # before it opens: a run's end, P flat places before the opening read.
+    # Only later runs open after read 0, as k_rep is constant on the failure
+    # prefix.  The prefix and the next run share a k_rep only at kmax + 1,
+    # where both are censored with no failure by the horizon and so equal
+    # in every table: the run then counts the prefix's reads as its own.
+    _, R, P = k_rep.shape
+    end = np.ones_like(corrective)
+    np.not_equal(k_rep[:, 1:], k_rep[:, :-1], out=end[:, :-1])
+    full = np.flatnonzero(end & corrective)
+    ends = np.flatnonzero(end & ~corrective)
+    end[:, -1] = False
+    before = np.flatnonzero(end)
+    del end
+    owner, k_rep = owner.ravel(), k_rep.ravel()
+    run_owner = owner[np.concatenate([ends, before])]
+    run_k = k_rep[np.concatenate([ends, before + P])]
+    sign = np.repeat([1.0, -1.0], [len(ends), len(before)])
+    del ends, before
+    owner, k, censored = owner[full], k_rep[full], censored.ravel()[full]
+    D = D.ravel()[full // (R * P) * P + full % P]
+    del full
     # Per inspection k: replacements by kind and the downtime kT - D of
     # corrective ones (k_rep <= kmax exactly when the cycle is not censored).
-    k = k_rep[~censored]
-    corr = corrective[~censored]
-    w = np.where(corr, k * T - D[~censored], 0.0)
-    cell = owner[~censored] * (kmax + 1) + k
-    add("bp_p", cell[~corr])
-    add("bp_c", cell[corr])
+    done = ~censored
+    cell = owner[done] * (kmax + 1) + k[done]
+    w = k[done] * T - D[done]
+    add("bp_c", cell)
     add("bjw", cell, w)
     add("bjw2", cell, w * w)
-    add("bcensored", owner[censored])
-    del k, corr, w, cell
+    done = run_k <= kmax
+    add("bp_p", run_owner[done] * (kmax + 1) + run_k[done], sign[done])
+    add("bcensored", np.concatenate([owner[censored], run_owner[~done]]),
+        np.concatenate([np.ones(censored.sum()), sign[~done]]))
+    del done, cell, w
     # Per lattice time t, over the cycles not replaced by its last inspection
     # kf(t): alive at t, and the downtime accrued since D.  kf grows with t,
     # so a cycle is open (kf < k_rep) on a prefix of the lattice, alive on
@@ -495,14 +581,16 @@ def _reduce(k_rep, corrective, censored, D, owner, T, kmax, times, sums):
     # after kf T, or the inspection ceil(D / T) <= kf would have replaced it.
     C = len(times)
     kf_of = np.minimum(np.floor(times / T + _EPS).astype(np.int64), kmax)
-    n_open = np.searchsorted(kf_of, k_rep)
+    n_open = np.searchsorted(kf_of, k)
     n_alive = np.minimum(n_open, np.searchsorted(times, D))
     # Column c counts the prefixes longer than c: a reversed cumulative sum
     # of the prefix lengths' counts, from length C down to length 1.
-    lengths = np.bincount(owner * (C + 1) + n_alive, minlength=S * (C + 1))
-    lengths = lengths.reshape(S, C + 1)
+    index = np.concatenate([owner * (C + 1) + n_alive,
+                            run_owner * (C + 1) + np.searchsorted(kf_of, run_k)])
+    lengths = np.bincount(index, np.concatenate([np.ones(len(k)), sign]),
+                          minlength=S * (C + 1)).reshape(S, C + 1)
     sums["balive"][lo:hi] += np.cumsum(lengths[:, :0:-1], axis=1)[:, ::-1]
-    del lengths
+    del index, lengths, run_owner, run_k, sign
     # The (path, column) pairs of the open prefix from D on, path by path,
     # so each row adds its terms in path order (a term at t = D is 0.0).
     width = n_open - n_alive
@@ -759,8 +847,9 @@ def estimate_row(
     ``np.random.default_rng(seed_sequence)``, draws the row's paths once
     for all members (:func:`_draw_pass`), in the passes
     :func:`_chunks` cuts them into, of at most cap = 3 * _PASS_PATHS // (K
-    * (R + 2)) paths, where K is the number of distinct scales beta_j /
-    beta_d of the members and R the thresholds a path is read at.  Worker
+    * (R + 2)) paths and at least one, where K is the number of distinct
+    scales beta_j / beta_d of the members and R the thresholds a path is
+    read at.  Worker
     block b of a threshold is the b-th range of its paths in the split of
     :func:`_block_split`; a threshold or block split between passes adds up
     its parts in pass order.
@@ -772,7 +861,13 @@ def estimate_row(
     independent.  Paired, the row draws n paths and reads every path at
     every threshold (R = len(Ms)): the cells share their paths, so a
     path's replacement inspection k_rep = min(k_c, k_p(M)) grows with M and
-    the cells' differences carry little noise.  A paired row of one
+    the cells' differences carry little noise.  Its sums are kept in read
+    order, the largest M first, and in the prefix form of :func:`_reduce`,
+    which adds each path's runs of equal outcome once; when every pass has
+    run, one reversed cumulative sum along the reads gives each read its
+    sums, and the reads are put back in the thresholds' order.  Its counts
+    are those of the outcome-by-outcome sums exactly, and its float sums
+    the same nonnegative terms added in another order.  A paired row of one
     threshold is the unpaired row.  A member's rows depend on the row's set
     of thresholds and on the set of scales of the bundle, though not on
     their order; the members of one scale (a bundle whose members differ
@@ -800,19 +895,29 @@ def estimate_row(
     order = np.argsort(Ms, kind="stable")
     # A paired path is read at every threshold, the largest first.
     reads, paths = (len(Ms), n) if paired else (1, len(Ms) * n)
-    cap = 3 * _PASS_PATHS // (len(_bundle_scales(members)[1]) * (reads + 2))
+    K = len(_bundle_scales(members)[1])
+    cap = max(1, 3 * _PASS_PATHS // (K * (reads + 2)))
     rng = np.random.default_rng(seed_sequence)
     kmax = _inspections(T, life.horizon)
     # Rows (member, threshold, block): path i of the row is path i % n of
-    # threshold order[i // n], or of every threshold when paired, and adds
-    # into the block of i % n; empty blocks stay zero.
+    # threshold order[i // n] and adds into the block of i % n; empty blocks
+    # stay zero.  Paired, the rows are (member, read, block), read j at
+    # threshold order[::-1][j], in prefix form until every pass has run.
     sums = _zero_sums(len(members) * len(Ms) * B, kmax, times)
+    thresholds = Ms[order[::-1]] if paired else Ms
     for lo, hi in _chunks(paths, cap):
         threshold, path = np.divmod(np.arange(lo, hi), n)
-        which = order[::-1, None] if paired else order[threshold][None]
+        which = np.arange(len(Ms))[:, None] if paired else order[threshold][None]
         bins = which * B + np.searchsorted(block.cumsum(), path, side="right")
         del threshold, path, which  # a pass's size each, freed before it is drawn
-        _block_accumulate(members, T, life, delta, Ms.repeat(B), bins, rng, times, sums)
+        _block_accumulate(members, T, life, delta, thresholds.repeat(B), bins, rng,
+                          times, sums)
+    if paired:  # each read's sums, then the thresholds in the order given
+        row = np.argsort(order[::-1])
+        for name, value in sums.items():
+            by_read = value.reshape(len(members), len(Ms), -1)
+            by_read = np.cumsum(by_read[:, ::-1], axis=1)[:, ::-1]
+            sums[name] = by_read[:, row].reshape(value.shape)
     R = len(members) * len(Ms)
     tables = EstimateTables(
         lattice=Lattice(times, T),

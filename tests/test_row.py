@@ -82,11 +82,11 @@ def by_path_ranges(models, T, Ms, life, cfg, paired=False):
 
     One generator draws the row's paths once for every member, in the
     fewest passes of even sizes of at most 3 * _PASS_PATHS // (K * (R + 2))
-    paths for K distinct betas and R thresholds a path.  Unpaired, the row
-    draws len(Ms) * n paths, threshold-major in ascending M, one threshold
-    a path (R = 1); paired, it draws n paths, each at every threshold, the
-    largest first.  Block b of a threshold is the b-th range of its paths,
-    reduced on its own by the reference reduction.
+    paths, and at least one, for K distinct betas and R thresholds a path.
+    Unpaired, the row draws len(Ms) * n paths, threshold-major in ascending
+    M, one threshold a path (R = 1); paired, it draws n paths, each at
+    every threshold, the largest first.  Block b of a threshold is the b-th
+    range of its paths, reduced on its own by the reference reduction.
     """
     members = [models] if isinstance(models, SystemModel) else list(models)
     policy = MaintenancePolicy(T, min(Ms))
@@ -95,7 +95,7 @@ def by_path_ranges(models, T, Ms, life, cfg, paired=False):
     n = cfg.n_samples
     R = len(Ms) if paired else 1
     K = len({m.degradation.beta for m in members})
-    cap = 3 * simulate._PASS_PATHS // (K * (R + 2))
+    cap = max(1, 3 * simulate._PASS_PATHS // (K * (R + 2)))
     block = simulate._block_split(n, cfg.worker_streams)
     starts = np.concatenate([[0], np.cumsum(block)])
     ascending = sorted(Ms)
@@ -131,11 +131,19 @@ def by_path_ranges(models, T, Ms, life, cfg, paired=False):
     return expected, block
 
 
+def assert_sums_nonnegative(tables):
+    # Every downtime term is nonnegative, so every float block sum is too.
+    for name in SUMS:
+        assert np.all(getattr(tables, name) >= 0.0), name
+
+
 def assert_row_follows_its_generator(models, T, Ms, life, cfg, paired=False):
     tables = estimate_row(models, T, Ms, life, cfg, row_seed(), paired=paired)
     expected, block = by_path_ranges(models, T, Ms, life, cfg, paired)
     members = len(tables.Ms) // len(Ms)
     assert tables.Ms.tolist() == list(Ms) * members
+    if paired:  # runs of reads add up in prefix form, none below zero
+        assert_sums_nonnegative(tables)
     for r, M in enumerate(tables.Ms):
         for b in range(cfg.worker_streams):
             sums = expected[r // len(Ms), M].get(b)
@@ -217,28 +225,48 @@ def test_bundle_pass_boundary_inside_a_threshold_and_a_block(model):
 
 
 @pytest.mark.parametrize(
-    "rates, Ms, n, cap",
+    "rates, Ms, n, cap, T, horizon",
     [
         # Five thresholds a path, in the one pass of 3 * 8192 // 7 = 3,510.
-        pytest.param(1, (25.0, 5.0, 30.0, 14.0, 20.0), 803, None, id="one-pass"),
+        pytest.param(1, (25.0, 5.0, 30.0, 14.0, 20.0), 803, None, 10.0, 50.0,
+                     id="one-pass"),
         # 7 betas at 11 thresholds cap a pass at 3 * 8192 // (7 * 13) =
         # 270 paths, so 600 take three passes of 200, which split the
         # blocks of 150.
-        pytest.param(7, tuple(np.linspace(6.0, 26.0, 11)), 600, None,
+        pytest.param(7, tuple(np.linspace(6.0, 26.0, 11)), 600, None, 10.0, 50.0,
                      id="7-betas-passes-split-blocks"),
         # A threshold given twice reads the same paths twice; passes of
         # 3 * 100 // 5 = 60 cut 90 paths into two of 45.
-        pytest.param(1, (14.0, 20.0, 14.0), 90, 100, id="repeated-threshold"),
+        pytest.param(1, (14.0, 20.0, 14.0), 90, 100, 10.0, 50.0,
+                     id="repeated-threshold"),
+        # 40 inspections: censored paths and long runs of equal outcome.  7
+        # betas at 30 thresholds cap a pass at 3 * 8192 // (7 * 32) = 109
+        # paths, so 150 take two passes of 75, which split the blocks.
+        pytest.param(7, tuple(np.linspace(1.0, 30.0, 30)), 150, None, 5.0, 200.0,
+                     id="7-betas-30-thresholds-long-horizon"),
     ],
 )
-def test_paired_row_follows_its_generator(model, monkeypatch, rates, Ms, n, cap):
+def test_paired_row_follows_its_generator(
+    model, monkeypatch, rates, Ms, n, cap, T, horizon
+):
     # Paired, the row draws n paths, each read at every threshold; block b
     # of every threshold is the b-th range of the same paths.
     if cap is not None:
         monkeypatch.setattr(simulate, "_PASS_PATHS", cap)
     cfg = SimulationConfig(n_samples=n, master_seed=SEED, worker_streams=4)
     members = betas(model, VARIATIONS[:rates])
-    assert_row_follows_its_generator(members, 10.0, Ms, LifeCycle(50.0), cfg,
+    assert_row_follows_its_generator(members, T, Ms, LifeCycle(horizon), cfg,
+                                     paired=True)
+
+
+def test_a_paired_pass_holds_at_least_one_path(model, monkeypatch):
+    # 11 thresholds a path at _PASS_PATHS = 4 would cap a pass at
+    # 3 * 4 // 13 = 0 paths; a pass holds one path at least.
+    monkeypatch.setattr(simulate, "_PASS_PATHS", 4)
+    Ms = tuple(np.linspace(6.0, 26.0, 11))
+    assert 3 * simulate._PASS_PATHS // (len(Ms) + 2) == 0
+    cfg = SimulationConfig(n_samples=9, master_seed=SEED, worker_streams=4)
+    assert_row_follows_its_generator(model, 10.0, Ms, LifeCycle(50.0), cfg,
                                      paired=True)
 
 
@@ -255,6 +283,7 @@ def test_paired_replacements_by_inspection_fall_with_M(model, monkeypatch):
     cfg = SimulationConfig(n_samples=200, master_seed=SEED, worker_streams=4)
     tables = estimate_row(members, 10.0, Ms, LifeCycle(50.0), cfg, row_seed(),
                           paired=True)
+    assert_sums_nonnegative(tables)
     replaced = (tables.bp_p + tables.bp_c).cumsum(axis=-1)
     replaced = replaced.reshape(len(members), len(Ms), 4, -1)[:, np.argsort(Ms)]
     steps = np.diff(replaced, axis=1)

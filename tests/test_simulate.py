@@ -1,3 +1,4 @@
+import copy
 import math
 import pickle
 import tracemalloc
@@ -351,6 +352,45 @@ class TestSkeleton:
         assert np.all(pos[1:][hit[1:]] <= np.broadcast_to(k_p, pos[1:].shape)[hit[1:]])
         assert np.all(hit[1:][(levels[1:] <= Ms) & (k_p < len(grid))])
 
+    @pytest.mark.parametrize(
+        "column, scales, horizon, n",
+        [
+            # Thresholds given twice.
+            pytest.param((14.0, 14.0, 6.0, 6.0), (1.0,), 50.0, 500, id="repeated"),
+            # 10 at scale 2 is 20 at scale 1, and 15 at scale 2 is 30 = L.
+            pytest.param((10.0, 15.0, 5.0), (1.0, 2.0), 50.0, 500,
+                         id="scaled-levels-coincide"),
+            # M_s and L far above the row-0 level 8 * 1.1.
+            pytest.param((8.0, 4.0), (1.0, 1.1), 50.0, 500, id="above-row-0"),
+            # At t_f = 12 most paths stay below 28 up to the last point.
+            pytest.param((28.0, 12.0), (1.0,), 12.0, 500, id="row-0-unreached"),
+            pytest.param((14.0, 8.0), (1.0, 1.05), 50.0, 1, id="one-path"),
+        ],
+    )
+    def test_shared_levels_are_searched_bit_for_bit(self, column, scales, horizon, n):
+        # A paired pass's column of levels (its thresholds at each scale,
+        # the largest first, then M_s and L at each scale) searched once a
+        # step gives the brackets and the draws of the per-path comparison.
+        grid = _skeleton(horizon, 10.0, 0.1)
+        s = np.array(scales)
+        named = np.sort(np.r_[20.0 * s, 30.0 * s])  # M_s and L at each scale
+        levels = np.concatenate([*(np.array(column) * f for f in s[::-1]), named])
+        rng = np.random.default_rng(SEED)
+        rng.gamma(1.0, size=3)  # a generator in mid-stream
+        other = copy.deepcopy(rng)
+        shared = _brackets(grid, levels, 0.01, 10.0, rng, n)
+        per_path = _brackets(grid, np.repeat(levels[:, None], n, axis=1), 0.01, 10.0,
+                             other)
+        for got, want in zip(shared, per_path):
+            assert got.shape == (len(levels), n)
+            assert np.array_equal(got, want)
+        assert rng.random() == other.random()
+        hit = shared[0] < len(grid)
+        if n > 1:  # a step that stops a path can cross levels above its row 0
+            assert hit[levels > levels[0]].any()
+        if horizon < 50.0:  # and a path can stay below row 0 to the end
+            assert not hit[0].all()
+
     def test_a_long_horizon_draws_in_small_memory(self, ref_model):
         # A pass holds O(paths) state: at T = 0.5 and t_f = 200 the 401
         # skeleton epochs of one 12,500-path block would take 40 MB alone.
@@ -403,7 +443,10 @@ class TestReduction:
         assert (censored & np.isfinite(failure)).any() == (tf > kmax * T)
         size = len(order) // 3
         sums = _zero_sums(3, kmax, times)
-        _reduce(*outputs, np.arange(3).repeat(size), T, kmax, times, sums)
+        # one member, one read a path: arrays of shape (member, read, path)
+        owner = np.arange(3).repeat(size)
+        _reduce(*(o[None, None] for o in outputs), owner[None, None], T, kmax, times,
+                sums)
         for i in range(3):
             paths = slice(i * size, (i + 1) * size)
             ref = loop_accumulate(*(o[paths] for o in outputs), T, kmax, times)
@@ -415,6 +458,54 @@ class TestReduction:
                 np.testing.assert_allclose(
                     sums[key][i], ref[key], rtol=size * np.finfo(float).eps,
                     atol=0.0, err_msg=key,
+                )
+
+    @pytest.mark.parametrize(
+        "T, tf", [(10.0, 50.0), (15.0, 50.0), (5.0, 200.0), (7.0, 50.0)]
+    )
+    def test_runs_of_reads_match_the_loop(self, T, tf):
+        # Each path read at R thresholds, the largest first: k_p falls along
+        # the reads, so its outcomes come in runs, which add in prefix form.
+        # A reversed cumulative sum along the reads gives each read the sums
+        # of the loop over that read's outcomes.
+        rng = np.random.default_rng(SEED)
+        times = eval_times(MaintenancePolicy(T, 1.0), LifeCycle(tf))
+        kmax = math.floor(tf / T + 1e-9)
+        D = np.concatenate([
+            times[1:], np.arange(1, kmax + 1) * T, np.full(50, np.inf),
+            rng.uniform(0.0, tf, 2_000),
+        ])
+        R = 6
+        # every inspection, the last skeleton point and never, the last two
+        # often enough that some reads of a path take each
+        choices = np.append(np.arange(1, kmax + 2), kmax + 1_000_000)
+        weight = np.append(np.ones(kmax), [kmax / 4.0, kmax / 4.0])
+        k_p = rng.choice(choices, (R, len(D)), p=weight / weight.sum())
+        k_p = -np.sort(-k_p, axis=0)
+        k_rep, corrective, censored = (
+            np.stack(o)[None]
+            for o in zip(*(kernel_outcomes(D, k, T, kmax)[:3] for k in k_p))
+        )
+        # reads partly corrective, and a censored failure prefix that shares
+        # its k_rep = kmax + 1 with the next read's preventive run
+        assert (corrective[0, 0] & ~corrective[0, -1]).any()
+        assert (corrective[0, :-1] & ~corrective[0, 1:]
+                & (k_rep[0, :-1] == k_rep[0, 1:])).any()
+        sums = _zero_sums(R, kmax, times)
+        owner = np.broadcast_to(np.arange(R)[:, None], k_p.shape)[None]
+        _reduce(k_rep, corrective, censored, D[None, None], owner, T, kmax, times, sums)
+        for key, value in sums.items():
+            value[:] = np.cumsum(value[::-1], axis=0)[::-1]
+        for j in range(R):
+            ref = loop_accumulate(k_rep[0, j], corrective[0, j], censored[0, j], D, T,
+                                  kmax, times)
+            for key in ("bp_p", "bp_c", "balive", "bcensored"):
+                assert np.array_equal(sums[key][j], ref[key]), (j, key)
+            for key in ("bjw", "bjw2", "bresid", "bresid2"):
+                assert np.all(sums[key][j] >= 0.0), (j, key)
+                np.testing.assert_allclose(
+                    sums[key][j], ref[key], rtol=len(D) * np.finfo(float).eps,
+                    atol=0.0, err_msg=f"read {j} {key}",
                 )
 
     @pytest.mark.parametrize(
