@@ -7,8 +7,8 @@ Library layout:
   table set per row of thresholds at one inspection period, for one model
   or a bundle of models that share their paths.
 - :mod:`cbmlife.renewal`: Markov renewal recursions (cost, variance,
-  availability, reliability, interval reliability), of one policy or of
-  every row of a table set.
+  availability, reliability, interval reliability) over every row of a
+  table set.
 - :mod:`cbmlife.optimize`: policy grid search under both objectives.
 - :mod:`cbmlife.sensitivity`: parameter perturbation tables.
 - :mod:`cbmlife.cli`: command-line front end.
@@ -24,13 +24,12 @@ from .model import (
 )
 from .optimize import OptimizationResult, PolicyGrid
 from .renewal import (
-    asymptotic_cost_rates,
-    availability,
-    cost_moments,
+    CostCurve,
+    PerformanceCurve,
+    asymptotic_cost_rate,
+    cost_curve,
     expected_cost,
-    expected_costs,
-    interval_reliability,
-    reliability,
+    performance_curve,
     std_dev,
 )
 from .sensitivity import VariationTable
@@ -44,26 +43,25 @@ from .simulate import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "CostCurve",
     "CostStructure",
     "EstimateTables",
     "GammaDegradation",
     "LifeCycle",
     "MaintenancePolicy",
     "OptimizationResult",
+    "PerformanceCurve",
     "PolicyGrid",
     "ShockIntensity",
     "SimulationConfig",
     "SystemModel",
     "VariationTable",
     "__version__",
-    "asymptotic_cost_rates",
-    "availability",
-    "cost_moments",
+    "asymptotic_cost_rate",
+    "cost_curve",
     "estimate_row",
     "estimate_tables",
     "expected_cost",
-    "expected_costs",
-    "interval_reliability",
-    "reliability",
+    "performance_curve",
     "std_dev",
 ]

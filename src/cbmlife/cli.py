@@ -313,9 +313,12 @@ def cmd_curves(rc: RunConfig, args):
     policies = [MaintenancePolicy(T, M) for T in grid.T_values for M in grid.M_values]
 
     swept = list(opt.estimate_grid([rc.model], grid, rc.life, rc.sim, rc.workers))
-    moments = [renewal.cost_moments(tables, rc.costs, tf) for tables in swept]
-    mean, sd = (np.concatenate(m) for m in zip(*moments))
-    columns = {sweep_dim: sweep_values, "cost_rate": mean / tf, "stddev": sd}
+    curves = [renewal.cost_curve(tables, rc.costs) for tables in swept]
+    columns = {
+        sweep_dim: sweep_values,
+        "cost_rate": np.concatenate([c.mean[:, -1] for c in curves]) / tf,
+        "stddev": np.concatenate([c.std[:, -1] for c in curves]),
+    }
     if args.strict_mc:
         strict = columns["strict_mc_rate"] = []
         for policy, v in zip(policies, sweep_values):
@@ -326,38 +329,39 @@ def cmd_curves(rc: RunConfig, args):
             strict.append(float(totals.mean()) / tf)
 
     # The curves of a policy the sweep contains come from its swept
-    # tables, so the run reports one estimate per policy.
+    # tables and their cost solve, so the run reports one estimate per
+    # policy.
     if rc.policy in policies:
         k, i = divmod(policies.index(rc.policy), len(grid.M_values))
-        tables = swept[k].take(i)
+        tables, curve = swept[k].take(i), curves[k]
     else:
         tables = estimate_tables(rc.model, rc.policy, rc.life, rc.sim)
-    curve = renewal.cost_curve(tables, rc.costs)
-    avail = renewal.performance_curve(tables, "availability")
-    rel = renewal.performance_curve(tables, "reliability")
-    ir = renewal.performance_curve(tables, "interval_reliability", s=args.ir_s)
-    window = (ir.times >= lo - 1e-9) & (ir.times <= hi + 1e-9)
-    ir_values = ir.values[window]
+        i, curve = 0, renewal.cost_curve(tables, rc.costs)
+    mean, std = curve.mean[i], curve.std[i]
+    perf = renewal.performance_curve(tables, s=args.ir_s)
+    avail, rel, ir = perf.availability[0], perf.reliability[0], perf.interval[0]
+    times = perf.times
+    window = ~np.isnan(ir) & (times >= lo - 1e-9) & (times <= hi + 1e-9)
 
     payload = {
         "policy": {
             "T": rc.policy.inspection_period,
             "M": rc.policy.preventive_threshold,
         },
-        "cost_rate_at_horizon": float(curve.mean[-1] / tf),
-        "stddev_at_horizon": float(curve.std[-1]),
-        "availability_min": float(avail.values[avail.times > 0].min()),
-        "reliability_at_horizon": float(rel.values[-1]),
-        "interval_reliability_min": float(ir_values.min()),
+        "cost_rate_at_horizon": float(mean[-1] / tf),
+        "stddev_at_horizon": float(std[-1]),
+        "availability_min": float(avail[times > 0].min()),
+        "reliability_at_horizon": float(rel[-1]),
+        "interval_reliability_min": float(ir[window].min()),
         "interval_s": args.ir_s,
     }
     point = ["t", "value"]
     outputs = {
         f"cost_rate_vs_{sweep_dim}.csv": (list(columns), zip(*columns.values())),
-        "cost_curve.csv": (point + ["stddev"], zip(curve.times, curve.mean, curve.std)),
-        "availability.csv": (point, zip(avail.times, avail.values)),
-        "reliability.csv": (point, zip(rel.times, rel.values)),
-        "interval_reliability.csv": (point, zip(ir.times[window], ir_values)),
+        "cost_curve.csv": (point + ["stddev"], zip(times, mean, std)),
+        "availability.csv": (point, zip(times, avail)),
+        "reliability.csv": (point, zip(times, rel)),
+        "interval_reliability.csv": (point, zip(times[window], ir[window])),
     }
     return "curves", outputs, payload, []
 

@@ -1,4 +1,4 @@
-"""Shared exception and warning types."""
+"""Shared exception types."""
 
 
 class ConfigurationError(ValueError):
@@ -11,7 +11,3 @@ class GridCoverageError(ValueError):
 
 class InconsistencyError(RuntimeError):
     """A numerical identity was violated beyond tolerance."""
-
-
-class TruncationWarning(UserWarning):
-    """Censored probability mass is large enough to bias truncated sums."""

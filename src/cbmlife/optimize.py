@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InconsistencyError
 from .model import CostStructure, LifeCycle, SystemModel
-from .renewal import asymptotic_cost_rates, expected_costs, truncation_note
+from .renewal import asymptotic_cost_rate, expected_cost
 from .simulate import SimulationConfig, estimate_row, row_seed, seed_key
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "OptimizationResult",
     "optimize_asymptotic",
     "optimize_transient",
+    "truncation_note",
 ]
 
 
@@ -115,6 +116,20 @@ class OptimizationResult:
     warnings: tuple[str, ...]
 
 
+def truncation_note(censored_fraction: float) -> str | None:
+    """The truncation warning of a cell with this censored mass, if any.
+
+    The asymptotic rate sums the replacement masses up to k_max only, so a
+    cell whose paths are censored at 1% or more gets a truncated rate.
+    """
+    if censored_fraction >= 0.01:
+        return (
+            f"censored mass {censored_fraction:.3f} >= 1%; "
+            "asymptotic sums are truncated"
+        )
+    return None
+
+
 def _evaluate_row(tables, costs, life, objective) -> list[tuple[float, float, list]]:
     """Every cell of one T row's table set, from two renewal solves.
 
@@ -129,8 +144,8 @@ def _evaluate_row(tables, costs, life, objective) -> list[tuple[float, float, li
 
     def evaluate(rows):
         if objective == "asymptotic":
-            return asymptotic_cost_rates(rows, costs)
-        return expected_costs(rows, costs, life.horizon) / life.horizon
+            return asymptotic_cost_rate(rows, costs)
+        return expected_cost(rows, costs, life.horizon) / life.horizon
 
     # Every cell has the same worker blocks, so as many batch rows.  A block
     # without a rate (NaN) leaves its cell without a standard error.

@@ -15,27 +15,26 @@ substitution over the columns, for all chains at once: memory O(N) in the
 lattice size N, one vectorized step per level.
 
 The thresholds of one inspection period share one lattice, so the solver's
-leading batch axis is the threshold axis of a table set: each measure builds
-the R non-renewal terms of its R rows with numpy and solves them all in one
-substitution.  The row measures (:func:`expected_costs`,
-:func:`cost_moments`, :func:`asymptotic_cost_rates`) evaluate every row,
-row r bit for bit as the one-policy measure of ``tables.take(r)``; on
-``tables.batches()`` they give the batch means of each threshold's worker
-blocks.  The one-policy measures take a table set of one row (R = 1), and
-raise ValueError on more.  Every measure returns numbers or arrays, a whole
-curve as a :class:`CostCurve` or :class:`PerformanceCurve`; nothing here
-writes a file (the command line writes the curves as CSV).
+leading batch axis is the threshold axis of a table set: every measure
+evaluates all R rows of a table set, building their R non-renewal terms
+with numpy and solving them in one substitution, row r bit for bit as the
+same measure of ``tables.take(r)``.  On ``tables.batches()`` the measures
+give the batch means of each threshold's worker blocks.
+:func:`expected_cost`, :func:`std_dev` and :func:`asymptotic_cost_rate`
+return one value a row, of shape (R,); :func:`cost_curve` and
+:func:`performance_curve` return whole (R, N) curves over the lattice, as a
+:class:`CostCurve` or a :class:`PerformanceCurve`, each checked on every row.
+Nothing here warns or writes a file.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridCoverageError, InconsistencyError, TruncationWarning
+from .errors import GridCoverageError, InconsistencyError
 from .model import CostStructure
 from .simulate import EstimateTables
 
@@ -43,15 +42,8 @@ __all__ = [
     "CostCurve",
     "PerformanceCurve",
     "expected_cost",
-    "expected_costs",
     "std_dev",
-    "cost_moments",
     "asymptotic_cost_rate",
-    "asymptotic_cost_rates",
-    "truncation_note",
-    "availability",
-    "reliability",
-    "interval_reliability",
     "cost_curve",
     "performance_curve",
 ]
@@ -59,7 +51,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CostCurve:
-    """Transient cost summaries on the evaluation grid."""
+    """E[C(t)], E[C(t)^2] and the SD of C(t) of every row: (R, N) over ``times``."""
 
     times: np.ndarray
     mean: np.ndarray
@@ -67,9 +59,9 @@ class CostCurve:
     std: np.ndarray
 
     def validate(self) -> None:
-        if self.mean[0] != 0.0:
+        if np.any(self.mean[:, 0] != 0.0):
             raise InconsistencyError("expected cost at t=0 must be 0")
-        if np.any(np.diff(self.mean) < -1e-9):
+        if np.any(np.diff(self.mean, axis=1) < -1e-9):
             raise InconsistencyError("expected cost must be nondecreasing")
         if np.any(self.std < 0.0):
             raise InconsistencyError("standard deviation must be nonnegative")
@@ -77,15 +69,21 @@ class CostCurve:
 
 @dataclass(frozen=True)
 class PerformanceCurve:
-    """A probability-valued curve (availability, reliability, interval)."""
+    """A(t), R(t) and IR(t, t + s) of every row: (R, N) over ``times``.
+
+    ``interval`` is NaN at each t whose t + s is off the lattice.
+    """
 
     times: np.ndarray
-    values: np.ndarray
-    kind: str
+    availability: np.ndarray
+    reliability: np.ndarray
+    interval: np.ndarray
 
     def validate(self) -> None:
-        if np.any(self.values < -1e-12) or np.any(self.values > 1.0 + 1e-12):
-            raise InconsistencyError(f"{self.kind} left [0, 1]")
+        for name in ("availability", "reliability", "interval"):
+            values = getattr(self, name)  # NaN compares false
+            if np.any(values < -1e-12) or np.any(values > 1.0 + 1e-12):
+                raise InconsistencyError(f"{name} left [0, 1]")
 
 
 def _chain_matrix(chains, values: np.ndarray) -> np.ndarray:
@@ -114,14 +112,6 @@ def _chain_sum(chains, g: np.ndarray, p: np.ndarray, v: np.ndarray | None = None
         out[:, :, j] += lagged[:, :, 0]
     row, level = chains
     return out[:, row, level]
-
-
-def _check_one_policy(tables: EstimateTables) -> None:
-    if len(tables.Ms) != 1:
-        raise ValueError(
-            f"a one-policy measure needs a table set of R = 1 threshold, not "
-            f"R = {len(tables.Ms)}; take one with tables.take(i)"
-        )
 
 
 # -- transient cost ----------------------------------------------------------
@@ -172,47 +162,32 @@ def _std(mean, mean_sq):
     return np.sqrt(np.maximum(var, 0.0))
 
 
-def expected_costs(tables: EstimateTables, costs: CostStructure, t: float) -> np.ndarray:
-    """E[C(t)] of every row of the table set, from one solve."""
+def expected_cost(tables: EstimateTables, costs: CostStructure, t: float) -> np.ndarray:
+    """E[C(t)] of every row, (R,), via the cost renewal recursion."""
     i = tables.lattice.index_of(t)
     return _cost_moments(tables, costs, second=False)[0][:, i]
 
 
-def cost_moments(
-    tables: EstimateTables, costs: CostStructure, t: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """E[C(t)] and the standard deviation of C(t) of every row, from one solve."""
+def std_dev(tables: EstimateTables, costs: CostStructure, t: float) -> np.ndarray:
+    """Standard deviation of the transient cost at t of every row, (R,)."""
     i = tables.lattice.index_of(t)
     mean, mean_sq = _cost_moments(tables, costs)
-    return mean[:, i], _std(mean[:, i], mean_sq[:, i])
-
-
-def expected_cost(tables: EstimateTables, costs: CostStructure, t: float) -> float:
-    """E[C(t)] via the cost renewal recursion."""
-    _check_one_policy(tables)
-    return float(expected_costs(tables, costs, t)[0])
-
-
-def std_dev(tables: EstimateTables, costs: CostStructure, t: float) -> float:
-    """Standard deviation of the transient cost at t."""
-    _check_one_policy(tables)
-    return float(cost_moments(tables, costs, t)[1][0])
+    return _std(mean[:, i], mean_sq[:, i])
 
 
 def cost_curve(tables: EstimateTables, costs: CostStructure) -> CostCurve:
-    """Full transient cost curve on the evaluation grid."""
-    _check_one_policy(tables)
-    mean, mean_sq = (m[0] for m in _cost_moments(tables, costs))
+    """The transient cost curves of every row on the evaluation lattice."""
+    mean, mean_sq = _cost_moments(tables, costs)
     curve = CostCurve(tables.lattice.times, mean, mean_sq, _std(mean, mean_sq))
     curve.validate()
     return curve
 
 
-def asymptotic_cost_rates(tables: EstimateTables, costs: CostStructure) -> np.ndarray:
+def asymptotic_cost_rate(tables: EstimateTables, costs: CostStructure) -> np.ndarray:
     """Long-run expected cost per time unit of every row (renewal reward ratio).
 
-    A row without replacement mass has no rate: NaN.  Nothing warns of
-    truncation here; see :func:`truncation_note`.
+    The sums stop at k_max, so censored mass truncates them.  A row without
+    replacement mass has no rate: NaN.
     """
     kmax = tables.kmax
     ks = np.arange(1, kmax + 1)
@@ -230,58 +205,9 @@ def asymptotic_cost_rates(tables: EstimateTables, costs: CostStructure) -> np.nd
     return rates
 
 
-def truncation_note(censored_fraction: float) -> str | None:
-    """The truncation warning of a table set with this censored mass, if any."""
-    if censored_fraction >= 0.01:
-        return (
-            f"censored mass {censored_fraction:.3f} >= 1%; "
-            "asymptotic sums are truncated"
-        )
-    return None
-
-
-def asymptotic_cost_rate(tables: EstimateTables, costs: CostStructure) -> float:
-    """Long-run expected cost per time unit (renewal reward ratio)."""
-    _check_one_policy(tables)
-    note = truncation_note(tables.censored_fraction[0])
-    if note is not None:
-        warnings.warn(note, TruncationWarning, stacklevel=2)
-    rate = float(asymptotic_cost_rates(tables, costs)[0])
-    if math.isnan(rate):
-        raise InconsistencyError("no replacement mass observed; rate undefined")
-    return rate
-
-
 # -- performance measures ----------------------------------------------------
 
-def _survival(tables: EstimateTables, preventive_only: bool) -> np.ndarray:
-    """Availability, or reliability when only preventive replacements renew."""
-    p = tables.p_preventive[:, 1:]
-    if not preventive_only:
-        p = p + tables.p_corrective[:, 1:]
-    return _chain_sum(tables.lattice.chains, tables.alive_no_replacement, p)
-
-
-def availability(tables: EstimateTables, t: float) -> float:
-    """P[system working at t]."""
-    _check_one_policy(tables)
-    i = tables.lattice.index_of(t)
-    return float(_survival(tables, preventive_only=False)[0, i])
-
-
-def reliability(tables: EstimateTables, t: float) -> float:
-    """P[no failure in (0, t]]; only preventive replacements renew it."""
-    _check_one_policy(tables)
-    i = tables.lattice.index_of(t)
-    return float(_survival(tables, preventive_only=True)[0, i])
-
-
-def _check_length(s: float) -> None:
-    if not (math.isfinite(s) and s >= 0.0):
-        raise GridCoverageError(f"interval length s={s} must be finite and nonnegative")
-
-
-def _interval(tables: EstimateTables, s: float) -> np.ndarray:
+def _interval(tables, s, alive, pp, renew, reliability) -> np.ndarray:
     """IR(t, t+s) at every lattice t, per row; NaN where t+s is off the lattice.
 
     The non-renewal term is P[no replacement by t+s] plus, for each
@@ -297,48 +223,38 @@ def _interval(tables: EstimateTables, s: float) -> np.ndarray:
     row, level = chains
     idx = np.flatnonzero(on_grid)
     end = end[idx]
-    rel = _chain_matrix(chains, _survival(tables, preventive_only=True))
+    rel = _chain_matrix(chains, reliability)
     kf_t = np.minimum(level[idx], tables.kmax)
     kf_end = np.minimum(level[end], tables.kmax)
     g = np.zeros((len(rel), len(level)))
-    g[:, idx] = tables.alive_no_replacement[:, end]
+    g[:, idx] = alive[:, end]
     for d in range(1, int((kf_end - kf_t).max(initial=0)) + 1):
         on = kf_t + d <= kf_end
         k, e = kf_t[on] + d, end[on]
-        g[:, idx[on]] += rel[:, row[e], level[e] - k] * tables.p_preventive[:, k]
-    p = tables.p_preventive[:, 1:] + tables.p_corrective[:, 1:]
-    values = _chain_sum(chains, g, p)
+        g[:, idx[on]] += rel[:, row[e], level[e] - k] * pp[:, k]
+    values = _chain_sum(chains, g, renew)
     values[:, ~on_grid] = np.nan
     return values
 
 
-def interval_reliability(tables: EstimateTables, t: float, s: float) -> float:
-    """P[system works throughout (t, t+s]]."""
-    _check_one_policy(tables)
-    _check_length(s)
-    value = _interval(tables, s)[0, tables.lattice.index_of(t)]
-    if math.isnan(value):
-        raise GridCoverageError(f"t + s = {t + s} is not on the evaluation grid")
-    return float(value)
+def performance_curve(tables: EstimateTables, s: float = 0.0) -> PerformanceCurve:
+    """Availability, reliability and IR(t, t + s) curves of every row.
 
-
-def performance_curve(
-    tables: EstimateTables, kind: str, s: float = 0.0
-) -> PerformanceCurve:
-    """Availability, reliability, or interval-reliability curve."""
-    _check_one_policy(tables)
-    _check_length(s)
-    times = tables.lattice.times
-    if kind == "availability":
-        values = _survival(tables, preventive_only=False)[0]
-    elif kind == "reliability":
-        values = _survival(tables, preventive_only=True)[0]
-    elif kind == "interval_reliability":
-        values = _interval(tables, s)[0]
-        keep = ~np.isnan(values)
-        times, values = times[keep], values[keep]
-    else:
-        raise ValueError(f"unknown performance measure '{kind}'")
-    curve = PerformanceCurve(times=times, values=values, kind=kind)
+    Availability renews at every replacement, reliability (no failure in
+    (0, t]) only at a preventive one; the interval curve reuses the
+    reliability solve.
+    """
+    if not (math.isfinite(s) and s >= 0.0):
+        raise GridCoverageError(f"interval length s={s} must be finite and nonnegative")
+    chains = tables.lattice.chains
+    pp, alive = tables.p_preventive, tables.alive_no_replacement
+    renew = pp[:, 1:] + tables.p_corrective[:, 1:]
+    reliability = _chain_sum(chains, alive, pp[:, 1:])
+    curve = PerformanceCurve(
+        times=tables.lattice.times,
+        availability=_chain_sum(chains, alive, renew),
+        reliability=reliability,
+        interval=_interval(tables, s, alive, pp, renew, reliability),
+    )
     curve.validate()
     return curve

@@ -42,7 +42,7 @@ from .model import (
     SystemModel,
 )
 from .optimize import PolicyGrid, estimate_grid
-from .renewal import expected_costs
+from .renewal import expected_cost
 from .simulate import SimulationConfig
 
 __all__ = [
@@ -117,7 +117,7 @@ def _sensitivity_table(
     )
     values = np.full(len(members), np.inf)
     for tables, group in zip(rows, groups):
-        cells = expected_costs(tables, costs, life.horizon).reshape(len(group), -1)
+        cells = expected_cost(tables, costs, life.horizon).reshape(len(group), -1)
         values[group] = np.minimum(values[group], cells.min(axis=1))
     for message in dict.fromkeys(messages):
         warnings.warn(message, UserWarning, stacklevel=3)

@@ -45,16 +45,7 @@ from cbmlife.optimize import (
     optimize_asymptotic,
     optimize_transient,
 )
-from cbmlife.renewal import (
-    availability,
-    cost_curve,
-    expected_cost,
-    expected_costs,
-    interval_reliability,
-    performance_curve,
-    reliability,
-    std_dev,
-)
+from cbmlife.renewal import cost_curve, expected_cost, performance_curve, std_dev
 from cbmlife.sensitivity import gamma_sensitivity, shock_sensitivity
 from cbmlife.simulate import (
     SimulationConfig,
@@ -201,9 +192,9 @@ def test_criterion_4_oracle_equivalence(ref_model, ref_costs, ref_life):
     for M in (5.0, 10.0, 14.0, 20.0, 25.0):
         policy = MaintenancePolicy(inspection_period=10.0, preventive_threshold=M)
         tables = estimate_tables(ref_model, policy, ref_life, cfg)
-        recursive = expected_cost(tables, ref_costs, tf) / tf
+        recursive = expected_cost(tables, ref_costs, tf)[0] / tf
         # The rows of tables.batches() are the worker blocks, one rate each.
-        block_rates = list(expected_costs(tables.batches(), ref_costs, tf) / tf)
+        block_rates = list(expected_cost(tables.batches(), ref_costs, tf) / tf)
         assert len(block_rates) == cfg.worker_streams
         se_rec = float(np.std(block_rates, ddof=1)) / math.sqrt(len(block_rates))
         _, totals = chain_statistics(ref_model, policy, ref_costs, ref_life, cfg)
@@ -228,7 +219,7 @@ def test_criterion_4_oracle_equivalence(ref_model, ref_costs, ref_life):
 
 
 def test_criterion_5_variance_recursion(tables_full, strict_full, ref_costs):
-    sd = std_dev(tables_full, ref_costs, 50.0)
+    sd = std_dev(tables_full, ref_costs, 50.0)[0]
     _, totals = strict_full
     sample_sd = float(totals.std(ddof=1))
     curve = cost_curve(tables_full, ref_costs)
@@ -277,24 +268,23 @@ def test_criterion_7_performance_measures(ref_model, ref_policy, tables_full):
         alive_no_replacement=oracle.alive(T, M, times)[None],
     )
     n = int(tables_full.block_sizes.sum())
+    at_zero = performance_curve(tables_full)
     gaps = {}
     for kind, preventive_only in (("availability", False), ("reliability", True)):
         p = on_lattice(_solve_survival_memo(exact, preventive_only), times)
-        gap = np.abs(performance_curve(tables_full, kind).values - p)
+        gap = np.abs(getattr(at_zero, kind)[0] - p)
         excess = gap - 5.0 * np.sqrt(np.maximum(p * (1.0 - p), 0.0) / n)
         gaps[kind] = (float(gap.max()), float(excess.max()))
-    ir_min = min(
-        interval_reliability(tables_full, float(t), 5.0)
-        for t in np.arange(15.0, 36.0)
-    )
+    index = tables_full.lattice.index_of
+    ir = performance_curve(tables_full, 5.0).interval[0]
+    ir_min = min(ir[index(float(t))] for t in np.arange(15.0, 36.0))
     id_avail = max(
-        abs(interval_reliability(tables_full, float(t), 0.0)
-            - availability(tables_full, float(t)))
+        abs(at_zero.interval[0, index(float(t))] - at_zero.availability[0, index(float(t))])
         for t in np.arange(0.0, 51.0)
     )
     id_rel = max(
-        abs(interval_reliability(tables_full, 0.0, float(t))
-            - reliability(tables_full, float(t)))
+        abs(performance_curve(tables_full, float(t)).interval[0, 0]
+            - at_zero.reliability[0, index(float(t))])
         for t in np.arange(0.0, 51.0)
     )
     checks = [
@@ -344,27 +334,25 @@ def test_criterion_9_property_suite(ref_model, ref_policy, ref_costs, ref_life, 
     curve = cost_curve(tables_full, ref_costs)
     cost_gap = 0.0
     for staged, memo in (
-        (curve.mean, _solve_cost_memo(tables_full, ref_costs)),
-        (curve.mean_sq, _solve_cost_sq_memo(tables_full, ref_costs)),
+        (curve.mean[0], _solve_cost_memo(tables_full, ref_costs)),
+        (curve.mean_sq[0], _solve_cost_sq_memo(tables_full, ref_costs)),
     ):
         ref = on_lattice(memo, times)
         cost_gap = max(cost_gap, np.abs(staged - ref).max() / np.abs(ref).max())
     surv_gap = 0.0
-    for kind, preventive_only in (("availability", False), ("reliability", True)):
-        a = performance_curve(tables_full, kind).values
+    perf = performance_curve(tables_full, 5.0)
+    for a, preventive_only in ((perf.availability, False), (perf.reliability, True)):
         b = on_lattice(_solve_survival_memo(tables_full, preventive_only), times)
-        surv_gap = max(surv_gap, np.abs(a - b).max())
+        surv_gap = max(surv_gap, np.abs(a[0] - b).max())
     checks.append(
         (f"solver vs memoized oracle gap {max(cost_gap, surv_gap):.2e} <= 1e-12",
          max(cost_gap, surv_gap) <= 1e-12)
     )
 
     closure_ok = True
-    for kind in ("availability", "reliability"):
-        curve = performance_curve(tables_full, kind)
-        closure_ok &= bool(np.all((curve.values >= 0.0) & (curve.values <= 1.0)))
-    ir_curve = performance_curve(tables_full, "interval_reliability", s=5.0)
-    closure_ok &= bool(np.all((ir_curve.values >= 0.0) & (ir_curve.values <= 1.0)))
+    ir = perf.interval[~np.isnan(perf.interval)]
+    for values in (perf.availability, perf.reliability, ir):
+        closure_ok &= bool(np.all((values >= 0.0) & (values <= 1.0)))
     checks.append(("probability closure in [0,1]", closure_ok))
 
     curve = cost_curve(tables_full, ref_costs)

@@ -3,14 +3,17 @@ import json
 import math
 import re
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cbmlife import cli, optimize
 from cbmlife.cli import main, parse_config, parse_grid_spec
 from cbmlife.errors import ConfigurationError
-from cbmlife.simulate import eval_times
+from cbmlife.renewal import cost_curve, performance_curve
+from cbmlife.simulate import estimate_tables, eval_times
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
 
@@ -490,6 +493,55 @@ class TestCurvesCommand:
         swept = {float(r.split(",")[0]): float(r.split(",")[1]) for r in rows}
         assert report["policy"]["M"] == 14.0
         assert report["cost_rate_at_horizon"] == pytest.approx(swept[14.0], abs=5e-7)
+
+    @pytest.mark.parametrize("flags, M", [
+        (["--M", "14.5"], 14.5),  # between two swept thresholds
+        (["--grid-M", "12:16:2"], 14.0),  # a sweep of 12 and 16 only
+    ], ids=["off-M", "off-grid"])
+    def test_policy_outside_the_sweep(self, small_config, tmp_path, monkeypatch,
+                                      flags, M):
+        # The policy is drawn alone, and its curves and report are those of
+        # its own table set.
+        drawn = []
+
+        def spy(*args, **kwargs):
+            drawn.append(args[1])
+            return estimate_tables(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "estimate_tables", spy)
+        out = tmp_path / "off"
+        argv = ["curves", "--config", str(small_config), *flags, "--out-dir", str(out),
+                "--quiet"]
+        assert main(argv) == 0
+        rc = parse_config(small_config)
+        policy = replace(rc.policy, preventive_threshold=M)
+        assert drawn == [policy]
+        tables = estimate_tables(rc.model, policy, rc.life, rc.sim)
+        curve = cost_curve(tables, rc.costs)
+        perf = performance_curve(tables, 5.0)
+        times = curve.times
+        expected = {
+            "cost_curve.csv": (["t", "value", "stddev"],
+                               zip(times, curve.mean[0], curve.std[0])),
+            "availability.csv": (["t", "value"], zip(times, perf.availability[0])),
+        }
+        for name, (header, rows) in expected.items():
+            text = "".join(map(cli._csv_line, [header, *rows]))
+            assert (out / name).read_text() == text, name
+        ir = perf.interval[0]
+        window = ~np.isnan(ir) & (times >= 10.0 - 1e-9) & (times <= 30.0 + 1e-9)
+        report = json.loads((out / "curves_report.json").read_text())
+        assert report["policy"] == {"T": 10.0, "M": M}
+        assert {key: report[key] for key in (
+            "cost_rate_at_horizon", "stddev_at_horizon", "availability_min",
+            "reliability_at_horizon", "interval_reliability_min",
+        )} == {
+            "cost_rate_at_horizon": curve.mean[0, -1] / rc.life.horizon,
+            "stddev_at_horizon": curve.std[0, -1],
+            "availability_min": perf.availability[0, times > 0].min(),
+            "reliability_at_horizon": perf.reliability[0, -1],
+            "interval_reliability_min": ir[window].min(),
+        }
 
     def test_interval_s_zero_matches_availability(self, small_config, tmp_path):
         out = tmp_path / "s0"

@@ -1,6 +1,5 @@
 import inspect
 import math
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -13,13 +12,9 @@ from cbmlife.optimize import (
     estimate_grid,
     optimize_asymptotic,
     optimize_transient,
+    truncation_note,
 )
-from cbmlife.renewal import (
-    asymptotic_cost_rate,
-    asymptotic_cost_rates,
-    expected_cost,
-    expected_costs,
-)
+from cbmlife.renewal import asymptotic_cost_rate, expected_cost
 from cbmlife.simulate import (
     SimulationConfig,
     chain_statistics,
@@ -144,10 +139,8 @@ class TestOptimization:
             row = estimate_row(ref_model, T, grid.M_values, ref_life, cfg,
                                row_seed(cfg.master_seed, T))
             for i, M in enumerate(grid.M_values):
-                with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always")
-                    asymptotic_cost_rate(row.take(i), ref_costs)
-                expected += [f"(T={T:g}, M={M:g}) {w.message}" for w in caught]
+                note = truncation_note(row.take(i).censored_fraction[0])
+                expected += [] if note is None else [f"(T={T:g}, M={M:g}) {note}"]
         assert expected and list(result.warnings) == expected
 
     @pytest.mark.parametrize("n, finite", [(1, False), (3, True), (5, True)])
@@ -163,10 +156,10 @@ class TestOptimization:
             ref_model, MaintenancePolicy(10.0, 14.0), ref_life, cfg,
             seed_sequence=row_seed(SEED, 10.0),
         )
-        assert result.values[0, 0] == expected_cost(tables, ref_costs, 50.0) / 50.0
+        assert result.values[0, 0] == expected_cost(tables, ref_costs, 50.0)[0] / 50.0
         assert np.isfinite(result.stderr[0, 0]) == finite
         if finite:
-            rates = expected_costs(tables.batches(), ref_costs, 50.0) / 50.0
+            rates = expected_cost(tables.batches(), ref_costs, 50.0) / 50.0
             assert len(rates) == min(n, 4)
             se = np.std(rates, ddof=1) / np.sqrt(len(rates))
             assert result.stderr[0, 0] == se
@@ -181,7 +174,7 @@ class TestOptimization:
         grid = PolicyGrid(T_values=(30.0,), M_values=Ms)
         result = optimize_asymptotic(ref_model, ref_costs, ref_life, grid, cfg)
         tables = estimate_row(ref_model, 30.0, Ms, ref_life, cfg, row_seed(SEED, 30.0))
-        rates = asymptotic_cost_rates(tables.batches(), ref_costs).reshape(len(Ms), -1)
+        rates = asymptotic_cost_rate(tables.batches(), ref_costs).reshape(len(Ms), -1)
         expected = [np.std(r, ddof=1) / np.sqrt(len(r)) for r in rates]
         np.testing.assert_array_equal(result.stderr[0], expected)
         assert 0 < np.isnan(expected).sum() < len(Ms)

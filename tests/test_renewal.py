@@ -13,7 +13,7 @@ from renewal_oracle import (
     on_lattice,
 )
 
-from cbmlife.errors import GridCoverageError, InconsistencyError, TruncationWarning
+from cbmlife.errors import GridCoverageError, InconsistencyError
 from cbmlife.model import (
     CostStructure,
     GammaDegradation,
@@ -22,19 +22,14 @@ from cbmlife.model import (
     ShockIntensity,
     SystemModel,
 )
+from cbmlife.optimize import truncation_note
 from cbmlife.renewal import (
     _chain_sum,
     _cost_moments,
     asymptotic_cost_rate,
-    asymptotic_cost_rates,
-    availability,
     cost_curve,
-    cost_moments,
     expected_cost,
-    expected_costs,
-    interval_reliability,
     performance_curve,
-    reliability,
     std_dev,
 )
 from cbmlife.simulate import (
@@ -51,13 +46,13 @@ SEED = 777
 
 class TestExpectedCost:
     def test_zero_at_origin(self, tables_small, ref_costs):
-        assert expected_cost(tables_small, ref_costs, 0.0) == 0.0
-        assert cost_curve(tables_small, ref_costs).mean_sq[0] == 0.0
-        assert std_dev(tables_small, ref_costs, 0.0) == 0.0
+        assert expected_cost(tables_small, ref_costs, 0.0).tolist() == [0.0]
+        assert cost_curve(tables_small, ref_costs).mean_sq[0, 0] == 0.0
+        assert std_dev(tables_small, ref_costs, 0.0).tolist() == [0.0]
 
     def test_base_case_below_first_inspection(self, tables_small, ref_costs):
         for t in (1.0, 5.0, 9.0):
-            assert expected_cost(tables_small, ref_costs, t) == pytest.approx(
+            assert expected_cost(tables_small, ref_costs, t)[0] == pytest.approx(
                 ref_costs.downtime_rate
                 * tables_small.residual_downtime[0, tables_small.lattice.index_of(t)],
                 rel=1e-12,
@@ -66,8 +61,8 @@ class TestExpectedCost:
     def test_staged_equals_memoized(self, tables_small, ref_costs):
         curve = cost_curve(tables_small, ref_costs)
         for staged, memo in (
-            (curve.mean, _solve_cost_memo(tables_small, ref_costs)),
-            (curve.mean_sq, _solve_cost_sq_memo(tables_small, ref_costs)),
+            (curve.mean[0], _solve_cost_memo(tables_small, ref_costs)),
+            (curve.mean_sq[0], _solve_cost_sq_memo(tables_small, ref_costs)),
         ):
             ref = on_lattice(memo, tables_small.lattice.times)
             assert np.abs(staged - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -75,11 +70,11 @@ class TestExpectedCost:
     def test_cost_scaling_homogeneity(self, tables_small, ref_costs):
         doubled = CostStructure(600.0, 300.0, 90.0, 50.0)
         for t in (10.0, 27.0, 50.0):
-            assert expected_cost(tables_small, doubled, t) == pytest.approx(
-                2.0 * expected_cost(tables_small, ref_costs, t), rel=1e-12
+            assert expected_cost(tables_small, doubled, t)[0] == pytest.approx(
+                2.0 * expected_cost(tables_small, ref_costs, t)[0], rel=1e-12
             )
-            assert std_dev(tables_small, doubled, t) == pytest.approx(
-                2.0 * std_dev(tables_small, ref_costs, t), rel=1e-9
+            assert std_dev(tables_small, doubled, t)[0] == pytest.approx(
+                2.0 * std_dev(tables_small, ref_costs, t)[0], rel=1e-9
             )
 
     def test_curve_invariants(self, tables_small, ref_costs):
@@ -105,17 +100,25 @@ class TestAsymptotic:
     def test_zero_costs(self, tables_small):
         with pytest.warns(UserWarning):
             zero = CostStructure(0.0, 0.0, 0.0, 0.0)
-        assert asymptotic_cost_rate(tables_small, zero) == 0.0
+        assert asymptotic_cost_rate(tables_small, zero).tolist() == [0.0]
 
     def test_truncation_warning(self, ref_model, ref_costs):
+        # The rate of a censored table set is computed without a warning;
+        # the asymptotic grid search labels its cell with the note.
         policy = MaintenancePolicy(inspection_period=10.0, preventive_threshold=14.0)
         life = LifeCycle(10.0)  # a single inspection leaves large censored mass
         tables = estimate_tables(
             ref_model, policy, life, SimulationConfig(n_samples=2_000, master_seed=SEED)
         )
         assert tables.censored_fraction[0] >= 0.01
-        with pytest.warns(TruncationWarning):
-            asymptotic_cost_rate(tables, ref_costs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(asymptotic_cost_rate(tables, ref_costs)).all()
+        assert truncation_note(tables.censored_fraction[0]) == (
+            f"censored mass {tables.censored_fraction[0]:.3f} >= 1%; "
+            "asymptotic sums are truncated"
+        )
+        assert truncation_note(0.0099) is None
 
     def test_long_horizon_consistency(self, ref_model, ref_policy, ref_costs):
         life = LifeCycle(1_000.0)
@@ -123,8 +126,8 @@ class TestAsymptotic:
             ref_model, ref_policy, life,
             SimulationConfig(n_samples=10_000, master_seed=SEED),
         )
-        rate = asymptotic_cost_rate(tables, ref_costs)
-        transient = expected_cost(tables, ref_costs, 1_000.0) / 1_000.0
+        rate = asymptotic_cost_rate(tables, ref_costs)[0]
+        transient = expected_cost(tables, ref_costs, 1_000.0)[0] / 1_000.0
         assert transient == pytest.approx(rate, rel=0.03)
 
     def test_truncation_monotonicity(self, tables_small):
@@ -153,33 +156,32 @@ class TestAsymptotic:
                           + c.inspection * (k - 1) * (pp + pc)
                           + c.downtime_rate * truncated.joint_downtime[0, k])
             denominator += k * truncated.lattice.T * (pp + pc)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            rate = asymptotic_cost_rate(truncated, ref_costs)
+        rate = asymptotic_cost_rate(truncated, ref_costs)[0]
         assert rate == pytest.approx(numerator / denominator, rel=1e-12)
 
 
 class TestPerformanceMeasures:
     def test_initial_conditions(self, tables_small):
-        assert availability(tables_small, 0.0) == 1.0
-        assert reliability(tables_small, 0.0) == 1.0
+        curve = performance_curve(tables_small)
+        assert curve.times[0] == 0.0
+        assert curve.availability[0, 0] == curve.reliability[0, 0] == 1.0
 
     def test_staged_equals_memoized(self, tables_small):
-        for kind, preventive_only in (("availability", False), ("reliability", True)):
-            staged = performance_curve(tables_small, kind).values
+        curve = performance_curve(tables_small)
+        for staged, preventive_only in ((curve.availability, False),
+                                        (curve.reliability, True)):
             memo = _solve_survival_memo(tables_small, preventive_only)
-            assert np.abs(staged - on_lattice(memo, tables_small.lattice.times)).max() <= 1e-12
+            assert np.abs(staged[0] - on_lattice(memo, curve.times)).max() <= 1e-12
         for s in (0.0, 5.0, 13.0, 50.0):
-            curve = performance_curve(tables_small, "interval_reliability", s=s)
+            times, values = interval_points(performance_curve(tables_small, s))
             memo = _solve_interval_memo(tables_small, s)
-            assert len(curve.times) == len(memo) > 0
-            assert np.abs(curve.values - on_lattice(memo, curve.times)).max() <= 1e-12
+            assert len(times) == len(memo) > 0
+            assert np.abs(values - on_lattice(memo, times)).max() <= 1e-12
 
     def test_reliability_below_availability(self, tables_small):
-        avail = performance_curve(tables_small, "availability")
-        rel = performance_curve(tables_small, "reliability")
-        assert np.all(rel.values <= avail.values + 1e-12)
-        assert np.all(np.diff(rel.values) <= 1e-12)
+        curve = performance_curve(tables_small)
+        assert np.all(curve.reliability <= curve.availability + 1e-12)
+        assert np.all(np.diff(curve.reliability) <= 1e-12)
 
     def test_no_failure_modes_means_full_availability(self, ref_life):
         model = SystemModel(
@@ -192,19 +194,16 @@ class TestPerformanceMeasures:
         tables = estimate_tables(
             model, policy, ref_life, SimulationConfig(n_samples=500, master_seed=SEED)
         )
-        curve = performance_curve(tables, "availability")
-        assert np.all(curve.values == 1.0)
+        assert np.all(performance_curve(tables).availability == 1.0)
 
     def test_interval_identities(self, tables_small):
+        # IR(t, t) is A(t), and IR(0, t) is R(t).
+        at_zero = performance_curve(tables_small)
         for t in np.arange(0.0, 51.0, 1.0):
-            assert abs(
-                interval_reliability(tables_small, float(t), 0.0)
-                - availability(tables_small, float(t))
-            ) <= 1e-12
-            assert abs(
-                interval_reliability(tables_small, 0.0, float(t))
-                - reliability(tables_small, float(t))
-            ) <= 1e-12
+            i = tables_small.lattice.index_of(float(t))
+            assert abs(at_zero.interval[0, i] - at_zero.availability[0, i]) <= 1e-12
+            from_zero = performance_curve(tables_small, float(t)).interval[0, 0]
+            assert abs(from_zero - at_zero.reliability[0, i]) <= 1e-12
 
     def test_closure_for_random_models(self, ref_life):
         rng = np.random.default_rng(SEED)
@@ -229,13 +228,13 @@ class TestPerformanceMeasures:
                 model, policy, ref_life,
                 SimulationConfig(n_samples=400, master_seed=SEED),
             )
-            for kind in ("availability", "reliability"):
-                performance_curve(tables, kind).validate()
-            performance_curve(tables, "interval_reliability", s=policy.inspection_period / 2).validate()
+            performance_curve(tables, s=policy.inspection_period / 2).validate()
 
     def test_out_of_horizon_rejected(self, tables_small):
-        with pytest.raises(GridCoverageError):
-            interval_reliability(tables_small, 48.0, 5.0)
+        # IR(48, 53) has no value past the horizon 50.
+        curve = performance_curve(tables_small, 5.0)
+        assert np.isnan(curve.interval[0, tables_small.lattice.index_of(48.0)])
+        assert not np.isnan(curve.interval[0, tables_small.lattice.index_of(45.0)])
 
     def test_period_without_exact_lattice_keys(self, ref_model, ref_costs, ref_life):
         # T = 10/3 is not a whole number of lattice keys (nanoseconds), so
@@ -246,28 +245,39 @@ class TestPerformanceMeasures:
             ref_model, policy, ref_life, SimulationConfig(n_samples=500, master_seed=SEED)
         )
         cost_curve(tables, ref_costs).validate()
-        avail = performance_curve(tables, "availability").values
-        rel = performance_curve(tables, "reliability").values
+        at_zero = performance_curve(tables, s=0.0)
+        avail, rel = at_zero.availability[0], at_zero.reliability[0]
         first = tables.lattice.times < T - 1e-9
         assert np.array_equal(avail[first], tables.alive_no_replacement[0, first])
         assert np.all(rel <= avail + 1e-12)
-        at_zero = performance_curve(tables, "interval_reliability", s=0.0)
-        assert np.abs(at_zero.values - avail).max() <= 1e-12
+        assert np.abs(at_zero.interval[0] - avail).max() <= 1e-12
         for t in (T, 2 * T, 50.0):
-            assert abs(interval_reliability(tables, 0.0, t) - reliability(tables, t)) <= 1e-12
+            from_zero = performance_curve(tables, t).interval[0, 0]
+            assert abs(from_zero - rel[tables.lattice.index_of(t)]) <= 1e-12
 
 
-# The measures of one policy, each on a table set and a cost vector.
-ONE_POLICY_MEASURES = {
-    "expected_cost": lambda tables, costs: expected_cost(tables, costs, 10.0),
-    "std_dev": lambda tables, costs: std_dev(tables, costs, 10.0),
-    "cost_curve": cost_curve,
-    "asymptotic_cost_rate": asymptotic_cost_rate,
-    "availability": lambda tables, costs: availability(tables, 10.0),
-    "reliability": lambda tables, costs: reliability(tables, 10.0),
-    "interval_reliability": lambda tables, costs: interval_reliability(tables, 10.0, 5.0),
-    "performance_curve": lambda tables, costs: performance_curve(tables, "availability"),
-}
+def interval_points(curve):
+    """The times and values of a one-row curve's IR(t, t + s) on the lattice."""
+    keep = ~np.isnan(curve.interval[0])
+    return curve.times[keep], curve.interval[0, keep]
+
+
+def row_measures(costs, t, s):
+    """Each measure of a table set at t (and s), as arrays led by its R rows."""
+    return {
+        "expected_cost": lambda tables: expected_cost(tables, costs, t),
+        "std_dev": lambda tables: std_dev(tables, costs, t),
+        "asymptotic_cost_rate": lambda tables: asymptotic_cost_rate(tables, costs),
+        "cost_curve": lambda tables: curve_arrays(
+            cost_curve(tables, costs), "mean", "mean_sq", "std"),
+        "performance_curve": lambda tables: curve_arrays(
+            performance_curve(tables, s), "availability", "reliability", "interval"),
+    }
+
+
+def curve_arrays(curve, *names):
+    """A curve's (R, N) arrays stacked as (R, len(names), N)."""
+    return np.stack([getattr(curve, name) for name in names], axis=1)
 
 
 class TestQueryChecks:
@@ -276,33 +286,25 @@ class TestQueryChecks:
         with pytest.raises(GridCoverageError):
             tables_small.lattice.index_of(t)
         with pytest.raises(GridCoverageError):
-            availability(tables_small, t)
-        with pytest.raises(GridCoverageError):
             expected_cost(tables_small, ref_costs, t)
         with pytest.raises(GridCoverageError):
-            interval_reliability(tables_small, t, 0.0)
+            std_dev(tables_small, ref_costs, t)
 
     @pytest.mark.parametrize("s", [np.nan, np.inf, -3.0])
     def test_bad_interval_length(self, tables_small, s):
         with pytest.raises(GridCoverageError, match="interval length"):
-            performance_curve(tables_small, "interval_reliability", s=s)
-        with pytest.raises(GridCoverageError, match="interval length"):
-            interval_reliability(tables_small, 10.0, s)
+            performance_curve(tables_small, s)
 
-    @pytest.mark.parametrize(
-        "measure", ONE_POLICY_MEASURES.values(), ids=list(ONE_POLICY_MEASURES)
-    )
-    def test_one_policy_measures_refuse_a_row(
-        self, measure, ref_model, ref_costs, ref_life
-    ):
+    @pytest.mark.parametrize("name", list(row_measures(None, 10.0, 5.0)))
+    def test_measures_take_every_row(self, name, ref_model, ref_costs, ref_life):
         cfg = SimulationConfig(n_samples=200, master_seed=SEED)
         tables = estimate_row(ref_model, 10.0, (8.0, 14.0, 20.0), ref_life, cfg,
                               np.random.SeedSequence(SEED))
-        with pytest.raises(ValueError, match="R = 3"):
-            measure(tables, ref_costs)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            measure(tables.take(1), ref_costs)  # one threshold of the row
+        measure = row_measures(ref_costs, 10.0, 5.0)[name]
+        values = measure(tables)
+        assert len(values) == 3
+        for r in range(3):
+            np.testing.assert_array_equal(values[r], measure(tables.take(r))[0])
 
 
 @st.composite
@@ -475,31 +477,26 @@ class TestBatchedSolve:
 
 
 def assert_row_measures_equal_one_table_measures(tables, costs, t):
-    """Each row of tables and of tables.batches() is its one-threshold table set."""
+    """Each row of tables and of tables.batches() is its one-threshold table set.
+
+    Bit for bit, every measure's row r is that measure of the r-th one; a
+    check that refuses a row refuses one of the ones.
+    """
+    measures = row_measures(costs, t, t).values()
     for rows, ones in zip((tables, tables.batches()), singles(tables)):
         assert len(rows.censored_fraction) == len(ones)
-        values = expected_costs(rows, costs, t)
-        rates = asymptotic_cost_rates(rows, costs)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
+        for r, one in enumerate(ones):
+            assert rows.censored_fraction[r] == one.censored_fraction[0]
+        for measure in measures:
+            try:
+                values = measure(rows)
+            except InconsistencyError:
+                with pytest.raises(InconsistencyError):
+                    for one in ones:
+                        measure(one)
+                continue
             for r, one in enumerate(ones):
-                assert rows.censored_fraction[r] == one.censored_fraction[0]
-                assert values[r] == expected_cost(one, costs, t)
-                if np.isnan(rates[r]):
-                    with pytest.raises(InconsistencyError):
-                        asymptotic_cost_rate(one, costs)
-                else:
-                    assert rates[r] == asymptotic_cost_rate(one, costs)
-        try:
-            mean, sd = cost_moments(rows, costs, t)
-        except InconsistencyError:
-            with pytest.raises(InconsistencyError):
-                for one in ones:
-                    std_dev(one, costs, t)
-        else:
-            for r, one in enumerate(ones):
-                assert mean[r] == values[r]
-                assert sd[r] == std_dev(one, costs, t)
+                np.testing.assert_array_equal(values[r], measure(one)[0])
 
 
 class TestRandomLattices:
@@ -508,7 +505,7 @@ class TestRandomLattices:
     def test_measures_equal_oracle(self, tables, pick, ref_costs):
         tables.validate()
         times = tables.lattice.times
-        mean = np.array([expected_cost(tables, ref_costs, t) for t in times])
+        mean = np.array([expected_cost(tables, ref_costs, t)[0] for t in times])
         mean_sq = _cost_moments(tables, ref_costs)[1][0]
         for solved, memo in (
             (mean, _solve_cost_memo(tables, ref_costs)),
@@ -517,25 +514,25 @@ class TestRandomLattices:
             ref = on_lattice(memo, times)
             assert np.abs(solved - ref).max() <= 1e-12 * np.abs(ref).max()
 
-        avail = performance_curve(tables, "availability").values
-        rel = performance_curve(tables, "reliability").values
+        curve = performance_curve(tables)
+        avail, rel = curve.availability[0], curve.reliability[0]
         for solved, preventive_only in ((avail, False), (rel, True)):
             memo = _solve_survival_memo(tables, preventive_only)
             assert np.abs(solved - on_lattice(memo, times)).max() <= 1e-12
         assert np.all(rel <= avail + 1e-12)
         for s in (0.0, tables.lattice.T / 2, tables.lattice.T, float(times[pick % len(times)])):
-            curve = performance_curve(tables, "interval_reliability", s=s)
+            ir_times, values = interval_points(performance_curve(tables, s))
             memo = _solve_interval_memo(tables, s)
-            assert len(curve.times) == len(memo)
-            assert np.abs(curve.values - on_lattice(memo, curve.times)).max(initial=0.0) <= 1e-12
-            assert np.all((curve.values >= -1e-12) & (curve.values <= 1.0 + 1e-12))
+            assert len(ir_times) == len(memo)
+            assert np.abs(values - on_lattice(memo, ir_times)).max(initial=0.0) <= 1e-12
+            assert np.all((values >= -1e-12) & (values <= 1.0 + 1e-12))
         assert np.all((avail >= -1e-12) & (avail <= 1.0 + 1e-12) & (rel >= -1e-12))
 
         i = pick % (len(times) - 1)
         off = 0.5 * (times[i] + times[i + 1])
         with pytest.raises(GridCoverageError):
-            availability(tables, off)
+            tables.lattice.index_of(off)
         with pytest.raises(GridCoverageError):
             expected_cost(tables, ref_costs, off)
         with pytest.raises(GridCoverageError):
-            interval_reliability(tables, off, 0.0)
+            std_dev(tables, ref_costs, off)
